@@ -59,11 +59,20 @@ class RunConfig:
     include_tables: bool = False
 
 
-def _parse_y(text: str, parser: argparse.ArgumentParser) -> tuple[tuple[int, ...], ...]:
+def _parse_y(text: str, q: int, h: int, k: int,
+             parser: argparse.ArgumentParser) -> tuple[tuple[int, ...], ...]:
+    """Rows of --y, checked to span a k-dimensional subspace of F_q^(h+k)."""
     try:
         rows = tuple(tuple(int(x) for x in row.split(",")) for row in text.split(";"))
     except ValueError:
         parser.error(f"cannot parse --y value {text!r}; expected e.g. '0,0,1;1,0,0'")
+    n = h + k
+    if any(len(row) != n for row in rows):
+        parser.error(f"--y rows must have length h+k={n}, got {text!r}")
+    dim = Subspace(rows, n, q).dim
+    if dim != k:
+        parser.error(f"--y must span a subspace of dimension k={k}, "
+                     f"got dimension {dim} from {text!r}")
     return rows
 
 
@@ -158,9 +167,12 @@ def parse_args(argv: Sequence[str]) -> RunConfig:
             parser.error(f"invalid module type: {exc}")
         mtype = (ns.alpha, ns.beta, ns.rho)
 
+    if ns.max_elements < 1:
+        parser.error(f"--max-elements must be at least 1, got {ns.max_elements}")
+
     y_rows = None
     if getattr(ns, "y", None):
-        y_rows = _parse_y(ns.y, parser)
+        y_rows = _parse_y(ns.y, q, h, k, parser)
 
     suites = tuple(getattr(ns, "suite", None) or ["all"])
     relation_ids = getattr(ns, "relation", None)
@@ -226,6 +238,8 @@ def _render_text(payload: dict) -> str:
     for key in ("levels", "strata", "multiplicities", "conversion", "tables"):
         if key in payload:
             lines.append(f"{key}: {json.dumps(payload[key], default=str)}")
+    if "error" in payload:
+        lines.append(f"error: {payload['error']}")
     s = payload.get("summary")
     if s is not None:
         lines.append(f"summary: {s['passed']}/{s['total']} pass, {s['failed']} fail")

@@ -298,7 +298,13 @@ class OperatorSet:
 # ---------------------------------------------------------------------------
 
 def build_geometry_operators(geom: GeometryIndex, ring: QuadRing) -> OperatorSet:
-    """Every operator over the lattice; incidence families built combinatorially."""
+    """Every operator over the lattice; incidence families built combinatorially.
+
+    F0 joins u != v that are both slash-covered by a common w and meet
+    in dimension dim(u ∩ v ∩ y) = i_u.  No intersection is computed for
+    it: u ∩ y and v ∩ y are hyperplanes of w ∩ y, so that meet has
+    dimension i_u exactly when u ∩ y = v ∩ y, i.e. ``meet_y[u] == meet_y[v]``.
+    """
     if getattr(ring, "kind", None) != "numeric" or ring.q != geom.q:
         raise RingMismatchError(
             "geometry operators need a numeric ring with matching q")
@@ -328,6 +334,7 @@ def build_geometry_operators(geom: GeometryIndex, ring: QuadRing) -> OperatorSet
     l_comb = {}
     a_comb = {}
     ij = geom.ij
+    meet_y = geom.meet_y
     for w in range(size):
         up_slash = geom.slash_covered_by[w]
         up_back = geom.backslash_covered_by[w]
@@ -339,8 +346,7 @@ def build_geometry_operators(geom: GeometryIndex, ring: QuadRing) -> OperatorSet
         for u, v in permutations(down_back, 2):
             fplus.setdefault(u, {})[v] = 1
         for u, v in permutations(down_slash, 2):
-            w_meet = geom.elements[u].intersect(geom.elements[v])
-            if ij[geom.index[w_meet]][0] == ij[u][0]:
+            if meet_y[u] == meet_y[v]:
                 f0.setdefault(u, {})[v] = 1
         for u in up_back:
             for v in up_slash:

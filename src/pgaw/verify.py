@@ -883,6 +883,9 @@ def verify_y_invariance(q: int, h: int, k: int, y_list,
     ring = QuadRing(q)
     verdicts = None
     mults = None
+    # First disagreement of each kind; both outcomes are always emitted once.
+    verdicts_witness = None
+    mults_witness = None
     for y in y_list:
         geom = build_geometry(q, h, k, y)
         ops = build_geometry_operators(geom, ring)
@@ -895,20 +898,16 @@ def verify_y_invariance(q: int, h: int, k: int, y_list,
         this_verdicts = [(o.id, o.status) for o in sub.outcomes]
         if verdicts is None:
             verdicts = this_verdicts
-        elif this_verdicts != verdicts:
-            report.outcomes.append(Outcome(
-                "yinv.verdicts_agree", "fail",
-                f"relation verdicts differ for y={label}"))
+        elif this_verdicts != verdicts and verdicts_witness is None:
+            verdicts_witness = f"relation verdicts differ for y={label}"
         this_mults = {t.triple(): m for t, m in compute_multiplicities(geom, ops).items()}
         if mults is None:
             mults = this_mults
-        elif this_mults != mults:
-            report.outcomes.append(Outcome(
-                "yinv.multiplicities_agree", "fail",
-                f"multiplicity map differs for y={label}: {this_mults} vs {mults}"))
-    if all(o.passed for o in report.outcomes):
-        report.outcomes.append(Outcome("yinv.verdicts_agree", "pass"))
-        report.outcomes.append(Outcome("yinv.multiplicities_agree", "pass"))
+        elif this_mults != mults and mults_witness is None:
+            mults_witness = f"multiplicity map differs for y={label}: {this_mults} vs {mults}"
+    for rel_id, witness in (("yinv.verdicts_agree", verdicts_witness),
+                            ("yinv.multiplicities_agree", mults_witness)):
+        report.outcomes.append(Outcome(rel_id, "fail" if witness else "pass", witness))
     return report
 
 

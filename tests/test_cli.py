@@ -40,6 +40,27 @@ def test_parse_rejects_unknown_flag():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["verify", "--q", "2", "--h", "2", "--k", "1", "--y", "0,1"],
+     "--y rows must have length h+k=3"),
+    (["verify", "--q", "2", "--h", "2", "--k", "1", "--y", "0,0,1;0,1,0"],
+     "--y must span a subspace of dimension k=1, got dimension 2"),
+    (["enumerate", "--q", "2", "--h", "3", "--k", "2", "--y", "0,0,0,0,1;0,0,0,0,1"],
+     "--y must span a subspace of dimension k=2, got dimension 1"),
+    (["verify", "--q", "2", "--h", "2", "--k", "1", "--y", "0,x,1"],
+     "cannot parse --y value"),
+    (["verify", "--q", "2", "--h", "2", "--k", "1", "--max-elements", "0"],
+     "--max-elements must be at least 1, got 0"),
+    (["enumerate", "--q", "2", "--h", "2", "--k", "1", "--max-elements", "-5"],
+     "--max-elements must be at least 1, got -5"),
+])
+def test_parse_usage_errors_exit_2(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        parse_args(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_parse_rejects_bad_geometry():
     with pytest.raises(SystemExit):
         parse_args(["verify", "--q", "2", "--h", "1", "--k", "1"])
@@ -193,6 +214,18 @@ def test_relation_id_filter():
     assert status == 0
     lines = [ln for ln in text.splitlines() if ": pass" in ln or ": fail" in ln]
     assert [ln.split(":")[0] for ln in lines] == ["aw.askey1", "gen.k1l1"]
+
+
+def test_text_report_renders_error():
+    cfg = parse_args(["verify", "--q", "2", "--h", "2", "--k", "1",
+                      "--relation", "module.k_eigen"])
+    status, text = run(cfg)
+    assert status == 1
+    assert text.splitlines() == [
+        "context: command=verify",
+        "error: relation module.k_eigen does not apply to geometry mode",
+        "summary: 0/0 pass, 1 fail",
+    ]
 
 
 def test_relation_id_filter_rejects_unknown():

@@ -193,7 +193,36 @@ def test_every_cover_is_classified_exactly_once(geometry_cache):
                 assert (pv in g.backslash_covered_by[pu]) == in_back
 
 
-@pytest.mark.parametrize("q,h,k", [(2, 2, 1), (3, 2, 1), (2, 3, 2)])
+def _cover_lists_by_containment_scan(g):
+    """Cover lists from testing every pair of adjacent levels for containment."""
+    lists = tuple([[] for _ in range(g.size)] for _ in range(4))
+    sc_of, bc_of, sc_by, bc_by = lists
+    for d in range(g.n):
+        for pu in g.by_level[d]:
+            u = g.elements[pu]
+            for pv in g.by_level[d + 1]:
+                v = g.elements[pv]
+                if not v.contains(u):
+                    continue
+                slash = v.intersect(g.y).dim == u.intersect(g.y).dim + 1
+                (sc_of if slash else bc_of)[pv].append(pu)
+                (sc_by if slash else bc_by)[pu].append(pv)
+    return tuple(tuple(tuple(x) for x in lst) for lst in lists)
+
+
+@pytest.mark.parametrize("q,h,k", [(2, 2, 1), (3, 2, 1), (2, 3, 1)])
+@pytest.mark.parametrize("custom_y", [False, True])
+def test_cover_lists_match_containment_scan(q, h, k, custom_y):
+    y = span([1], h + k, q) if custom_y else None
+    g = build_geometry(q, h, k, y)
+    assert (g.slash_covers_of, g.backslash_covers_of,
+            g.slash_covered_by, g.backslash_covered_by) == \
+        _cover_lists_by_containment_scan(g)
+    for p, u in enumerate(g.elements):
+        assert g.elements[g.meet_y[p]] == u.intersect(g.y)
+
+
+@pytest.mark.parametrize("q,h,k", [(2, 2, 1), (3, 2, 1), (2, 3, 2), (2, 4, 2)])
 def test_cover_degree_counts(geometry_cache, q, h, k):
     g = geometry_cache(q, h, k)
 
@@ -208,10 +237,11 @@ def test_cover_degree_counts(geometry_cache, q, h, k):
 
 
 def test_level_sizes_match_gaussian_binomials(geometry_cache):
-    g = geometry_cache(2, 3, 2)
-    assert g.size == 374
-    for d in range(g.n + 1):
-        assert len(g.by_level[d]) == gaussian_binomial(5, d, 2)
+    for h, k, size in [(3, 2, 374), (4, 2, 2825)]:
+        g = geometry_cache(2, h, k)
+        assert g.size == size
+        for d in range(g.n + 1):
+            assert len(g.by_level[d]) == gaussian_binomial(h + k, d, 2)
 
 
 def test_strata_oracle_via_vector_sets():

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -144,6 +145,25 @@ def test_fplus_pair_example(ops_cache, geometry_cache):
     assert ops["Fminus"].entry(u, v) == 0
     assert ops["F0"].entry(u, v) == 0
     assert ops["F"].entry(u, v) == 1
+
+
+@pytest.mark.parametrize("q,h,k", [(2, 2, 1), (3, 2, 1), (2, 3, 1), (2, 3, 2)])
+@pytest.mark.parametrize("custom_y", [False, True])
+def test_f0_matches_intersection_rule(ops_cache, geometry_cache, q, h, k, custom_y):
+    # F0 joins u != v slash-covered by a common w with dim(u ∩ v ∩ y) = i_u;
+    # for k = 1 every such pair qualifies, so (2,3,2) is the discriminating case
+    if custom_y:
+        g = build_geometry(q, h, k, span(range(1, k + 1), h + k, q))
+        ops = build_geometry_operators(g, QuadRing(q))
+    else:
+        g, ops = geometry_cache(q, h, k), ops_cache(q, h, k)
+    expected = {}
+    for w in range(g.size):
+        for u, v in itertools.permutations(g.slash_covers_of[w], 2):
+            meet = g.elements[u].intersect(g.elements[v])
+            if meet.intersect(g.y).dim == g.ij[u][0]:
+                expected.setdefault(u, {})[v] = 1
+    assert ops["F0"] == SparseOperator(g.size, expected)
 
 
 def test_f_diagonals_vanish_and_f_symmetric(ops_cache):

@@ -163,6 +163,69 @@ def test_y_invariance_small():
     assert "yinv.verdicts_agree" in ids and "yinv.multiplicities_agree" in ids
 
 
+def _y_choices_221():
+    return [Subspace.span_of_basis_vectors([3], 3, 2),
+            Subspace.span_of_basis_vectors([1], 3, 2),
+            Subspace([[1, 1, 0]], 3, 2)]
+
+
+def _yinv_ids(report):
+    return [o.id for o in report.outcomes if not o.id.startswith("yinv.suite[")]
+
+
+def test_y_invariance_reports_each_disagreement_once(monkeypatch):
+    import pgaw.decompose
+    import pgaw.verify
+
+    real_suite = pgaw.verify.run_geometry_suite
+    real_mults = pgaw.decompose.compute_multiplicities
+    calls = {"suite": 0, "mults": 0}
+
+    def skewed_suite(ops, suites=None, relation_ids=None):
+        calls["suite"] += 1
+        rep = real_suite(ops, suites, relation_ids)
+        if calls["suite"] > 1:
+            first = rep.outcomes[0]
+            rep.outcomes[0] = type(first)(first.id, "fail", "forced")
+        return rep
+
+    def skewed_mults(geom, ops):
+        calls["mults"] += 1
+        mults = dict(real_mults(geom, ops))
+        if calls["mults"] > 1:
+            t = next(iter(mults))
+            mults[t] += calls["mults"]
+        return mults
+
+    monkeypatch.setattr(pgaw.verify, "run_geometry_suite", skewed_suite)
+    monkeypatch.setattr(pgaw.decompose, "compute_multiplicities", skewed_mults)
+    rep = verify_y_invariance(2, 2, 1, _y_choices_221(), suites=["generators"])
+    assert _yinv_ids(rep) == ["yinv.verdicts_agree", "yinv.multiplicities_agree"]
+    assert not rep.outcome("yinv.verdicts_agree").passed
+    assert rep.outcome("yinv.verdicts_agree").witness == (
+        "relation verdicts differ for y=100")
+    assert not rep.outcome("yinv.multiplicities_agree").passed
+
+
+def test_y_invariance_agreement_reported_when_suites_fail_alike(monkeypatch):
+    import pgaw.verify
+
+    real_suite = pgaw.verify.run_geometry_suite
+
+    def failing_suite(ops, suites=None, relation_ids=None):
+        rep = real_suite(ops, suites, relation_ids)
+        first = rep.outcomes[0]
+        rep.outcomes[0] = type(first)(first.id, "fail", "forced")
+        return rep
+
+    monkeypatch.setattr(pgaw.verify, "run_geometry_suite", failing_suite)
+    rep = verify_y_invariance(2, 2, 1, _y_choices_221()[:2], suites=["generators"])
+    assert not rep.passed
+    assert _yinv_ids(rep) == ["yinv.verdicts_agree", "yinv.multiplicities_agree"]
+    assert rep.outcome("yinv.verdicts_agree").passed
+    assert rep.outcome("yinv.multiplicities_agree").passed
+
+
 def test_module_failure_when_action_is_tampered():
     t = ModuleType(0, 0, 0, h=2, k=1)
     module = build_abstract_module(t, QuadRing(2))
