@@ -35,11 +35,7 @@ from .verify import (
     VerificationReport,
     run_geometry_suite,
     run_module_suite,
-    verify_F_relations,
-    verify_center,
     verify_counts,
-    verify_generator_relations,
-    verify_main_theorem,
     verify_y_invariance,
 )
 from .decompose import compute_multiplicities, bookkeeping_check
@@ -75,11 +71,7 @@ __all__ = [
     "VerificationReport",
     "run_geometry_suite",
     "run_module_suite",
-    "verify_F_relations",
-    "verify_center",
     "verify_counts",
-    "verify_generator_relations",
-    "verify_main_theorem",
     "verify_y_invariance",
     "compute_multiplicities",
     "bookkeeping_check",

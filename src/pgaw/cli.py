@@ -4,7 +4,8 @@ Subcommands: enumerate (lattice summary), verify (geometry suite), module
 (abstract-module suite and tables), decompose (multiplicities), convert
 (parameter conversion).  Reports are deterministic: fixed ordering, no
 timestamps; timing data is only attached with --timings and is excluded
-from the determinism guarantee.  Exit status 0 iff nothing failed.
+from the determinism guarantee.  Exit status 0 iff nothing failed; usage
+errors, an unwritable --output among them, exit 2 with a message.
 """
 
 from __future__ import annotations
@@ -383,8 +384,13 @@ def run(config: RunConfig) -> tuple[int, str]:
         return 1, f"capacity error: {exc}\n"
     rendered = _render(payload, config)
     if config.output:
-        with open(config.output, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
+        try:
+            with open(config.output, "w", encoding="utf-8") as fh:
+                fh.write(rendered)
+        except OSError as exc:
+            sys.stderr.write(f"error: cannot write report to {config.output}: "
+                             f"{exc.strerror or exc}\n")
+            return 2, ""
     return status, rendered
 
 

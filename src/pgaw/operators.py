@@ -77,11 +77,6 @@ class SparseOperator:
         c = min(self.rows[r])
         return r, c, self.rows[r][c]
 
-    def entries(self):
-        for r, row in self.rows.items():
-            for c, v in row.items():
-                yield r, c, v
-
     def support_violation(self, allowed: Callable[[int, int], bool]):
         """First (row, col, value) with allowed(row, col) false, else None."""
         for r in sorted(self.rows):
@@ -256,9 +251,6 @@ class OperatorSet:
             self._identity = SparseOperator.identity(self.dim)
         return self._identity
 
-    def levels(self) -> list[int]:
-        return sorted({i + j for i, j in self.ij})
-
     def estar_level(self, level: int) -> SparseOperator:
         key = ("level", level)
         if key not in self._estar:
@@ -400,36 +392,53 @@ def _qm1_inv(ops):
     return ops.ring.inv(ops.ring.q_power(1) - 1)
 
 
-def expr_f0_slash(ops: OperatorSet) -> SparseOperator:
-    """F0 = L1R1 - R1L1 + (q-1)^-1 (q^((h+k)/2) K1^-1 K2 - q^(k/2) K1 - q^(h/2) K2 + I)."""
+def _f0_diag(ops: OperatorSet, head: SparseOperator) -> SparseOperator:
+    """(q-1)^-1 (q^((h+k)/2) head - q^(k/2) K1 - q^(h/2) K2 + I)."""
     ring, h, k = ops.ring, ops.h, ops.k
-    diag = (ops.prod("K1i", "K2")).scale(ring.q_half(h + k)) \
+    diag = head.scale(ring.q_half(h + k)) \
         - ops["K1"].scale(ring.q_half(k)) \
         - ops["K2"].scale(ring.q_half(h)) + ops.identity()
-    return ops.prod("L1", "R1") - ops.prod("R1", "L1") + diag.scale(_qm1_inv(ops))
+    return diag.scale(_qm1_inv(ops))
+
+
+def _fplus_diag(ops: OperatorSet) -> SparseOperator:
+    """q^(k/2) (q-1)^-1 K1 (q^(h/2) K2^-1 - I), the diagonal part of L2R2 - F+."""
+    ring = ops.ring
+    diag = ops.prod("K1", "K2i").scale(ring.q_half(ops.h)) - ops["K1"]
+    return diag.scale(ring.q_half(ops.k)).scale(_qm1_inv(ops))
+
+
+def _fminus_diag(ops: OperatorSet) -> SparseOperator:
+    """q^(h/2) (q-1)^-1 (q^(k/2) K1^-1 - I) K2, the diagonal part of R1L1 - F-."""
+    ring = ops.ring
+    diag = ops.prod("K1i", "K2").scale(ring.q_half(ops.k)) - ops["K2"]
+    return diag.scale(ring.q_half(ops.h)).scale(_qm1_inv(ops))
+
+
+def _balance_diag(ops: OperatorSet, k_pair: tuple[str, str]) -> SparseOperator:
+    """(q-1)^-1 (q^((h+k)/2) Ka Kb - I) for the diagonal pair (Ka, Kb)."""
+    diag = ops.prod(*k_pair).scale(ops.ring.q_half(ops.h + ops.k)) - ops.identity()
+    return diag.scale(_qm1_inv(ops))
+
+
+def expr_f0_slash(ops: OperatorSet) -> SparseOperator:
+    """F0 = L1R1 - R1L1 + (q-1)^-1 (q^((h+k)/2) K1^-1 K2 - q^(k/2) K1 - q^(h/2) K2 + I)."""
+    return ops.prod("L1", "R1") - ops.prod("R1", "L1") + _f0_diag(ops, ops.prod("K1i", "K2"))
 
 
 def expr_f0_backslash(ops: OperatorSet) -> SparseOperator:
     """F0 = R2L2 - L2R2 + (q-1)^-1 (q^((h+k)/2) K1 K2^-1 - q^(k/2) K1 - q^(h/2) K2 + I)."""
-    ring, h, k = ops.ring, ops.h, ops.k
-    diag = (ops.prod("K1", "K2i")).scale(ring.q_half(h + k)) \
-        - ops["K1"].scale(ring.q_half(k)) \
-        - ops["K2"].scale(ring.q_half(h)) + ops.identity()
-    return ops.prod("R2", "L2") - ops.prod("L2", "R2") + diag.scale(_qm1_inv(ops))
+    return ops.prod("R2", "L2") - ops.prod("L2", "R2") + _f0_diag(ops, ops.prod("K1", "K2i"))
 
 
 def expr_fplus(ops: OperatorSet) -> SparseOperator:
     """F+ = L2R2 - q^(k/2) (q-1)^-1 K1 (q^(h/2) K2^-1 - I)."""
-    ring, h, k = ops.ring, ops.h, ops.k
-    diag = ops.prod("K1", "K2i").scale(ring.q_half(h)) - ops["K1"]
-    return ops.prod("L2", "R2") - diag.scale(ring.q_half(k)).scale(_qm1_inv(ops))
+    return ops.prod("L2", "R2") - _fplus_diag(ops)
 
 
 def expr_fminus(ops: OperatorSet) -> SparseOperator:
     """F- = R1L1 - q^(h/2) (q-1)^-1 (q^(k/2) K1^-1 - I) K2."""
-    ring, h, k = ops.ring, ops.h, ops.k
-    diag = ops.prod("K1i", "K2").scale(ring.q_half(k)) - ops["K2"]
-    return ops.prod("R1", "L1") - diag.scale(ring.q_half(h)).scale(_qm1_inv(ops))
+    return ops.prod("R1", "L1") - _fminus_diag(ops)
 
 
 def expr_back_l1r1(ops: OperatorSet) -> SparseOperator:
@@ -441,16 +450,12 @@ def expr_back_l1r1(ops: OperatorSet) -> SparseOperator:
 
 def expr_back_r1l1(ops: OperatorSet) -> SparseOperator:
     """R1L1 = F- + q^(h/2) (q-1)^-1 (q^(k/2) K1^-1 - I) K2."""
-    ring = ops.ring
-    diag = ops.prod("K1i", "K2").scale(ring.q_half(ops.k)) - ops["K2"]
-    return ops["Fminus"] + diag.scale(ring.q_half(ops.h)).scale(_qm1_inv(ops))
+    return ops["Fminus"] + _fminus_diag(ops)
 
 
 def expr_back_l2r2(ops: OperatorSet) -> SparseOperator:
     """L2R2 = F+ + q^(k/2) (q-1)^-1 K1 (q^(h/2) K2^-1 - I)."""
-    ring = ops.ring
-    diag = ops.prod("K1", "K2i").scale(ring.q_half(ops.h)) - ops["K1"]
-    return ops["Fplus"] + diag.scale(ring.q_half(ops.k)).scale(_qm1_inv(ops))
+    return ops["Fplus"] + _fplus_diag(ops)
 
 
 def expr_back_r2l2(ops: OperatorSet) -> SparseOperator:
@@ -462,30 +467,24 @@ def expr_back_r2l2(ops: OperatorSet) -> SparseOperator:
 
 def expr_f_via_lr(ops: OperatorSet) -> SparseOperator:
     """F = L1R1 + L2R2 - (q-1)^-1 (q^((h+k)/2) K1 K2^-1 - I)."""
-    ring = ops.ring
-    diag = ops.prod("K1", "K2i").scale(ring.q_half(ops.h + ops.k)) - ops.identity()
-    return ops.prod("L1", "R1") + ops.prod("L2", "R2") - diag.scale(_qm1_inv(ops))
+    return ops.prod("L1", "R1") + ops.prod("L2", "R2") - _balance_diag(ops, ("K1", "K2i"))
 
 
 def expr_f_via_rl(ops: OperatorSet) -> SparseOperator:
     """F = R1L1 + R2L2 - (q-1)^-1 (q^((h+k)/2) K1^-1 K2 - I)."""
-    ring = ops.ring
-    diag = ops.prod("K1i", "K2").scale(ring.q_half(ops.h + ops.k)) - ops.identity()
-    return ops.prod("R1", "L1") + ops.prod("R2", "L2") - diag.scale(_qm1_inv(ops))
+    return ops.prod("R1", "L1") + ops.prod("R2", "L2") - _balance_diag(ops, ("K1i", "K2"))
 
 
 def expr_a_via_lr(ops: OperatorSet) -> SparseOperator:
     """A = (L1+L2)(R1+R2) - (q-1)^-1 (q^((h+k)/2) K1 K2^-1 - I)."""
-    ring = ops.ring
-    diag = ops.prod("K1", "K2i").scale(ring.q_half(ops.h + ops.k)) - ops.identity()
-    return (ops["L1"] + ops["L2"]) @ (ops["R1"] + ops["R2"]) - diag.scale(_qm1_inv(ops))
+    return (ops["L1"] + ops["L2"]) @ (ops["R1"] + ops["R2"]) \
+        - _balance_diag(ops, ("K1", "K2i"))
 
 
 def expr_a_via_rl(ops: OperatorSet) -> SparseOperator:
     """A = (R1+R2)(L1+L2) - (q-1)^-1 (q^((h+k)/2) K1^-1 K2 - I)."""
-    ring = ops.ring
-    diag = ops.prod("K1i", "K2").scale(ring.q_half(ops.h + ops.k)) - ops.identity()
-    return (ops["R1"] + ops["R2"]) @ (ops["L1"] + ops["L2"]) - diag.scale(_qm1_inv(ops))
+    return (ops["R1"] + ops["R2"]) @ (ops["L1"] + ops["L2"]) \
+        - _balance_diag(ops, ("K1i", "K2"))
 
 
 def expr_omega0(ops: OperatorSet) -> SparseOperator:
@@ -530,11 +529,7 @@ def expr_omega2(ops: OperatorSet) -> SparseOperator:
 
 def expr_f0_central(ops: OperatorSet) -> SparseOperator:
     """F0 = (q-1)^-1 (q^((h+k)/2) Omega0 K1 K2 - q^(k/2) K1 - q^(h/2) K2 + I)."""
-    ring, h, k = ops.ring, ops.h, ops.k
-    inner = (ops["Omega0"] @ ops.prod("K1", "K2")).scale(ring.q_half(h + k)) \
-        - ops["K1"].scale(ring.q_half(k)) - ops["K2"].scale(ring.q_half(h)) \
-        + ops.identity()
-    return inner.scale(_qm1_inv(ops))
+    return _f0_diag(ops, ops["Omega0"] @ ops.prod("K1", "K2"))
 
 
 def expr_fplus_central(ops: OperatorSet) -> SparseOperator:

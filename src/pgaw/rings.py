@@ -190,9 +190,6 @@ class QuadRing:
     zero = 0
     one = 1
 
-    def of_int(self, n: int):
-        return n
-
     def quad(self, a, b):
         """Build a + b*sqrt(q), collapsed to a rational when b == 0."""
         return QuadScalar._make(_as_fraction(a), _as_fraction(b), self.q)
@@ -564,18 +561,6 @@ class RatFunc:
             return self.inverse() * other
         return NotImplemented
 
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = 1
-        base = self
-        while n:
-            if n & 1:
-                out = base * out
-            base = base * base
-            n >>= 1
-        return out
-
     def __eq__(self, other):
         t = type(other)
         if t is RatFunc:
@@ -622,9 +607,6 @@ class SymbolicRing:
 
     zero = 0
     one = 1
-
-    def of_int(self, n: int):
-        return n
 
     def q_half(self, m: int):
         """q**(m/2) = s**m."""

@@ -1,18 +1,30 @@
 """The identity engine.
 
 Every identity the artifact is responsible for has a RelationID in REGISTRY
-and exactly one evaluator; an evaluator either produces a residual operator
-(which must be exactly zero) or checks a support/count predicate.  The same
-registry drives geometry-mode runs (operators over the subspace lattice) and
-module-mode runs (operators on an abstract module's standard basis); each
-relation declares the modes it applies to.  All passes are exact -- there
-are no tolerances anywhere.
+and exactly one evaluator, which returns None when the identity holds and a
+failure witness otherwise.  Uniform identities are rows of data tables, each
+registered by one loop with one shared evaluator:
+
+* COUNT_ROWS -- the length of a cover list is a closed form of the stratum;
+* SUPPORT_ROWS -- operators map each (i,j) block only into allowed blocks;
+* Q_COMMUTATION_ROWS and CUBIC_ROWS -- the generator relations;
+* IDENTITY_ROWS -- "lhs = rhs" or "lhs = 0" between operator expressions;
+* MODULE_ROWS -- module operators against their closed-form actions.
+
+The few that fit no table are functions registered with ``@_relation``.
+Registration order is report order.  An identity passes only when its
+residual operator is exactly zero, and a failure names the first nonzero
+entry in row-major order.  The same registry drives geometry-mode runs
+(operators over the subspace lattice) and module-mode runs (operators on an
+abstract module's standard basis); each relation declares the modes it
+applies to.  All passes are exact -- there are no tolerances anywhere.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 from .geometry import GeometryIndex, build_geometry
@@ -98,12 +110,16 @@ _registry: list[Relation] = []
 _evaluators: dict[str, Callable[[OperatorSet], Optional[str]]] = {}
 
 
+def _register(rel_id: str, description: str, suite: str, modes, evaluate):
+    if rel_id in _evaluators:
+        raise ValueError(f"duplicate relation id {rel_id}")
+    _registry.append(Relation(rel_id, description, suite, tuple(modes)))
+    _evaluators[rel_id] = evaluate
+
+
 def _relation(rel_id: str, description: str, suite: str, modes):
     def wrap(fn):
-        if rel_id in _evaluators:
-            raise ValueError(f"duplicate relation id {rel_id}")
-        _registry.append(Relation(rel_id, description, suite, tuple(modes)))
-        _evaluators[rel_id] = fn
+        _register(rel_id, description, suite, modes, fn)
         return fn
     return wrap
 
@@ -115,22 +131,14 @@ def _residual_witness(residual: SparseOperator, ops: OperatorSet) -> Optional[st
     return f"row={ops.labels[r]}, col={ops.labels[c]}, residual={v}"
 
 
-def _support_witness(op_name: str, ops: OperatorSet, allowed) -> Optional[str]:
-    hit = ops[op_name].support_violation(allowed)
-    if hit is None:
-        return None
-    r, c, v = hit
-    return (f"{op_name}[{ops.labels[r]}, {ops.labels[c]}] = {v} "
-            f"maps stratum {ops.ij[c]} outside its allowed image")
-
-
 # -- counts (geometry only) --------------------------------------------------
 
-def _count_check(ops: OperatorSet, lists, expected) -> Optional[str]:
+def _count_check(ops: OperatorSet, lists: str, expected) -> Optional[str]:
     geom = ops.geometry
+    covers = getattr(geom, lists)
     for p, (i, j) in enumerate(geom.ij):
         want = expected(i, j, geom)
-        got = len(lists[p])
+        got = len(covers[p])
         if got != want:
             return (f"element {ops.labels[p]} in stratum ({i},{j}): "
                     f"degree {got}, expected {want}")
@@ -151,37 +159,26 @@ def _(ops):
     return None
 
 
-@_relation("counts.slash_down",
-           "every element of stratum (i,j) slash-covers exactly q^j*[i] elements",
-           "counts", _GEO)
-def _(ops):
-    return _count_check(ops, ops.geometry.slash_covers_of,
-                        lambda i, j, g: g.q ** j * q_int(i, g.q))
-
-
-@_relation("counts.backslash_down",
-           "every element of stratum (i,j) backslash-covers exactly [j] elements",
-           "counts", _GEO)
-def _(ops):
-    return _count_check(ops, ops.geometry.backslash_covers_of,
-                        lambda i, j, g: q_int(j, g.q))
-
-
-@_relation("counts.slash_up",
-           "every element of stratum (i,j) is slash-covered by exactly [k-i] elements",
-           "counts", _GEO)
-def _(ops):
-    return _count_check(ops, ops.geometry.slash_covered_by,
-                        lambda i, j, g: q_int(g.k - i, g.q))
-
-
-@_relation("counts.backslash_up",
-           "every element of stratum (i,j) is backslash-covered by exactly "
-           "q^(k-i)*[h-j] elements",
-           "counts", _GEO)
-def _(ops):
-    return _count_check(ops, ops.geometry.backslash_covered_by,
-                        lambda i, j, g: g.q ** (g.k - i) * q_int(g.h - j, g.q))
+# (id, description, GeometryIndex cover list, its length for an element of
+# stratum (i, j) of the geometry g)
+COUNT_ROWS = (
+    ("counts.slash_down",
+     "every element of stratum (i,j) slash-covers exactly q^j*[i] elements",
+     "slash_covers_of", lambda i, j, g: g.q ** j * q_int(i, g.q)),
+    ("counts.backslash_down",
+     "every element of stratum (i,j) backslash-covers exactly [j] elements",
+     "backslash_covers_of", lambda i, j, g: q_int(j, g.q)),
+    ("counts.slash_up",
+     "every element of stratum (i,j) is slash-covered by exactly [k-i] elements",
+     "slash_covered_by", lambda i, j, g: q_int(g.k - i, g.q)),
+    ("counts.backslash_up",
+     "every element of stratum (i,j) is backslash-covered by exactly "
+     "q^(k-i)*[h-j] elements",
+     "backslash_covered_by", lambda i, j, g: g.q ** (g.k - i) * q_int(g.h - j, g.q)),
+)
+for _id, _desc, _lists, _expected in COUNT_ROWS:
+    _register(_id, _desc, "counts", _GEO,
+              partial(_count_check, lists=_lists, expected=_expected))
 
 
 # -- structure ----------------------------------------------------------------
@@ -225,207 +222,115 @@ def _(ops):
     return None
 
 
-@_relation("struct.l1_support", "L1 maps the (i,j) block into the (i-1,j) block",
-           "structure", _BOTH)
-def _(ops):
-    ij = ops.ij
-    return _support_witness(
-        "L1", ops, lambda r, c: ij[r] == (ij[c][0] - 1, ij[c][1]))
-
-
-@_relation("struct.l2_support", "L2 maps the (i,j) block into the (i,j-1) block",
-           "structure", _BOTH)
-def _(ops):
-    ij = ops.ij
-    return _support_witness(
-        "L2", ops, lambda r, c: ij[r] == (ij[c][0], ij[c][1] - 1))
-
-
-@_relation("struct.r1_support", "R1 maps the (i,j) block into the (i+1,j) block",
-           "structure", _BOTH)
-def _(ops):
-    ij = ops.ij
-    return _support_witness(
-        "R1", ops, lambda r, c: ij[r] == (ij[c][0] + 1, ij[c][1]))
-
-
-@_relation("struct.r2_support", "R2 maps the (i,j) block into the (i,j+1) block",
-           "structure", _BOTH)
-def _(ops):
-    ij = ops.ij
-    return _support_witness(
-        "R2", ops, lambda r, c: ij[r] == (ij[c][0], ij[c][1] + 1))
-
-
-@_relation("struct.r_support", "R maps the (i,j) block into the (i-1,j+1) block",
-           "structure", _BOTH)
-def _(ops):
-    ij = ops.ij
-    return _support_witness(
-        "R", ops, lambda r, c: ij[r] == (ij[c][0] - 1, ij[c][1] + 1))
-
-
-@_relation("struct.l_support", "L maps the (i,j) block into the (i+1,j-1) block",
-           "structure", _BOTH)
-def _(ops):
-    ij = ops.ij
-    return _support_witness(
-        "L", ops, lambda r, c: ij[r] == (ij[c][0] + 1, ij[c][1] - 1))
-
-
-@_relation("struct.f_support", "F0, F+, F- and F preserve every (i,j) block",
-           "structure", _BOTH)
-def _(ops):
-    ij = ops.ij
-    for name in ("F0", "Fplus", "Fminus", "F"):
-        w = _support_witness(name, ops, lambda r, c: ij[r] == ij[c])
-        if w:
-            return w
-    return None
-
-
-@_relation("struct.a_support",
-           "A maps the (i,j) block into the (i+1,j-1), (i,j), (i-1,j+1) blocks",
-           "structure", _BOTH)
-def _(ops):
+def _support_check(ops: OperatorSet, names, shifts) -> Optional[str]:
+    """First entry of the named operators that leaves the allowed blocks."""
     ij = ops.ij
 
     def allowed(r, c):
-        i, j = ij[c]
-        return ij[r] in ((i + 1, j - 1), (i, j), (i - 1, j + 1))
+        return (ij[r][0] - ij[c][0], ij[r][1] - ij[c][1]) in shifts
 
-    return _support_witness("A", ops, allowed)
-
-
-@_relation("struct.omega_support", "Omega0, Omega1, Omega2 preserve every (i,j) block",
-           "structure", _BOTH)
-def _(ops):
-    ij = ops.ij
-    for name in ("Omega0", "Omega1", "Omega2"):
-        w = _support_witness(name, ops, lambda r, c: ij[r] == ij[c])
-        if w:
-            return w
+    for name in names:
+        hit = ops[name].support_violation(allowed)
+        if hit is not None:
+            r, c, v = hit
+            return (f"{name}[{ops.labels[r]}, {ops.labels[c]}] = {v} "
+                    f"maps stratum {ij[c]} outside its allowed image")
     return None
+
+
+# (id, description, operators, allowed shifts (di, dj) from the block of a
+# basis vector to the blocks of its image)
+SUPPORT_ROWS = (
+    ("struct.l1_support", "L1 maps the (i,j) block into the (i-1,j) block",
+     ("L1",), {(-1, 0)}),
+    ("struct.l2_support", "L2 maps the (i,j) block into the (i,j-1) block",
+     ("L2",), {(0, -1)}),
+    ("struct.r1_support", "R1 maps the (i,j) block into the (i+1,j) block",
+     ("R1",), {(1, 0)}),
+    ("struct.r2_support", "R2 maps the (i,j) block into the (i,j+1) block",
+     ("R2",), {(0, 1)}),
+    ("struct.r_support", "R maps the (i,j) block into the (i-1,j+1) block",
+     ("R",), {(-1, 1)}),
+    ("struct.l_support", "L maps the (i,j) block into the (i+1,j-1) block",
+     ("L",), {(1, -1)}),
+    ("struct.f_support", "F0, F+, F- and F preserve every (i,j) block",
+     ("F0", "Fplus", "Fminus", "F"), {(0, 0)}),
+    ("struct.a_support",
+     "A maps the (i,j) block into the (i+1,j-1), (i,j), (i-1,j+1) blocks",
+     ("A",), {(1, -1), (0, 0), (-1, 1)}),
+    ("struct.omega_support", "Omega0, Omega1, Omega2 preserve every (i,j) block",
+     ("Omega0", "Omega1", "Omega2"), {(0, 0)}),
+)
+for _id, _desc, _names, _shifts in SUPPORT_ROWS:
+    _register(_id, _desc, "structure", _BOTH,
+              partial(_support_check, names=_names, shifts=_shifts))
 
 
 # -- generator relations -------------------------------------------------------
 
-def _q(ops):
-    return ops.ring.q_power(1)
+def _q_commutation(ops: OperatorSet, x: str, y: str, left=1, right=1) -> SparseOperator:
+    """Residual of left * X Y = right * Y X."""
+    return ops.prod(x, y).scale(left) - ops.prod(y, x).scale(right)
 
 
-@_relation("gen.k1l1", "K1 L1 = q L1 K1", "generators", _BOTH)
-def _(ops):
-    res = ops.prod("K1", "L1") - ops.prod("L1", "K1").scale(_q(ops))
+def _q_commutes(ops: OperatorSet, x: str, y: str, q_side) -> Optional[str]:
+    q = ops.ring.q_power(1)
+    res = _q_commutation(ops, x, y, q if q_side == "left" else 1,
+                         q if q_side == "right" else 1)
     return _residual_witness(res, ops)
 
 
-@_relation("gen.k1l2", "K1 L2 = L2 K1", "generators", _BOTH)
-def _(ops):
-    return _residual_witness(ops.prod("K1", "L2") - ops.prod("L2", "K1"), ops)
+# (id, description, X, Y, the side of X Y = Y X that carries a factor q)
+Q_COMMUTATION_ROWS = (
+    ("gen.k1l1", "K1 L1 = q L1 K1", "K1", "L1", "right"),
+    ("gen.k1l2", "K1 L2 = L2 K1", "K1", "L2", None),
+    ("gen.k1r1", "q K1 R1 = R1 K1", "K1", "R1", "left"),
+    ("gen.k1r2", "K1 R2 = R2 K1", "K1", "R2", None),
+    ("gen.k2l1", "K2 L1 = L1 K2", "K2", "L1", None),
+    ("gen.k2l2", "q K2 L2 = L2 K2", "K2", "L2", "left"),
+    ("gen.k2r1", "K2 R1 = R1 K2", "K2", "R1", None),
+    ("gen.k2r2", "K2 R2 = q R2 K2", "K2", "R2", "right"),
+    ("gen.l1r2", "L1 R2 = R2 L1", "L1", "R2", None),
+    ("gen.l2r1", "L2 R1 = R1 L2", "L2", "R1", None),
+    ("gen.l1l2", "q L1 L2 = L2 L1", "L1", "L2", "left"),
+    ("gen.r1r2", "R1 R2 = q R2 R1", "R1", "R2", "right"),
+)
+for _id, _desc, _x, _y, _side in Q_COMMUTATION_ROWS:
+    _register(_id, _desc, "generators", _BOTH,
+              partial(_q_commutes, x=_x, y=_y, q_side=_side))
 
 
-@_relation("gen.k1r1", "q K1 R1 = R1 K1", "generators", _BOTH)
-def _(ops):
-    res = ops.prod("K1", "R1").scale(_q(ops)) - ops.prod("R1", "K1")
-    return _residual_witness(res, ops)
-
-
-@_relation("gen.k1r2", "K1 R2 = R2 K1", "generators", _BOTH)
-def _(ops):
-    return _residual_witness(ops.prod("K1", "R2") - ops.prod("R2", "K1"), ops)
-
-
-@_relation("gen.k2l1", "K2 L1 = L1 K2", "generators", _BOTH)
-def _(ops):
-    return _residual_witness(ops.prod("K2", "L1") - ops.prod("L1", "K2"), ops)
-
-
-@_relation("gen.k2l2", "q K2 L2 = L2 K2", "generators", _BOTH)
-def _(ops):
-    res = ops.prod("K2", "L2").scale(_q(ops)) - ops.prod("L2", "K2")
-    return _residual_witness(res, ops)
-
-
-@_relation("gen.k2r1", "K2 R1 = R1 K2", "generators", _BOTH)
-def _(ops):
-    return _residual_witness(ops.prod("K2", "R1") - ops.prod("R1", "K2"), ops)
-
-
-@_relation("gen.k2r2", "K2 R2 = q R2 K2", "generators", _BOTH)
-def _(ops):
-    res = ops.prod("K2", "R2") - ops.prod("R2", "K2").scale(_q(ops))
-    return _residual_witness(res, ops)
-
-
-@_relation("gen.l1r2", "L1 R2 = R2 L1", "generators", _BOTH)
-def _(ops):
-    return _residual_witness(ops.prod("L1", "R2") - ops.prod("R2", "L1"), ops)
-
-
-@_relation("gen.l2r1", "L2 R1 = R1 L2", "generators", _BOTH)
-def _(ops):
-    return _residual_witness(ops.prod("L2", "R1") - ops.prod("R1", "L2"), ops)
-
-
-@_relation("gen.l1l2", "q L1 L2 = L2 L1", "generators", _BOTH)
-def _(ops):
-    res = ops.prod("L1", "L2").scale(_q(ops)) - ops.prod("L2", "L1")
-    return _residual_witness(res, ops)
-
-
-@_relation("gen.r1r2", "R1 R2 = q R2 R1", "generators", _BOTH)
-def _(ops):
-    res = ops.prod("R1", "R2") - ops.prod("R2", "R1").scale(_q(ops))
-    return _residual_witness(res, ops)
-
-
-@_relation("gen.cubic_r1",
-           "R1^2 L1 - (q+1) R1 L1 R1 + q L1 R1^2 = -q^((h+k)/2-1)(q+1) K1^-1 K2 R1",
-           "generators", _BOTH)
-def _(ops):
-    ring, q = ops.ring, _q(ops)
-    r1, l1 = ops["R1"], ops["L1"]
-    lhs = (ops.prod("R1", "R1") @ l1) - (r1 @ ops.prod("L1", "R1")).scale(q + 1) \
-        + (l1 @ ops.prod("R1", "R1")).scale(q)
-    rhs = (ops.prod("K1i", "K2") @ r1).scale(ring.q_half(ops.h + ops.k - 2) * (q + 1))
+def _cubic(ops: OperatorSet, x: str, y: str, q_first: bool, k_pair, offset: int):
+    """Residual of a X^2 Y - (q+1) X Y X + b Y X^2 = -q^((h+k+offset)/2)(q+1) Ka Kb X,
+    with (a, b) = (q, 1) if q_first else (1, q)."""
+    ring = ops.ring
+    q = ring.q_power(1)
+    a, b = (q, 1) if q_first else (1, q)
+    lhs = (ops.prod(x, x) @ ops[y]).scale(a) - (ops[x] @ ops.prod(y, x)).scale(q + 1) \
+        + (ops[y] @ ops.prod(x, x)).scale(b)
+    rhs = (ops.prod(*k_pair) @ ops[x]).scale(ring.q_half(ops.h + ops.k + offset) * (q + 1))
     return _residual_witness(lhs + rhs, ops)
 
 
-@_relation("gen.cubic_r2",
-           "q R2^2 L2 - (q+1) R2 L2 R2 + L2 R2^2 = -q^((h+k)/2)(q+1) K1 K2^-1 R2",
-           "generators", _BOTH)
-def _(ops):
-    ring, q = ops.ring, _q(ops)
-    r2, l2 = ops["R2"], ops["L2"]
-    lhs = (ops.prod("R2", "R2") @ l2).scale(q) - (r2 @ ops.prod("L2", "R2")).scale(q + 1) \
-        + (l2 @ ops.prod("R2", "R2"))
-    rhs = (ops.prod("K1", "K2i") @ r2).scale(ring.q_half(ops.h + ops.k) * (q + 1))
-    return _residual_witness(lhs + rhs, ops)
-
-
-@_relation("gen.cubic_l1",
-           "q L1^2 R1 - (q+1) L1 R1 L1 + R1 L1^2 = -q^((h+k)/2)(q+1) K1^-1 K2 L1",
-           "generators", _BOTH)
-def _(ops):
-    ring, q = ops.ring, _q(ops)
-    r1, l1 = ops["R1"], ops["L1"]
-    lhs = (ops.prod("L1", "L1") @ r1).scale(q) - (l1 @ ops.prod("R1", "L1")).scale(q + 1) \
-        + (r1 @ ops.prod("L1", "L1"))
-    rhs = (ops.prod("K1i", "K2") @ l1).scale(ring.q_half(ops.h + ops.k) * (q + 1))
-    return _residual_witness(lhs + rhs, ops)
-
-
-@_relation("gen.cubic_l2",
-           "L2^2 R2 - (q+1) L2 R2 L2 + q R2 L2^2 = -q^((h+k)/2-1)(q+1) K1 K2^-1 L2",
-           "generators", _BOTH)
-def _(ops):
-    ring, q = ops.ring, _q(ops)
-    r2, l2 = ops["R2"], ops["L2"]
-    lhs = (ops.prod("L2", "L2") @ r2) - (l2 @ ops.prod("R2", "L2")).scale(q + 1) \
-        + (r2 @ ops.prod("L2", "L2")).scale(q)
-    rhs = (ops.prod("K1", "K2i") @ l2).scale(ring.q_half(ops.h + ops.k - 2) * (q + 1))
-    return _residual_witness(lhs + rhs, ops)
+# (id, description, X, Y, q multiplies X^2 Y rather than Y X^2, (Ka, Kb), offset)
+CUBIC_ROWS = (
+    ("gen.cubic_r1",
+     "R1^2 L1 - (q+1) R1 L1 R1 + q L1 R1^2 = -q^((h+k)/2-1)(q+1) K1^-1 K2 R1",
+     "R1", "L1", False, ("K1i", "K2"), -2),
+    ("gen.cubic_r2",
+     "q R2^2 L2 - (q+1) R2 L2 R2 + L2 R2^2 = -q^((h+k)/2)(q+1) K1 K2^-1 R2",
+     "R2", "L2", True, ("K1", "K2i"), 0),
+    ("gen.cubic_l1",
+     "q L1^2 R1 - (q+1) L1 R1 L1 + R1 L1^2 = -q^((h+k)/2)(q+1) K1^-1 K2 L1",
+     "L1", "R1", True, ("K1i", "K2"), 0),
+    ("gen.cubic_l2",
+     "L2^2 R2 - (q+1) L2 R2 L2 + q R2 L2^2 = -q^((h+k)/2-1)(q+1) K1 K2^-1 L2",
+     "L2", "R2", False, ("K1", "K2i"), -2),
+)
+for _id, _desc, _x, _y, _q_first, _k_pair, _offset in CUBIC_ROWS:
+    _register(_id, _desc, "generators", _BOTH,
+              partial(_cubic, x=_x, y=_y, q_first=_q_first, k_pair=_k_pair,
+                      offset=_offset))
 
 
 @_relation("gen.mixed_balance",
@@ -441,202 +346,109 @@ def _(ops):
     return _residual_witness(lhs - rhs, ops)
 
 
-# -- F family -------------------------------------------------------------------
-
-@_relation("f.f0_slash",
-           "combinatorial F0 = L1R1 - R1L1 + (q-1)^-1 (q^((h+k)/2) K1^-1 K2 "
-           "- q^(k/2) K1 - q^(h/2) K2 + I)",
-           "f", _GEO)
-def _(ops):
-    return _residual_witness(ops["F0"] - expr_f0_slash(ops), ops)
-
-
-@_relation("f.f0_backslash",
-           "F0 = R2L2 - L2R2 + (q-1)^-1 (q^((h+k)/2) K1 K2^-1 "
-           "- q^(k/2) K1 - q^(h/2) K2 + I)",
-           "f", _BOTH)
-def _(ops):
-    return _residual_witness(ops["F0"] - expr_f0_backslash(ops), ops)
-
-
-@_relation("f.fplus_def",
-           "combinatorial F+ = L2R2 - q^(k/2)(q-1)^-1 K1 (q^(h/2) K2^-1 - I)",
-           "f", _GEO)
-def _(ops):
-    return _residual_witness(ops["Fplus"] - expr_fplus(ops), ops)
-
-
-@_relation("f.fminus_def",
-           "combinatorial F- = R1L1 - q^(h/2)(q-1)^-1 (q^(k/2) K1^-1 - I) K2",
-           "f", _GEO)
-def _(ops):
-    return _residual_witness(ops["Fminus"] - expr_fminus(ops), ops)
-
-
-@_relation("f.fsum", "combinatorial F equals F0 + F+ + F-", "f", _GEO)
-def _(ops):
-    return _residual_witness(
-        ops["F"] - (ops["F0"] + ops["Fplus"] + ops["Fminus"]), ops)
-
-
-@_relation("f.via_lr", "F = L1R1 + L2R2 - (q-1)^-1 (q^((h+k)/2) K1 K2^-1 - I)",
-           "f", _BOTH)
-def _(ops):
-    return _residual_witness(ops["F"] - expr_f_via_lr(ops), ops)
-
-
-@_relation("f.via_rl", "F = R1L1 + R2L2 - (q-1)^-1 (q^((h+k)/2) K1^-1 K2 - I)",
-           "f", _BOTH)
-def _(ops):
-    return _residual_witness(ops["F"] - expr_f_via_rl(ops), ops)
-
-
-@_relation("f.back_l1r1", "L1R1 = F0 + F- + (q-1)^-1 (q^(k/2) K1 - I)", "f", _BOTH)
-def _(ops):
-    return _residual_witness(ops.prod("L1", "R1") - expr_back_l1r1(ops), ops)
-
-
-@_relation("f.back_r1l1", "R1L1 = F- + q^(h/2)(q-1)^-1 (q^(k/2) K1^-1 - I) K2",
-           "f", _BOTH)
-def _(ops):
-    return _residual_witness(ops.prod("R1", "L1") - expr_back_r1l1(ops), ops)
-
-
-@_relation("f.back_l2r2", "L2R2 = F+ + q^(k/2)(q-1)^-1 K1 (q^(h/2) K2^-1 - I)",
-           "f", _BOTH)
-def _(ops):
-    return _residual_witness(ops.prod("L2", "R2") - expr_back_l2r2(ops), ops)
-
-
-@_relation("f.back_r2l2", "R2L2 = F0 + F+ + (q-1)^-1 (q^(h/2) K2 - I)", "f", _BOTH)
-def _(ops):
-    return _residual_witness(ops.prod("R2", "L2") - expr_back_r2l2(ops), ops)
-
-
-@_relation("f.comm_0p", "[F0, F+] = 0", "f", _BOTH)
-def _(ops):
-    return _residual_witness(commutator(ops["F0"], ops["Fplus"]), ops)
-
-
-@_relation("f.comm_0m", "[F0, F-] = 0", "f", _BOTH)
-def _(ops):
-    return _residual_witness(commutator(ops["F0"], ops["Fminus"]), ops)
-
-
-@_relation("f.comm_pm", "[F+, F-] = 0", "f", _BOTH)
-def _(ops):
-    return _residual_witness(commutator(ops["Fplus"], ops["Fminus"]), ops)
-
-
-# -- R, L, A, A* ------------------------------------------------------------------
-
-@_relation("a.r_prod", "combinatorial R equals L1 R2", "rla", _GEO)
-def _(ops):
-    return _residual_witness(ops["R"] - ops.prod("L1", "R2"), ops)
-
-
-@_relation("a.l_prod", "combinatorial L equals L2 R1", "rla", _GEO)
-def _(ops):
-    return _residual_witness(ops["L"] - ops.prod("L2", "R1"), ops)
-
-
-@_relation("a.rl_transpose", "R equals the transpose of L", "rla", _GEO)
-def _(ops):
-    return _residual_witness(ops["R"] - ops["L"].transpose(), ops)
-
-
-@_relation("a.sum", "combinatorial A equals R + L + F", "rla", _GEO)
-def _(ops):
-    return _residual_witness(ops["A"] - (ops["R"] + ops["L"] + ops["F"]), ops)
-
-
-@_relation("a.via_lr", "A = (L1+L2)(R1+R2) - (q-1)^-1 (q^((h+k)/2) K1 K2^-1 - I)",
-           "rla", _BOTH)
-def _(ops):
-    return _residual_witness(ops["A"] - expr_a_via_lr(ops), ops)
-
-
-@_relation("a.via_rl", "A = (R1+R2)(L1+L2) - (q-1)^-1 (q^((h+k)/2) K1^-1 K2 - I)",
-           "rla", _BOTH)
-def _(ops):
-    return _residual_witness(ops["A"] - expr_a_via_rl(ops), ops)
-
-
-@_relation("a.astar_diag", "A* is diagonal with entry q^i on the (i,j) block",
-           "rla", _BOTH)
-def _(ops):
-    ring = ops.ring
-    expected = SparseOperator.diagonal([ring.q_power(i) for i, _ in ops.ij])
-    return _residual_witness(ops["Astar"] - expected, ops)
-
-
-# -- center -----------------------------------------------------------------------
-
-def _central_commutator(idx: int, gen: str):
-    rel_id = f"center.omega{idx}_{gen.lower()}"
-
-    @_relation(rel_id, f"[Omega{idx}, {gen}] = 0", "center", _BOTH)
-    def _(ops, _idx=idx, _gen=gen):
-        return _residual_witness(commutator(ops[f"Omega{_idx}"], ops[_gen]), ops)
-
-
-for _idx in (0, 1, 2):
-    for _gen in ("L1", "L2", "R1", "R2", "K1", "K2"):
-        _central_commutator(_idx, _gen)
-
-
-@_relation("center.f0_rebuild",
-           "F0 = (q-1)^-1 (q^((h+k)/2) Omega0 K1 K2 - q^(k/2) K1 - q^(h/2) K2 + I)",
-           "center", _BOTH)
-def _(ops):
-    return _residual_witness(ops["F0"] - expr_f0_central(ops), ops)
-
-
-@_relation("center.fplus_rebuild",
-           "F+ = (q-1)^-1 (q^(k/2) Omega2 - (q-1)^-1 (q^((h+k)/2+1)(Omega0 K2 + K2^-1)"
-           " - 2q^(k/2+1) I)) K1",
-           "center", _BOTH)
-def _(ops):
-    return _residual_witness(ops["Fplus"] - expr_fplus_central(ops), ops)
-
-
-@_relation("center.fminus_rebuild",
-           "F- = (q-1)^-1 (q^(h/2) Omega1 - (q-1)^-1 (q^((h+k)/2+1)(Omega0 K1 + K1^-1)"
-           " - 2q^(h/2+1) I)) K2",
-           "center", _BOTH)
-def _(ops):
-    return _residual_witness(ops["Fminus"] - expr_fminus_central(ops), ops)
-
-
-# -- generalized Askey-Wilson pair -------------------------------------------------
-
-@_relation("aw.askey1",
-           "A^2 A* - (q+1/q) A A* A + A* A^2 - Y(A A* + A* A) - P A* = Omega A + G",
-           "aw", _BOTH)
-def _(ops):
-    return _residual_witness(expr_askey1(ops), ops)
-
-
-@_relation("aw.askey2",
-           "A*^2 A - (q+1/q) A* A A* + A A*^2 = Y A*^2 + Omega A* + G*",
-           "aw", _BOTH)
-def _(ops):
-    return _residual_witness(expr_askey2(ops), ops)
-
-
-def _aw_commutator(coeff: str, against: str):
-    pretty = {"Y": "Y", "P": "P", "Omega": "Omega", "G": "G", "Gstar": "G*"}
-    rel_id = f"aw.comm_{coeff.lower()}_{against.lower()}"
-
-    @_relation(rel_id, f"[{pretty[coeff]}, {against.replace('star', '*')}] = 0",
-               "aw", _BOTH)
-    def _(ops, _c=coeff, _a=against):
-        return _residual_witness(commutator(ops[_c], ops[_a]), ops)
-
-
-for _c in ("Y", "P", "Omega", "G", "Gstar"):
-    for _a in ("A", "Astar"):
-        _aw_commutator(_c, _a)
+# -- identities between operators -------------------------------------------------
+#
+# An operand is the name of an operator, a pair of names for their memoized
+# product, or a function of the OperatorSet.  A row with rhs None states
+# lhs = 0.
+
+@dataclass(frozen=True)
+class _Commutator:
+    """The operand [X, Y] of two named operators."""
+
+    x: str
+    y: str
+
+    def __call__(self, ops: OperatorSet) -> SparseOperator:
+        return commutator(ops[self.x], ops[self.y])
+
+
+def _operand(ops: OperatorSet, spec) -> SparseOperator:
+    if isinstance(spec, str):
+        return ops[spec]
+    if isinstance(spec, tuple):
+        return ops.prod(*spec)
+    return spec(ops)
+
+
+def _identity_check(ops: OperatorSet, lhs, rhs) -> Optional[str]:
+    residual = _operand(ops, lhs)
+    if rhs is not None:
+        residual = residual - _operand(ops, rhs)
+    return _residual_witness(residual, ops)
+
+
+# (id, description, suite, modes, lhs, rhs)
+IDENTITY_ROWS = (
+    ("f.f0_slash",
+     "combinatorial F0 = L1R1 - R1L1 + (q-1)^-1 (q^((h+k)/2) K1^-1 K2 "
+     "- q^(k/2) K1 - q^(h/2) K2 + I)",
+     "f", _GEO, "F0", expr_f0_slash),
+    ("f.f0_backslash",
+     "F0 = R2L2 - L2R2 + (q-1)^-1 (q^((h+k)/2) K1 K2^-1 "
+     "- q^(k/2) K1 - q^(h/2) K2 + I)",
+     "f", _BOTH, "F0", expr_f0_backslash),
+    ("f.fplus_def", "combinatorial F+ = L2R2 - q^(k/2)(q-1)^-1 K1 (q^(h/2) K2^-1 - I)",
+     "f", _GEO, "Fplus", expr_fplus),
+    ("f.fminus_def", "combinatorial F- = R1L1 - q^(h/2)(q-1)^-1 (q^(k/2) K1^-1 - I) K2",
+     "f", _GEO, "Fminus", expr_fminus),
+    ("f.fsum", "combinatorial F equals F0 + F+ + F-",
+     "f", _GEO, "F", lambda ops: ops["F0"] + ops["Fplus"] + ops["Fminus"]),
+    ("f.via_lr", "F = L1R1 + L2R2 - (q-1)^-1 (q^((h+k)/2) K1 K2^-1 - I)",
+     "f", _BOTH, "F", expr_f_via_lr),
+    ("f.via_rl", "F = R1L1 + R2L2 - (q-1)^-1 (q^((h+k)/2) K1^-1 K2 - I)",
+     "f", _BOTH, "F", expr_f_via_rl),
+    ("f.back_l1r1", "L1R1 = F0 + F- + (q-1)^-1 (q^(k/2) K1 - I)",
+     "f", _BOTH, ("L1", "R1"), expr_back_l1r1),
+    ("f.back_r1l1", "R1L1 = F- + q^(h/2)(q-1)^-1 (q^(k/2) K1^-1 - I) K2",
+     "f", _BOTH, ("R1", "L1"), expr_back_r1l1),
+    ("f.back_l2r2", "L2R2 = F+ + q^(k/2)(q-1)^-1 K1 (q^(h/2) K2^-1 - I)",
+     "f", _BOTH, ("L2", "R2"), expr_back_l2r2),
+    ("f.back_r2l2", "R2L2 = F0 + F+ + (q-1)^-1 (q^(h/2) K2 - I)",
+     "f", _BOTH, ("R2", "L2"), expr_back_r2l2),
+    ("f.comm_0p", "[F0, F+] = 0", "f", _BOTH, _Commutator("F0", "Fplus"), None),
+    ("f.comm_0m", "[F0, F-] = 0", "f", _BOTH, _Commutator("F0", "Fminus"), None),
+    ("f.comm_pm", "[F+, F-] = 0", "f", _BOTH, _Commutator("Fplus", "Fminus"), None),
+    ("a.r_prod", "combinatorial R equals L1 R2", "rla", _GEO, "R", ("L1", "R2")),
+    ("a.l_prod", "combinatorial L equals L2 R1", "rla", _GEO, "L", ("L2", "R1")),
+    ("a.rl_transpose", "R equals the transpose of L",
+     "rla", _GEO, "R", lambda ops: ops["L"].transpose()),
+    ("a.sum", "combinatorial A equals R + L + F",
+     "rla", _GEO, "A", lambda ops: ops["R"] + ops["L"] + ops["F"]),
+    ("a.via_lr", "A = (L1+L2)(R1+R2) - (q-1)^-1 (q^((h+k)/2) K1 K2^-1 - I)",
+     "rla", _BOTH, "A", expr_a_via_lr),
+    ("a.via_rl", "A = (R1+R2)(L1+L2) - (q-1)^-1 (q^((h+k)/2) K1^-1 K2 - I)",
+     "rla", _BOTH, "A", expr_a_via_rl),
+    ("a.astar_diag", "A* is diagonal with entry q^i on the (i,j) block",
+     "rla", _BOTH, "Astar",
+     lambda ops: SparseOperator.diagonal([ops.ring.q_power(i) for i, _ in ops.ij])),
+    *((f"center.omega{i}_{gen.lower()}", f"[Omega{i}, {gen}] = 0", "center", _BOTH,
+       _Commutator(f"Omega{i}", gen), None)
+      for i in (0, 1, 2) for gen in ("L1", "L2", "R1", "R2", "K1", "K2")),
+    ("center.f0_rebuild",
+     "F0 = (q-1)^-1 (q^((h+k)/2) Omega0 K1 K2 - q^(k/2) K1 - q^(h/2) K2 + I)",
+     "center", _BOTH, "F0", expr_f0_central),
+    ("center.fplus_rebuild",
+     "F+ = (q-1)^-1 (q^(k/2) Omega2 - (q-1)^-1 (q^((h+k)/2+1)(Omega0 K2 + K2^-1)"
+     " - 2q^(k/2+1) I)) K1",
+     "center", _BOTH, "Fplus", expr_fplus_central),
+    ("center.fminus_rebuild",
+     "F- = (q-1)^-1 (q^(h/2) Omega1 - (q-1)^-1 (q^((h+k)/2+1)(Omega0 K1 + K1^-1)"
+     " - 2q^(h/2+1) I)) K2",
+     "center", _BOTH, "Fminus", expr_fminus_central),
+    ("aw.askey1",
+     "A^2 A* - (q+1/q) A A* A + A* A^2 - Y(A A* + A* A) - P A* = Omega A + G",
+     "aw", _BOTH, expr_askey1, None),
+    ("aw.askey2",
+     "A*^2 A - (q+1/q) A* A A* + A A*^2 = Y A*^2 + Omega A* + G*",
+     "aw", _BOTH, expr_askey2, None),
+    *((f"aw.comm_{coeff.lower()}_{a.lower()}",
+       f"[{coeff.replace('star', '*')}, {a.replace('star', '*')}] = 0",
+       "aw", _BOTH, _Commutator(coeff, a), None)
+      for coeff in ("Y", "P", "Omega", "G", "Gstar") for a in ("A", "Astar")),
+)
+for _id, _desc, _suite, _modes, _lhs, _rhs in IDENTITY_ROWS:
+    _register(_id, _desc, _suite, _modes, partial(_identity_check, lhs=_lhs, rhs=_rhs))
 
 
 # -- module-only eigen tables -------------------------------------------------------
@@ -647,15 +459,39 @@ def _module_diag(ops: OperatorSet, name: str) -> SparseOperator:
         [eigen_scalar(name, t, i, j, ring) for i, j in ops.ij])
 
 
-def _module_table_relation(rel_id: str, op_name: str, scalar_name: str, desc: str):
-    @_relation(rel_id, desc, "module", _MOD)
-    def _(ops, _op=op_name, _s=scalar_name):
-        if "@" in _op:
-            a, b = _op.split("@")
-            mat = ops.prod(a, b)
-        else:
-            mat = ops[_op]
-        return _residual_witness(mat - _module_diag(ops, _s), ops)
+def _eigen(name: str):
+    """Operand: the diagonal operator of the eigenvalue table ``name``."""
+    return partial(_module_diag, name=name)
+
+
+def _shift_action(ops: OperatorSet, name: str, di: int) -> SparseOperator:
+    """The operator sending w[i+di, j-di] to eigen_scalar(name, i, j) w[i,j]."""
+    t, ring = ops.module_type, ops.ring
+    index = {bj: p for p, bj in enumerate(ops.ij)}
+    expected: dict = {}
+    for (i, j), row in index.items():
+        src = (i + di, j - di)
+        if src in index:
+            value = eigen_scalar(name, t, i, j, ring)
+            if value:
+                expected.setdefault(row, {})[index[src]] = value
+    return SparseOperator(ops.dim, expected)
+
+
+def _a_action(ops: OperatorSet) -> SparseOperator:
+    t, ring = ops.module_type, ops.ring
+    index = {bj: p for p, bj in enumerate(ops.ij)}
+    expected: dict = {}
+    for (i, j), col in index.items():
+        targets = (
+            ((i + 1, j - 1), eigen_scalar("b", t, i + 1, j - 1, ring)),
+            ((i, j), eigen_scalar("a", t, i, j, ring)),
+            ((i - 1, j + 1), eigen_scalar("c", t, i - 1, j + 1, ring)),
+        )
+        for target, value in targets:
+            if target in index and value:
+                expected.setdefault(index[target], {})[col] = value
+    return SparseOperator(ops.dim, expected)
 
 
 @_relation("module.k_eigen",
@@ -670,104 +506,59 @@ def _(ops):
     return None
 
 
-_module_table_relation(
-    "module.double_l1r1", "L1@R1", "L1R1",
-    "L1R1 acts on w[i,j] by q^(alpha+j) [i-alpha+1][k-rho-alpha-i]")
-_module_table_relation(
-    "module.double_r1l1", "R1@L1", "R1L1",
-    "R1L1 acts on w[i,j] by q^(alpha+j) [i-alpha][k-rho-alpha-i+1]")
-_module_table_relation(
-    "module.double_l2r2", "L2@R2", "L2R2",
-    "L2R2 acts on w[i,j] by q^(k+beta-i) [j-rho-beta+1][h-beta-j]")
-_module_table_relation(
-    "module.double_r2l2", "R2@L2", "R2L2",
-    "R2L2 acts on w[i,j] by q^(k+beta-i) [j-rho-beta][h-beta-j+1]")
-_module_table_relation(
-    "module.f0_eigen", "F0", "a0",
-    "F0 acts on w[i,j] by q^(k-i)[j-rho] - [j]")
-_module_table_relation(
-    "module.fplus_eigen", "Fplus", "aplus",
-    "F+ acts on w[i,j] by q^(k-i)(q^(beta+1)[j-rho-beta][h-beta-j] - [beta])")
-_module_table_relation(
-    "module.fminus_eigen", "Fminus", "aminus",
-    "F- acts on w[i,j] by q^j(q^(alpha+1)[i-alpha][k-rho-alpha-i] - [alpha])")
-_module_table_relation(
-    "module.f_eigen_sum", "F", "a",
-    "F acts on w[i,j] by the sum of the three displayed parts")
-_module_table_relation(
-    "module.omega0_scalar", "Omega0", "Omega0",
-    "Omega0 acts on the whole module by q^-rho")
-_module_table_relation(
-    "module.omega1_scalar", "Omega1", "Omega1",
-    "Omega1 acts on the whole module by q[k-rho-alpha] + [alpha]")
-_module_table_relation(
-    "module.omega2_scalar", "Omega2", "Omega2",
-    "Omega2 acts on the whole module by q[h-rho-beta] + [beta]")
-_module_table_relation(
-    "module.y_eigen", "Y", "Y",
-    "Y acts on w[i,j] by q^(h+k-l) + q^l - 1 + q^-1 with l = i+j")
-_module_table_relation(
-    "module.p_eigen", "P", "P",
-    "P acts on w[i,j] by q(q-1)^-2 ((q^(h+k-l)+q^l-1+q^-1)^2 - q^(h+k-2)(q+1)^2)")
-_module_table_relation(
-    "module.omega_eigen", "Omega", "Omega",
-    "Omega acts on w[i,j] by -(q^(h+k-rho-beta) + q^(k+beta-1) "
-    "+ q^(k+l-rho-alpha) + q^(l+alpha-1))")
-_module_table_relation(
-    "module.g_eigen", "G", "G",
-    "G acts on w[i,j] by the displayed (q-1)^-1 combination at l = i+j")
-_module_table_relation(
-    "module.gstar_eigen", "Gstar", "Gstar",
-    "G* acts on w[i,j] by q^(k+l-rho-1)(q+1)")
-
-
-@_relation("module.r_action", "R w[i+1,j-1] = c_(i,j) w[i,j] with the displayed c",
-           "module", _MOD)
-def _(ops):
-    t, ring = ops.module_type, ops.ring
-    index = {bj: p for p, bj in enumerate(ops.ij)}
-    expected: dict = {}
-    for (i, j), row in index.items():
-        src = (i + 1, j - 1)
-        if src in index:
-            c_val = eigen_scalar("c", t, i, j, ring)
-            if c_val:
-                expected.setdefault(row, {})[index[src]] = c_val
-    return _residual_witness(ops["R"] - SparseOperator(ops.dim, expected), ops)
-
-
-@_relation("module.l_action", "L w[i-1,j+1] = b_(i,j) w[i,j] with the displayed b",
-           "module", _MOD)
-def _(ops):
-    t, ring = ops.module_type, ops.ring
-    index = {bj: p for p, bj in enumerate(ops.ij)}
-    expected: dict = {}
-    for (i, j), row in index.items():
-        src = (i - 1, j + 1)
-        if src in index:
-            b_val = eigen_scalar("b", t, i, j, ring)
-            if b_val:
-                expected.setdefault(row, {})[index[src]] = b_val
-    return _residual_witness(ops["L"] - SparseOperator(ops.dim, expected), ops)
-
-
-@_relation("module.a_action",
-           "A w[i,j] = b_(i+1,j-1) w[i+1,j-1] + a_(i,j) w[i,j] + c_(i-1,j+1) w[i-1,j+1]",
-           "module", _MOD)
-def _(ops):
-    t, ring = ops.module_type, ops.ring
-    index = {bj: p for p, bj in enumerate(ops.ij)}
-    expected: dict = {}
-    for (i, j), col in index.items():
-        targets = (
-            ((i + 1, j - 1), eigen_scalar("b", t, i + 1, j - 1, ring)),
-            ((i, j), eigen_scalar("a", t, i, j, ring)),
-            ((i - 1, j + 1), eigen_scalar("c", t, i - 1, j + 1, ring)),
-        )
-        for target, value in targets:
-            if target in index and value:
-                expected.setdefault(index[target], {})[col] = value
-    return _residual_witness(ops["A"] - SparseOperator(ops.dim, expected), ops)
+# (id, description, lhs, rhs) of the identities checked on modules only
+MODULE_ROWS = (
+    ("module.double_l1r1",
+     "L1R1 acts on w[i,j] by q^(alpha+j) [i-alpha+1][k-rho-alpha-i]",
+     ("L1", "R1"), _eigen("L1R1")),
+    ("module.double_r1l1",
+     "R1L1 acts on w[i,j] by q^(alpha+j) [i-alpha][k-rho-alpha-i+1]",
+     ("R1", "L1"), _eigen("R1L1")),
+    ("module.double_l2r2",
+     "L2R2 acts on w[i,j] by q^(k+beta-i) [j-rho-beta+1][h-beta-j]",
+     ("L2", "R2"), _eigen("L2R2")),
+    ("module.double_r2l2",
+     "R2L2 acts on w[i,j] by q^(k+beta-i) [j-rho-beta][h-beta-j+1]",
+     ("R2", "L2"), _eigen("R2L2")),
+    ("module.f0_eigen", "F0 acts on w[i,j] by q^(k-i)[j-rho] - [j]",
+     "F0", _eigen("a0")),
+    ("module.fplus_eigen",
+     "F+ acts on w[i,j] by q^(k-i)(q^(beta+1)[j-rho-beta][h-beta-j] - [beta])",
+     "Fplus", _eigen("aplus")),
+    ("module.fminus_eigen",
+     "F- acts on w[i,j] by q^j(q^(alpha+1)[i-alpha][k-rho-alpha-i] - [alpha])",
+     "Fminus", _eigen("aminus")),
+    ("module.f_eigen_sum", "F acts on w[i,j] by the sum of the three displayed parts",
+     "F", _eigen("a")),
+    ("module.omega0_scalar", "Omega0 acts on the whole module by q^-rho",
+     "Omega0", _eigen("Omega0")),
+    ("module.omega1_scalar", "Omega1 acts on the whole module by q[k-rho-alpha] + [alpha]",
+     "Omega1", _eigen("Omega1")),
+    ("module.omega2_scalar", "Omega2 acts on the whole module by q[h-rho-beta] + [beta]",
+     "Omega2", _eigen("Omega2")),
+    ("module.y_eigen", "Y acts on w[i,j] by q^(h+k-l) + q^l - 1 + q^-1 with l = i+j",
+     "Y", _eigen("Y")),
+    ("module.p_eigen",
+     "P acts on w[i,j] by q(q-1)^-2 ((q^(h+k-l)+q^l-1+q^-1)^2 - q^(h+k-2)(q+1)^2)",
+     "P", _eigen("P")),
+    ("module.omega_eigen",
+     "Omega acts on w[i,j] by -(q^(h+k-rho-beta) + q^(k+beta-1) "
+     "+ q^(k+l-rho-alpha) + q^(l+alpha-1))",
+     "Omega", _eigen("Omega")),
+    ("module.g_eigen", "G acts on w[i,j] by the displayed (q-1)^-1 combination at l = i+j",
+     "G", _eigen("G")),
+    ("module.gstar_eigen", "G* acts on w[i,j] by q^(k+l-rho-1)(q+1)",
+     "Gstar", _eigen("Gstar")),
+    ("module.r_action", "R w[i+1,j-1] = c_(i,j) w[i,j] with the displayed c",
+     "R", partial(_shift_action, name="c", di=1)),
+    ("module.l_action", "L w[i-1,j+1] = b_(i,j) w[i,j] with the displayed b",
+     "L", partial(_shift_action, name="b", di=-1)),
+    ("module.a_action",
+     "A w[i,j] = b_(i+1,j-1) w[i+1,j-1] + a_(i,j) w[i,j] + c_(i-1,j+1) w[i-1,j+1]",
+     "A", _a_action),
+)
+for _id, _desc, _lhs, _rhs in MODULE_ROWS:
+    _register(_id, _desc, "module", _MOD, partial(_identity_check, lhs=_lhs, rhs=_rhs))
 
 
 REGISTRY: tuple[Relation, ...] = tuple(_registry)
@@ -810,9 +601,9 @@ def run_relation(ops: OperatorSet, rel_id: str) -> Outcome:
 
 
 def run_suites(ops: OperatorSet, suites: Optional[Sequence[str]] = None,
-               context: Optional[dict] = None,
                relation_ids: Optional[Sequence[str]] = None) -> VerificationReport:
-    report = VerificationReport(context if context is not None else _context_of(ops))
+    """Run the selected relations of ops's mode (all suites by default), in order."""
+    report = VerificationReport(_context_of(ops))
     for rel in _select(ops.mode, suites, relation_ids):
         start = time.perf_counter()
         report.outcomes.append(run_relation(ops, rel.id))
@@ -835,42 +626,20 @@ def _context_of(ops: OperatorSet) -> dict:
 def run_geometry_suite(ops: OperatorSet, suites: Optional[Sequence[str]] = None,
                        relation_ids: Optional[Sequence[str]] = None
                        ) -> VerificationReport:
-    return run_suites(ops, suites, _context_of(ops), relation_ids)
+    return run_suites(ops, suites, relation_ids)
 
 
 def run_module_suite(module: AbstractModule, suites: Optional[Sequence[str]] = None,
                      relation_ids: Optional[Sequence[str]] = None
                      ) -> VerificationReport:
-    return run_suites(module.ops, suites, None, relation_ids)
-
-
-def verify_generator_relations(ops: OperatorSet) -> VerificationReport:
-    """The seventeen relations among L1, L2, R1, R2, K1, K2 alone."""
-    return run_suites(ops, ["generators"])
-
-
-def verify_F_relations(ops: OperatorSet) -> VerificationReport:
-    """Both routes to the F family, the back-substitutions, mutual commutation."""
-    return run_suites(ops, ["f"])
-
-
-def verify_center(ops: OperatorSet) -> VerificationReport:
-    """Centrality of Omega0..2 and the F-family rebuilds from the center."""
-    return run_suites(ops, ["center"])
-
-
-def verify_main_theorem(ops: OperatorSet) -> VerificationReport:
-    """The generalized Askey-Wilson pair and its coefficient centrality."""
-    return run_suites(ops, ["aw"])
+    return run_suites(module.ops, suites, relation_ids)
 
 
 def verify_counts(geom: GeometryIndex) -> VerificationReport:
     """The covering-degree and level-size checks alone (no operators needed)."""
     ops = OperatorSet(GEOMETRY, QuadRing(geom.q), geom.h, geom.k, geom.ij,
                       geom.labels(), geometry=geom)
-    return run_suites(ops, ["counts"],
-                      {"mode": GEOMETRY, "q": geom.q, "h": geom.h, "k": geom.k,
-                       "y": geom.y.label(), "size": geom.size})
+    return run_suites(ops, ["counts"])
 
 
 def verify_y_invariance(q: int, h: int, k: int, y_list,
@@ -918,15 +687,12 @@ def verify_y_invariance(q: int, h: int, k: int, y_list,
 def askey1_with_coefficient(ops: OperatorSet, middle) -> Outcome:
     """Evaluate the first relation with a replaced middle coefficient."""
     witness = _residual_witness(expr_askey1(ops, middle=middle), ops)
-    if witness is None:
-        return Outcome("aw.askey1[tampered-coefficient]", "pass")
-    return Outcome("aw.askey1[tampered-coefficient]", "fail", witness)
+    return Outcome("aw.askey1[tampered-coefficient]",
+                   "pass" if witness is None else "fail", witness)
 
 
 def k1l1_with_coefficient(ops: OperatorSet, coeff) -> Outcome:
     """Evaluate K1 L1 = coeff * L1 K1 (the true identity has coeff = q)."""
-    res = ops.prod("K1", "L1") - ops.prod("L1", "K1").scale(coeff)
-    witness = _residual_witness(res, ops)
-    if witness is None:
-        return Outcome("gen.k1l1[tampered-coefficient]", "pass")
-    return Outcome("gen.k1l1[tampered-coefficient]", "fail", witness)
+    witness = _residual_witness(_q_commutation(ops, "K1", "L1", right=coeff), ops)
+    return Outcome("gen.k1l1[tampered-coefficient]",
+                   "pass" if witness is None else "fail", witness)

@@ -201,6 +201,19 @@ def test_output_file(tmp_path):
     assert target.read_text(encoding="utf-8") == out
 
 
+@pytest.mark.parametrize("where", ["missing_dir/x.json", "."])
+def test_unwritable_output_exits_2_without_traceback(tmp_path, where):
+    target = tmp_path / where
+    proc = subprocess.run(
+        [sys.executable, "-m", "pgaw", "convert", "--h", "2", "--k", "1",
+         "--alpha", "0", "--beta", "1", "--rho", "0", "--output", str(target)],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: cannot write report to {target}: ")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_exit_zero_iff_no_fail():
     cfg = parse_args(["verify", "--q", "2", "--h", "2", "--k", "1"])
     status, text = run(cfg)

@@ -1,0 +1,91 @@
+"""Every data row of the registry can fail.
+
+For each row of the relation tables, some single-entry perturbation (+1) of
+an operand the row names must make that row fail.  Entries are searched in
+row-major order, operand by operand, in geometry mode at (2,2,1) and on a
+numeric module.  A count row names a cover list instead; dropping one entry
+of it must make the row fail.
+"""
+
+import copy
+import dataclasses
+
+import pytest
+
+from pgaw.modules import ModuleType, build_abstract_module
+from pgaw.operators import GEOMETRY, MODULE
+from pgaw.rings import QuadRing
+from pgaw.verify import (
+    COUNT_ROWS,
+    CUBIC_ROWS,
+    IDENTITY_ROWS,
+    MODULE_ROWS,
+    Q_COMMUTATION_ROWS,
+    SUPPORT_ROWS,
+    run_relation,
+    verify_counts,
+)
+
+# Rows given as a single residual expression name no operand; perturb the
+# operators the relation is a polynomial in.
+EXPRESSION_OPERANDS = {"aw.askey1": ("A", "Astar"), "aw.askey2": ("A", "Astar")}
+
+
+def _spec_names(spec):
+    if isinstance(spec, str):
+        return (spec,)
+    if isinstance(spec, tuple):
+        return spec
+    if dataclasses.is_dataclass(spec):
+        return dataclasses.astuple(spec)
+    return ()
+
+
+def _operator_rows():
+    """(id, modes, operand names) for every row whose operands are operators."""
+    both = (GEOMETRY, MODULE)
+    for rel_id, _, names, _ in SUPPORT_ROWS:
+        yield rel_id, both, names
+    for rel_id, _, x, y, *_ in Q_COMMUTATION_ROWS + CUBIC_ROWS:
+        yield rel_id, both, (x, y)
+    for rel_id, _, _, modes, lhs, rhs in IDENTITY_ROWS:
+        names = _spec_names(lhs) + _spec_names(rhs)
+        yield rel_id, modes, names or EXPRESSION_OPERANDS[rel_id]
+    for rel_id, _, lhs, _ in MODULE_ROWS:
+        yield rel_id, (MODULE,), _spec_names(lhs)
+
+
+def _detecting_perturbation(ops, rel_id, names):
+    for name in names:
+        for r in range(ops.dim):
+            for c in range(ops.dim):
+                if not run_relation(ops.perturbed(name, r, c, 1), rel_id).passed:
+                    return name, r, c
+    return None
+
+
+@pytest.mark.parametrize("mode", [GEOMETRY, MODULE])
+def test_every_operator_row_is_falsifiable(ops_cache, mode):
+    if mode == GEOMETRY:
+        ops = ops_cache(2, 2, 1)
+    else:
+        ops = build_abstract_module(ModuleType(0, 0, 0, h=3, k=2), QuadRing(2)).ops
+    rows = [(rel_id, names) for rel_id, modes, names in _operator_rows() if mode in modes]
+    assert rows
+    for rel_id, _ in rows:
+        assert run_relation(ops, rel_id).passed, rel_id
+    undetected = [rel_id for rel_id, names in rows
+                  if _detecting_perturbation(ops, rel_id, names) is None]
+    assert not undetected
+
+
+def test_every_count_row_is_falsifiable(geometry_cache):
+    geom = geometry_cache(2, 2, 1)
+    for rel_id, _, lists, _ in COUNT_ROWS:
+        covers = list(getattr(geom, lists))
+        p = next(p for p, cs in enumerate(covers) if cs)
+        covers[p] = covers[p][1:]
+        clone = copy.copy(geom)
+        setattr(clone, lists, tuple(covers))
+        assert verify_counts(geom).outcome(rel_id).passed
+        assert not verify_counts(clone).outcome(rel_id).passed, rel_id

@@ -241,22 +241,16 @@ def test_suites_constant():
                       "center", "aw", "module")
 
 
-def test_named_suite_wrappers(ops_cache):
-    from pgaw.verify import (
-        verify_F_relations,
-        verify_center,
-        verify_generator_relations,
-        verify_main_theorem,
-    )
-    ops = ops_cache(2, 2, 1)
-    rep = verify_generator_relations(ops)
-    assert rep.passed and len(rep.outcomes) == 17
-    rep = verify_F_relations(ops)
-    assert rep.passed and all(o.id.startswith("f.") for o in rep.outcomes)
-    rep = verify_center(ops)
-    assert rep.passed and len(rep.outcomes) == 21
-    rep = verify_main_theorem(ops)
-    assert rep.passed and {o.id for o in rep.outcomes} >= {"aw.askey1", "aw.askey2"}
+@pytest.mark.parametrize("suite,check", [
+    ("generators", lambda ids: len(ids) == 17),
+    ("f", lambda ids: all(i.startswith("f.") for i in ids)),
+    ("center", lambda ids: len(ids) == 21),
+    ("aw", lambda ids: {"aw.askey1", "aw.askey2"} <= set(ids)),
+])
+def test_single_suite_run(ops_cache, suite, check):
+    rep = run_geometry_suite(ops_cache(2, 2, 1), [suite])
+    assert rep.passed
+    assert check([o.id for o in rep.outcomes])
     assert rep.context["mode"] == GEOMETRY
 
 
