@@ -1,17 +1,24 @@
-"""Golden reports: the registry and the outcomes of perturbed runs, byte for byte.
+"""Golden reports and operators: the registry, perturbed runs and every entry.
 
-The fixture pins every relation's id, description, suite and modes in
+The report fixture pins every relation's id, description, suite and modes in
 registry order, and the full (id, status, witness) list of runs whose
 operators were perturbed so that relations of every kind fail: q-commutations,
 cubic relations, block supports, equalities, commutators, module tables and
 covering-degree counts.  A refactor of the registry must leave it unchanged.
 
-Regenerate (only when a relation is deliberately changed) with
+The operator fixture pins, for every named operator of four lattices and of
+one numeric module, the sha256 of its labelled coordinate lines: every
+entry's position, canonical value and rendering.  A change of the operator
+representation must leave it unchanged.
+
+Regenerate both (only when a relation or an operator is deliberately
+changed) with
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 import copy
+import hashlib
 import json
 import os
 
@@ -22,6 +29,8 @@ from pgaw.rings import QuadRing, SymbolicRing
 from pgaw.verify import REGISTRY, run_geometry_suite, run_module_suite, verify_counts
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "golden_reports.json")
+OPERATOR_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "golden_operators.json")
+GEOMETRY_CONFIGS = ((2, 2, 1), (3, 2, 1), (2, 3, 1), (3, 3, 1))
 
 # (operator, row, col) entries that get +1, applied in this order.
 GEOMETRY_PERTURBATIONS = (("L1", 0, 0), ("F0", 1, 2), ("Omega1", 2, 5), ("Y", 3, 3))
@@ -85,8 +94,33 @@ def test_golden_reports_unchanged():
         assert rid in failed, rid
 
 
+def _operator_digests(ops) -> dict:
+    digests = {}
+    for name in sorted(ops.ops):
+        text = "\n".join(ops[name].coordinate_lines(ops.labels))
+        digests[name] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return digests
+
+
+def operator_snapshot() -> dict:
+    snap = {}
+    for q, h, k in GEOMETRY_CONFIGS:
+        ops = build_geometry_operators(build_geometry(q, h, k), QuadRing(q))
+        snap[f"geometry {q},{h},{k}"] = _operator_digests(ops)
+    module = build_abstract_module(ModuleType(0, 1, 0, h=3, k=2), QuadRing(3))
+    snap["module q=3 (0,1,0) h=3 k=2"] = _operator_digests(module.ops)
+    return snap
+
+
+def test_golden_operators_unchanged():
+    with open(OPERATOR_FIXTURE, encoding="utf-8") as fh:
+        want = json.load(fh)
+    assert operator_snapshot() == want
+
+
 if __name__ == "__main__":
     os.makedirs(os.path.dirname(FIXTURE), exist_ok=True)
-    with open(FIXTURE, "w", encoding="utf-8") as fh:
-        json.dump(snapshot(), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    for path, build in ((FIXTURE, snapshot), (OPERATOR_FIXTURE, operator_snapshot)):
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(build(), fh, indent=1, sort_keys=True)
+            fh.write("\n")
