@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -300,10 +301,26 @@ def _cmd_enumerate(config: RunConfig) -> tuple[int, dict]:
     return (0 if ok else 1), payload
 
 
+def _timed(phases: dict, name: str, fn, *args):
+    """fn(*args), recording its wall time as phases["phase.<name>"]."""
+    start = time.perf_counter()
+    out = fn(*args)
+    phases[f"phase.{name}"] = time.perf_counter() - start
+    return out
+
+
+def _build_operators(config: RunConfig, phases: dict, y: Optional[Subspace] = None):
+    geom = _timed(phases, "geometry_build", build_geometry,
+                  config.q, config.h, config.k, y)
+    ops = _timed(phases, "operators_build", build_geometry_operators,
+                 geom, QuadRing(config.q))
+    return geom, ops
+
+
 def _cmd_verify(config: RunConfig) -> tuple[int, dict]:
     _capacity_guard(config)
-    geom = build_geometry(config.q, config.h, config.k, _build_y(config))
-    ops = build_geometry_operators(geom, QuadRing(config.q))
+    phases: dict = {}
+    _, ops = _build_operators(config, phases, _build_y(config))
     try:
         report = run_geometry_suite(ops, config.suites, config.relation_ids)
     except ValueError as exc:
@@ -311,6 +328,7 @@ def _cmd_verify(config: RunConfig) -> tuple[int, dict]:
                    "error": str(exc),
                    "summary": {"total": 0, "passed": 0, "failed": 1}}
     report.context = {"command": "verify", **report.context, "suites": list(config.suites)}
+    report.timings = {**phases, **report.timings}
     payload = _report_payload(report, config)
     return (0 if report.passed else 1), payload
 
@@ -335,11 +353,12 @@ def _cmd_module(config: RunConfig) -> tuple[int, dict]:
 
 def _cmd_decompose(config: RunConfig) -> tuple[int, dict]:
     _capacity_guard(config)
-    geom = build_geometry(config.q, config.h, config.k)
-    ops = build_geometry_operators(geom, QuadRing(config.q))
-    mults = compute_multiplicities(geom, ops)
-    report = bookkeeping_check(geom, mults)
+    phases: dict = {}
+    geom, ops = _build_operators(config, phases)
+    mults = _timed(phases, "multiplicities", compute_multiplicities, geom, ops)
+    report = _timed(phases, "bookkeeping", bookkeeping_check, geom, mults)
     report.context = {"command": "decompose", **report.context}
+    report.timings = phases
     total = sum(m * t.dim for t, m in mults.items())
     extra = {
         "multiplicities": multiplicity_table(mults),

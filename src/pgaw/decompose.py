@@ -10,47 +10,53 @@ inside the corner stratum (alpha, rho+beta), computed by exact elimination.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+
 from .geometry import GeometryIndex
 from .modules import ModuleType, enumerate_types
 from .operators import OperatorSet
-from .rings import QuadScalar
 from .verify import Outcome, VerificationReport
 
 MultiplicityMap = dict[ModuleType, int]
 
 
-def _scalar_inv(v):
-    if isinstance(v, QuadScalar):
-        return v.inverse()
-    return Fraction(1) / Fraction(v)
+def _integer_row(row: list) -> list:
+    """The row times the lcm of its entries' denominators (ints and Fractions)."""
+    m = lcm(*(x.denominator for x in row if type(x) is Fraction))
+    if m == 1:
+        return [int(x) for x in row]
+    return [int(x * m) for x in row]
 
 
 def _rank(rows: list[list]) -> int:
-    """Exact Gaussian elimination; pivot = first nonzero in column order."""
-    rows = [row[:] for row in rows if any(row)]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
+    """Rank over Q by fraction-free (Bareiss) elimination on integer rows.
+
+    Each row's denominators are cleared first.  After each pivot step every
+    remaining entry is a minor of the input, so the division by the previous
+    pivot is exact (Sylvester's identity; Bareiss, Math. Comp. 22, 1968).
+    """
+    rows = [_integer_row(row) for row in rows if any(row)]
+    rank, prev = 0, 1
+    ncols = len(rows[0]) if rows else 0
     for col in range(ncols):
-        pivot = None
-        for r in range(rank, len(rows)):
-            if rows[r][col]:
-                pivot = r
-                break
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = _scalar_inv(rows[rank][col])
-        prow = [inv * x for x in rows[rank]]
-        rows[rank] = prow
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], prow)]
+        prow = rows[rank]
+        p = prow[col]
+        below = []
+        for row in rows[rank + 1:]:
+            f = row[col]
+            if f:
+                row = [(p * a - f * b) // prev for a, b in zip(row, prow)]
+            elif p != prev:
+                row = [p * a // prev for a in row]
+            if any(row):
+                below.append(row)
+        rows[rank + 1:] = below
+        prev = p
         rank += 1
-        if rank == len(rows):
-            break
     return rank
 
 
@@ -82,10 +88,12 @@ def compute_multiplicities(geom: GeometryIndex, ops: OperatorSet) -> Multiplicit
             continue
         stacked = []
         for op, scalar in zip(centrals, lam):
-            block = op.restrict(corner)
+            # d b (Omega - (a/b) I) = b M0 - a d I on the corner, in integers
+            block, d = op.restrict(corner)
+            a, b = Fraction(scalar).as_integer_ratio()
             for r, row in enumerate(block):
-                shifted = list(row)
-                shifted[r] = shifted[r] - scalar
+                shifted = [b * x for x in row]
+                shifted[r] -= a * d
                 stacked.append(shifted)
         out[t] = len(corner) - _rank(stacked)
     return out

@@ -1,8 +1,15 @@
 """Sparse exact operators and the named operator families.
 
-A SparseOperator is a square matrix over an exact coefficient field stored
-as dict-of-rows; plain ints embed canonically in both fields, so 0/1
-incidence matrices and their products run on native integer arithmetic.
+A SparseOperator is a square matrix (M0 + sqrt(q) M1) / d: two dict-of-rows
+numerator matrices over one shared positive integer denominator d, with M1
+empty unless some entry is irrational.  Over Q(sqrt q) (geometry mode and
+numeric modules) every numerator is a Python int, so products, sums and
+zero tests run on integer arithmetic: a product combines the parts as
+M0 N0 + q M1 N1 and M0 N1 + M1 N0 over d e, a sum cross-multiplies the
+denominators, and a residual is zero iff both parts are empty.  Symbolic
+entries (RatFunc) go through the same row kernels as their own numerators
+over d = 1.  ``entry`` and the witnesses render the canonical scalar
+(int, Fraction, QuadScalar or RatFunc).
 
 An OperatorSet holds every named operator over one basis: either the
 subspace lattice (geometry mode, entries in Q(sqrt q)) or the standard
@@ -13,30 +20,200 @@ the verifier compares them.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import permutations
+from math import gcd, lcm
 from typing import Callable, Optional
 
 from .geometry import GeometryIndex
-from .rings import QuadRing, RingMismatchError
+from .rings import QuadRing, QuadScalar, RingMismatchError
 
 GEOMETRY = "geometry"
 MODULE = "module"
 
 
-class SparseOperator:
-    """Square sparse matrix; no zero entries and no empty rows are stored."""
+def _split(s):
+    """Scalar s as (n0, n1, d, q) with s = (n0 + n1*sqrt(q))/d and integer d > 0.
 
-    __slots__ = ("dim", "rows")
+    n0 and n1 are ints for int, Fraction and QuadScalar values; any other
+    scalar (a RatFunc) is its own numerator over d = 1.  q is None when
+    n1 is zero.
+    """
+    t = type(s)
+    if t is int:
+        return s, 0, 1, None
+    if t is Fraction:
+        return s.numerator, 0, s.denominator, None
+    if t is QuadScalar:
+        d = lcm(s.a.denominator, s.b.denominator)
+        return (s.a.numerator * (d // s.a.denominator),
+                s.b.numerator * (d // s.b.denominator), d, s.q)
+    return s, 0, 1, None
+
+
+def _value(n0, n1, d: int, q):
+    """The canonical scalar (n0 + n1*sqrt(q))/d: int, Fraction, QuadScalar or RatFunc."""
+    if n1:
+        return QuadScalar(Fraction(n0, d), Fraction(n1, d), q)
+    if d == 1:
+        return n0
+    v = Fraction(n0, d) if type(n0) is int else n0 / d
+    if type(v) is Fraction and v.denominator == 1:
+        return v.numerator
+    return v
+
+
+def _common_q(*qs):
+    """The one q among the irrational parts; mixing two raises RingMismatchError."""
+    out = None
+    for q in qs:
+        if q is not None:
+            if out is not None and q != out:
+                raise RingMismatchError(f"mixed ring parameters q={out} and q={q}")
+            out = q
+    return out
+
+
+# -- row kernels: dict-of-rows matrices of numerators, zeros never stored ------
+
+def _rows_mul(x: dict, y: dict) -> dict:
+    """x @ y."""
+    out = {}
+    for r, row in x.items():
+        acc: dict = {}
+        for m, xv in row.items():
+            yrow = y.get(m)
+            if yrow is None:
+                continue
+            if type(xv) is int and xv == 1:
+                for c, yv in yrow.items():
+                    if c in acc:
+                        acc[c] += yv
+                    else:
+                        acc[c] = yv
+            else:
+                for c, yv in yrow.items():
+                    if c in acc:
+                        acc[c] += xv * yv
+                    else:
+                        acc[c] = xv * yv
+        acc = {c: v for c, v in acc.items() if v}
+        if acc:
+            out[r] = acc
+    return out
+
+
+def _rows_scale(x: dict, s) -> dict:
+    """s * x; a product of nonzero field elements is nonzero."""
+    if s == 1:
+        return x
+    if not s:
+        return {}
+    if s == -1:  # negating a RatFunc is cheaper than multiplying it
+        return {r: {c: -v for c, v in row.items()} for r, row in x.items()}
+    return {r: {c: s * v for c, v in row.items()} for r, row in x.items()}
+
+
+def _rows_lincomb(x: dict, a, y: dict, b) -> dict:
+    """a * x + b * y."""
+    if not b or not y:
+        return _rows_scale(x, a)
+    if not a or not x:
+        return _rows_scale(y, b)
+    out = {r: dict(row) for r, row in x.items()} if a == 1 else _rows_scale(x, a)
+    for r, row in _rows_scale(y, b).items():
+        mine = out.get(r)
+        if mine is None:
+            out[r] = row if b != 1 else dict(row)
+            continue
+        for c, v in row.items():
+            s = mine.get(c, 0) + v
+            if s:
+                mine[c] = s
+            elif c in mine:
+                del mine[c]
+        if not mine:
+            del out[r]
+    return out
+
+
+def _content(d: int, parts) -> int:
+    """gcd of d and every numerator; 1 when some numerator is not an int."""
+    g = d
+    for part in parts:
+        for row in part.values():
+            try:
+                g = gcd(g, *row.values())
+            except TypeError:  # a RatFunc or Fraction numerator
+                return 1
+            if g == 1:
+                return 1
+    return g
+
+
+def _rows_transpose(x: dict) -> dict:
+    out: dict = {}
+    for r, row in x.items():
+        for c, v in row.items():
+            out.setdefault(c, {})[r] = v
+    return out
+
+
+class SparseOperator:
+    """Square sparse matrix (M0 + sqrt(q) M1) / d over one shared denominator.
+
+    M0 and M1 are dict-of-rows numerator matrices; d is a positive int.  In
+    geometry and numeric module mode every numerator is a Python int, so
+    products, sums and zero tests run on integer arithmetic; a RatFunc entry
+    (symbolic module mode) is its own numerator over d = 1.  M1 is empty,
+    and q None, unless some entry is irrational.  No zero numerator and no
+    empty row is stored, so the operator is zero iff both parts are empty.
+    """
+
+    __slots__ = ("dim", "d", "m0", "m1", "q")
 
     def __init__(self, dim: int, rows: Optional[dict] = None):
+        """The operator with the given scalar dict-of-rows entries."""
         self.dim = dim
-        self.rows = rows if rows is not None else {}
+        self.d, self.m0, self.m1, self.q = 1, {}, {}, None
+        if not rows:
+            return
+        split = {r: {c: _split(v) for c, v in row.items() if v}
+                 for r, row in rows.items()}
+        d = lcm(*(e[2] for row in split.values() for e in row.values()))
+        m0: dict = {}
+        m1: dict = {}
+        for r, row in split.items():
+            for c, (n0, n1, e, _) in row.items():
+                f = d // e
+                if n0:
+                    m0.setdefault(r, {})[c] = n0 * f if f != 1 else n0
+                if n1:
+                    m1.setdefault(r, {})[c] = n1 * f
+        self._set(d, m0, m1, _common_q(*(e[3] for row in split.values()
+                                         for e in row.values())))
+
+    def _set(self, d: int, m0: dict, m1: dict, q) -> "SparseOperator":
+        """Store the parts in lowest terms: d coprime to the numerators' gcd."""
+        g = _content(d, (m0, m1)) if d != 1 else 1
+        if g != 1:
+            d //= g
+            m0 = {r: {c: v // g for c, v in row.items()} for r, row in m0.items()}
+            m1 = {r: {c: v // g for c, v in row.items()} for r, row in m1.items()}
+        self.d, self.m0, self.m1 = d, m0, m1
+        self.q = q if m1 else None
+        return self
+
+    def _new(self, d: int, m0: dict, m1: dict, q) -> "SparseOperator":
+        op = SparseOperator.__new__(SparseOperator)
+        op.dim = self.dim
+        return op._set(d, m0, m1, q)
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def zero(cls, dim: int) -> "SparseOperator":
-        return cls(dim, {})
+        return cls(dim)
 
     @classmethod
     def identity(cls, dim: int) -> "SparseOperator":
@@ -44,171 +221,129 @@ class SparseOperator:
 
     @classmethod
     def diagonal(cls, values) -> "SparseOperator":
-        rows = {}
-        for r, v in enumerate(values):
-            if v:
-                rows[r] = {r: v}
-        return cls(len(values), rows)
+        return cls(len(values), {r: {r: v} for r, v in enumerate(values)})
 
     @classmethod
     def from_entries(cls, dim: int, entries) -> "SparseOperator":
         rows: dict = {}
         for r, c, v in entries:
-            if v:
-                rows.setdefault(r, {})[c] = v
+            rows.setdefault(r, {})[c] = v
         return cls(dim, rows)
 
     # -- queries --------------------------------------------------------------
 
     def entry(self, r: int, c: int):
-        return self.rows.get(r, {}).get(c, 0)
+        return _value(self.m0.get(r, {}).get(c, 0), self.m1.get(r, {}).get(c, 0),
+                      self.d, self.q)
+
+    def _positions(self):
+        """Stored (row, col) positions in row-major order."""
+        m0, m1 = self.m0, self.m1
+        for r in sorted(m0.keys() | m1.keys()):
+            for c in sorted(m0.get(r, {}).keys() | m1.get(r, {}).keys()):
+                yield r, c
 
     def nnz(self) -> int:
-        return sum(len(row) for row in self.rows.values())
+        if not self.m1:
+            return sum(len(row) for row in self.m0.values())
+        return sum(1 for _ in self._positions())
 
     def is_zero(self) -> bool:
-        return not self.rows
+        return not self.m0 and not self.m1
 
     def first_nonzero(self):
         """(row, col, value) of the first entry in row-major order, or None."""
-        if not self.rows:
-            return None
-        r = min(self.rows)
-        c = min(self.rows[r])
-        return r, c, self.rows[r][c]
+        for r, c in self._positions():
+            return r, c, self.entry(r, c)
+        return None
 
     def support_violation(self, allowed: Callable[[int, int], bool]):
         """First (row, col, value) with allowed(row, col) false, else None."""
-        for r in sorted(self.rows):
-            row = self.rows[r]
-            for c in sorted(row):
-                if not allowed(r, c):
-                    return r, c, row[c]
+        for r, c in self._positions():
+            if not allowed(r, c):
+                return r, c, self.entry(r, c)
         return None
 
-    def restrict(self, positions) -> list:
-        """Dense submatrix on the given positions (row-major list of lists)."""
-        return [[self.entry(r, c) for c in positions] for r in positions]
+    def restrict(self, positions) -> tuple[list, int]:
+        """(rows, d): dense integer numerators on the given positions, over d.
+
+        Only for rational operators (M1 empty) with int numerators."""
+        if self.m1:
+            raise ValueError("restrict needs a rational operator")
+        m0 = self.m0
+        return [[m0.get(r, {}).get(c, 0) for c in positions] for r in positions], self.d
 
     def coordinate_lines(self, labels=None):
         """Deterministic 'row col value' lines for external inspection."""
-        for r in sorted(self.rows):
-            row = self.rows[r]
-            for c in sorted(row):
-                if labels is None:
-                    yield f"{r} {c} {row[c]}"
-                else:
-                    yield f"{labels[r]} {labels[c]} {row[c]}"
+        for r, c in self._positions():
+            v = self.entry(r, c)
+            if labels is None:
+                yield f"{r} {c} {v}"
+            else:
+                yield f"{labels[r]} {labels[c]} {v}"
 
     # -- arithmetic -----------------------------------------------------------
+
+    def _combine(self, other: "SparseOperator", sign: int) -> "SparseOperator":
+        """self + sign * other, cross-multiplying the denominators."""
+        q = _common_q(self.q, other.q)
+        d = lcm(self.d, other.d)
+        a, b = d // self.d, sign * (d // other.d)
+        return self._new(d, _rows_lincomb(self.m0, a, other.m0, b),
+                         _rows_lincomb(self.m1, a, other.m1, b), q)
 
     def __add__(self, other: "SparseOperator") -> "SparseOperator":
         if not isinstance(other, SparseOperator):
             return NotImplemented
-        rows = {r: dict(row) for r, row in self.rows.items()}
-        for r, row in other.rows.items():
-            mine = rows.get(r)
-            if mine is None:
-                rows[r] = dict(row)
-                continue
-            for c, v in row.items():
-                s = mine.get(c, 0) + v
-                if s:
-                    mine[c] = s
-                elif c in mine:
-                    del mine[c]
-            if not mine:
-                del rows[r]
-        return SparseOperator(self.dim, rows)
+        return self._combine(other, 1)
 
     def __sub__(self, other: "SparseOperator") -> "SparseOperator":
         if not isinstance(other, SparseOperator):
             return NotImplemented
-        rows = {r: dict(row) for r, row in self.rows.items()}
-        for r, row in other.rows.items():
-            mine = rows.get(r)
-            if mine is None:
-                rows[r] = {c: -v for c, v in row.items()}
-                continue
-            for c, v in row.items():
-                s = mine.get(c, 0) - v
-                if s:
-                    mine[c] = s
-                elif c in mine:
-                    del mine[c]
-            if not mine:
-                del rows[r]
-        return SparseOperator(self.dim, rows)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "SparseOperator":
-        return SparseOperator(
-            self.dim, {r: {c: -v for c, v in row.items()} for r, row in self.rows.items()})
+        return self._new(self.d, _rows_scale(self.m0, -1), _rows_scale(self.m1, -1),
+                         self.q)
 
     def __matmul__(self, other: "SparseOperator") -> "SparseOperator":
+        """(X0 + r X1)/d @ (Y0 + r Y1)/e = (X0Y0 + q X1Y1 + r (X0Y1 + X1Y0))/(de)."""
         if not isinstance(other, SparseOperator):
             return NotImplemented
-        orows = other.rows
-        out = {}
-        for r, row in self.rows.items():
-            acc: dict = {}
-            for m, xv in row.items():
-                orow = orows.get(m)
-                if not orow:
-                    continue
-                if type(xv) is int and xv == 1:
-                    for c, yv in orow.items():
-                        if c in acc:
-                            acc[c] = acc[c] + yv
-                        else:
-                            acc[c] = yv
-                else:
-                    for c, yv in orow.items():
-                        if c in acc:
-                            acc[c] = acc[c] + xv * yv
-                        else:
-                            acc[c] = xv * yv
-            acc = {c: v for c, v in acc.items() if v}
-            if acc:
-                out[r] = acc
-        return SparseOperator(self.dim, out)
+        q = _common_q(self.q, other.q)
+        x0, x1, y0, y1 = self.m0, self.m1, other.m0, other.m1
+        m0 = _rows_mul(x0, y0)
+        m1: dict = {}
+        if x1 or y1:
+            m0 = _rows_lincomb(m0, 1, _rows_mul(x1, y1), q)
+            m1 = _rows_lincomb(_rows_mul(x0, y1), 1, _rows_mul(x1, y0), 1)
+        return self._new(self.d * other.d, m0, m1, q)
 
     def scale(self, s) -> "SparseOperator":
-        if type(s) is int and s == 1:
+        """s * self for a scalar s: (n0 + n1 r)(M0 + r M1) over e d."""
+        n0, n1, e, qs = _split(s)
+        if n0 == 1 and not n1 and e == 1:
             return self
-        if not s:
-            return SparseOperator.zero(self.dim)
-        out = {}
-        for r, row in self.rows.items():
-            acc = {c: s * v for c, v in row.items()}
-            acc = {c: v for c, v in acc.items() if v}
-            if acc:
-                out[r] = acc
-        return SparseOperator(self.dim, out)
+        q = _common_q(self.q, qs)
+        m0, m1 = self.m0, self.m1
+        return self._new(self.d * e,
+                         _rows_lincomb(m0, n0, m1, q * n1 if n1 else 0),
+                         _rows_lincomb(m1, n0, m0, n1), q)
 
     def transpose(self) -> "SparseOperator":
-        out: dict = {}
-        for r, row in self.rows.items():
-            for c, v in row.items():
-                out.setdefault(c, {})[r] = v
-        return SparseOperator(self.dim, out)
+        return self._new(self.d, _rows_transpose(self.m0), _rows_transpose(self.m1),
+                         self.q)
 
     def with_entry_added(self, r: int, c: int, delta) -> "SparseOperator":
         """Copy with delta added at (r, c); used by the negative controls."""
-        rows = {rr: dict(row) for rr, row in self.rows.items()}
-        row = rows.setdefault(r, {})
-        v = row.get(c, 0) + delta
-        if v:
-            row[c] = v
-        else:
-            row.pop(c, None)
-            if not row:
-                del rows[r]
-        return SparseOperator(self.dim, rows)
+        return self + SparseOperator(self.dim, {r: {c: delta}})
 
     def __eq__(self, other):
         if not isinstance(other, SparseOperator):
             return NotImplemented
-        return self.dim == other.dim and self.rows == other.rows
+        return self.dim == other.dim and (self - other).is_zero()
+
+    __hash__ = None
 
     def __repr__(self):
         return f"SparseOperator(dim={self.dim}, nnz={self.nnz()})"

@@ -571,11 +571,19 @@ SUITES = tuple(dict.fromkeys(rel.suite for rel in REGISTRY))
 # ---------------------------------------------------------------------------
 
 def relations_for(mode: str, suites: Optional[Sequence[str]] = None) -> list[Relation]:
+    """The relations of the named suites (all by default) that apply to mode.
+
+    A named suite without a relation in mode raises ValueError, so a run
+    never passes vacuously."""
     wanted = set(SUITES if not suites or "all" in suites else suites)
     unknown = wanted - set(SUITES)
     if unknown:
         raise ValueError(f"unknown suites: {sorted(unknown)}")
-    return [r for r in REGISTRY if mode in r.modes and r.suite in wanted]
+    out = [r for r in REGISTRY if mode in r.modes and r.suite in wanted]
+    for suite in dict.fromkeys(suites or ()):
+        if suite != "all" and not any(r.suite == suite for r in out):
+            raise ValueError(f"suite {suite} has no relations in {mode} mode")
+    return out
 
 
 def _select(mode: str, suites, relation_ids) -> list[Relation]:

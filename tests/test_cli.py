@@ -117,7 +117,21 @@ def test_run_verify_with_timings_flag():
     cfg = parse_args(["verify", "--q", "2", "--h", "2", "--k", "1",
                       "--suite", "counts", "--format", "json", "--timings"])
     _, out = run(cfg)
-    assert "timings" in json.loads(out)
+    timings = json.loads(out)["timings"]
+    assert list(timings)[:2] == ["phase.geometry_build", "phase.operators_build"]
+    assert "counts.slash_down" in timings
+
+
+def test_run_decompose_timings_phases():
+    argv = ["decompose", "--q", "2", "--h", "2", "--k", "1", "--format", "json"]
+    _, plain = run(parse_args(argv))
+    assert "timings" not in json.loads(plain)
+    _, out = run(parse_args(argv + ["--timings"]))
+    payload = json.loads(out)
+    assert list(payload.pop("timings")) == [
+        "phase.geometry_build", "phase.operators_build",
+        "phase.multiplicities", "phase.bookkeeping"]
+    assert json.dumps(payload, indent=2) + "\n" == plain
 
 
 def test_run_verify_with_y_override():
@@ -237,6 +251,21 @@ def test_text_report_renders_error():
     assert text.splitlines() == [
         "context: command=verify",
         "error: relation module.k_eigen does not apply to geometry mode",
+        "summary: 0/0 pass, 1 fail",
+    ]
+
+
+@pytest.mark.parametrize("argv,mode", [
+    (["verify", "--q", "2", "--h", "2", "--k", "1", "--suite", "module"], "geometry"),
+    (["module", "--h", "2", "--k", "1", "--alpha", "0", "--beta", "1", "--rho", "0",
+      "--q", "2", "--suite", "counts"], "module"),
+])
+def test_suite_without_relations_in_mode_is_an_error(argv, mode):
+    status, text = run(parse_args(argv))
+    assert status == 1
+    assert text.splitlines() == [
+        f"context: command={argv[0]}",
+        f"error: suite {argv[-1]} has no relations in {mode} mode",
         "summary: 0/0 pass, 1 fail",
     ]
 

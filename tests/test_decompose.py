@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 from pgaw.decompose import (
@@ -16,6 +17,47 @@ def test_rank_small_oracles():
     assert _rank([[1, 2], [2, 4]]) == 1
     assert _rank([[1, 0], [0, 1]]) == 2
     assert _rank([[Fraction(1, 2), 1], [1, 2], [3, 7]]) == 2
+
+
+def _fraction_rank(rows):
+    """Gauss-Jordan elimination over Fraction: the reference for _rank."""
+    rows = [[Fraction(x) for x in row] for row in rows if any(row)]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        prow = [x / rows[rank][col] for x in rows[rank]]
+        rows[rank] = prow
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], prow)]
+        rank += 1
+    return rank
+
+
+def test_rank_matches_fraction_elimination():
+    rng = random.Random(5)
+    for _ in range(300):
+        nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
+        basis = [[Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(ncols)]
+                 for _ in range(rng.randint(0, min(nrows, ncols)))]
+        rows = []
+        for _ in range(nrows):
+            kind = rng.randrange(4)
+            if kind == 0 or not basis:
+                rows.append([0] * ncols)  # all-zero row
+            elif kind == 1:
+                rows.append([rng.choice((0, 0, rng.randint(-9, 9), Fraction(1, 7)))
+                             for _ in range(ncols)])
+            else:  # a combination of a few rows: rank deficiency
+                coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in basis]
+                rows.append([sum((c * b[j] for c, b in zip(coeffs, basis)), Fraction(0))
+                             for j in range(ncols)])
+        rng.shuffle(rows)
+        assert _rank(rows) == _fraction_rank(rows), rows
 
 
 def test_multiplicities_221(geometry_cache, ops_cache):

@@ -87,7 +87,7 @@ def test_l1_annihilates_left_edge():
     m = build_abstract_module(t, R2)
     for j in t.j_range:
         col = m.index[(t.alpha, j)]
-        assert all(col not in row for row in m.ops["L1"].rows.values())
+        assert all(m.ops["L1"].entry(r, col) == 0 for r in range(m.dim))
 
 
 def test_l1r1_action_scalar():

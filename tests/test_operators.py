@@ -10,7 +10,7 @@ from pgaw.operators import (
     build_geometry_operators,
     commutator,
 )
-from pgaw.rings import QuadRing, RingMismatchError
+from pgaw.rings import QuadRing, QuadScalar, RingMismatchError
 
 
 def span(indices, n=3, q=2):
@@ -25,37 +25,91 @@ def _dense(op):
     return [[op.entry(r, c) for c in range(op.dim)] for r in range(op.dim)]
 
 
-def _random_sparse(rng, dim):
+def _random_scalar(rng, q):
+    kind = rng.randrange(3)
+    if kind == 0:
+        return rng.randint(-4, 4)
+    if kind == 1:
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3 * q))
+    return QuadRing(q).quad(Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
+                            Fraction(rng.randint(-3, 3), rng.randint(1, 2 * q)))
+
+
+def _random_sparse(rng, dim, q=2):
     entries = []
     for _ in range(rng.randint(0, dim * dim // 2)):
-        entries.append((rng.randrange(dim), rng.randrange(dim),
-                        Fraction(rng.randint(-4, 4), rng.randint(1, 3))))
+        entries.append((rng.randrange(dim), rng.randrange(dim), _random_scalar(rng, q)))
     return SparseOperator.from_entries(dim, entries)
 
 
-def test_sparse_matmul_against_dense_oracle():
-    rng = random.Random(11)
-    for _ in range(25):
+def _oracle_cases(q, seed):
+    """(result, expected entries) of every operation on random operands."""
+    rng = random.Random(seed)
+    for _ in range(40):
         dim = rng.randint(1, 6)
-        x, y = _random_sparse(rng, dim), _random_sparse(rng, dim)
+        x, y = _random_sparse(rng, dim, q), _random_sparse(rng, dim, q)
         dx, dy = _dense(x), _dense(y)
-        expected = [[sum(dx[r][m] * dy[m][c] for m in range(dim))
-                     for c in range(dim)] for r in range(dim)]
-        assert _dense(x @ y) == expected
-        assert _dense(x + y) == [[dx[r][c] + dy[r][c] for c in range(dim)]
-                                 for r in range(dim)]
-        assert _dense(x - y) == [[dx[r][c] - dy[r][c] for c in range(dim)]
-                                 for r in range(dim)]
+        cells = [(r, c) for r in range(dim) for c in range(dim)]
+        products = {(r, c): sum((dx[r][m] * dy[m][c] for m in range(dim)), 0)
+                    for r, c in cells}
+        scalars = (rng.randint(-3, 3), Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
+                   _random_scalar(rng, q), QuadRing(q).sqrt_q)
+        r0, c0, delta = rng.randrange(dim), rng.randrange(dim), _random_scalar(rng, q)
+        results = [(x @ y, lambda r, c: products[r, c]),
+                   (x + y, lambda r, c: dx[r][c] + dy[r][c]),
+                   (x - y, lambda r, c: dx[r][c] - dy[r][c]),
+                   (-x, lambda r, c: -dx[r][c]),
+                   (x.transpose(), lambda r, c: dx[c][r]),
+                   (x - x, lambda r, c: 0),
+                   (x.with_entry_added(r0, c0, delta),
+                    lambda r, c: dx[r][c] + (delta if (r, c) == (r0, c0) else 0))]
+        results += [(x.scale(s), lambda r, c, s=s: s * dx[r][c]) for s in scalars]
+        for op, want in results:
+            yield op, {(r, c): want(r, c) for r, c in cells}
+
+
+def test_sparse_matmul_against_dense_oracle():
+    # @, +, -, negation, transpose, with_entry_added, scale by int, Fraction
+    # and QuadScalar, entry, first_nonzero and == on entries mixing int,
+    # Fraction and QuadScalar
+    for q in (2, 3):
+        for op, expected in _oracle_cases(q, 11 + q):
+            assert {rc: op.entry(*rc) for rc in expected} == expected
+            for v in map(op.entry, *zip(*expected)):
+                # canonical: rational values never come back as QuadScalar
+                assert type(v) in (int, Fraction, QuadScalar)
+                assert type(v) is not QuadScalar or v.b
+                assert type(v) is not Fraction or v.denominator > 1
+            nonzero = [(r, c, v) for (r, c), v in sorted(expected.items()) if v]
+            assert op.first_nonzero() == (nonzero[0] if nonzero else None)
+            assert op.nnz() == len(nonzero)
+            assert op.is_zero() == (not nonzero)
+            assert op == SparseOperator.from_entries(op.dim, nonzero)
+            assert op != op.with_entry_added(op.dim - 1, 0, Fraction(1, 3))
 
 
 def test_sparse_never_stores_zeros():
-    rng = random.Random(3)
-    for _ in range(20):
-        x, y = _random_sparse(rng, 5), _random_sparse(rng, 5)
-        for op in (x + y, x - y, x @ y, x.scale(Fraction(2, 3)), (x - x)):
-            for r, row in op.rows.items():
-                assert row, "empty row stored"
-                assert all(v for v in row.values()), "zero entry stored"
+    for q in (2, 3):
+        for op, _ in _oracle_cases(q, 3 + q):
+            assert op.d >= 1
+            assert (op.q is None) == (not op.m1)
+            for part in (op.m0, op.m1):
+                for row in part.values():
+                    assert row, "empty row stored"
+                    assert all(type(v) is int and v for v in row.values()), \
+                        "zero or non-integer numerator stored"
+
+
+def test_mixed_q_rejected():
+    x = SparseOperator.diagonal([QuadRing(2).sqrt_q, 1])
+    y = SparseOperator.diagonal([QuadRing(3).sqrt_q, 1])
+    for combine in (lambda: x @ y, lambda: x + y, lambda: x - y,
+                    lambda: x.scale(QuadRing(3).sqrt_q), lambda: x == y,
+                    lambda: x.with_entry_added(0, 0, QuadRing(3).sqrt_q)):
+        with pytest.raises(RingMismatchError):
+            combine()
+    # rational operators carry no q and combine with either ring
+    assert (x @ SparseOperator.diagonal([Fraction(1, 3), 2])).q == 2
 
 
 def test_sparse_transpose_and_identity():
@@ -122,9 +176,9 @@ def test_l1_entry_example(ops_cache, geometry_cache):
 def test_r1_column_sums_match_up_degree(ops_cache, geometry_cache):
     g = geometry_cache(2, 2, 1)
     ops = ops_cache(2, 2, 1)
-    r1t = ops["R1"].transpose()
+    r1 = ops["R1"]
     for p, (i, j) in enumerate(g.ij):
-        colsum = sum(r1t.rows.get(p, {}).values())
+        colsum = sum(r1.entry(r, p) for r in range(g.size))
         assert colsum == (2 ** (g.k - i) - 1) // (2 - 1)
 
 
