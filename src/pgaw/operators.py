@@ -105,12 +105,13 @@ def _rows_mul(x: dict, y: dict) -> dict:
 
 def _rows_scale(x: dict, s) -> dict:
     """s * x; a product of nonzero field elements is nonzero."""
-    if s == 1:
-        return x
-    if not s:
-        return {}
-    if s == -1:  # negating a RatFunc is cheaper than multiplying it
-        return {r: {c: -v for c, v in row.items()} for r, row in x.items()}
+    if type(s) is int:
+        if s == 1:
+            return x
+        if not s:
+            return {}
+        if s == -1:  # negating a RatFunc is cheaper than multiplying it
+            return {r: {c: -v for c, v in row.items()} for r, row in x.items()}
     return {r: {c: s * v for c, v in row.items()} for r, row in x.items()}
 
 
@@ -120,17 +121,23 @@ def _rows_lincomb(x: dict, a, y: dict, b) -> dict:
         return _rows_scale(x, a)
     if not a or not x:
         return _rows_scale(y, b)
-    out = {r: dict(row) for r, row in x.items()} if a == 1 else _rows_scale(x, a)
-    for r, row in _rows_scale(y, b).items():
+    out = _rows_scale(x, a)
+    if out is x:
+        out = {r: dict(row) for r, row in x.items()}
+    scaled = _rows_scale(y, b)
+    for r, row in scaled.items():
         mine = out.get(r)
         if mine is None:
-            out[r] = row if b != 1 else dict(row)
+            out[r] = dict(row) if scaled is y else row
             continue
         for c, v in row.items():
-            s = mine.get(c, 0) + v
+            if c not in mine:
+                mine[c] = v
+                continue
+            s = mine[c] + v
             if s:
                 mine[c] = s
-            elif c in mine:
+            else:
                 del mine[c]
         if not mine:
             del out[r]
@@ -342,8 +349,6 @@ class SparseOperator:
         if not isinstance(other, SparseOperator):
             return NotImplemented
         return self.dim == other.dim and (self - other).is_zero()
-
-    __hash__ = None
 
     def __repr__(self):
         return f"SparseOperator(dim={self.dim}, nnz={self.nnz()})"
