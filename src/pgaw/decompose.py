@@ -10,7 +10,6 @@ inside the corner stratum (alpha, rho+beta), computed by exact elimination.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from .geometry import GeometryIndex
 from .modules import ModuleType, enumerate_types
@@ -20,22 +19,14 @@ from .verify import Outcome, VerificationReport
 MultiplicityMap = dict[ModuleType, int]
 
 
-def _integer_row(row: list) -> list:
-    """The row times the lcm of its entries' denominators (ints and Fractions)."""
-    m = lcm(*(x.denominator for x in row if type(x) is Fraction))
-    if m == 1:
-        return [int(x) for x in row]
-    return [int(x * m) for x in row]
-
-
 def _rank(rows: list[list]) -> int:
-    """Rank over Q by fraction-free (Bareiss) elimination on integer rows.
+    """Rank of a matrix of int rows by fraction-free (Bareiss) elimination.
 
-    Each row's denominators are cleared first.  After each pivot step every
-    remaining entry is a minor of the input, so the division by the previous
-    pivot is exact (Sylvester's identity; Bareiss, Math. Comp. 22, 1968).
+    After each pivot step every remaining entry is a minor of the input, so
+    the division by the previous pivot is exact (Sylvester's identity;
+    Bareiss, Math. Comp. 22, 1968).
     """
-    rows = [_integer_row(row) for row in rows if any(row)]
+    rows = [row for row in rows if any(row)]
     rank, prev = 0, 1
     ncols = len(rows[0]) if rows else 0
     for col in range(ncols):

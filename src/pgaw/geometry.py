@@ -266,7 +266,6 @@ class GeometryIndex:
         meets = [u.intersect(y) for u in self.elements]
         self.meet_y = tuple(self.index[m] for m in meets)
         self.ij = tuple((m.dim, u.dim - m.dim) for u, m in zip(self.elements, meets))
-        self.level_of = tuple(u.dim for u in self.elements)
 
         self.strata: dict[tuple[int, int], tuple[int, ...]] = {}
         strata: dict[tuple[int, int], list[int]] = {}
@@ -306,9 +305,6 @@ class GeometryIndex:
 
     def stratum(self, i: int, j: int) -> tuple[int, ...]:
         return self.strata.get((i, j), ())
-
-    def position(self, u: Subspace) -> int:
-        return self.index[u]
 
     def labels(self) -> tuple[str, ...]:
         return tuple(u.label() for u in self.elements)

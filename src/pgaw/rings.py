@@ -4,8 +4,12 @@ Two coefficient fields are supported:
 
 * numeric mode -- Q(sqrt(q)) for a fixed non-square prime q, elements
   ``a + b*sqrt(q)`` with arbitrary-precision rational a, b;
-* symbolic mode -- rational functions in an indeterminate ``s`` with
-  ``q = s**2``, so half-integer powers of q are Laurent monomials in s.
+* symbolic mode -- integer Laurent polynomials in an indeterminate ``s``
+  over ``(s-1)**b (s+1)**c``, with ``q = s**2``: half-integer powers of q
+  are Laurent monomials in s, and the paper's coefficients only ever
+  divide by powers of ``q - 1 = (s-1)(s+1)``.  Reduction is synthetic
+  division by ``s - 1`` and ``s + 1``; inverting anything but a unit
+  ``c s**m (s-1)**i (s+1)**j`` raises ValueError.
 
 Plain Python ints and ``fractions.Fraction`` values embed canonically in
 both fields and are accepted by every operation; results collapse back to
@@ -188,7 +192,6 @@ class QuadRing:
         self.sqrt_q = QuadScalar(0, 1, q)
 
     zero = 0
-    one = 1
 
     def quad(self, a, b):
         """Build a + b*sqrt(q), collapsed to a rational when b == 0."""
@@ -230,8 +233,74 @@ class QuadRing:
 
 
 # ---------------------------------------------------------------------------
-# Laurent polynomials in s and their quotients (q = s**2)
+# Laurent polynomials in s and their quotients by (s-1)^b (s+1)^c (q = s**2)
 # ---------------------------------------------------------------------------
+
+def _terms_add(x: dict, y: dict) -> dict:
+    """Sum of two {exponent: coefficient} dicts; zeros never stored."""
+    out = dict(x)
+    for e, v in y.items():
+        w = out.get(e, 0) + v
+        if w:
+            out[e] = w
+        else:
+            del out[e]  # w == 0 with v != 0 means e was present
+    return out
+
+
+def _terms_mul(x: dict, y: dict) -> dict:
+    out: dict = {}
+    for e1, v1 in x.items():
+        for e2, v2 in y.items():
+            e = e1 + e2
+            out[e] = out.get(e, 0) + v1 * v2
+    return {e: v for e, v in out.items() if v}
+
+
+def _terms_scale(x: dict, shift: int, c) -> dict:
+    """x times c*s**shift for a nonzero rational c; integral coefficients stay ints."""
+    if type(c) is int:
+        return {e + shift: v * c for e, v in x.items()}
+    return {e + shift: _demote(v * c) for e, v in x.items()}
+
+
+def _root(x: dict, r: int) -> bool:
+    """Whether s = r (1 or -1) is a root of the nonzero x."""
+    if r == 1:
+        return not sum(x.values())
+    return not sum(v if e & 1 == 0 else -v for e, v in x.items())
+
+
+def _lift(x: dict, b: int, c: int) -> dict:
+    """x * (s-1)**b * (s+1)**c."""
+    for r in (1,) * b + (-1,) * c:
+        out = {e + 1: v for e, v in x.items()}
+        for e, v in x.items():
+            w = out.get(e, 0) - r * v
+            if w:
+                out[e] = w
+            else:
+                del out[e]
+        x = out
+    return x
+
+
+def _cancel(x: dict, r: int, limit: int):
+    """Divide (s - r) out of x while s = r is a root, at most limit times.
+
+    Synthetic division by a monic linear factor, so integer coefficients stay
+    integers.  Returns (quotient, number of factors divided out).
+    """
+    n = 0
+    while n < limit and _root(x, r):
+        out, acc = {}, 0
+        for e in range(max(x), min(x), -1):
+            acc = x.get(e, 0) + r * acc
+            if acc:
+                out[e - 1] = acc
+        x, n = out, n + 1
+    return x, n
+
 
 class LaurentPoly:
     """Laurent polynomial in s as {exponent: coefficient}; zeros never stored."""
@@ -239,22 +308,13 @@ class LaurentPoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        t = {}
-        if terms:
-            for e, c in terms.items():
-                if c:
-                    t[e] = c
-        self.terms = t
+        self.terms = {e: c for e, c in (terms or {}).items() if c}
 
     @staticmethod
-    def monomial(exp: int, coeff=1) -> "LaurentPoly":
+    def _of(terms: dict) -> "LaurentPoly":
         p = LaurentPoly.__new__(LaurentPoly)
-        p.terms = {exp: coeff} if coeff else {}
+        p.terms = terms
         return p
-
-    @staticmethod
-    def constant(c) -> "LaurentPoly":
-        return LaurentPoly.monomial(0, c)
 
     def __bool__(self):
         return bool(self.terms)
@@ -262,97 +322,28 @@ class LaurentPoly:
     def __eq__(self, other):
         if isinstance(other, LaurentPoly):
             return self.terms == other.terms
-        if type(other) in (int, Fraction):
-            if not other:
-                return not self.terms
-            return len(self.terms) == 1 and self.terms.get(0) == other
         return NotImplemented
 
     def __hash__(self):
         return hash(tuple(sorted(self.terms.items())))
 
     def __neg__(self):
-        p = LaurentPoly.__new__(LaurentPoly)
-        p.terms = {e: -c for e, c in self.terms.items()}
-        return p
+        return LaurentPoly._of({e: -c for e, c in self.terms.items()})
 
     def __add__(self, other):
-        if type(other) in (int, Fraction):
-            other = LaurentPoly.constant(other)
-        elif not isinstance(other, LaurentPoly):
+        if not isinstance(other, LaurentPoly):
             return NotImplemented
-        t = dict(self.terms)
-        for e, c in other.terms.items():
-            v = t.get(e, 0) + c
-            if v:
-                t[e] = v
-            elif e in t:
-                del t[e]
-        p = LaurentPoly.__new__(LaurentPoly)
-        p.terms = t
-        return p
-
-    __radd__ = __add__
+        return LaurentPoly._of(_terms_add(self.terms, other.terms))
 
     def __sub__(self, other):
-        if type(other) in (int, Fraction):
-            other = LaurentPoly.constant(other)
-        elif not isinstance(other, LaurentPoly):
+        if not isinstance(other, LaurentPoly):
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
-        if type(other) in (int, Fraction):
-            if not other:
-                return LaurentPoly()
-            p = LaurentPoly.__new__(LaurentPoly)
-            p.terms = {e: c * other for e, c in self.terms.items()}
-            return p
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        t = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                v = t.get(e, 0) + c1 * c2
-                if v:
-                    t[e] = v
-                elif e in t:
-                    del t[e]
-        p = LaurentPoly.__new__(LaurentPoly)
-        p.terms = t
-        return p
-
-    __rmul__ = __mul__
-
-    def min_exp(self) -> int:
-        return min(self.terms)
-
-    def max_exp(self) -> int:
-        return max(self.terms)
-
-    def shifted(self, d: int) -> "LaurentPoly":
-        """Multiply by s**d."""
-        if not d or not self.terms:
-            return self
-        p = LaurentPoly.__new__(LaurentPoly)
-        p.terms = {e + d: c for e, c in self.terms.items()}
-        return p
-
-    def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and 0 in self.terms)
-
-    def constant_value(self):
-        return self.terms.get(0, 0)
-
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
-
-    def lead_coeff(self):
-        return self.terms[self.max_exp()]
+        return LaurentPoly._of(_terms_mul(self.terms, other.terms))
 
     def evaluate(self, x, x_inv=None):
         """Value at s = x; x_inv supplies x**-1 for negative exponents."""
@@ -362,7 +353,7 @@ class LaurentPoly:
                 total = total + c * (x ** e)
             else:
                 if x_inv is None:
-                    x_inv = 1 / x
+                    x_inv = Fraction(1) / x  # 1 / x would be a float for int x
                 total = total + c * (x_inv ** (-e))
         return total
 
@@ -392,169 +383,98 @@ class LaurentPoly:
         return f"LaurentPoly({self.terms!r})"
 
 
-def _poly_divmod(a: LaurentPoly, b: LaurentPoly):
-    """Division with remainder of ordinary polynomials (min exponents >= 0)."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = dict(a.terms)
-    quo = {}
-    db = b.max_exp()
-    lb = b.terms[db]
-    while rem:
-        dr = max(rem)
-        if dr < db:
-            break
-        f = _as_fraction(rem[dr]) / lb
-        quo[dr - db] = _demote(f)
-        for e, c in b.terms.items():
-            t = e + dr - db
-            v = rem.get(t, 0) - f * c
-            if v:
-                rem[t] = _demote(_as_fraction(v))
-            elif t in rem:
-                del rem[t]
-    return LaurentPoly(quo), LaurentPoly(rem)
-
-
-def laurent_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Monic gcd with minimal exponent 0 (defined up to a monomial unit)."""
-    if not a and not b:
-        return LaurentPoly()
-    a = a.shifted(-a.min_exp()) if a else LaurentPoly()
-    b = b.shifted(-b.min_exp()) if b else LaurentPoly()
-    while b:
-        _, r = _poly_divmod(a, b)
-        a, b = b, (r.shifted(-r.min_exp()) if r else r)
-    lc = a.lead_coeff()
-    if lc != 1:
-        a = a * (Fraction(1) / _as_fraction(lc))
-    return a
-
-
-_LP_ONE = LaurentPoly.constant(1)
-
-
 class RatFunc:
-    """Reduced quotient of Laurent polynomials in s.
+    """num / ((s-1)^b (s+1)^c): a Laurent polynomial over powers of s-1 and s+1.
 
-    Canonical form: the denominator is monic with minimal exponent 0 and is
-    coprime to the numerator after clearing s-powers.  Construct through
-    :func:`ratfunc_reduce`; constant values collapse to int/Fraction there,
-    so a RatFunc instance always carries a genuinely non-constant value.
+    These are the only denominators the paper's coefficients produce (powers
+    of q - 1 = (s-1)(s+1)).  The form is reduced: num(1) != 0 when b > 0 and
+    num(-1) != 0 when c > 0, which makes it unique, so equality compares the
+    parts.  Only units c s^m (s-1)^i (s+1)^j can be inverted.  Construct
+    through :func:`ratfunc_reduce` or a :class:`SymbolicRing`; constant values
+    collapse to int/Fraction there, so a RatFunc instance always carries a
+    genuinely non-constant value.
     """
 
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: LaurentPoly, den: LaurentPoly):
-        self.num = num
-        self.den = den
+    __slots__ = ("num", "b", "c")
 
     @staticmethod
-    def _raw(num: LaurentPoly, den: LaurentPoly) -> "RatFunc":
+    def _raw(terms: dict, b: int, c: int) -> "RatFunc":
         r = RatFunc.__new__(RatFunc)
-        r.num = num
-        r.den = den
+        r.num, r.b, r.c = LaurentPoly._of(terms), b, c
         return r
 
-    # -- construction ------------------------------------------------------
-
     @staticmethod
-    def _normalize(num: LaurentPoly, den: LaurentPoly):
-        if not den:
-            raise ZeroDivisionError("rational function with zero denominator")
-        if not num:
+    def _make(terms: dict, b: int, c: int):
+        """The reduced scalar terms / ((s-1)^b (s+1)^c)."""
+        if not terms:
             return 0
-        shift = -den.min_exp()
-        den = den.shifted(shift)
-        num = num.shifted(shift)
-        if den.is_monomial():
-            # den = c (after the shift): absorb it into the numerator
-            c = den.constant_value()
-            if c != 1:
-                num = num * (Fraction(1) / _as_fraction(c))
-            return RatFunc._from_poly(num)
-        lc = den.lead_coeff()
-        if lc != 1:
-            f = Fraction(1) / _as_fraction(lc)
-            num = num * f
-            den = den * f
-        v = num.min_exp()
-        g = laurent_gcd(num.shifted(-v), den)
-        if g.max_exp() > 0:
-            num, _ = _poly_divmod(num.shifted(-v), g)
-            num = num.shifted(v)
-            den, _ = _poly_divmod(den, g)
-            if den.is_monomial():
-                c = den.constant_value()
-                if c != 1:
-                    num = num * (Fraction(1) / _as_fraction(c))
-                return RatFunc._from_poly(num)
-        return RatFunc._raw(num, den)
+        if b:
+            terms, n = _cancel(terms, 1, b)
+            b -= n
+        if c:
+            terms, n = _cancel(terms, -1, c)
+            c -= n
+        if not b and not c and len(terms) == 1 and 0 in terms:
+            return terms[0]
+        return RatFunc._raw(terms, b, c)
 
     @staticmethod
-    def _from_poly(num: LaurentPoly):
-        if num.is_constant():
-            return _demote(_as_fraction(num.constant_value()))
-        return RatFunc._raw(num, _LP_ONE)
-
-    @staticmethod
-    def _lift(x):
+    def _parts(x):
         if type(x) is RatFunc:
-            return x.num, x.den
-        return LaurentPoly.constant(x), _LP_ONE
-
-    # -- arithmetic ---------------------------------------------------------
+            return x.num.terms, x.b, x.c
+        return ({0: x} if x else {}), 0, 0
 
     def __add__(self, other):
         if type(other) not in (RatFunc, int, Fraction):
             return NotImplemented
-        n2, d2 = RatFunc._lift(other)
-        n1, d1 = self.num, self.den
-        if d1 is _LP_ONE and d2 is _LP_ONE:
-            return RatFunc._from_poly(n1 + n2)
-        if d1 == d2:
-            return RatFunc._normalize(n1 + n2, d1)
-        return RatFunc._normalize(n1 * d2 + n2 * d1, d1 * d2)
+        n2, b2, c2 = RatFunc._parts(other)
+        b, c = max(self.b, b2), max(self.c, c2)
+        return RatFunc._make(_terms_add(_lift(self.num.terms, b - self.b, c - self.c),
+                                        _lift(n2, b - b2, c - c2)), b, c)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc._raw(-self.num, self.den)
+        return RatFunc._raw({e: -v for e, v in self.num.terms.items()}, self.b, self.c)
 
     def __sub__(self, other):
         if type(other) not in (RatFunc, int, Fraction):
             return NotImplemented
-        return self + (-other if type(other) is RatFunc else -_as_fraction(other))
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         t = type(other)
-        if t in (int, Fraction):
+        if t is int or t is Fraction:
             if not other:
                 return 0
-            return RatFunc._normalize(self.num * other, self.den)
+            return RatFunc._raw(_terms_scale(self.num.terms, 0, other), self.b, self.c)
         if t is not RatFunc:
             return NotImplemented
-        if self.den is _LP_ONE and other.den is _LP_ONE:
-            return RatFunc._from_poly(self.num * other.num)
-        return RatFunc._normalize(self.num * other.num, self.den * other.den)
+        return RatFunc._make(_terms_mul(self.num.terms, other.num.terms),
+                             self.b + other.b, self.c + other.c)
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "RatFunc":
-        return RatFunc._normalize(self.den, self.num)
+    def denominator(self) -> LaurentPoly:
+        """(s-1)^b (s+1)^c, expanded."""
+        return LaurentPoly._of(_lift({0: 1}, self.b, self.c))
+
+    def inverse(self):
+        """1/self for a unit c s^m (s-1)^i (s+1)^j; any other value raises ValueError."""
+        return ratfunc_reduce(self.denominator(), self.num)
 
     def __truediv__(self, other):
         t = type(other)
-        if t in (int, Fraction):
+        if t is int or t is Fraction:
             if not other:
                 raise ZeroDivisionError
-            return RatFunc._normalize(self.num, self.den * other)
+            return self * (Fraction(1) / other)
         if t is not RatFunc:
             return NotImplemented
-        return RatFunc._normalize(self.num * other.den, self.den * other.num)
+        return self * other.inverse()
 
     def __rtruediv__(self, other):
         if type(other) in (int, Fraction):
@@ -564,13 +484,13 @@ class RatFunc:
     def __eq__(self, other):
         t = type(other)
         if t is RatFunc:
-            return self.num == other.num and self.den == other.den
+            return self.b == other.b and self.c == other.c and self.num == other.num
         if t in (int, Fraction):
             return False  # constants never survive as RatFunc
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash((self.num, self.b, self.c))
 
     def __bool__(self):
         return True  # zero collapses to int 0 at construction
@@ -578,7 +498,7 @@ class RatFunc:
     def evaluate(self, x, x_inv=None):
         """Value at s = x (exact, in whatever ring x lives in)."""
         n = self.num.evaluate(x, x_inv)
-        d = self.den.evaluate(x, x_inv)
+        d = (x - 1) ** self.b * (x + 1) ** self.c
         if isinstance(d, QuadScalar):
             return n * d.inverse()
         if isinstance(n, QuadScalar):
@@ -586,49 +506,56 @@ class RatFunc:
         return _demote(_as_fraction(n) / _as_fraction(d))
 
     def __str__(self):
-        if self.den is _LP_ONE or self.den == _LP_ONE:
+        if not self.b and not self.c:
             return str(self.num)
-        return f"({self.num})/({self.den})"
+        return f"({self.num})/({self.denominator()})"
 
     def __repr__(self):
-        return f"RatFunc({self.num!r}, {self.den!r})"
+        return f"RatFunc({self.num!r}, b={self.b}, c={self.c})"
 
 
 def ratfunc_reduce(num: LaurentPoly, den: LaurentPoly):
-    """Canonical reduced fraction num/den; collapses to int/Fraction when constant."""
-    return RatFunc._normalize(num, den)
+    """Reduced num/den for den = c s^m (s-1)^b (s+1)^c; collapses to int/Fraction when constant.
+
+    Any other denominator raises ValueError, a zero one ZeroDivisionError.
+    """
+    if not den:
+        raise ZeroDivisionError("rational function with zero denominator")
+    span = max(den.terms) - min(den.terms)
+    rest, b = _cancel(den.terms, 1, span)
+    rest, c = _cancel(rest, -1, span)
+    if len(rest) != 1:
+        raise ValueError(f"{den} is not c*s^m*(s-1)^b*(s+1)^c, "
+                         "the only denominators of symbolic scalars")
+    (e, coeff), = rest.items()
+    return RatFunc._make(_terms_scale(num.terms, -e, Fraction(1) / coeff), b, c)
 
 
 class SymbolicRing:
-    """Rational functions in s with q = s**2; shared by all symbolic scalars."""
+    """Laurent polynomials in s over powers of s-1 and s+1, with q = s**2.
+
+    Every scalar is a RatFunc or a rational; inverting a non-unit (anything
+    but c s^m (s-1)^i (s+1)^j) raises ValueError.
+    """
 
     kind = "symbolic"
     q = None
 
     zero = 0
-    one = 1
 
     def q_half(self, m: int):
         """q**(m/2) = s**m."""
-        if m == 0:
-            return 1
-        return RatFunc._raw(LaurentPoly.monomial(m), _LP_ONE)
+        return RatFunc._make({m: 1}, 0, 0)
 
     def q_power(self, m: int):
         return self.q_half(2 * m)
 
-    @property
-    def s(self):
-        return self.q_half(1)
-
     def bracket(self, m: int):
         """[m] = (q**m - 1)/(q - 1) as a Laurent polynomial in s."""
-        if m == 0:
-            return 0
-        if m > 0:
-            return RatFunc._from_poly(LaurentPoly({2 * t: 1 for t in range(m)}))
+        if m >= 0:
+            return RatFunc._make({2 * t: 1 for t in range(m)}, 0, 0)
         # [-r] = -(q**-r + ... + q**-1)
-        return RatFunc._from_poly(LaurentPoly({2 * t: -1 for t in range(m, 0)}))
+        return RatFunc._make({2 * t: -1 for t in range(m, 0)}, 0, 0)
 
     def inv(self, x):
         if type(x) is RatFunc:

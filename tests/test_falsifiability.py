@@ -4,7 +4,9 @@ For each row of the relation tables, some single-entry perturbation (+1) of
 an operand the row names must make that row fail.  Entries are searched in
 row-major order, operand by operand, in geometry mode at (2,2,1) and on a
 numeric module.  A count row names a cover list instead; dropping one entry
-of it must make the row fail.
+of it must make the row fail.  The hand-written relations
+``gen.mixed_balance`` and ``module.k_eigen`` must fail under a perturbation
+of each operator they name.
 """
 
 import copy
@@ -64,12 +66,15 @@ def _detecting_perturbation(ops, rel_id, names):
     return None
 
 
+def _ops(ops_cache, mode):
+    if mode == GEOMETRY:
+        return ops_cache(2, 2, 1)
+    return build_abstract_module(ModuleType(0, 0, 0, h=3, k=2), QuadRing(2)).ops
+
+
 @pytest.mark.parametrize("mode", [GEOMETRY, MODULE])
 def test_every_operator_row_is_falsifiable(ops_cache, mode):
-    if mode == GEOMETRY:
-        ops = ops_cache(2, 2, 1)
-    else:
-        ops = build_abstract_module(ModuleType(0, 0, 0, h=3, k=2), QuadRing(2)).ops
+    ops = _ops(ops_cache, mode)
     rows = [(rel_id, names) for rel_id, modes, names in _operator_rows() if mode in modes]
     assert rows
     for rel_id, _ in rows:
@@ -77,6 +82,24 @@ def test_every_operator_row_is_falsifiable(ops_cache, mode):
     undetected = [rel_id for rel_id, names in rows
                   if _detecting_perturbation(ops, rel_id, names) is None]
     assert not undetected
+
+
+# Hand-written relations (not table rows) and the operators they name.
+HAND_WRITTEN = (
+    ("gen.mixed_balance", (GEOMETRY, MODULE), ("L1", "R1", "L2", "R2")),
+    ("module.k_eigen", (MODULE,), ("K1", "K1i", "K2", "K2i")),
+)
+
+
+@pytest.mark.parametrize("mode", [GEOMETRY, MODULE])
+def test_hand_written_relations_are_falsifiable(ops_cache, mode):
+    ops = _ops(ops_cache, mode)
+    for rel_id, modes, names in HAND_WRITTEN:
+        if mode not in modes:
+            continue
+        assert run_relation(ops, rel_id).passed, rel_id
+        for name in names:
+            assert _detecting_perturbation(ops, rel_id, (name,)), (rel_id, name)
 
 
 def test_every_count_row_is_falsifiable(geometry_cache):

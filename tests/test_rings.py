@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from pgaw.modules import build_abstract_module, enumerate_types
 from pgaw.rings import (
     LaurentPoly,
     QuadRing,
@@ -19,10 +20,6 @@ from pgaw.rings import (
 
 R2 = QuadRing(2)
 SYM = SymbolicRing()
-
-
-def s_poly(exp, coeff=1):
-    return LaurentPoly.monomial(exp, coeff)
 
 
 # ---------------------------------------------------------------------------
@@ -100,8 +97,147 @@ def test_quad_half_powers():
 
 
 # ---------------------------------------------------------------------------
-# Laurent polynomials and rational functions
+# Laurent polynomials over (s-1)^b (s+1)^c
 # ---------------------------------------------------------------------------
+
+ONE = LaurentPoly({0: 1})
+
+
+def poly(terms):
+    """The symbolic scalar with the given {exponent: coefficient} terms."""
+    return ratfunc_reduce(LaurentPoly(terms), ONE)
+
+
+def _pmul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _padd(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _linear_power(r: int, n: int) -> dict:
+    """(s - r)**n."""
+    out = {0: 1}
+    for _ in range(n):
+        out = _pmul(out, {1: 1, 0: -r})
+    return out
+
+
+def _denominator(x: RatFunc) -> LaurentPoly:
+    return LaurentPoly(_pmul(_linear_power(1, x.b), _linear_power(-1, x.c)))
+
+
+# -- the former gcd normalisation over Q(s), kept as the oracle ----------------
+
+def _shift(a: dict, d: int) -> dict:
+    return {e + d: c for e, c in a.items()}
+
+
+def _ref_divmod(a: dict, b: dict):
+    """Division with remainder of ordinary polynomials (min exponents >= 0)."""
+    rem, quo = dict(a), {}
+    db = max(b)
+    while rem and max(rem) >= db:
+        dr = max(rem)
+        f = Fraction(rem[dr]) / b[db]
+        quo[dr - db] = f
+        for e, c in b.items():
+            t = e + dr - db
+            v = rem.get(t, 0) - f * c
+            if v:
+                rem[t] = v
+            else:
+                rem.pop(t, None)
+    return quo, rem
+
+
+def _ref_gcd(a: dict, b: dict) -> dict:
+    """Monic Euclidean gcd with minimal exponent 0."""
+    a, b = _shift(a, -min(a)), _shift(b, -min(b))
+    while b:
+        _, r = _ref_divmod(a, b)
+        a, b = b, (_shift(r, -min(r)) if r else r)
+    lc = Fraction(a[max(a)])
+    return {e: c / lc for e, c in a.items()}
+
+
+def _ref_normalize(num: dict, den: dict):
+    """A Fraction for a constant, else (num, den) with den monic, min exponent 0, coprime to num."""
+    if not num:
+        return Fraction(0)
+    num, den = _shift(num, -min(den)), _shift(den, -min(den))
+    lc = Fraction(den[max(den)])
+    num = {e: c / lc for e, c in num.items()}
+    den = {e: c / lc for e, c in den.items()}
+    v = min(num)
+    g = _ref_gcd(_shift(num, -v), den)
+    if max(g) > 0:
+        num = _shift(_ref_divmod(_shift(num, -v), g)[0], v)
+        den = _ref_divmod(den, g)[0]
+    if den == {0: 1} and set(num) == {0}:
+        return num[0]
+    return num, den
+
+
+def _ref_parts(x):
+    return x if isinstance(x, tuple) else ({0: x} if x else {}, {0: 1})
+
+
+def _ref_add(x, y, sign=1):
+    (n1, d1), (n2, d2) = _ref_parts(x), _ref_parts(y)
+    n2 = {e: sign * c for e, c in n2.items()}
+    return _ref_normalize(_padd(_pmul(n1, d2), _pmul(n2, d1)), _pmul(d1, d2))
+
+
+def _ref_mul(x, y):
+    (n1, d1), (n2, d2) = _ref_parts(x), _ref_parts(y)
+    return _ref_normalize(_pmul(n1, n2), _pmul(d1, d2))
+
+
+def _ref_str(x) -> str:
+    if not isinstance(x, tuple):
+        return str(x.numerator if x.denominator == 1 else x)
+    num, den = x
+    if den == {0: 1}:
+        return str(LaurentPoly(num))
+    return f"({LaurentPoly(num)})/({LaurentPoly(den)})"
+
+
+def _random_ring_element(rng, units_only=False):
+    """(num, den) dicts of an element of Z[s, 1/s, 1/(s^2-1)], not reduced.
+
+    The numerator carries random powers of s-1 and s+1 (often only one of
+    them) and the denominator is +-s^m (s-1)^b (s+1)^c.
+    """
+    if units_only:
+        num = {rng.randint(-3, 3): rng.choice((-2, -1, 1, 2))}
+    else:
+        num = {rng.randint(-3, 3): rng.randint(-4, 4) for _ in range(rng.randint(1, 4))}
+        num = {e: c for e, c in num.items() if c}
+    num = _pmul(_pmul(num, _linear_power(1, rng.randint(0, 2))),
+                _linear_power(-1, rng.randint(0, 2)))
+    den = {rng.randint(-2, 2): rng.choice((-1, 1))}
+    den = _pmul(_pmul(den, _linear_power(1, rng.randint(0, 2))),
+                _linear_power(-1, rng.randint(0, 2)))
+    return num, den
+
+
+def _ring_element(rng, units_only=False):
+    num, den = _random_ring_element(rng, units_only)
+    return ratfunc_reduce(LaurentPoly(num), LaurentPoly(den))
+
+
+def _integer_numerator(x) -> bool:
+    return type(x) is int or all(type(c) is int for c in x.num.terms.values())
+
 
 def test_laurent_zero_is_empty():
     assert not LaurentPoly({0: 0, 3: 0})
@@ -112,25 +248,31 @@ def test_ratfunc_reduce_examples():
     # (s^2 - 1)/(s - 1) -> s + 1
     num = LaurentPoly({2: 1, 0: -1})
     den = LaurentPoly({1: 1, 0: -1})
-    out = ratfunc_reduce(num, den)
-    assert out == RatFunc._from_poly(LaurentPoly({1: 1, 0: 1}))
+    assert ratfunc_reduce(num, den) == poly({1: 1, 0: 1})
     # 0/p -> 0
     assert ratfunc_reduce(LaurentPoly(), den) == 0
     # (s^4 - 1)/(s^2 - 1) -> s^2 + 1
     out = ratfunc_reduce(LaurentPoly({4: 1, 0: -1}), LaurentPoly({2: 1, 0: -1}))
-    assert out == RatFunc._from_poly(LaurentPoly({2: 1, 0: 1}))
+    assert out == poly({2: 1, 0: 1})
+    # 3 s^-2 (s-1)^2 (s+1) is an accepted denominator
+    den = LaurentPoly(_pmul({-2: 3}, _pmul(_linear_power(1, 2), _linear_power(-1, 1))))
+    out = ratfunc_reduce(LaurentPoly({1: 1, 0: 1}), den)
+    assert (out.b, out.c) == (2, 0)
+    assert out.num == LaurentPoly({2: Fraction(1, 3)})
     with pytest.raises(ZeroDivisionError):
         ratfunc_reduce(num, LaurentPoly())
 
 
 def test_ratfunc_reduction_idempotent():
-    x = ratfunc_reduce(LaurentPoly({4: 1, 0: -1}), LaurentPoly({3: 2, 1: -2}))
+    # (s^4 - 1)/(2 s^3 (s-1)^2 (s+1)) = (s^2 + 1)/(2 s^3 (s-1))
+    den = _pmul({3: 2}, _pmul(_linear_power(1, 2), _linear_power(-1, 1)))
+    x = ratfunc_reduce(LaurentPoly({4: 1, 0: -1}), LaurentPoly(den))
     assert isinstance(x, RatFunc)
-    again = ratfunc_reduce(x.num, x.den)
-    assert again == x
-    # canonical denominator: monic, minimal exponent 0
-    assert x.den.min_exp() == 0
-    assert x.den.lead_coeff() == 1
+    assert (x.b, x.c) == (1, 0)
+    assert x.num == LaurentPoly({-1: Fraction(1, 2), -3: Fraction(1, 2)})
+    assert x.denominator() == _denominator(x)
+    assert ratfunc_reduce(x.num, _denominator(x)) == x
+    assert str(x) == "(1/2*s^-1 + 1/2*s^-3)/(s - 1)"
 
 
 def test_ratfunc_constant_collapse():
@@ -139,43 +281,90 @@ def test_ratfunc_constant_collapse():
     assert type(out) is int and out == 2
     half = ratfunc_reduce(LaurentPoly({0: 1}), LaurentPoly({0: 2}))
     assert type(half) is Fraction and half == Fraction(1, 2)
+    q = SYM.q_power(1)
+    assert (q - 1) * SYM.inv(q - 1) == 1
+    assert type((q + 1) * SYM.inv(q - 1) - 2 * SYM.inv(q - 1)) is int
 
 
-def _random_poly(rng, max_terms=3):
-    return LaurentPoly({rng.randint(-3, 4): Fraction(rng.randint(-5, 5))
-                        for _ in range(rng.randint(0, max_terms))})
-
-
-def _random_ratfunc(rng):
-    num = _random_poly(rng)
-    den = _random_poly(rng)
-    while not den:
-        den = _random_poly(rng)
-    return ratfunc_reduce(num, den)
+def test_ratfunc_matches_gcd_normalisation():
+    rng = random.Random(20261018)
+    elements = [_random_ring_element(rng) for _ in range(320)]
+    divisors = (2, -3, Fraction(3, 2), Fraction(-1, 4))
+    for (n1, d1), (n2, d2) in zip(elements, elements[1:] + elements[:1]):
+        x = ratfunc_reduce(LaurentPoly(n1), LaurentPoly(d1))
+        y = ratfunc_reduce(LaurentPoly(n2), LaurentPoly(d2))
+        rx, ry = _ref_normalize(n1, d1), _ref_normalize(n2, d2)
+        assert str(x) == _ref_str(rx)
+        assert (x == y) == (rx == ry)
+        # the same value with common factors s, s-1, s+1 and 2 on both sides
+        extra = _pmul({1: 2}, _pmul(_linear_power(1, 1), _linear_power(-1, 2)))
+        twin = ratfunc_reduce(LaurentPoly(_pmul(n1, extra)), LaurentPoly(_pmul(d1, extra)))
+        assert twin == x and hash(twin) == hash(x) and str(twin) == str(x)
+        for got, want in ((x + y, _ref_add(rx, ry)), (x - y, _ref_add(rx, ry, -1)),
+                          (x * y, _ref_mul(rx, ry))):
+            assert str(got) == _ref_str(want)
+            assert _integer_numerator(got)
+            if isinstance(want, tuple):
+                assert got == ratfunc_reduce(LaurentPoly(want[0]), LaurentPoly(want[1]))
+            else:
+                assert got == want and type(got) in (int, Fraction)
+        d = rng.choice(divisors)
+        if isinstance(x, RatFunc):  # an int x / int d would be a float
+            assert str(x / d) == _ref_str(_ref_mul(rx, Fraction(1) / d))
 
 
 def test_ratfunc_field_axioms_random():
     rng = random.Random(7)
     for _ in range(60):
-        x, y, z = (_random_ratfunc(rng) for _ in range(3))
+        x, y, z = (_ring_element(rng) for _ in range(3))
         assert (x + y) + z == x + (y + z)
         assert (x * y) * z == x * (y * z)
         assert x * (y + z) == x * y + x * z
-        if x:
-            assert x * SYM.inv(x) == 1
+        assert x - x == 0
+        u = _ring_element(rng, units_only=True)
+        assert u * SYM.inv(u) == 1
+        assert (x / u) * u == x
+
+
+def test_non_units_and_foreign_denominators_rejected():
+    q = SYM.q_power(1)
+    for non_unit in (q + 1 - SYM.q_half(1),              # s^2 - s + 1
+                     (q + 1) * SYM.inv(SYM.q_half(1) - 1),   # (s^2 + 1)/(s - 1)
+                     SYM.q_half(1) + 2):
+        with pytest.raises(ValueError):
+            SYM.inv(non_unit)
+        with pytest.raises(ValueError):
+            1 / non_unit
+    for den in ({2: 1, 0: 1}, {1: 1, 0: 2}, _pmul({1: 1, 0: 3}, {1: 1, 0: -1})):
+        with pytest.raises(ValueError):
+            ratfunc_reduce(ONE, LaurentPoly(den))
+
+
+def test_symbolic_module_numerators_are_integers():
+    for t in enumerate_types(4, 2):
+        ops = build_abstract_module(t, SYM).ops
+        for name, op in ops.ops.items():
+            for part in (op.m0, op.m1):
+                for row in part.values():
+                    for v in row.values():
+                        assert _integer_numerator(v), (t, name, v)
 
 
 def _random_ratfunc_safe_den(rng):
     # denominators of the shape s^a (s^2-1)^e, which never vanish at sqrt(q):
     # the only denominators the verification formulas produce
-    num = _random_poly(rng)
-    den = LaurentPoly.monomial(rng.randint(-2, 2))
+    num = LaurentPoly({rng.randint(-3, 4): rng.randint(-5, 5)
+                       for _ in range(rng.randint(0, 3))})
+    den = LaurentPoly({rng.randint(-2, 2): 1})
     for _ in range(rng.randint(0, 2)):
         den = den * LaurentPoly({2: 1, 0: -1})
     return ratfunc_reduce(num, den)
 
 
 def test_ratfunc_evaluation_homomorphism_random():
+    # at a rational point, without x_inv, the value stays exact
+    x = (SYM.q_half(-1) + SYM.q_half(1)) * SYM.inv(SYM.q_power(1) - 1)
+    assert x.evaluate(3) == Fraction(5, 12)
     rng = random.Random(99)
     for q in (2, 3, 5, 7):
         ring = QuadRing(q)
@@ -191,7 +380,7 @@ def test_symbolic_half_powers_multiply():
     s = SYM.q_half(1)
     assert s * s == SYM.q_power(1)
     assert SYM.q_half(-3) * SYM.q_half(3) == 1
-    assert SYM.q_half(2) == RatFunc._from_poly(LaurentPoly({2: 1}))
+    assert SYM.q_half(2) == poly({2: 1})
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +390,7 @@ def test_symbolic_half_powers_multiply():
 def test_q_bracket_examples():
     assert q_bracket(0, R2) == 0
     assert q_bracket(3, R2) == 7
-    assert q_bracket(2, SYM) == RatFunc._from_poly(LaurentPoly({0: 1, 2: 1}))
+    assert q_bracket(2, SYM) == poly({0: 1, 2: 1})
 
 
 def test_q_bracket_recurrence_both_rings():
@@ -214,7 +403,7 @@ def test_q_bracket_recurrence_both_rings():
 def test_q_bracket_negative():
     # [-1] = -1/q
     assert q_bracket(-1, R2) == Fraction(-1, 2)
-    assert q_bracket(-1, SYM) == RatFunc._from_poly(LaurentPoly({-2: -1}))
+    assert q_bracket(-1, SYM) == poly({-2: -1})
     for ring in (R2, SYM):
         q = ring.q_power(1)
         for m in range(-5, 0):
