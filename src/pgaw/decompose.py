@@ -4,12 +4,14 @@ Each type (alpha, beta, rho) acts through the central operators by the
 scalar triple (q^-rho, q[k-rho-alpha]+[alpha], q[h-rho-beta]+[beta]); the
 triples separate types (asserted), so the multiplicity of a type equals the
 dimension of the joint eigenspace of (Omega0, Omega1, Omega2) for its triple
-inside the corner stratum (alpha, rho+beta), computed by exact elimination.
+inside the corner stratum (alpha, rho+beta): the corner size minus the
+exact rank of the stacked sparse integer rows of d b (Omega_i - lambda_i I).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .geometry import GeometryIndex
 from .modules import ModuleType, enumerate_types
@@ -19,36 +21,35 @@ from .verify import Outcome, VerificationReport
 MultiplicityMap = dict[ModuleType, int]
 
 
-def _rank(rows: list[list]) -> int:
-    """Rank of a matrix of int rows by fraction-free (Bareiss) elimination.
+def _rank(rows: list[dict]) -> int:
+    """Rank of sparse integer rows {col: int}, by fraction-free elimination.
 
-    After each pivot step every remaining entry is a minor of the input, so
-    the division by the previous pivot is exact (Sylvester's identity;
-    Bareiss, Math. Comp. 22, 1968).
+    Zero entries are dropped; the input rows are not modified.  Rows go in
+    order of nonzero count (Markowitz, 1957).  A row is reduced by
+    p*row - f*pivot (p, f over their gcd) against the pivot of its last
+    column until it vanishes or becomes that column's pivot, divided by its
+    content; the last column keeps the fill-in low on the lattice strata.
     """
-    rows = [row for row in rows if any(row)]
-    rank, prev = 0, 1
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        prow = rows[rank]
-        p = prow[col]
-        below = []
-        for row in rows[rank + 1:]:
-            f = row[col]
-            if f:
-                row = [(p * a - f * b) // prev for a, b in zip(row, prow)]
-            elif p != prev:
-                row = [p * a // prev for a in row]
-            if any(row):
-                below.append(row)
-        rows[rank + 1:] = below
-        prev = p
-        rank += 1
-    return rank
+    pivots: dict[int, dict] = {}
+    for row in sorted(({c: v for c, v in r.items() if v} for r in rows), key=len):
+        while row:
+            col = max(row)
+            pivot = pivots.get(col)
+            if pivot is None:
+                g = gcd(*row.values())
+                pivots[col] = {c: v // g for c, v in row.items()}
+                break
+            g = gcd(pivot[col], row[col])
+            p, f = pivot[col] // g, row[col] // g
+            if p != 1:
+                row = {c: p * v for c, v in row.items()}
+            for c, v in pivot.items():
+                x = row.get(c, 0) - f * v
+                if x:
+                    row[c] = x
+                else:
+                    del row[c]
+    return len(pivots)
 
 
 def _central_triple(t: ModuleType, ring):
@@ -74,17 +75,14 @@ def compute_multiplicities(geom: GeometryIndex, ops: OperatorSet) -> Multiplicit
     out: MultiplicityMap = {}
     for t, lam in zip(types, triples):
         corner = geom.stratum(t.alpha, t.rho + t.beta)
-        if not corner:
-            out[t] = 0
-            continue
         stacked = []
         for op, scalar in zip(centrals, lam):
             # d b (Omega - (a/b) I) = b M0 - a d I on the corner, in integers
             block, d = op.restrict(corner)
             a, b = Fraction(scalar).as_integer_ratio()
             for r, row in enumerate(block):
-                shifted = [b * x for x in row]
-                shifted[r] -= a * d
+                shifted = {c: b * x for c, x in row.items()}
+                shifted[r] = shifted.get(r, 0) - a * d
                 stacked.append(shifted)
         out[t] = len(corner) - _rank(stacked)
     return out

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 from math import lcm
 
+import pytest
+
 from pgaw.decompose import (
     _rank,
     bookkeeping_check,
@@ -12,12 +14,21 @@ from pgaw.modules import enumerate_types
 from pgaw.rings import QuadRing
 
 
+def _sparse(rows):
+    """List rows as sparse {col: v} rows with the zeros left out."""
+    return [{c: v for c, v in enumerate(row) if v} for row in rows]
+
+
 def test_rank_small_oracles():
     assert _rank([]) == 0
-    assert _rank([[0, 0], [0, 0]]) == 0
-    assert _rank([[1, 2], [2, 4]]) == 1
-    assert _rank([[1, 0], [0, 1]]) == 2
-    assert _rank([[1, 2], [1, 2], [3, 7]]) == 2
+    assert _rank(_sparse([[0, 0], [0, 0]])) == 0
+    assert _rank(_sparse([[1, 2], [2, 4]])) == 1
+    assert _rank(_sparse([[1, 0], [0, 1]])) == 2
+    assert _rank(_sparse([[1, 2], [1, 2], [3, 7]])) == 2
+    # explicit zeros are dropped; the caller's rows are not modified
+    rows = [{0: 0, 1: 3}, {1: -6, 2: 0}, {0: 2, 1: 4}]
+    assert _rank(rows) == 2
+    assert rows == [{0: 0, 1: 3}, {1: -6, 2: 0}, {0: 2, 1: 4}]
 
 
 def _fraction_rank(rows):
@@ -67,7 +78,7 @@ def test_rank_matches_fraction_elimination():
                 rows.append([sum((c * b[j] for c, b in zip(coeffs, basis)), Fraction(0))
                              for j in range(ncols)])
         rng.shuffle(rows)
-        assert _rank(_integer_rows(rows)) == _fraction_rank(rows), rows
+        assert _rank(_sparse(_integer_rows(rows))) == _fraction_rank(rows), rows
 
 
 def test_multiplicities_221(geometry_cache, ops_cache):
@@ -76,6 +87,28 @@ def test_multiplicities_221(geometry_cache, ops_cache):
     assert {t.triple(): m for t, m in mults.items()} == {
         (0, 0, 0): 1, (0, 1, 0): 2, (0, 0, 1): 3}
     assert sum(m * t.dim for t, m in mults.items()) == 16
+
+
+def test_multiplicity_tables_232_331(geometry_cache, ops_cache):
+    # (alpha, beta, rho): multiplicity, as in benchmark/known_answers.json
+    known = {
+        (2, 3, 2): {(0, 0, 0): 1, (0, 1, 0): 6, (1, 0, 0): 2, (1, 1, 0): 12,
+                    (0, 0, 1): 21, (0, 1, 1): 42, (0, 0, 2): 42},
+        (3, 3, 1): {(0, 0, 0): 1, (0, 1, 0): 12, (0, 0, 1): 26, (0, 1, 1): 78},
+    }
+    for config, table in known.items():
+        g = geometry_cache(*config)
+        mults = compute_multiplicities(g, ops_cache(*config))
+        assert {t.triple(): m for t, m in mults.items()} == table, config
+        assert bookkeeping_check(g, mults).passed, config
+
+
+def test_multiplicities_need_rational_centrals(geometry_cache, ops_cache):
+    ops = ops_cache(2, 2, 1)
+    r, c = geometry_cache(2, 2, 1).stratum(0, 1)[:2]
+    broken = ops.perturbed("Omega1", r, c, QuadRing(2).sqrt_q)
+    with pytest.raises(ValueError, match="rational"):
+        compute_multiplicities(geometry_cache(2, 2, 1), broken)
 
 
 def test_bookkeeping_221(geometry_cache, ops_cache):
@@ -108,10 +141,17 @@ def test_central_scalar_triples_separate_types():
     from pgaw.decompose import _central_triple
     for q in (2, 3, 5, 7):
         ring = QuadRing(q)
-        for h in range(2, 5):
+        for h in range(2, 6):
             for k in range(1, min(h, 4)):
                 triples = [_central_triple(t, ring) for t in enumerate_types(h, k)]
                 assert len(set(triples)) == len(triples), (q, h, k)
+
+
+def test_central_scalar_collision_is_an_error(geometry_cache, ops_cache, monkeypatch):
+    import pgaw.decompose
+    monkeypatch.setattr(pgaw.decompose, "_central_triple", lambda t, ring: (1, 2, 3))
+    with pytest.raises(RuntimeError, match="central scalar collision"):
+        compute_multiplicities(geometry_cache(2, 2, 1), ops_cache(2, 2, 1))
 
 
 def test_bookkeeping_detects_wrong_multiplicities(geometry_cache, ops_cache):
