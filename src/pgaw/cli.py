@@ -29,6 +29,7 @@ from .modules import (
 )
 from .operators import build_geometry_operators
 from .rings import SUPPORTED_Q, QuadRing, SymbolicRing, gaussian_binomial
+from .symmetry import certificate
 from .verify import (
     SUITES,
     VerificationReport,
@@ -321,6 +322,7 @@ def _cmd_verify(config: RunConfig) -> tuple[int, dict]:
     _capacity_guard(config)
     phases: dict = {}
     _, ops = _build_operators(config, phases, _build_y(config))
+    _timed(phases, "symmetry", certificate, ops)
     try:
         report = run_geometry_suite(ops, config.suites, config.relation_ids)
     except ValueError as exc:

@@ -120,7 +120,7 @@ class Subspace:
     __add__ = sum_with
 
     def vectors(self):
-        """All vectors of the subspace (test oracle; exponential in dim)."""
+        """All vectors of the subspace (exponential in dim)."""
         q, n = self.q, self.n
         for coeffs in itertools.product(range(q), repeat=self.dim):
             v = [0] * n

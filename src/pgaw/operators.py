@@ -177,7 +177,7 @@ class SparseOperator:
     empty row is stored, so the operator is zero iff both parts are empty.
     """
 
-    __slots__ = ("dim", "d", "m0", "m1", "q")
+    __slots__ = ("dim", "d", "m0", "m1", "q", "__weakref__")
 
     def __init__(self, dim: int, rows: Optional[dict] = None):
         """The operator with the given scalar dict-of-rows entries."""
@@ -376,6 +376,10 @@ class OperatorSet:
         self._identity: Optional[SparseOperator] = None
         self._estar: dict = {}
         self._products: dict = {}
+        # (inputs, outputs) of complete_operator_set, by name
+        self.completion: Optional[tuple[dict, dict]] = None
+        # state shared with perturbed clones: the symmetry certificate
+        self.shared: dict = {}
 
     def __getitem__(self, name: str) -> SparseOperator:
         return self.ops[name]
@@ -418,6 +422,8 @@ class OperatorSet:
                             self.labels, self.geometry, self.module_type)
         clone.ops = dict(self.ops)
         clone.ops[name] = self.ops[name].with_entry_added(r, c, delta)
+        clone.completion = self.completion
+        clone.shared = self.shared
         return clone
 
     def __repr__(self):
@@ -502,8 +508,13 @@ def build_geometry_operators(geom: GeometryIndex, ring: QuadRing) -> OperatorSet
 
 
 def complete_operator_set(ops: OperatorSet) -> OperatorSet:
-    """Fill in the derived operators from this mode's defining routes."""
+    """Fill in the derived operators from this mode's defining routes.
+
+    ``ops.completion`` records the operators found on entry and the ones
+    computed here, so the symmetry certificate can tell the derived
+    operators by identity."""
     ring = ops.ring
+    inputs = dict(ops.ops)
     if ops.mode == MODULE:
         ops["F0"] = expr_f0_slash(ops)
         ops["Fplus"] = expr_fplus(ops)
@@ -521,6 +532,8 @@ def complete_operator_set(ops: OperatorSet) -> OperatorSet:
     ops["Omega"] = expr_omega_aw(ops)
     ops["G"] = expr_g(ops)
     ops["Gstar"] = expr_gstar(ops)
+    ops.completion = (inputs, {name: op for name, op in ops.ops.items()
+                               if inputs.get(name) is not op})
     return ops
 
 

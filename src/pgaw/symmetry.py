@@ -1,0 +1,418 @@
+"""Certified symmetry reduction of geometry-mode relations.
+
+Every geometry operator is defined by inclusion and by dim(u ∩ y), so it
+commutes with the permutation of the lattice induced by any element of G_y,
+the stabiliser of y in GL(h+k, q): M[πr, πc] = M[r, c].  A residual built
+from such operators with products, sums, scalars and transposes inherits
+that invariance, so its row at u is zero iff its row at πu is.  Hence the
+residual is zero iff its rows at one representative per G_y-orbit are zero,
+and those orbits are the strata P_(i,j) (the symmetry reduction behind
+Terwilliger-algebra methods; Terwilliger 1992, Schrijver 2005).
+
+Nothing is assumed.  The certificate of an OperatorSet is computed at the
+first geometry relation run and shared with its ``perturbed`` clones:
+
+(a) permutations of the positions induced by generator matrices of G_y
+    (per diagonal block of size >= 2 a block cycle and one transvection,
+    one transvection from the complement into y, and a primitive diagonal
+    element per block when q > 2), conjugated by a basis adapted to y;
+(b) a check that their union-find orbits are exactly ``geom.strata``; the
+    representatives are the first position of each stratum;
+(c) a check that every operator ``build_geometry_operators`` installs
+    satisfies M[πr, πc] = M[r, c] for each generator π.
+
+The operators ``complete_operator_set`` derives inherit invariance while
+they are the very objects it computed from checked inputs; any other
+operand is checked on the spot, its verdict cached by object identity.
+
+``passes_on_representatives`` runs a relation's evaluator on a RowView of
+the set, in which operators, products, sums, scalars and transposes of
+operators are lazy expressions multiplied out from the representative
+rows, left to right.  If every representative row of every residual is zero the relation
+passes.  Otherwise -- a nonzero row, an operand that is not invariant, or
+no certificate -- the caller runs the evaluator on the full set, so every
+witness is the full evaluation's.
+"""
+
+from __future__ import annotations
+
+import itertools
+import weakref
+from dataclasses import dataclass, field
+from typing import Callable, Optional
+
+from .geometry import GeometryIndex
+from .operators import GEOMETRY, OperatorSet, SparseOperator
+
+Matrix = list[list[int]]
+
+
+# ---------------------------------------------------------------------------
+# (a) generators of G_y and the permutations they induce
+# ---------------------------------------------------------------------------
+
+def _primitive_root(q: int) -> int:
+    return next(g for g in range(1, q)
+                if len({pow(g, e, q) for e in range(1, q)}) == q - 1)
+
+
+def standard_generators(h: int, k: int, q: int) -> list[Matrix]:
+    """Generators of the stabiliser of span(e_(h+1), ..., e_(h+k)) in GL(h+k, q).
+
+    Matrices act on row vectors (v -> v g), so row i of g is the image of
+    e_i.  The stabiliser is the block upper-triangular group
+    [[GL(h), *], [0, GL(k)]]; in each diagonal block of size >= 2 a block
+    cycle and one transvection give its special linear part, a primitive
+    diagonal element per block (q > 2) the determinants, and the
+    transvection e_1 -> e_1 + e_(h+1) the bridge from the complement into y.
+    """
+    n = h + k
+
+    def elementary(*entries):
+        g = [[int(r == c) for c in range(n)] for r in range(n)]
+        for r, c, v in entries:
+            g[r][c] = v
+        return g
+
+    gens = []
+    for start, size in ((0, h), (h, k)):
+        if size >= 2:
+            cycle = [[0] * n for _ in range(n)]
+            for r in range(n):
+                in_block = start <= r < start + size
+                cycle[r][start + (r - start + 1) % size if in_block else r] = 1
+            gens.append(cycle)
+            gens.append(elementary((start, start + 1, 1)))
+        if q > 2:
+            gens.append(elementary((start, start, _primitive_root(q))))
+    gens.append(elementary((0, h, 1)))
+    return gens
+
+
+def _matmul(a: Matrix, b: Matrix, q: int) -> Matrix:
+    return [[sum(x * y for x, y in zip(row, col)) % q for col in zip(*b)] for row in a]
+
+
+def _inverse(m: Matrix, q: int) -> Matrix:
+    """Inverse over F_q by Gauss-Jordan elimination of [m | I]."""
+    n = len(m)
+    aug = [list(row) + [int(r == c) for c in range(n)] for r, row in enumerate(m)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if aug[r][col] % q)
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = pow(aug[col][col], -1, q)
+        aug[col] = [x * inv % q for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [(a - f * b) % q for a, b in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def _adapted_basis(geom: GeometryIndex) -> Matrix:
+    """Rows: unit vectors at the non-pivot columns of y, then y's RREF rows.
+
+    It sends span(e_(h+1), ..., e_n) to y, and is the identity for the
+    default y."""
+    rows = geom.y.rows
+    pivots = {next(c for c, x in enumerate(row) if x) for row in rows}
+    units = [[int(c == p) for c in range(geom.n)] for p in range(geom.n) if p not in pivots]
+    return units + [list(row) for row in rows]
+
+
+def generator_permutations(geom: GeometryIndex) -> Optional[list[list[int]]]:
+    """The permutation of positions induced by each generator of G_y, or None
+    when some generator matrix is singular.
+
+    A subspace is keyed by the bitmask of the codes of its vectors, so the
+    image of u under g is located without an echelon form: map each vector
+    of u through g and look the new mask up."""
+    n, q = geom.n, geom.q
+    basis = _adapted_basis(geom)
+    basis_inv = _inverse(basis, q)
+    vectors = list(itertools.product(range(q), repeat=n))
+    code = {v: i for i, v in enumerate(vectors)}
+    members = [[code[v] for v in u.vectors()] for u in geom.elements]
+    bits = [1 << i for i in range(len(vectors))]
+    position = {sum(map(bits.__getitem__, m)): p for p, m in enumerate(members)}
+    perms = []
+    for g in standard_generators(geom.h, geom.k, q):
+        g = _matmul(_matmul(basis_inv, g, q), basis, q)
+        image = [code[tuple(v)] for v in _matmul(vectors, g, q)]
+        if len(set(image)) != len(image):
+            return None
+        moved = [bits[i] for i in image]
+        perms.append([position[sum(map(moved.__getitem__, m))] for m in members])
+    return perms
+
+
+# ---------------------------------------------------------------------------
+# (b) orbits, (c) invariance
+# ---------------------------------------------------------------------------
+
+def _orbits_are_strata(perms, geom: GeometryIndex) -> bool:
+    """Union-find over the generator permutations; True iff the orbits are the strata."""
+    parent = list(range(geom.size))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for perm in perms:
+        for p, t in enumerate(perm):
+            a, b = find(p), find(t)
+            if a != b:
+                parent[a] = b
+    roots = [{find(p) for p in members} for members in geom.strata.values()]
+    return all(len(r) == 1 for r in roots) and len(set().union(*roots)) == len(roots)
+
+
+def _permutes(op: SparseOperator, perm) -> bool:
+    """op[perm[r], perm[c]] == op[r, c] for every entry (perm a bijection)."""
+    at = perm.__getitem__
+    for part in (op.m0, op.m1):
+        get = part.get
+        for r, row in part.items():
+            if get(at(r)) != dict(zip(map(at, row), row.values())):
+                return False
+    return True
+
+
+@dataclass
+class Certificate:
+    """Generator permutations whose orbits are the strata, plus invariance verdicts."""
+
+    perms: list
+    reps: tuple[int, ...]
+    # id(op) -> (weak reference to op, verdict); shared by perturbed clones
+    _verdicts: dict = field(default_factory=dict, init=False, repr=False)
+
+    def invariant(self, ops: OperatorSet, op: SparseOperator) -> bool:
+        """True iff op commutes with every generator permutation.
+
+        An operator ``complete_operator_set`` computed in ops (or in the set
+        ops was cloned from) is invariant iff every input it was computed
+        from is; any other operator is checked entry by entry."""
+        hit = self._verdicts.get(id(op))
+        if hit is not None and hit[0]() is op:
+            return hit[1]
+        inputs, derived = ops.completion or ({}, {})
+        if any(d is op for d in derived.values()):
+            ok = all(self.invariant(ops, x) for x in inputs.values())
+        else:
+            ok = all(_permutes(op, perm) for perm in self.perms)
+        self._verdicts[id(op)] = (weakref.ref(op), ok)
+        return ok
+
+
+def certificate(ops: OperatorSet) -> Optional[Certificate]:
+    """The set's certificate, computed once and shared with its perturbed
+    clones; None outside geometry mode or when (a) or (b) fails."""
+    shared = ops.shared
+    if "certificate" not in shared:
+        shared["certificate"] = _certify(ops)
+    return shared["certificate"]
+
+
+def _certify(ops: OperatorSet) -> Optional[Certificate]:
+    geom = ops.geometry
+    if ops.mode != GEOMETRY or geom is None:
+        return None
+    perms = generator_permutations(geom)
+    if perms is None or not _orbits_are_strata(perms, geom):
+        return None
+    cert = Certificate(perms, tuple(members[0] for members in geom.strata.values()))
+    for op in (ops.completion or ({}, {}))[0].values():
+        cert.invariant(ops, op)
+    return cert
+
+
+# ---------------------------------------------------------------------------
+# reduced evaluation
+# ---------------------------------------------------------------------------
+
+class Uncertified(Exception):
+    """An operand of the relation is not covered by the certificate."""
+
+
+class _Expr:
+    """A lazy operator expression, evaluated as (representative rows) @ self."""
+
+    __slots__ = ("view", "_rows")
+
+    def __init__(self, view: "RowView"):
+        self.view = view
+        self._rows = None
+
+    def apply(self, rows: SparseOperator) -> SparseOperator:
+        """rows @ self, multiplied out left to right."""
+        raise NotImplementedError
+
+    def __matmul__(self, other):
+        return _Product(self.view, self, self.view.lift(other))
+
+    def __rmatmul__(self, other):
+        return _Product(self.view, self.view.lift(other), self)
+
+    def __add__(self, other):
+        return _Sum(self.view, self, self.view.lift(other), 1)
+
+    def __radd__(self, other):
+        return _Sum(self.view, self.view.lift(other), self, 1)
+
+    def __sub__(self, other):
+        return _Sum(self.view, self, self.view.lift(other), -1)
+
+    def __rsub__(self, other):
+        return _Sum(self.view, self.view.lift(other), self, -1)
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def scale(self, s) -> "_Expr":
+        return _Scaled(self.view, self, s)
+
+    # -- the queries evaluators make of a residual -----------------------------
+
+    def rows(self) -> SparseOperator:
+        """The representative rows of the expression (other rows empty)."""
+        if self._rows is None:
+            self._rows = self.apply(self.view.start)
+        return self._rows
+
+    def is_zero(self) -> bool:
+        return self.rows().is_zero()
+
+    def first_nonzero(self):
+        return self.rows().first_nonzero()
+
+    def support_violation(self, allowed: Callable[[int, int], bool]):
+        """Sound only for a predicate of the strata of (row, col), which
+        every generator permutation preserves."""
+        return self.rows().support_violation(allowed)
+
+    def __getattr__(self, name):
+        raise Uncertified(f"{name} is not available on the representative rows")
+
+
+class _Leaf(_Expr):
+    __slots__ = ("op",)
+
+    def __init__(self, view, op: SparseOperator):
+        super().__init__(view)
+        self.op = op
+
+    def apply(self, rows):
+        return rows @ self.op
+
+    def transpose(self):
+        """Invariant as the operator is; a composite expression has no
+        transpose here, so its relation runs in full."""
+        return _Leaf(self.view, self.op.transpose())
+
+
+class _Product(_Expr):
+    __slots__ = ("left", "right")
+
+    def __init__(self, view, left: _Expr, right: _Expr):
+        super().__init__(view)
+        self.left, self.right = left, right
+
+    def apply(self, rows):
+        return self.right.apply(self.left.apply(rows))
+
+
+class _Sum(_Expr):
+    __slots__ = ("left", "right", "sign")
+
+    def __init__(self, view, left: _Expr, right: _Expr, sign: int):
+        super().__init__(view)
+        self.left, self.right, self.sign = left, right, sign
+
+    def apply(self, rows):
+        a, b = self.left.apply(rows), self.right.apply(rows)
+        return a + b if self.sign > 0 else a - b
+
+
+class _Scaled(_Expr):
+    __slots__ = ("inner", "s")
+
+    def __init__(self, view, inner: _Expr, s):
+        super().__init__(view)
+        self.inner, self.s = inner, s
+
+    def apply(self, rows):
+        return self.inner.apply(rows).scale(self.s)
+
+
+class RowView:
+    """An OperatorSet seen through its representative rows.
+
+    Operators, products, the identity and the projections E* are lazy
+    expressions; every other attribute is the set's own.  Reading an
+    operator the certificate does not cover raises Uncertified."""
+
+    def __init__(self, ops: OperatorSet):
+        self._ops = ops
+        self._cert: Optional[Certificate] = None
+        self._start: Optional[SparseOperator] = None
+
+    def __getattr__(self, name):
+        return getattr(self._ops, name)
+
+    @property
+    def cert(self) -> Certificate:
+        if self._cert is None:
+            self._cert = certificate(self._ops)
+            if self._cert is None:
+                raise Uncertified("no certificate")
+        return self._cert
+
+    @property
+    def start(self) -> SparseOperator:
+        """The identity restricted to the representative rows."""
+        if self._start is None:
+            self._start = SparseOperator(self._ops.dim, {r: {r: 1} for r in self.cert.reps})
+        return self._start
+
+    def lift(self, op) -> _Expr:
+        if isinstance(op, _Expr):
+            return op
+        if not isinstance(op, SparseOperator) or not self.cert.invariant(self._ops, op):
+            raise Uncertified("operand is not a G_y-invariant operator")
+        return _Leaf(self, op)
+
+    def __getitem__(self, name: str) -> _Expr:
+        return self.lift(self._ops[name])
+
+    def prod(self, a: str, b: str) -> _Expr:
+        return self[a] @ self[b]
+
+    def _diagonal(self, op: SparseOperator) -> _Expr:
+        """A diagonal function of (i, j): invariant once the orbits are the strata."""
+        self.cert  # raises Uncertified without a certificate
+        return _Leaf(self, op)
+
+    def identity(self) -> _Expr:
+        return self._diagonal(self._ops.identity())
+
+    def estar_level(self, level: int) -> _Expr:
+        return self._diagonal(self._ops.estar_level(level))
+
+    def estar_stratum(self, i: int, j: int) -> _Expr:
+        return self._diagonal(self._ops.estar_stratum(i, j))
+
+
+def passes_on_representatives(ops: OperatorSet, evaluate) -> bool:
+    """True iff the certificate covers the relation and every representative
+    row of its residuals is zero, which proves that the relation holds.
+
+    False says nothing either way: run the evaluator on the full set."""
+    if ops.mode != GEOMETRY or ops.geometry is None:
+        return False
+    try:
+        return evaluate(RowView(ops)) is None
+    except Uncertified:
+        return False

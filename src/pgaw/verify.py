@@ -18,6 +18,11 @@ entry in row-major order.  The same registry drives geometry-mode runs
 (operators over the subspace lattice) and module-mode runs (operators on an
 abstract module's standard basis); each relation declares the modes it
 applies to.  All passes are exact -- there are no tolerances anywhere.
+
+In geometry mode ``run_relation`` first runs the evaluator on one
+representative row per G_y-orbit, behind a certificate the run checks
+itself (``pgaw.symmetry``); any other outcome there repeats the full
+evaluation, which alone produces failures and witnesses.
 """
 
 from __future__ import annotations
@@ -55,6 +60,7 @@ from .operators import (
     expr_fplus_central,
 )
 from .rings import QuadRing, q_int
+from .symmetry import passes_on_representatives
 
 
 @dataclass(frozen=True)
@@ -602,7 +608,13 @@ def _select(mode: str, suites, relation_ids) -> list[Relation]:
 
 
 def run_relation(ops: OperatorSet, rel_id: str) -> Outcome:
-    witness = EVALUATORS[rel_id](ops)
+    """One relation's outcome.  In geometry mode it is first run on the
+    representative rows of the certified symmetry reduction; any doubt
+    there falls back to the full evaluation, which gives every witness."""
+    evaluate = EVALUATORS[rel_id]
+    if passes_on_representatives(ops, evaluate):
+        return Outcome(rel_id, "pass")
+    witness = evaluate(ops)
     if witness is None:
         return Outcome(rel_id, "pass")
     return Outcome(rel_id, "fail", witness)

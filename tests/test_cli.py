@@ -114,12 +114,16 @@ def test_run_verify_json_schema_and_determinism():
 
 
 def test_run_verify_with_timings_flag():
-    cfg = parse_args(["verify", "--q", "2", "--h", "2", "--k", "1",
-                      "--suite", "counts", "--format", "json", "--timings"])
-    _, out = run(cfg)
-    timings = json.loads(out)["timings"]
-    assert list(timings)[:2] == ["phase.geometry_build", "phase.operators_build"]
-    assert "counts.slash_down" in timings
+    argv = ["verify", "--q", "2", "--h", "2", "--k", "1",
+            "--suite", "counts", "--suite", "aw", "--format", "json"]
+    _, plain = run(parse_args(argv))
+    _, out = run(parse_args(argv + ["--timings"]))
+    payload = json.loads(out)
+    timings = payload.pop("timings")
+    assert list(timings)[:3] == ["phase.geometry_build", "phase.operators_build",
+                                 "phase.symmetry"]
+    assert "counts.slash_down" in timings and "aw.askey1" in timings
+    assert json.dumps(payload, indent=2) + "\n" == plain
 
 
 def test_run_decompose_timings_phases():

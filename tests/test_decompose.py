@@ -1,3 +1,5 @@
+import json
+import os
 import random
 from fractions import Fraction
 from math import lcm
@@ -10,8 +12,13 @@ from pgaw.decompose import (
     compute_multiplicities,
     multiplicity_table,
 )
-from pgaw.modules import enumerate_types
+from pgaw.geometry import build_geometry
+from pgaw.modules import ModuleType, enumerate_types
 from pgaw.rings import QuadRing
+
+# The h+k = 6 tables of `pgaw decompose --format json`; CI compares the
+# (2,4,2) run against this file.
+N6_TABLES = os.path.join(os.path.dirname(__file__), "data", "multiplicities_n6.json")
 
 
 def _sparse(rows):
@@ -101,6 +108,18 @@ def test_multiplicity_tables_232_331(geometry_cache, ops_cache):
         mults = compute_multiplicities(g, ops_cache(*config))
         assert {t.triple(): m for t, m in mults.items()} == table, config
         assert bookkeeping_check(g, mults).passed, config
+
+
+@pytest.mark.parametrize("config", ["2,4,2", "2,5,1", "3,3,2"])
+def test_pinned_h_plus_k_6_tables_keep_the_books(config):
+    with open(N6_TABLES, encoding="utf-8") as fh:
+        rows = json.load(fh)[config]
+    q, h, k = map(int, config.split(","))
+    mults = {ModuleType(r["alpha"], r["beta"], r["rho"], h=h, k=k): r["multiplicity"]
+             for r in rows}
+    # in the CLI's format and order, and every per-stratum equation holds
+    assert multiplicity_table(mults) == rows
+    assert bookkeeping_check(build_geometry(q, h, k), mults).passed
 
 
 def test_multiplicities_need_rational_centrals(geometry_cache, ops_cache):

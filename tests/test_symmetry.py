@@ -1,0 +1,251 @@
+"""The certified symmetry reduction of geometry-mode relations.
+
+A relation passes on the representative rows only when the certificate
+covers every operand and every representative row of its residuals is
+zero; otherwise the full evaluation runs and gives the witness.  These
+tests pin that the reduced and full outcomes agree, that perturbed sets
+fall back to the full path, and that a broken certificate changes no
+verdict.
+"""
+
+import pytest
+
+from pgaw import symmetry
+from pgaw.geometry import Subspace, build_geometry
+from pgaw.operators import SparseOperator, build_geometry_operators, complete_operator_set
+from pgaw.rings import QuadRing
+from pgaw.symmetry import (
+    RowView,
+    certificate,
+    generator_permutations,
+    passes_on_representatives,
+    standard_generators,
+)
+from pgaw.verify import EVALUATORS, Outcome, relations_for, run_geometry_suite, run_relation
+
+# (q, h, k, rows of a non-coordinate y or None for the default y)
+CONFIGS = (
+    (2, 2, 1, None), (3, 2, 1, None), (2, 3, 1, None), (2, 3, 2, None), (3, 3, 1, None),
+    (2, 2, 1, ((1, 1, 0),)),
+    (3, 2, 1, ((1, 2, 1),)),
+    (3, 3, 1, ((1, 2, 0, 1),)),
+    (2, 3, 2, ((1, 0, 1, 0, 0), (0, 1, 0, 1, 1))),
+)
+
+
+# (operator, row, col) entries that get +1: each fails some relations
+PERTURBATIONS = (("L1", 0, 0), ("F0", 1, 2), ("Omega1", 2, 5), ("Y", 3, 3))
+
+
+def _perturb(ops):
+    for name, r, c in PERTURBATIONS:
+        ops = ops.perturbed(name, r, c, 1)
+    return ops
+
+
+def _fresh(q, h, k, y_rows=None):
+    """A new OperatorSet, so no certificate is cached yet."""
+    y = None if y_rows is None else Subspace(y_rows, h + k, q)
+    return build_geometry_operators(build_geometry(q, h, k, y), QuadRing(q))
+
+
+def _full(ops, rel_id):
+    witness = EVALUATORS[rel_id](ops)
+    return Outcome(rel_id, "pass" if witness is None else "fail", witness)
+
+
+@pytest.fixture
+def spy(monkeypatch):
+    """Records, per call of the spied evaluator, whether it saw the row view."""
+    def install(rel_id):
+        real = EVALUATORS[rel_id]
+        calls = []
+
+        def evaluate(ops):
+            calls.append("reduced" if isinstance(ops, RowView) else "full")
+            return real(ops)
+
+        monkeypatch.setitem(EVALUATORS, rel_id, evaluate)
+        return calls
+    return install
+
+
+@pytest.mark.parametrize("q,h,k,y_rows", CONFIGS)
+def test_reduced_and_full_outcomes_agree(q, h, k, y_rows):
+    ops = _fresh(q, h, k, y_rows)
+    cert = certificate(ops)
+    assert cert is not None
+    assert len(cert.reps) == len(ops.geometry.strata)
+    for rel in relations_for("geometry"):
+        assert passes_on_representatives(ops, EVALUATORS[rel.id]), rel.id
+        assert run_relation(ops, rel.id) == _full(ops, rel.id) == Outcome(rel.id, "pass")
+
+
+@pytest.mark.parametrize("q,h,k,y_rows", CONFIGS)
+def test_perturbed_outcomes_and_witnesses_agree(q, h, k, y_rows):
+    ops = _perturb(_fresh(q, h, k, y_rows))
+    outcomes = run_geometry_suite(ops).outcomes
+    assert outcomes == [_full(ops, rel.id) for rel in relations_for("geometry")]
+    assert any(not o.passed for o in outcomes)
+
+
+def test_every_installed_operator_is_certified(ops_cache):
+    ops = ops_cache(2, 3, 2)
+    cert = certificate(ops)
+    inputs, derived = ops.completion
+    assert set(inputs) == {"K1", "K1i", "K2", "K2i", "L1", "L2", "R1", "R2",
+                           "F0", "Fplus", "Fminus", "F", "R", "L", "A"}
+    assert set(derived) == {"Astar", "Omega0", "Omega1", "Omega2", "Y", "P",
+                            "Omega", "G", "Gstar"}
+    assert all(cert.invariant(ops, op) for op in ops.ops.values())
+
+
+def test_perturbed_set_takes_the_full_path(ops_cache, spy):
+    ops = ops_cache(2, 3, 2)
+    calls = spy("aw.askey2")
+    assert run_relation(ops, "aw.askey2").passed
+    assert calls == ["reduced"]
+    tampered = ops.perturbed("A", 3, 40, 1)
+    assert tampered.shared is ops.shared
+    assert not certificate(tampered).invariant(tampered, tampered["A"])
+    del calls[:]
+    out = run_relation(tampered, "aw.askey2")
+    assert calls == ["reduced", "full"]
+    assert out == _full(tampered, "aw.askey2") and not out.passed
+
+
+@pytest.mark.parametrize("rel_id", ["aw.askey2", "a.sum"])
+@pytest.mark.parametrize("where", ["zero,y", "full,full"])
+def test_invariant_perturbation_is_caught_on_a_representative_row(
+        ops_cache, spy, rel_id, where):
+    ops = ops_cache(2, 3, 2)
+    geom = ops.geometry
+    at = {"zero": 0, "y": geom.index[geom.y], "full": geom.size - 1}
+    r, c = (at[name] for name in where.split(","))
+    # the zero subspace, y and the whole space are singleton orbits, so the
+    # perturbation is invariant
+    assert (r,) in geom.strata.values() and (c,) in geom.strata.values()
+    tampered = ops.perturbed("A", r, c, 1)
+    assert certificate(tampered).invariant(tampered, tampered["A"])
+    assert EVALUATORS[rel_id](RowView(tampered)) is not None
+    calls = spy(rel_id)
+    out = run_relation(tampered, rel_id)
+    assert calls == ["reduced", "full"]
+    assert not out.passed
+    assert out == _full(tampered, rel_id)
+    assert out.witness.startswith(f"row={ops.labels[r]}, col={ops.labels[c]}")
+
+
+def test_every_stratum_has_a_representative_row(ops_cache):
+    ops = ops_cache(2, 3, 2)
+    for i, j in ops.geometry.strata:
+        tampered = ops.perturbed("A", 0, 0, 0)
+        tampered.ops["A"] = ops["A"] + ops.estar_stratum(i, j)  # invariant
+        assert certificate(tampered).invariant(tampered, tampered["A"])
+        assert EVALUATORS["a.sum"](RowView(tampered)) is not None, (i, j)
+        assert run_relation(tampered, "a.sum") == _full(tampered, "a.sum")
+
+
+def test_non_invariant_operand_of_an_evaluator_is_checked(ops_cache, monkeypatch):
+    ops = ops_cache(2, 3, 2)
+    reps = certificate(ops).reps
+    p = next(p for p in range(ops.dim) if p not in reps)
+    spike = SparseOperator(ops.dim, {p: {p: 1}})
+
+    def evaluate(o):
+        return None if (o.identity() @ spike).is_zero() else "nonzero"
+
+    monkeypatch.setitem(EVALUATORS, "a.sum", evaluate)
+    assert not passes_on_representatives(ops, evaluate)
+    assert run_relation(ops, "a.sum") == Outcome("a.sum", "fail", "nonzero")
+
+
+def test_recompleted_set_does_not_trust_its_derived_operators(ops_cache):
+    ops = ops_cache(2, 2, 1)
+    tampered = ops.perturbed("F0", 1, 2, 1)
+    complete_operator_set(tampered)
+    cert = certificate(tampered)
+    assert not cert.invariant(tampered, tampered["F0"])
+    assert not cert.invariant(tampered, tampered["Omega0"])
+    assert cert.invariant(ops, ops["Omega0"])
+
+
+def test_replaced_operator_is_checked_on_the_spot(ops_cache):
+    ops = ops_cache(2, 2, 1)
+    clone = ops.perturbed("A", 0, 0, 0)  # an equal copy, a new object
+    assert clone["A"] is not ops["A"]
+    assert certificate(clone).invariant(clone, clone["A"])
+    assert run_relation(clone, "aw.askey1").passed
+
+
+def test_unsupported_query_falls_back_to_the_full_path(ops_cache, monkeypatch):
+    ops = ops_cache(2, 2, 1)
+    seen = []
+
+    def evaluate(o):
+        seen.append("reduced" if isinstance(o, RowView) else "full")
+        return None if o["A"].nnz() else "A is empty"
+
+    monkeypatch.setitem(EVALUATORS, "a.sum", evaluate)
+    assert run_relation(ops, "a.sum").passed
+    assert seen == ["reduced", "full"]
+
+
+def _bad_generator(h, k, q):
+    """A transvection e_(h+1) -> e_(h+1) + e_1, which moves y."""
+    n = h + k
+    g = [[int(r == c) for c in range(n)] for r in range(n)]
+    g[h][0] = 1
+    return g
+
+
+@pytest.mark.parametrize("generators", [
+    lambda h, k, q: standard_generators(h, k, q) + [_bad_generator(h, k, q)],
+    lambda h, k, q: standard_generators(h, k, q)[:-1],  # no bridge transvection
+], ids=["moves-y", "no-bridge"])
+def test_broken_certificate_changes_no_verdict(monkeypatch, spy, generators):
+    q, h, k = 3, 2, 1
+    want_clean = run_geometry_suite(_fresh(q, h, k)).outcomes
+    want_tampered = run_geometry_suite(_perturb(_fresh(q, h, k))).outcomes
+    monkeypatch.setattr(symmetry, "standard_generators", generators)
+    ops = _fresh(q, h, k)
+    assert generator_permutations(ops.geometry) is not None
+    assert certificate(ops) is None
+    calls = spy("aw.askey1")
+    assert run_geometry_suite(ops).outcomes == want_clean
+    assert calls == ["reduced", "full"]
+    tampered = _perturb(_fresh(q, h, k))
+    assert run_geometry_suite(tampered).outcomes == want_tampered
+
+
+def test_singular_generator_voids_the_certificate(monkeypatch):
+    monkeypatch.setattr(symmetry, "standard_generators",
+                        lambda h, k, q: [[[0] * (h + k) for _ in range(h + k)]])
+    ops = _fresh(2, 2, 1)
+    assert generator_permutations(ops.geometry) is None
+    assert certificate(ops) is None
+    assert run_geometry_suite(ops).passed
+
+
+def test_generator_counts():
+    # per block of size >= 2: cycle and transvection; q > 2: one diagonal per block
+    assert len(standard_generators(4, 2, 2)) == 5
+    assert len(standard_generators(2, 1, 2)) == 3
+    assert len(standard_generators(3, 2, 3)) == 7
+    assert len(standard_generators(2, 1, 3)) == 5
+
+
+def test_generators_fix_y_and_preserve_strata(geometry_cache):
+    geom = geometry_cache(3, 3, 1)
+    for perm in generator_permutations(geom):
+        assert sorted(perm) == list(range(geom.size))
+        assert all(geom.ij[perm[p]] == geom.ij[p] for p in range(geom.size))
+
+
+def test_module_mode_is_untouched(spy):
+    from pgaw.modules import ModuleType, build_abstract_module
+    module = build_abstract_module(ModuleType(0, 1, 0, h=3, k=2), QuadRing(3))
+    calls = spy("aw.askey1")
+    assert run_relation(module.ops, "aw.askey1").passed
+    assert calls == ["full"]
+    assert "certificate" not in module.ops.shared
