@@ -15,7 +15,6 @@ from .rings import (
     SymbolicRing,
     RingMismatchError,
     gaussian_binomial,
-    q_bracket,
     ratfunc_reduce,
 )
 from .geometry import Subspace, GeometryIndex, build_geometry, enumerate_subspaces
@@ -50,7 +49,6 @@ __all__ = [
     "SymbolicRing",
     "RingMismatchError",
     "gaussian_binomial",
-    "q_bracket",
     "ratfunc_reduce",
     "Subspace",
     "GeometryIndex",

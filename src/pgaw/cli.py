@@ -29,12 +29,12 @@ from .modules import (
 )
 from .operators import build_geometry_operators
 from .rings import SUPPORTED_Q, QuadRing, SymbolicRing, gaussian_binomial
-from .symmetry import certificate
 from .verify import (
     SUITES,
     VerificationReport,
     run_geometry_suite,
     run_module_suite,
+    verify_counts,
 )
 
 DEFAULT_MAX_ELEMENTS = 10_000
@@ -279,11 +279,7 @@ def _capacity_guard(config: RunConfig):
 def _build_y(config: RunConfig) -> Optional[Subspace]:
     if config.y_rows is None:
         return None
-    n = config.h + config.k
-    for row in config.y_rows:
-        if len(row) != n:
-            raise ValueError(f"--y rows must have length {n}")
-    return Subspace(config.y_rows, n, config.q)
+    return Subspace(config.y_rows, config.h + config.k, config.q)
 
 
 def _cmd_enumerate(config: RunConfig) -> tuple[int, dict]:
@@ -310,25 +306,31 @@ def _timed(phases: dict, name: str, fn, *args):
     return out
 
 
-def _build_operators(config: RunConfig, phases: dict, y: Optional[Subspace] = None):
-    geom = _timed(phases, "geometry_build", build_geometry,
-                  config.q, config.h, config.k, y)
-    ops = _timed(phases, "operators_build", build_geometry_operators,
-                 geom, QuadRing(config.q))
-    return geom, ops
+def _build_geometry(config: RunConfig, phases: dict):
+    return _timed(phases, "geometry_build", build_geometry,
+                  config.q, config.h, config.k, _build_y(config))
+
+
+def _build_operators(config: RunConfig, phases: dict, geom):
+    return _timed(phases, "operators_build", build_geometry_operators,
+                  geom, QuadRing(config.q))
 
 
 def _cmd_verify(config: RunConfig) -> tuple[int, dict]:
     _capacity_guard(config)
     phases: dict = {}
-    _, ops = _build_operators(config, phases, _build_y(config))
-    _timed(phases, "symmetry", certificate, ops)
-    try:
-        report = run_geometry_suite(ops, config.suites, config.relation_ids)
-    except ValueError as exc:
-        return 1, {"context": {"command": "verify"}, "relations": [],
-                   "error": str(exc),
-                   "summary": {"total": 0, "passed": 0, "failed": 1}}
+    geom = _build_geometry(config, phases)
+    if set(config.suites) == {"counts"} and not config.relation_ids:
+        report = verify_counts(geom)  # no counts relation reads an operator
+    else:
+        ops = _build_operators(config, phases, geom)
+        _timed(phases, "symmetry", lambda: ops.certificate)
+        try:
+            report = run_geometry_suite(ops, config.suites, config.relation_ids)
+        except ValueError as exc:
+            return 1, {"context": {"command": "verify"}, "relations": [],
+                       "error": str(exc),
+                       "summary": {"total": 0, "passed": 0, "failed": 1}}
     report.context = {"command": "verify", **report.context, "suites": list(config.suites)}
     report.timings = {**phases, **report.timings}
     payload = _report_payload(report, config)
@@ -356,7 +358,8 @@ def _cmd_module(config: RunConfig) -> tuple[int, dict]:
 def _cmd_decompose(config: RunConfig) -> tuple[int, dict]:
     _capacity_guard(config)
     phases: dict = {}
-    geom, ops = _build_operators(config, phases)
+    geom = _build_geometry(config, phases)
+    ops = _build_operators(config, phases, geom)
     mults = _timed(phases, "multiplicities", compute_multiplicities, geom, ops)
     report = _timed(phases, "bookkeeping", bookkeeping_check, geom, mults)
     report.context = {"command": "decompose", **report.context}

@@ -21,6 +21,7 @@ the verifier compares them.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import permutations
 from math import gcd, lcm
 from typing import Callable, Optional
@@ -177,7 +178,7 @@ class SparseOperator:
     empty row is stored, so the operator is zero iff both parts are empty.
     """
 
-    __slots__ = ("dim", "d", "m0", "m1", "q", "__weakref__")
+    __slots__ = ("dim", "d", "m0", "m1", "q")
 
     def __init__(self, dim: int, rows: Optional[dict] = None):
         """The operator with the given scalar dict-of-rows entries."""
@@ -378,8 +379,6 @@ class OperatorSet:
         self._products: dict = {}
         # (inputs, outputs) of complete_operator_set, by name
         self.completion: Optional[tuple[dict, dict]] = None
-        # state shared with perturbed clones: the symmetry certificate
-        self.shared: dict = {}
 
     def __getitem__(self, name: str) -> SparseOperator:
         return self.ops[name]
@@ -409,6 +408,13 @@ class OperatorSet:
                 [1 if ij == (i, j) else 0 for ij in self.ij])
         return self._estar[key]
 
+    @cached_property
+    def certificate(self):
+        """The symmetry certificate of this set (``pgaw.symmetry``), or None;
+        computed at first use and never copied to a perturbed clone."""
+        from .symmetry import certify
+        return certify(self)
+
     def prod(self, a: str, b: str) -> SparseOperator:
         """Memoized product of two named operators."""
         key = (a, b)
@@ -417,13 +423,12 @@ class OperatorSet:
         return self._products[key]
 
     def perturbed(self, name: str, r: int, c: int, delta=1) -> "OperatorSet":
-        """Shallow copy with one operator entry perturbed (negative control)."""
+        """Shallow copy with one operator entry perturbed (negative control),
+        without a completion record, so without a certificate."""
         clone = OperatorSet(self.mode, self.ring, self.h, self.k, self.ij,
                             self.labels, self.geometry, self.module_type)
         clone.ops = dict(self.ops)
         clone.ops[name] = self.ops[name].with_entry_added(r, c, delta)
-        clone.completion = self.completion
-        clone.shared = self.shared
         return clone
 
     def __repr__(self):
@@ -511,8 +516,8 @@ def complete_operator_set(ops: OperatorSet) -> OperatorSet:
     """Fill in the derived operators from this mode's defining routes.
 
     ``ops.completion`` records the operators found on entry and the ones
-    computed here, so the symmetry certificate can tell the derived
-    operators by identity."""
+    computed here; the symmetry certificate checks the former and covers
+    both, by identity."""
     ring = ops.ring
     inputs = dict(ops.ops)
     if ops.mode == MODULE:

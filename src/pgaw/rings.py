@@ -578,11 +578,6 @@ Ring = Union[QuadRing, SymbolicRing]
 Scalar = Union[int, Fraction, QuadScalar, RatFunc]
 
 
-def q_bracket(m: int, ring: Ring) -> Scalar:
-    """The q-integer [m] in the given ring."""
-    return ring.bracket(m)
-
-
 def q_int(m: int, q: int) -> int:
     """[m] for a concrete integer q and m >= 0 (plain integer arithmetic)."""
     if m < 0:

@@ -9,36 +9,49 @@ residual is zero iff its rows at one representative per G_y-orbit are zero,
 and those orbits are the strata P_(i,j) (the symmetry reduction behind
 Terwilliger-algebra methods; Terwilliger 1992, Schrijver 2005).
 
-Nothing is assumed.  The certificate of an OperatorSet is computed at the
-first geometry relation run and shared with its ``perturbed`` clones:
+The witness comes from the same rows.  The representative of a stratum is
+its first position.  If r is the first nonzero row of an invariant
+residual, the representative p of r's stratum has p <= r and a nonzero
+row, since row p is row r permuted; so p = r.  The first nonzero row of a
+residual is therefore a representative row, and ``first_nonzero`` on the
+representative rows is the full evaluation's witness.  The same holds for
+``support_violation`` with a predicate of the strata of (row, col) alone,
+whose violating entries form an invariant set.
 
-(a) permutations of the positions induced by generator matrices of G_y
-    (per diagonal block of size >= 2 a block cycle and one transvection,
-    one transvection from the complement into y, and a primitive diagonal
-    element per block when q > 2), conjugated by a basis adapted to y;
-(b) a check that their union-find orbits are exactly ``geom.strata``; the
-    representatives are the first position of each stratum;
-(c) a check that every operator ``build_geometry_operators`` installs
-    satisfies M[πr, πc] = M[r, c] for each generator π.
+An OperatorSet's certificate is computed at its first use and stored on
+that set alone.  It exists iff the set has a ``completion`` record and
 
-The operators ``complete_operator_set`` derives inherit invariance while
-they are the very objects it computed from checked inputs; any other
-operand is checked on the spot, its verdict cached by object identity.
+(a) the generator matrices of G_y (``standard_generators``), conjugated
+    by a basis adapted to y, induce permutations of the positions;
+(b) their union-find orbits are exactly ``geom.strata``;
+(c) every input ``complete_operator_set`` recorded (the 15 operators
+    ``build_geometry_operators`` installs) satisfies M[πr, πc] = M[r, c]
+    for each generator π, entry by entry.
 
-``passes_on_representatives`` runs a relation's evaluator on a RowView of
-the set, in which operators, products, sums, scalars and transposes of
-operators are lazy expressions multiplied out from the representative
-rows, left to right.  If every representative row of every residual is zero the relation
-passes.  Otherwise -- a nonzero row, an operand that is not invariant, or
-no certificate -- the caller runs the evaluator on the full set, so every
-witness is the full evaluation's.
+It covers those inputs and the operators ``complete_operator_set`` derived
+from them, matched by object identity; any other operand is checked on the
+spot.  What is trusted rather than checked: that the derived operators are
+invariant (they are products, sums and scalar multiples of the inputs and
+of the identity); that the identity and the projections E* are (they are
+functions of the stratum, and (b) makes the strata the orbits); that
+operators are not changed in place; that a ``support_violation`` predicate
+depends on the strata alone; and that the row view below multiplies out
+exactly the representative rows of the full expressions.
+
+``evaluate`` runs a relation's evaluator on a RowView of the set, in which
+operators, products, sums, scalars and transposes of operators are lazy
+expressions multiplied out from the representative rows, left to right.
+Its result there -- None or the witness -- is the outcome.  Only
+Uncertified runs the evaluator on the full set instead: no certificate (a
+``perturbed`` clone never has one, nor has a module), an operand that is
+not invariant, or a query of a residual other than ``is_zero``,
+``first_nonzero`` and ``support_violation``.
 """
 
 from __future__ import annotations
 
 import itertools
-import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .geometry import GeometryIndex
@@ -180,53 +193,37 @@ def _permutes(op: SparseOperator, perm) -> bool:
     return True
 
 
-@dataclass
+def _invariant(op: SparseOperator, perms) -> bool:
+    return all(_permutes(op, perm) for perm in perms)
+
+
+@dataclass(frozen=True)
 class Certificate:
-    """Generator permutations whose orbits are the strata, plus invariance verdicts."""
+    """Generator permutations whose orbits are the strata, the first position
+    of each stratum, and the operators covered: id(op) -> op."""
 
     perms: list
     reps: tuple[int, ...]
-    # id(op) -> (weak reference to op, verdict); shared by perturbed clones
-    _verdicts: dict = field(default_factory=dict, init=False, repr=False)
+    covered: dict
 
-    def invariant(self, ops: OperatorSet, op: SparseOperator) -> bool:
-        """True iff op commutes with every generator permutation.
-
-        An operator ``complete_operator_set`` computed in ops (or in the set
-        ops was cloned from) is invariant iff every input it was computed
-        from is; any other operator is checked entry by entry."""
-        hit = self._verdicts.get(id(op))
-        if hit is not None and hit[0]() is op:
-            return hit[1]
-        inputs, derived = ops.completion or ({}, {})
-        if any(d is op for d in derived.values()):
-            ok = all(self.invariant(ops, x) for x in inputs.values())
-        else:
-            ok = all(_permutes(op, perm) for perm in self.perms)
-        self._verdicts[id(op)] = (weakref.ref(op), ok)
-        return ok
+    def covers(self, op) -> bool:
+        return self.covered.get(id(op)) is op
 
 
-def certificate(ops: OperatorSet) -> Optional[Certificate]:
-    """The set's certificate, computed once and shared with its perturbed
-    clones; None outside geometry mode or when (a) or (b) fails."""
-    shared = ops.shared
-    if "certificate" not in shared:
-        shared["certificate"] = _certify(ops)
-    return shared["certificate"]
-
-
-def _certify(ops: OperatorSet) -> Optional[Certificate]:
+def certify(ops: OperatorSet) -> Optional[Certificate]:
+    """The certificate of ops, or None: outside geometry mode, without a
+    completion record, or when (a), (b) or (c) fails."""
     geom = ops.geometry
-    if ops.mode != GEOMETRY or geom is None:
+    if ops.mode != GEOMETRY or geom is None or ops.completion is None:
         return None
+    inputs, derived = ops.completion
     perms = generator_permutations(geom)
     if perms is None or not _orbits_are_strata(perms, geom):
         return None
-    cert = Certificate(perms, tuple(members[0] for members in geom.strata.values()))
-    for op in (ops.completion or ({}, {}))[0].values():
-        cert.invariant(ops, op)
-    return cert
+    if not all(_invariant(op, perms) for op in inputs.values()):
+        return None
+    return Certificate(perms, tuple(members[0] for members in geom.strata.values()),
+                       {id(op): op for op in (*inputs.values(), *derived.values())})
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +231,7 @@ def _certify(ops: OperatorSet) -> Optional[Certificate]:
 # ---------------------------------------------------------------------------
 
 class Uncertified(Exception):
-    """An operand of the relation is not covered by the certificate."""
+    """The relation cannot be evaluated on the representative rows."""
 
 
 class _Expr:
@@ -351,36 +348,27 @@ class RowView:
     """An OperatorSet seen through its representative rows.
 
     Operators, products, the identity and the projections E* are lazy
-    expressions; every other attribute is the set's own.  Reading an
-    operator the certificate does not cover raises Uncertified."""
+    expressions; every other attribute is the set's own.  A set without a
+    certificate, or an operand that is neither covered nor invariant,
+    raises Uncertified."""
 
     def __init__(self, ops: OperatorSet):
+        cert = ops.certificate
+        if cert is None:
+            raise Uncertified("no certificate")
         self._ops = ops
-        self._cert: Optional[Certificate] = None
-        self._start: Optional[SparseOperator] = None
+        self._cert = cert
+        # the identity restricted to the representative rows
+        self.start = SparseOperator(ops.dim, {r: {r: 1} for r in cert.reps})
 
     def __getattr__(self, name):
         return getattr(self._ops, name)
 
-    @property
-    def cert(self) -> Certificate:
-        if self._cert is None:
-            self._cert = certificate(self._ops)
-            if self._cert is None:
-                raise Uncertified("no certificate")
-        return self._cert
-
-    @property
-    def start(self) -> SparseOperator:
-        """The identity restricted to the representative rows."""
-        if self._start is None:
-            self._start = SparseOperator(self._ops.dim, {r: {r: 1} for r in self.cert.reps})
-        return self._start
-
     def lift(self, op) -> _Expr:
         if isinstance(op, _Expr):
             return op
-        if not isinstance(op, SparseOperator) or not self.cert.invariant(self._ops, op):
+        if not isinstance(op, SparseOperator) or not (
+                self._cert.covers(op) or _invariant(op, self._cert.perms)):
             raise Uncertified("operand is not a G_y-invariant operator")
         return _Leaf(self, op)
 
@@ -390,29 +378,25 @@ class RowView:
     def prod(self, a: str, b: str) -> _Expr:
         return self[a] @ self[b]
 
-    def _diagonal(self, op: SparseOperator) -> _Expr:
-        """A diagonal function of (i, j): invariant once the orbits are the strata."""
-        self.cert  # raises Uncertified without a certificate
-        return _Leaf(self, op)
+    # diagonal functions of (i, j): invariant, as the orbits are the strata
 
     def identity(self) -> _Expr:
-        return self._diagonal(self._ops.identity())
+        return _Leaf(self, self._ops.identity())
 
     def estar_level(self, level: int) -> _Expr:
-        return self._diagonal(self._ops.estar_level(level))
+        return _Leaf(self, self._ops.estar_level(level))
 
     def estar_stratum(self, i: int, j: int) -> _Expr:
-        return self._diagonal(self._ops.estar_stratum(i, j))
+        return _Leaf(self, self._ops.estar_stratum(i, j))
 
 
-def passes_on_representatives(ops: OperatorSet, evaluate) -> bool:
-    """True iff the certificate covers the relation and every representative
-    row of its residuals is zero, which proves that the relation holds.
-
-    False says nothing either way: run the evaluator on the full set."""
-    if ops.mode != GEOMETRY or ops.geometry is None:
-        return False
+def evaluate(ops: OperatorSet, evaluator: Callable[[OperatorSet], Optional[str]]
+             ) -> Optional[str]:
+    """The evaluator's result for ops: None when the relation holds, else
+    the witness.  It comes from the representative rows whenever ops has a
+    certificate that covers the relation; Uncertified runs it in full."""
     try:
-        return evaluate(RowView(ops)) is None
+        return evaluator(RowView(ops))
     except Uncertified:
-        return False
+        pass  # the full evaluation runs after the reduced one is released
+    return evaluator(ops)

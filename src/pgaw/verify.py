@@ -19,10 +19,11 @@ entry in row-major order.  The same registry drives geometry-mode runs
 abstract module's standard basis); each relation declares the modes it
 applies to.  All passes are exact -- there are no tolerances anywhere.
 
-In geometry mode ``run_relation`` first runs the evaluator on one
-representative row per G_y-orbit, behind a certificate the run checks
-itself (``pgaw.symmetry``); any other outcome there repeats the full
-evaluation, which alone produces failures and witnesses.
+Each relation is evaluated once, by ``pgaw.symmetry.evaluate``.  On a
+certified geometry set that evaluation reads one representative row per
+G_y-orbit; the first nonzero row of a residual is always one of them, so
+witnesses are the full evaluation's.  A perturbed clone or a module is
+evaluated on the full set.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from .operators import (
     expr_fplus_central,
 )
 from .rings import QuadRing, q_int
-from .symmetry import passes_on_representatives
+from .symmetry import evaluate
 
 
 @dataclass(frozen=True)
@@ -116,11 +117,11 @@ _registry: list[Relation] = []
 _evaluators: dict[str, Callable[[OperatorSet], Optional[str]]] = {}
 
 
-def _register(rel_id: str, description: str, suite: str, modes, evaluate):
+def _register(rel_id: str, description: str, suite: str, modes, evaluator):
     if rel_id in _evaluators:
         raise ValueError(f"duplicate relation id {rel_id}")
     _registry.append(Relation(rel_id, description, suite, tuple(modes)))
-    _evaluators[rel_id] = evaluate
+    _evaluators[rel_id] = evaluator
 
 
 def _relation(rel_id: str, description: str, suite: str, modes):
@@ -607,17 +608,22 @@ def _select(mode: str, suites, relation_ids) -> list[Relation]:
     return out
 
 
+def _outcome(ops: OperatorSet, rel_id: str, evaluator) -> Outcome:
+    witness = evaluate(ops, evaluator)
+    return Outcome(rel_id, "pass" if witness is None else "fail", witness)
+
+
 def run_relation(ops: OperatorSet, rel_id: str) -> Outcome:
-    """One relation's outcome.  In geometry mode it is first run on the
-    representative rows of the certified symmetry reduction; any doubt
-    there falls back to the full evaluation, which gives every witness."""
-    evaluate = EVALUATORS[rel_id]
-    if passes_on_representatives(ops, evaluate):
-        return Outcome(rel_id, "pass")
-    witness = evaluate(ops)
-    if witness is None:
-        return Outcome(rel_id, "pass")
-    return Outcome(rel_id, "fail", witness)
+    """One relation's outcome from one evaluation.
+
+    On a certified geometry set the evaluator runs on one representative
+    row per stratum and its result there is the outcome: each representative
+    is the first position of its stratum and residuals are G_y-invariant,
+    so the first nonzero row of a residual is a representative row and the
+    witness is the full evaluation's.  What this trusts is listed in
+    ``pgaw.symmetry``.  A perturbed clone, a module or an uncovered operand
+    runs on the full set."""
+    return _outcome(ops, rel_id, EVALUATORS[rel_id])
 
 
 def run_suites(ops: OperatorSet, suites: Optional[Sequence[str]] = None,
@@ -706,13 +712,11 @@ def verify_y_invariance(q: int, h: int, k: int, y_list,
 
 def askey1_with_coefficient(ops: OperatorSet, middle) -> Outcome:
     """Evaluate the first relation with a replaced middle coefficient."""
-    witness = _residual_witness(expr_askey1(ops, middle=middle), ops)
-    return Outcome("aw.askey1[tampered-coefficient]",
-                   "pass" if witness is None else "fail", witness)
+    return _outcome(ops, "aw.askey1[tampered-coefficient]",
+                    lambda o: _residual_witness(expr_askey1(o, middle=middle), o))
 
 
 def k1l1_with_coefficient(ops: OperatorSet, coeff) -> Outcome:
     """Evaluate K1 L1 = coeff * L1 K1 (the true identity has coeff = q)."""
-    witness = _residual_witness(_q_commutation(ops, "K1", "L1", right=coeff), ops)
-    return Outcome("gen.k1l1[tampered-coefficient]",
-                   "pass" if witness is None else "fail", witness)
+    return _outcome(ops, "gen.k1l1[tampered-coefficient]",
+                    lambda o: _residual_witness(_q_commutation(o, "K1", "L1", right=coeff), o))

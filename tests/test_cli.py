@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
+from pgaw import cli
 from pgaw.cli import parse_args, run
+from pgaw.verify import relations_for
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +126,24 @@ def test_run_verify_with_timings_flag():
                                  "phase.symmetry"]
     assert "counts.slash_down" in timings and "aw.askey1" in timings
     assert json.dumps(payload, indent=2) + "\n" == plain
+
+
+def test_verify_counts_suite_builds_no_operators(monkeypatch):
+    argv = ["verify", "--q", "2", "--h", "3", "--k", "2", "--suite", "counts"]
+    ids = [rel.id for rel in relations_for("geometry", ["counts"])]
+    # --relation takes the operator path; the report must be the same
+    via_operators = run(parse_args(argv + [a for rid in ids for a in ("--relation", rid)]))
+
+    def no_operators(*args):
+        raise AssertionError("the counts suite built the operators")
+
+    monkeypatch.setattr(cli, "build_geometry_operators", no_operators)
+    assert run(parse_args(argv)) == via_operators
+    assert run(parse_args(argv + ["--suite", "counts"]))[0] == 0
+    _, out = run(parse_args(argv + ["--timings", "--format", "json"]))
+    timings = json.loads(out)["timings"]
+    assert [key for key in timings if key.startswith("phase.")] == ["phase.geometry_build"]
+    assert list(timings)[1:] == ids
 
 
 def test_run_decompose_timings_phases():

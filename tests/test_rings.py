@@ -14,7 +14,6 @@ from pgaw.rings import (
     SymbolicRing,
     evaluate_at_q,
     gaussian_binomial,
-    q_bracket,
     ratfunc_reduce,
 )
 
@@ -388,9 +387,9 @@ def test_symbolic_half_powers_multiply():
 # ---------------------------------------------------------------------------
 
 def test_q_bracket_examples():
-    assert q_bracket(0, R2) == 0
-    assert q_bracket(3, R2) == 7
-    assert q_bracket(2, SYM) == poly({0: 1, 2: 1})
+    assert R2.bracket(0) == 0
+    assert R2.bracket(3) == 7
+    assert SYM.bracket(2) == poly({0: 1, 2: 1})
 
 
 def test_q_bracket_recurrence_both_rings():
@@ -402,8 +401,8 @@ def test_q_bracket_recurrence_both_rings():
 
 def test_q_bracket_negative():
     # [-1] = -1/q
-    assert q_bracket(-1, R2) == Fraction(-1, 2)
-    assert q_bracket(-1, SYM) == poly({-2: -1})
+    assert R2.bracket(-1) == Fraction(-1, 2)
+    assert SYM.bracket(-1) == poly({-2: -1})
     for ring in (R2, SYM):
         q = ring.q_power(1)
         for m in range(-5, 0):

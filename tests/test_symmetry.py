@@ -1,27 +1,35 @@
 """The certified symmetry reduction of geometry-mode relations.
 
-A relation passes on the representative rows only when the certificate
-covers every operand and every representative row of its residuals is
-zero; otherwise the full evaluation runs and gives the witness.  These
-tests pin that the reduced and full outcomes agree, that perturbed sets
-fall back to the full path, and that a broken certificate changes no
-verdict.
+On a certified set every relation is evaluated once, on the representative
+rows, and that result -- pass or witness -- is the outcome; a set without a
+certificate (a perturbed clone, a module) evaluates once, in full.  These
+tests pin that both give the full evaluation's outcome byte for byte, that
+the certificate exists only when every recorded input is invariant, and
+that a broken certificate changes no verdict.
 """
 
 import pytest
 
-from pgaw import symmetry
+from pgaw import symmetry, verify
 from pgaw.geometry import Subspace, build_geometry
-from pgaw.operators import SparseOperator, build_geometry_operators, complete_operator_set
-from pgaw.rings import QuadRing
-from pgaw.symmetry import (
-    RowView,
-    certificate,
-    generator_permutations,
-    passes_on_representatives,
-    standard_generators,
+from pgaw.operators import (
+    OperatorSet,
+    SparseOperator,
+    build_geometry_operators,
+    complete_operator_set,
+    expr_askey1,
 )
-from pgaw.verify import EVALUATORS, Outcome, relations_for, run_geometry_suite, run_relation
+from pgaw.rings import QuadRing
+from pgaw.symmetry import RowView, generator_permutations, standard_generators
+from pgaw.verify import (
+    EVALUATORS,
+    Outcome,
+    askey1_with_coefficient,
+    k1l1_with_coefficient,
+    relations_for,
+    run_geometry_suite,
+    run_relation,
+)
 
 # (q, h, k, rows of a non-coordinate y or None for the default y)
 CONFIGS = (
@@ -44,14 +52,28 @@ def _perturb(ops):
 
 
 def _fresh(q, h, k, y_rows=None):
-    """A new OperatorSet, so no certificate is cached yet."""
+    """A new OperatorSet, so no certificate is computed yet."""
     y = None if y_rows is None else Subspace(y_rows, h + k, q)
     return build_geometry_operators(build_geometry(q, h, k, y), QuadRing(q))
+
+
+def _completed(ops, name, op):
+    """A new set with the operators ops was completed from, name replaced by
+    op before complete_operator_set runs."""
+    fresh = OperatorSet(ops.mode, ops.ring, ops.h, ops.k, ops.ij, ops.labels,
+                        geometry=ops.geometry)
+    fresh.ops = dict(ops.completion[0])
+    fresh[name] = op
+    return complete_operator_set(fresh)
 
 
 def _full(ops, rel_id):
     witness = EVALUATORS[rel_id](ops)
     return Outcome(rel_id, "pass" if witness is None else "fail", witness)
+
+
+def _seen(ops):
+    return "reduced" if isinstance(ops, RowView) else "full"
 
 
 @pytest.fixture
@@ -62,7 +84,7 @@ def spy(monkeypatch):
         calls = []
 
         def evaluate(ops):
-            calls.append("reduced" if isinstance(ops, RowView) else "full")
+            calls.append(_seen(ops))
             return real(ops)
 
         monkeypatch.setitem(EVALUATORS, rel_id, evaluate)
@@ -73,11 +95,11 @@ def spy(monkeypatch):
 @pytest.mark.parametrize("q,h,k,y_rows", CONFIGS)
 def test_reduced_and_full_outcomes_agree(q, h, k, y_rows):
     ops = _fresh(q, h, k, y_rows)
-    cert = certificate(ops)
+    cert = ops.certificate
     assert cert is not None
     assert len(cert.reps) == len(ops.geometry.strata)
     for rel in relations_for("geometry"):
-        assert passes_on_representatives(ops, EVALUATORS[rel.id]), rel.id
+        assert EVALUATORS[rel.id](RowView(ops)) is None, rel.id
         assert run_relation(ops, rel.id) == _full(ops, rel.id) == Outcome(rel.id, "pass")
 
 
@@ -89,15 +111,45 @@ def test_perturbed_outcomes_and_witnesses_agree(q, h, k, y_rows):
     assert any(not o.passed for o in outcomes)
 
 
+@pytest.mark.parametrize("q,h,k,y_rows", CONFIGS)
+def test_coefficient_controls_run_once_on_the_representative_rows(
+        monkeypatch, q, h, k, y_rows):
+    ops = _fresh(q, h, k, y_rows)
+    coeff = ops.ring.q_power(1) + 1
+    want_askey1 = verify._residual_witness(expr_askey1(ops, middle=coeff), ops)
+    want_k1l1 = verify._residual_witness(
+        verify._q_commutation(ops, "K1", "L1", right=coeff), ops)
+    calls = []
+
+    def spied(real):
+        def wrapper(o, *args, **kwargs):
+            calls.append(_seen(o))
+            return real(o, *args, **kwargs)
+        return wrapper
+
+    for name in ("expr_askey1", "_q_commutation"):
+        monkeypatch.setattr(verify, name, spied(getattr(verify, name)))
+    out = askey1_with_coefficient(ops, coeff)
+    assert out == Outcome("aw.askey1[tampered-coefficient]", "fail", want_askey1)
+    assert calls == ["reduced"]
+    del calls[:]
+    out = k1l1_with_coefficient(ops, coeff)
+    assert out == Outcome("gen.k1l1[tampered-coefficient]", "fail", want_k1l1)
+    assert calls == ["reduced"]
+
+
 def test_every_installed_operator_is_certified(ops_cache):
     ops = ops_cache(2, 3, 2)
-    cert = certificate(ops)
+    cert = ops.certificate
     inputs, derived = ops.completion
     assert set(inputs) == {"K1", "K1i", "K2", "K2i", "L1", "L2", "R1", "R2",
                            "F0", "Fplus", "Fminus", "F", "R", "L", "A"}
     assert set(derived) == {"Astar", "Omega0", "Omega1", "Omega2", "Y", "P",
                             "Omega", "G", "Gstar"}
-    assert all(cert.invariant(ops, op) for op in ops.ops.values())
+    assert all(cert.covers(op) for op in ops.ops.values())
+    # what the certificate trusts of the derived operators holds here
+    assert all(symmetry._permutes(op, perm)
+               for op in ops.ops.values() for perm in cert.perms)
 
 
 def test_perturbed_set_takes_the_full_path(ops_cache, spy):
@@ -106,11 +158,10 @@ def test_perturbed_set_takes_the_full_path(ops_cache, spy):
     assert run_relation(ops, "aw.askey2").passed
     assert calls == ["reduced"]
     tampered = ops.perturbed("A", 3, 40, 1)
-    assert tampered.shared is ops.shared
-    assert not certificate(tampered).invariant(tampered, tampered["A"])
+    assert tampered.completion is None and tampered.certificate is None
     del calls[:]
     out = run_relation(tampered, "aw.askey2")
-    assert calls == ["reduced", "full"]
+    assert calls == ["full"]
     assert out == _full(tampered, "aw.askey2") and not out.passed
 
 
@@ -125,12 +176,11 @@ def test_invariant_perturbation_is_caught_on_a_representative_row(
     # the zero subspace, y and the whole space are singleton orbits, so the
     # perturbation is invariant
     assert (r,) in geom.strata.values() and (c,) in geom.strata.values()
-    tampered = ops.perturbed("A", r, c, 1)
-    assert certificate(tampered).invariant(tampered, tampered["A"])
-    assert EVALUATORS[rel_id](RowView(tampered)) is not None
+    tampered = _completed(ops, "A", ops["A"].with_entry_added(r, c, 1))
+    assert tampered.certificate is not None
     calls = spy(rel_id)
     out = run_relation(tampered, rel_id)
-    assert calls == ["reduced", "full"]
+    assert calls == ["reduced"]
     assert not out.passed
     assert out == _full(tampered, rel_id)
     assert out.witness.startswith(f"row={ops.labels[r]}, col={ops.labels[c]}")
@@ -139,43 +189,49 @@ def test_invariant_perturbation_is_caught_on_a_representative_row(
 def test_every_stratum_has_a_representative_row(ops_cache):
     ops = ops_cache(2, 3, 2)
     for i, j in ops.geometry.strata:
-        tampered = ops.perturbed("A", 0, 0, 0)
-        tampered.ops["A"] = ops["A"] + ops.estar_stratum(i, j)  # invariant
-        assert certificate(tampered).invariant(tampered, tampered["A"])
+        tampered = _completed(ops, "A", ops["A"] + ops.estar_stratum(i, j))  # invariant
+        assert tampered.certificate is not None
         assert EVALUATORS["a.sum"](RowView(tampered)) is not None, (i, j)
-        assert run_relation(tampered, "a.sum") == _full(tampered, "a.sum")
+        for rel in relations_for("geometry"):
+            assert run_relation(tampered, rel.id) == _full(tampered, rel.id), (i, j, rel.id)
 
 
 def test_non_invariant_operand_of_an_evaluator_is_checked(ops_cache, monkeypatch):
     ops = ops_cache(2, 3, 2)
-    reps = certificate(ops).reps
+    reps = ops.certificate.reps
     p = next(p for p in range(ops.dim) if p not in reps)
     spike = SparseOperator(ops.dim, {p: {p: 1}})
+    seen = []
 
     def evaluate(o):
+        seen.append(_seen(o))
         return None if (o.identity() @ spike).is_zero() else "nonzero"
 
     monkeypatch.setitem(EVALUATORS, "a.sum", evaluate)
-    assert not passes_on_representatives(ops, evaluate)
     assert run_relation(ops, "a.sum") == Outcome("a.sum", "fail", "nonzero")
+    assert seen == ["reduced", "full"]
 
 
-def test_recompleted_set_does_not_trust_its_derived_operators(ops_cache):
+def test_recompleted_set_does_not_trust_its_derived_operators(ops_cache, spy):
     ops = ops_cache(2, 2, 1)
     tampered = ops.perturbed("F0", 1, 2, 1)
     complete_operator_set(tampered)
-    cert = certificate(tampered)
-    assert not cert.invariant(tampered, tampered["F0"])
-    assert not cert.invariant(tampered, tampered["Omega0"])
-    assert cert.invariant(ops, ops["Omega0"])
+    # one input fails check (c), so there is no certificate at all: even a
+    # relation that reads no operator derived from F0 runs in full
+    assert tampered.certificate is None
+    calls = spy("gen.k1l1")
+    assert run_relation(tampered, "gen.k1l1").passed
+    assert calls == ["full"]
+    assert ops.certificate.covers(ops["Omega0"])
 
 
-def test_replaced_operator_is_checked_on_the_spot(ops_cache):
-    ops = ops_cache(2, 2, 1)
-    clone = ops.perturbed("A", 0, 0, 0)  # an equal copy, a new object
-    assert clone["A"] is not ops["A"]
-    assert certificate(clone).invariant(clone, clone["A"])
-    assert run_relation(clone, "aw.askey1").passed
+def test_replaced_operator_is_checked_on_the_spot(spy):
+    ops = _fresh(2, 2, 1)
+    ops["A"] = ops["A"].with_entry_added(0, 0, 0)  # an equal copy, a new object
+    assert not ops.certificate.covers(ops["A"])
+    calls = spy("aw.askey1")
+    assert run_relation(ops, "aw.askey1").passed
+    assert calls == ["reduced"]
 
 
 def test_unsupported_query_falls_back_to_the_full_path(ops_cache, monkeypatch):
@@ -183,7 +239,7 @@ def test_unsupported_query_falls_back_to_the_full_path(ops_cache, monkeypatch):
     seen = []
 
     def evaluate(o):
-        seen.append("reduced" if isinstance(o, RowView) else "full")
+        seen.append(_seen(o))
         return None if o["A"].nnz() else "A is empty"
 
     monkeypatch.setitem(EVALUATORS, "a.sum", evaluate)
@@ -210,10 +266,10 @@ def test_broken_certificate_changes_no_verdict(monkeypatch, spy, generators):
     monkeypatch.setattr(symmetry, "standard_generators", generators)
     ops = _fresh(q, h, k)
     assert generator_permutations(ops.geometry) is not None
-    assert certificate(ops) is None
+    assert ops.certificate is None
     calls = spy("aw.askey1")
     assert run_geometry_suite(ops).outcomes == want_clean
-    assert calls == ["reduced", "full"]
+    assert calls == ["full"]
     tampered = _perturb(_fresh(q, h, k))
     assert run_geometry_suite(tampered).outcomes == want_tampered
 
@@ -223,7 +279,7 @@ def test_singular_generator_voids_the_certificate(monkeypatch):
                         lambda h, k, q: [[[0] * (h + k) for _ in range(h + k)]])
     ops = _fresh(2, 2, 1)
     assert generator_permutations(ops.geometry) is None
-    assert certificate(ops) is None
+    assert ops.certificate is None
     assert run_geometry_suite(ops).passed
 
 
@@ -248,4 +304,4 @@ def test_module_mode_is_untouched(spy):
     calls = spy("aw.askey1")
     assert run_relation(module.ops, "aw.askey1").passed
     assert calls == ["full"]
-    assert "certificate" not in module.ops.shared
+    assert module.ops.certificate is None
