@@ -6,9 +6,10 @@ operators were perturbed so that relations of every kind fail: q-commutations,
 cubic relations, block supports, equalities, commutators, module tables and
 covering-degree counts.  A refactor of the registry must leave it unchanged.
 
-The operator fixture pins, for every named operator of four lattices and of
-one numeric module, the sha256 of its labelled coordinate lines: every
-entry's position, canonical value and rendering.  A change of the operator
+The operator fixture pins, for every named operator of five lattices (one
+of them also with a non-default y) and of one numeric and one symbolic
+module, the sha256 of its labelled coordinate lines: every entry's
+position, canonical value and rendering.  A change of the operator
 representation must leave it unchanged.
 
 Regenerate both (only when a relation or an operator is deliberately
@@ -22,7 +23,7 @@ import hashlib
 import json
 import os
 
-from pgaw.geometry import build_geometry
+from pgaw.geometry import Subspace, build_geometry
 from pgaw.modules import ModuleType, build_abstract_module
 from pgaw.operators import build_geometry_operators
 from pgaw.rings import QuadRing, SymbolicRing
@@ -30,7 +31,9 @@ from pgaw.verify import REGISTRY, run_geometry_suite, run_module_suite, verify_c
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "golden_reports.json")
 OPERATOR_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "golden_operators.json")
-GEOMETRY_CONFIGS = ((2, 2, 1), (3, 2, 1), (2, 3, 1), (3, 3, 1))
+GEOMETRY_CONFIGS = ((2, 2, 1), (3, 2, 1), (2, 3, 1), (3, 3, 1), (2, 3, 2))
+# (2,3,2) once more with a y other than the span of the last k basis vectors
+CUSTOM_Y = ((1, 0, 1, 0, 0), (0, 1, 0, 1, 1))
 
 # (operator, row, col) entries that get +1, applied in this order.
 GEOMETRY_PERTURBATIONS = (("L1", 0, 0), ("F0", 1, 2), ("Omega1", 2, 5), ("Y", 3, 3))
@@ -107,8 +110,12 @@ def operator_snapshot() -> dict:
     for q, h, k in GEOMETRY_CONFIGS:
         ops = build_geometry_operators(build_geometry(q, h, k), QuadRing(q))
         snap[f"geometry {q},{h},{k}"] = _operator_digests(ops)
-    module = build_abstract_module(ModuleType(0, 1, 0, h=3, k=2), QuadRing(3))
-    snap["module q=3 (0,1,0) h=3 k=2"] = _operator_digests(module.ops)
+    geom = build_geometry(2, 3, 2, Subspace(CUSTOM_Y, 5, 2))
+    snap["geometry 2,3,2 y=1,0,1,0,0;0,1,0,1,1"] = _operator_digests(
+        build_geometry_operators(geom, QuadRing(2)))
+    for key, ring in (("q=3", QuadRing(3)), ("symbolic", SymbolicRing())):
+        module = build_abstract_module(ModuleType(0, 1, 0, h=3, k=2), ring)
+        snap[f"module {key} (0,1,0) h=3 k=2"] = _operator_digests(module.ops)
     return snap
 
 
