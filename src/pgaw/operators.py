@@ -11,6 +11,12 @@ entries (RatFunc) go through the same row kernels as their own numerators
 over d = 1.  ``entry`` and the witnesses render the canonical scalar
 (int, Fraction, QuadScalar or RatFunc).
 
+The 0/1 operators -- the geometry incidence families, the identity and
+the projections E* -- are built as int rows and stored as M0 over d = 1
+with no per-entry conversion.  A product with a diagonal operand (the K
+diagonals and their products, the identity, E*) is a row or column
+scaling of the other operand, chosen by the row kernel from its input.
+
 An OperatorSet holds every named operator over one basis: either the
 subspace lattice (geometry mode, entries in Q(sqrt q)) or the standard
 basis of an abstract irreducible module (module mode, numeric or symbolic
@@ -22,7 +28,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import permutations
 from math import gcd, lcm
 from typing import Callable, Optional
 
@@ -77,8 +82,34 @@ def _common_q(*qs):
 
 # -- row kernels: dict-of-rows matrices of numerators, zeros never stored ------
 
+def _diagonal(x: dict):
+    """{r: x[r][r]} when x is diagonal, else None; stops at the first
+    off-diagonal row."""
+    diag = {}
+    for r, row in x.items():
+        if len(row) != 1 or r not in row:
+            return None
+        diag[r] = row[r]
+    return diag
+
+
 def _rows_mul(x: dict, y: dict) -> dict:
-    """x @ y."""
+    """x @ y; a diagonal operand makes it a column (y) or row (x) scaling.
+
+    A product of nonzero field elements is nonzero, so scaling stores no
+    zero; a row or column that meets a missing diagonal entry is dropped."""
+    diag = _diagonal(y)
+    if diag is not None:
+        out = {}
+        for r, row in x.items():
+            scaled = {c: v * diag[c] for c, v in row.items() if c in diag}
+            if scaled:
+                out[r] = scaled
+        return out
+    diag = _diagonal(x)
+    if diag is not None:
+        return {r: {c: s * v for c, v in y[r].items()}
+                for r, s in diag.items() if r in y}
     out = {}
     for r, row in x.items():
         acc: dict = {}
@@ -225,7 +256,7 @@ class SparseOperator:
 
     @classmethod
     def identity(cls, dim: int) -> "SparseOperator":
-        return cls(dim, {r: {r: 1} for r in range(dim)})
+        return _integer_operator(dim, {r: {r: 1} for r in range(dim)})
 
     @classmethod
     def diagonal(cls, values) -> "SparseOperator":
@@ -355,6 +386,15 @@ class SparseOperator:
         return f"SparseOperator(dim={self.dim}, nnz={self.nnz()})"
 
 
+def _integer_operator(dim: int, rows: dict) -> SparseOperator:
+    """The operator whose M0 is ``rows`` over d = 1, stored as given.
+
+    Precondition: every value is a nonzero int and no row is empty, as
+    for the 0/1 incidence and projection rows built here; nothing is
+    split, checked or copied."""
+    return SparseOperator(dim)._set(1, rows, {}, None)
+
+
 def commutator(x: SparseOperator, y: SparseOperator) -> SparseOperator:
     return (x @ y) - (y @ x)
 
@@ -397,15 +437,15 @@ class OperatorSet:
     def estar_level(self, level: int) -> SparseOperator:
         key = ("level", level)
         if key not in self._estar:
-            self._estar[key] = SparseOperator.diagonal(
-                [1 if i + j == level else 0 for i, j in self.ij])
+            self._estar[key] = _integer_operator(
+                self.dim, {p: {p: 1} for p, (i, j) in enumerate(self.ij) if i + j == level})
         return self._estar[key]
 
     def estar_stratum(self, i: int, j: int) -> SparseOperator:
         key = ("stratum", i, j)
         if key not in self._estar:
-            self._estar[key] = SparseOperator.diagonal(
-                [1 if ij == (i, j) else 0 for ij in self.ij])
+            self._estar[key] = _integer_operator(
+                self.dim, {p: {p: 1} for p, ij in enumerate(self.ij) if ij == (i, j)})
         return self._estar[key]
 
     @cached_property
@@ -440,8 +480,28 @@ class OperatorSet:
 # geometry-mode construction
 # ---------------------------------------------------------------------------
 
+def _link(rows: dict, group) -> None:
+    """rows[u][v] = 1 for every two distinct u, v of group (no empty row)."""
+    if len(group) < 2:
+        return
+    ones = dict.fromkeys(group, 1)
+    for u in group:
+        row = rows.get(u)
+        if row is None:
+            rows[u] = row = dict(ones)
+        else:
+            row.update(ones)
+        del row[u]  # no family joins u to itself
+
+
 def build_geometry_operators(geom: GeometryIndex, ring: QuadRing) -> OperatorSet:
     """Every operator over the lattice; incidence families built combinatorially.
+
+    The 0/1 families L1, L2, F0, F+, F-, F, R, L and A are built row by
+    row as integer numerators over d = 1 and stored as they are (their
+    rows hold no zero and none is empty).  Two distinct upper covers of w
+    are joined by F iff both are slash covers or both backslash covers
+    (same i), by R/L iff one of each, and by A in either case.
 
     F0 joins u != v that are both slash-covered by a common w and meet
     in dimension dim(u ∩ v ∩ y) = i_u.  No intersection is computed for
@@ -460,53 +520,46 @@ def build_geometry_operators(geom: GeometryIndex, ring: QuadRing) -> OperatorSet
     ops["K2"] = SparseOperator.diagonal([ring.q_half(2 * j - h) for _, j in geom.ij])
     ops["K2i"] = SparseOperator.diagonal([ring.q_half(h - 2 * j) for _, j in geom.ij])
 
-    ops["L1"] = SparseOperator(
-        size, {u: {v: 1 for v in geom.slash_covered_by[u]}
-               for u in range(size) if geom.slash_covered_by[u]})
-    ops["L2"] = SparseOperator(
-        size, {u: {v: 1 for v in geom.backslash_covered_by[u]}
-               for u in range(size) if geom.backslash_covered_by[u]})
+    for name, covered_by in (("L1", geom.slash_covered_by),
+                             ("L2", geom.backslash_covered_by)):
+        ops[name] = _integer_operator(size, {u: dict.fromkeys(above, 1)
+                                             for u, above in enumerate(covered_by)
+                                             if above})
     ops["R1"] = ops["L1"].transpose()
     ops["R2"] = ops["L2"].transpose()
 
-    f0 = {}
-    fplus = {}
-    fminus = {}
-    f_all = {}
-    r_comb = {}
-    l_comb = {}
-    a_comb = {}
-    ij = geom.ij
+    f0: dict = {}
+    fplus: dict = {}
+    fminus: dict = {}
+    f_all: dict = {}
+    r_comb: dict = {}
+    l_comb: dict = {}
+    a_comb: dict = {}
     meet_y = geom.meet_y
     for w in range(size):
         up_slash = geom.slash_covered_by[w]
         up_back = geom.backslash_covered_by[w]
+        _link(fminus, up_slash)
         # pairs below a common join w
-        down_slash = geom.slash_covers_of[w]
-        down_back = geom.backslash_covers_of[w]
-        for u, v in permutations(up_slash, 2):
-            fminus.setdefault(u, {})[v] = 1
-        for u, v in permutations(down_back, 2):
-            fplus.setdefault(u, {})[v] = 1
-        for u, v in permutations(down_slash, 2):
-            if meet_y[u] == meet_y[v]:
-                f0.setdefault(u, {})[v] = 1
-        for u in up_back:
+        _link(fplus, geom.backslash_covers_of[w])
+        by_meet: dict = {}
+        for u in geom.slash_covers_of[w]:
+            by_meet.setdefault(meet_y[u], []).append(u)
+        for group in by_meet.values():
+            _link(f0, group)
+        _link(f_all, up_slash)
+        _link(f_all, up_back)
+        if up_slash and up_back:
+            slash_ones = dict.fromkeys(up_slash, 1)
+            back_ones = dict.fromkeys(up_back, 1)
+            for u in up_back:
+                r_comb.setdefault(u, {}).update(slash_ones)
             for v in up_slash:
-                r_comb.setdefault(u, {})[v] = 1
-                l_comb.setdefault(v, {})[u] = 1
-        both = up_slash + up_back
-        for u, v in permutations(both, 2):
-            a_comb.setdefault(u, {})[v] = 1
-            if ij[u][0] == ij[v][0]:
-                f_all.setdefault(u, {})[v] = 1
-    ops["F0"] = SparseOperator(size, f0)
-    ops["Fplus"] = SparseOperator(size, fplus)
-    ops["Fminus"] = SparseOperator(size, fminus)
-    ops["F"] = SparseOperator(size, f_all)
-    ops["R"] = SparseOperator(size, r_comb)
-    ops["L"] = SparseOperator(size, l_comb)
-    ops["A"] = SparseOperator(size, a_comb)
+                l_comb.setdefault(v, {}).update(back_ones)
+        _link(a_comb, up_slash + up_back)
+    for name, rows in (("F0", f0), ("Fplus", fplus), ("Fminus", fminus), ("F", f_all),
+                       ("R", r_comb), ("L", l_comb), ("A", a_comb)):
+        ops[name] = _integer_operator(size, rows)
 
     complete_operator_set(ops)
     return ops

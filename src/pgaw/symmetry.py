@@ -55,7 +55,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .geometry import GeometryIndex
-from .operators import GEOMETRY, OperatorSet, SparseOperator
+from .operators import GEOMETRY, OperatorSet, SparseOperator, _integer_operator
 
 Matrix = list[list[int]]
 
@@ -359,7 +359,7 @@ class RowView:
         self._ops = ops
         self._cert = cert
         # the identity restricted to the representative rows
-        self.start = SparseOperator(ops.dim, {r: {r: 1} for r in cert.reps})
+        self.start = _integer_operator(ops.dim, {r: {r: 1} for r in cert.reps})
 
     def __getattr__(self, name):
         return getattr(self._ops, name)

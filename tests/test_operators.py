@@ -10,7 +10,7 @@ from pgaw.operators import (
     build_geometry_operators,
     commutator,
 )
-from pgaw.rings import QuadRing, QuadScalar, RingMismatchError
+from pgaw.rings import QuadRing, QuadScalar, RatFunc, RingMismatchError, SymbolicRing
 
 
 def span(indices, n=3, q=2):
@@ -26,11 +26,17 @@ def _dense(op):
 
 
 def _random_scalar(rng, q):
+    """int, Fraction, or QuadScalar over q; RatFunc (with a pole at q = 1)
+    in place of QuadScalar when q is None (symbolic)."""
     kind = rng.randrange(3)
     if kind == 0:
         return rng.randint(-4, 4)
     if kind == 1:
-        return Fraction(rng.randint(-4, 4), rng.randint(1, 3 * q))
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3 * (q or 2)))
+    if q is None:
+        sym = SymbolicRing()
+        v = sym.q_half(rng.randint(-3, 3)) * rng.randint(1, 3) + sym.bracket(rng.randint(-2, 3))
+        return v * sym.inv(sym.q_power(1) - 1) if rng.randrange(2) else v
     return QuadRing(q).quad(Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
                             Fraction(rng.randint(-3, 3), rng.randint(1, 2 * q)))
 
@@ -42,20 +48,43 @@ def _random_sparse(rng, dim, q=2):
     return SparseOperator.from_entries(dim, entries)
 
 
+def _random_diagonal(rng, dim, q):
+    """A diagonal operator with about a third of its entries zero (missing rows)."""
+    return SparseOperator.diagonal(
+        [0 if rng.randrange(3) == 0 else _random_scalar(rng, q) for _ in range(dim)])
+
+
 def _oracle_cases(q, seed):
-    """(result, expected entries) of every operation on random operands."""
+    """(result, expected entries) of every operation on random operands;
+    q None draws symbolic entries."""
     rng = random.Random(seed)
     for _ in range(40):
         dim = rng.randint(1, 6)
         x, y = _random_sparse(rng, dim, q), _random_sparse(rng, dim, q)
-        dx, dy = _dense(x), _dense(y)
+        # diagonal operands take the row/column scaling path of the product
+        dg, dg2, zero = (_random_diagonal(rng, dim, q), _random_diagonal(rng, dim, q),
+                         SparseOperator.zero(dim))
+        dx, dy, ddg, ddg2 = _dense(x), _dense(y), _dense(dg), _dense(dg2)
         cells = [(r, c) for r in range(dim) for c in range(dim)]
-        products = {(r, c): sum((dx[r][m] * dy[m][c] for m in range(dim)), 0)
+
+        def product(a, b):
+            return {(r, c): sum((a[r][m] * b[m][c] for m in range(dim)), 0)
                     for r, c in cells}
+
+        products = product(dx, dy)
+        scaled = {"x dg": product(dx, ddg), "dg y": product(ddg, dy),
+                  "dg dg2": product(ddg, ddg2)}
         scalars = (rng.randint(-3, 3), Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
-                   _random_scalar(rng, q), QuadRing(q).sqrt_q)
+                   _random_scalar(rng, q),
+                   QuadRing(q).sqrt_q if q else SymbolicRing().q_half(1))
         r0, c0, delta = rng.randrange(dim), rng.randrange(dim), _random_scalar(rng, q)
         results = [(x @ y, lambda r, c: products[r, c]),
+                   (x @ dg, lambda r, c: scaled["x dg"][r, c]),
+                   (dg @ y, lambda r, c: scaled["dg y"][r, c]),
+                   (dg @ dg2, lambda r, c: scaled["dg dg2"][r, c]),
+                   (x @ zero, lambda r, c: 0),
+                   (zero @ y, lambda r, c: 0),
+                   (zero @ dg, lambda r, c: 0),
                    (x + y, lambda r, c: dx[r][c] + dy[r][c]),
                    (x - y, lambda r, c: dx[r][c] - dy[r][c]),
                    (-x, lambda r, c: -dx[r][c]),
@@ -69,15 +98,18 @@ def _oracle_cases(q, seed):
 
 
 def test_sparse_matmul_against_dense_oracle():
-    # @, +, -, negation, transpose, with_entry_added, scale by int, Fraction
-    # and QuadScalar, entry, first_nonzero and == on entries mixing int,
-    # Fraction and QuadScalar
-    for q in (2, 3):
-        for op, expected in _oracle_cases(q, 11 + q):
+    # @ (general, by a diagonal with missing rows on the left, on the right
+    # and on both sides, by the zero operator), +, -, negation, transpose,
+    # with_entry_added, scale by int, Fraction and QuadScalar or RatFunc,
+    # entry, first_nonzero and == on entries mixing int, Fraction and
+    # QuadScalar (q = 2, 3) or RatFunc (symbolic)
+    for q in (2, 3, None):
+        for op, expected in _oracle_cases(q, 11 + (q or 0)):
             assert {rc: op.entry(*rc) for rc in expected} == expected
             for v in map(op.entry, *zip(*expected)):
                 # canonical: rational values never come back as QuadScalar
-                assert type(v) in (int, Fraction, QuadScalar)
+                assert type(v) in ((int, Fraction, QuadScalar) if q else
+                                   (int, Fraction, RatFunc))
                 assert type(v) is not QuadScalar or v.b
                 assert type(v) is not Fraction or v.denominator > 1
             nonzero = [(r, c, v) for (r, c), v in sorted(expected.items()) if v]
@@ -89,14 +121,14 @@ def test_sparse_matmul_against_dense_oracle():
 
 
 def test_sparse_never_stores_zeros():
-    for q in (2, 3):
-        for op, _ in _oracle_cases(q, 3 + q):
+    for q in (2, 3, None):
+        for op, _ in _oracle_cases(q, 3 + (q or 0)):
             assert op.d >= 1
             assert (op.q is None) == (not op.m1)
             for part in (op.m0, op.m1):
                 for row in part.values():
                     assert row, "empty row stored"
-                    assert all(type(v) is int and v for v in row.values()), \
+                    assert all(v and (type(v) is int or q is None) for v in row.values()), \
                         "zero or non-integer numerator stored"
 
 
@@ -218,6 +250,52 @@ def test_f0_matches_intersection_rule(ops_cache, geometry_cache, q, h, k, custom
             if meet.intersect(g.y).dim == g.ij[u][0]:
                 expected.setdefault(u, {})[v] = 1
     assert ops["F0"] == SparseOperator(g.size, expected)
+
+
+def _pair_families(g):
+    """The 0/1 families as scalar rows, from pairs of covers of a common w."""
+    fam = {name: {} for name in ("F0", "Fplus", "Fminus", "F", "R", "L", "A")}
+    fam["L1"] = {u: {v: 1 for v in g.slash_covered_by[u]}
+                 for u in range(g.size) if g.slash_covered_by[u]}
+    fam["L2"] = {u: {v: 1 for v in g.backslash_covered_by[u]}
+                 for u in range(g.size) if g.backslash_covered_by[u]}
+    for w in range(g.size):
+        up_slash, up_back = g.slash_covered_by[w], g.backslash_covered_by[w]
+        pairs = {"Fminus": itertools.permutations(up_slash, 2),
+                 "Fplus": itertools.permutations(g.backslash_covers_of[w], 2),
+                 "F0": ((u, v) for u, v in itertools.permutations(g.slash_covers_of[w], 2)
+                        if g.meet_y[u] == g.meet_y[v]),
+                 "R": itertools.product(up_back, up_slash),
+                 "L": itertools.product(up_slash, up_back)}
+        for u, v in itertools.permutations(up_slash + up_back, 2):
+            fam["A"].setdefault(u, {})[v] = 1
+            if g.ij[u][0] == g.ij[v][0]:
+                fam["F"].setdefault(u, {})[v] = 1
+        for name, uv in pairs.items():
+            for u, v in uv:
+                fam[name].setdefault(u, {})[v] = 1
+    return fam
+
+
+@pytest.mark.parametrize("q,h,k", [(2, 2, 1), (3, 2, 1), (2, 3, 1), (2, 3, 2), (3, 3, 1)])
+def test_integer_rows_stored_as_the_general_constructor_would(ops_cache, geometry_cache,
+                                                               q, h, k):
+    # the incidence families, the identity and the projections E* skip the
+    # per-entry split; they must come out exactly as SparseOperator(size, rows)
+    g, ops = geometry_cache(q, h, k), ops_cache(q, h, k)
+    families = _pair_families(g)
+    want = {name: SparseOperator(g.size, rows) for name, rows in families.items()}
+    want["identity"] = SparseOperator.diagonal([1] * g.size)
+    want["E*_2"] = SparseOperator.diagonal([int(i + j == 2) for i, j in g.ij])
+    want["E*_(1,0)"] = SparseOperator.diagonal([int(ij == (1, 0)) for ij in g.ij])
+    got = {name: ops[name] for name in families}
+    got["identity"] = ops.identity()
+    got["E*_2"] = ops.estar_level(2)
+    got["E*_(1,0)"] = ops.estar_stratum(1, 0)
+    for name, op in got.items():
+        ref = want[name]
+        assert (op.d, op.m0, op.m1, op.q) == (ref.d, ref.m0, ref.m1, ref.q), name
+        assert op.d == 1 and all(op.m0.values()), name
 
 
 def test_f_diagonals_vanish_and_f_symmetric(ops_cache):
