@@ -27,13 +27,14 @@ from .modules import (
     nmde_to_type,
     type_to_nmde,
 )
-from .operators import build_geometry_operators
+from .operators import GEOMETRY, build_geometry_operators
 from .rings import SUPPORTED_Q, QuadRing, SymbolicRing, gaussian_binomial
 from .verify import (
     SUITES,
     VerificationReport,
     run_geometry_suite,
     run_module_suite,
+    select_relations,
     verify_counts,
 )
 
@@ -318,19 +319,21 @@ def _build_operators(config: RunConfig, phases: dict, geom):
 
 def _cmd_verify(config: RunConfig) -> tuple[int, dict]:
     _capacity_guard(config)
+    try:
+        selected = select_relations(GEOMETRY, config.suites, config.relation_ids)
+    except ValueError as exc:
+        return 1, {"context": {"command": "verify"}, "relations": [],
+                   "error": str(exc),
+                   "summary": {"total": 0, "passed": 0, "failed": 1}}
     phases: dict = {}
     geom = _build_geometry(config, phases)
-    if set(config.suites) == {"counts"} and not config.relation_ids:
-        report = verify_counts(geom)  # no counts relation reads an operator
+    if all(rel.suite == "counts" for rel in selected):
+        # no counts relation reads an operator
+        report = verify_counts(geom, config.relation_ids)
     else:
         ops = _build_operators(config, phases, geom)
         _timed(phases, "symmetry", lambda: ops.certificate)
-        try:
-            report = run_geometry_suite(ops, config.suites, config.relation_ids)
-        except ValueError as exc:
-            return 1, {"context": {"command": "verify"}, "relations": [],
-                       "error": str(exc),
-                       "summary": {"total": 0, "passed": 0, "failed": 1}}
+        report = run_geometry_suite(ops, config.suites, config.relation_ids)
     report.context = {"command": "verify", **report.context, "suites": list(config.suites)}
     report.timings = {**phases, **report.timings}
     payload = _report_payload(report, config)

@@ -2,7 +2,7 @@
 
 A module is classified by an integer triple (alpha, beta, rho) subject to
 
-    0 <= rho,   0 <= alpha <= (k - rho)/2,   0 <= beta <= (h - rho)/2.
+    0 <= rho <= k,   0 <= alpha <= (k - rho)/2,   0 <= beta <= (h - rho)/2.
 
 Its standard basis w[i,j] runs over the rectangle
 alpha <= i <= k-rho-alpha, rho+beta <= j <= h-beta, each weight space
@@ -31,8 +31,8 @@ class ModuleType:
     def __post_init__(self):
         if self.k < 1 or self.h <= self.k:
             raise ValueError("module type requires h > k >= 1")
-        if self.rho < 0:
-            raise ValueError("rho must be nonnegative")
+        if not 0 <= self.rho <= self.k:
+            raise ValueError(f"rho={self.rho} outside [0, k]")
         if not (0 <= self.alpha and 2 * self.alpha <= self.k - self.rho):
             raise ValueError(f"alpha={self.alpha} outside [0, (k-rho)/2]")
         if not (0 <= self.beta and 2 * self.beta <= self.h - self.rho):

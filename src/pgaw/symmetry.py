@@ -21,8 +21,9 @@ whose violating entries form an invariant set.
 An OperatorSet's certificate is computed at its first use and stored on
 that set alone.  It exists iff the set has a ``completion`` record and
 
-(a) the generator matrices of G_y (``standard_generators``), conjugated
-    by a basis adapted to y, induce permutations of the positions;
+(a) three elements of G_y -- ``standard_generators``, carried to y by a
+    basis B adapted to y, so the vector c B goes to (c g) B -- induce
+    permutations of the positions;
 (b) their union-find orbits are exactly ``geom.strata``;
 (c) every input ``complete_operator_set`` recorded (the 15 operators
     ``build_geometry_operators`` installs) satisfies M[πr, πc] = M[r, c]
@@ -64,62 +65,37 @@ Matrix = list[list[int]]
 # (a) generators of G_y and the permutations they induce
 # ---------------------------------------------------------------------------
 
-def _primitive_root(q: int) -> int:
-    return next(g for g in range(1, q)
-                if len({pow(g, e, q) for e in range(1, q)}) == q - 1)
+def _identity(n: int) -> Matrix:
+    return [[int(r == c) for c in range(n)] for r in range(n)]
 
 
-def standard_generators(h: int, k: int, q: int) -> list[Matrix]:
-    """Generators of the stabiliser of span(e_(h+1), ..., e_(h+k)) in GL(h+k, q).
+def standard_generators(h: int, k: int) -> list[Matrix]:
+    """Three elements of the stabiliser of span(e_(h+1), ..., e_(h+k)) in
+    GL(h+k, q), the same 0/1 matrices for every q.
 
     Matrices act on row vectors (v -> v g), so row i of g is the image of
     e_i.  The stabiliser is the block upper-triangular group
-    [[GL(h), *], [0, GL(k)]]; in each diagonal block of size >= 2 a block
-    cycle and one transvection give its special linear part, a primitive
-    diagonal element per block (q > 2) the determinants, and the
-    transvection e_1 -> e_1 + e_(h+1) the bridge from the complement into y.
+    [[GL(h), *], [0, GL(k)]].  The three are a block-diagonal cycle of
+    both blocks, a block-diagonal transvection e_1 -> e_1 + e_2 (with
+    e_(h+1) -> e_(h+1) + e_(h+2) when k >= 2), and the bridge
+    e_1 -> e_1 + e_(h+1) from the complement into y.  They need not
+    generate the stabiliser: check (b) confirms that their orbits are the
+    strata.
     """
     n = h + k
-
-    def elementary(*entries):
-        g = [[int(r == c) for c in range(n)] for r in range(n)]
-        for r, c, v in entries:
-            g[r][c] = v
-        return g
-
-    gens = []
+    cycle = [[0] * n for _ in range(n)]
+    transvection, bridge = _identity(n), _identity(n)
     for start, size in ((0, h), (h, k)):
+        for r in range(start, start + size):
+            cycle[r][start + (r - start + 1) % size] = 1
         if size >= 2:
-            cycle = [[0] * n for _ in range(n)]
-            for r in range(n):
-                in_block = start <= r < start + size
-                cycle[r][start + (r - start + 1) % size if in_block else r] = 1
-            gens.append(cycle)
-            gens.append(elementary((start, start + 1, 1)))
-        if q > 2:
-            gens.append(elementary((start, start, _primitive_root(q))))
-    gens.append(elementary((0, h, 1)))
-    return gens
+            transvection[start][start + 1] = 1
+    bridge[0][h] = 1
+    return [cycle, transvection, bridge]
 
 
 def _matmul(a: Matrix, b: Matrix, q: int) -> Matrix:
     return [[sum(x * y for x, y in zip(row, col)) % q for col in zip(*b)] for row in a]
-
-
-def _inverse(m: Matrix, q: int) -> Matrix:
-    """Inverse over F_q by Gauss-Jordan elimination of [m | I]."""
-    n = len(m)
-    aug = [list(row) + [int(r == c) for c in range(n)] for r, row in enumerate(m)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col] % q)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = pow(aug[col][col], -1, q)
-        aug[col] = [x * inv % q for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [(a - f * b) % q for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
 
 
 def _adapted_basis(geom: GeometryIndex) -> Matrix:
@@ -137,24 +113,27 @@ def generator_permutations(geom: GeometryIndex) -> Optional[list[list[int]]]:
     """The permutation of positions induced by each generator of G_y, or None
     when some generator matrix is singular.
 
-    A subspace is keyed by the bitmask of the codes of its vectors, so the
-    image of u under g is located without an echelon form: map each vector
-    of u through g and look the new mask up."""
+    With B the adapted basis, g sends the vector with coordinates c in B,
+    i.e. c B, to (c g) B; that is B^-1 g B, which fixes y because g fixes
+    span(e_(h+1), ..., e_n).  A subspace is keyed by the bitmask of the
+    codes of its vectors, so the image of u is located without an echelon
+    form: map each vector of u and look the new mask up."""
     n, q = geom.n, geom.q
     basis = _adapted_basis(geom)
-    basis_inv = _inverse(basis, q)
-    vectors = list(itertools.product(range(q), repeat=n))
-    code = {v: i for i, v in enumerate(vectors)}
+    coords = list(itertools.product(range(q), repeat=n))
+    code = {v: i for i, v in enumerate(coords)}
     members = [[code[v] for v in u.vectors()] for u in geom.elements]
-    bits = [1 << i for i in range(len(vectors))]
+    bits = [1 << i for i in range(len(coords))]
     position = {sum(map(bits.__getitem__, m)): p for p, m in enumerate(members)}
+    source = [code[tuple(v)] for v in _matmul(coords, basis, q)]
     perms = []
-    for g in standard_generators(geom.h, geom.k, q):
-        g = _matmul(_matmul(basis_inv, g, q), basis, q)
-        image = [code[tuple(v)] for v in _matmul(vectors, g, q)]
-        if len(set(image)) != len(image):
+    for g in standard_generators(geom.h, geom.k):
+        target = [code[tuple(v)] for v in _matmul(_matmul(coords, g, q), basis, q)]
+        if len(set(target)) != len(target):
             return None
-        moved = [bits[i] for i in image]
+        moved = [0] * len(coords)
+        for src, dst in zip(source, target):
+            moved[src] = bits[dst]
         perms.append([position[sum(map(moved.__getitem__, m))] for m in members])
     return perms
 

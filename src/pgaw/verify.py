@@ -593,7 +593,10 @@ def relations_for(mode: str, suites: Optional[Sequence[str]] = None) -> list[Rel
     return out
 
 
-def _select(mode: str, suites, relation_ids) -> list[Relation]:
+def select_relations(mode: str, suites, relation_ids) -> list[Relation]:
+    """The relations a run of mode evaluates: the named ids when given (they
+    override suites), else relations_for(mode, suites).  ValueError names
+    an unknown id or one outside mode."""
     if not relation_ids:
         return relations_for(mode, suites)
     known = {r.id: r for r in REGISTRY}
@@ -630,7 +633,7 @@ def run_suites(ops: OperatorSet, suites: Optional[Sequence[str]] = None,
                relation_ids: Optional[Sequence[str]] = None) -> VerificationReport:
     """Run the selected relations of ops's mode (all suites by default), in order."""
     report = VerificationReport(_context_of(ops))
-    for rel in _select(ops.mode, suites, relation_ids):
+    for rel in select_relations(ops.mode, suites, relation_ids):
         start = time.perf_counter()
         report.outcomes.append(run_relation(ops, rel.id))
         report.timings[rel.id] = time.perf_counter() - start
@@ -661,11 +664,14 @@ def run_module_suite(module: AbstractModule, suites: Optional[Sequence[str]] = N
     return run_suites(module.ops, suites, relation_ids)
 
 
-def verify_counts(geom: GeometryIndex) -> VerificationReport:
-    """The covering-degree and level-size checks alone (no operators needed)."""
+def verify_counts(geom: GeometryIndex,
+                  relation_ids: Optional[Sequence[str]] = None) -> VerificationReport:
+    """The covering-degree and level-size checks alone, or the named ones
+    among them: no operators needed, as every counts relation reads only
+    the lattice."""
     ops = OperatorSet(GEOMETRY, QuadRing(geom.q), geom.h, geom.k, geom.ij,
                       geom.labels(), geometry=geom)
-    return run_suites(ops, ["counts"])
+    return run_suites(ops, ["counts"], relation_ids)
 
 
 def verify_y_invariance(q: int, h: int, k: int, y_list,

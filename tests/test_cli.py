@@ -6,7 +6,10 @@ import pytest
 
 from pgaw import cli
 from pgaw.cli import parse_args, run
-from pgaw.verify import relations_for
+from pgaw.geometry import build_geometry
+from pgaw.operators import build_geometry_operators
+from pgaw.rings import QuadRing
+from pgaw.verify import relations_for, run_geometry_suite
 
 
 # ---------------------------------------------------------------------------
@@ -55,6 +58,8 @@ def test_parse_rejects_unknown_flag():
      "--max-elements must be at least 1, got 0"),
     (["enumerate", "--q", "2", "--h", "2", "--k", "1", "--max-elements", "-5"],
      "--max-elements must be at least 1, got -5"),
+    (["convert", "--h", "3", "--k", "2", "--alpha", "0", "--beta", "0", "--rho", "9"],
+     "invalid module type: rho=9 outside [0, k]"),
 ])
 def test_parse_usage_errors_exit_2(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
@@ -129,18 +134,29 @@ def test_run_verify_with_timings_flag():
 
 
 def test_verify_counts_suite_builds_no_operators(monkeypatch):
-    argv = ["verify", "--q", "2", "--h", "3", "--k", "2", "--suite", "counts"]
+    argv = ["verify", "--q", "2", "--h", "3", "--k", "2"]
     ids = [rel.id for rel in relations_for("geometry", ["counts"])]
-    # --relation takes the operator path; the report must be the same
-    via_operators = run(parse_args(argv + [a for rid in ids for a in ("--relation", rid)]))
+    # the same relations on a full operator set, as every other suite runs
+    full = run_geometry_suite(
+        build_geometry_operators(build_geometry(2, 3, 2), QuadRing(2)), ["counts"])
+    want = {o.id: {"id": o.id, "status": o.status} for o in full.outcomes}
 
     def no_operators(*args):
-        raise AssertionError("the counts suite built the operators")
+        raise AssertionError("a counts-only run built the operators")
 
     monkeypatch.setattr(cli, "build_geometry_operators", no_operators)
-    assert run(parse_args(argv)) == via_operators
-    assert run(parse_args(argv + ["--suite", "counts"]))[0] == 0
-    _, out = run(parse_args(argv + ["--timings", "--format", "json"]))
+    # a selection of counts relations alone, by suite or by id, builds none
+    for selection, suites, rel_ids in (
+            (["--suite", "counts"], ["counts"], ids),
+            (["--relation", "counts.slash_down"], ["all"], ["counts.slash_down"]),
+            ([a for rid in ids[::-1] for a in ("--relation", rid)], ["all"], ids[::-1])):
+        status, out = run(parse_args(argv + selection + ["--format", "json"]))
+        payload = json.loads(out)
+        assert status == 0
+        assert payload["context"] == {"command": "verify", **full.context, "suites": suites}
+        assert payload["relations"] == [want[rid] for rid in rel_ids]
+    assert run(parse_args(argv + ["--suite", "counts", "--suite", "counts"]))[0] == 0
+    _, out = run(parse_args(argv + ["--suite", "counts", "--timings", "--format", "json"]))
     timings = json.loads(out)["timings"]
     assert [key for key in timings if key.startswith("phase.")] == ["phase.geometry_build"]
     assert list(timings)[1:] == ids

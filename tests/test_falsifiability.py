@@ -4,9 +4,11 @@ For each row of the relation tables, some single-entry perturbation (+1) of
 an operand the row names must make that row fail.  Entries are searched in
 row-major order, operand by operand, in geometry mode at (2,2,1) and on a
 numeric module.  A count row names a cover list instead; dropping one entry
-of it must make the row fail.  The hand-written relations
+of it must make the row fail, and dropping one element of a level must make
+``counts.level_sizes`` fail.  The hand-written relations
 ``gen.mixed_balance`` and ``module.k_eigen`` must fail under a perturbation
-of each operator they name.
+of each operator they name, and the ``struct.estar_*`` relations under a
+tampered projection E*.
 """
 
 import copy
@@ -112,3 +114,41 @@ def test_every_count_row_is_falsifiable(geometry_cache):
         setattr(clone, lists, tuple(covers))
         assert verify_counts(geom).outcome(rel_id).passed
         assert not verify_counts(clone).outcome(rel_id).passed, rel_id
+
+
+def test_level_sizes_is_falsifiable(geometry_cache):
+    geom = geometry_cache(2, 2, 1)
+    assert verify_counts(geom).outcome("counts.level_sizes").passed
+    for d, members in enumerate(geom.by_level):
+        by_level = list(geom.by_level)
+        by_level[d] = members[1:]
+        clone = copy.copy(geom)
+        clone.by_level = tuple(by_level)
+        assert not verify_counts(clone).outcome("counts.level_sizes").passed, d
+
+
+# (relation, the projection tampered: "level" or "stratum")
+ESTAR_TAMPERS = (("struct.estar_sum", "level"), ("struct.estar_orth", "level"),
+                 ("struct.estar_split", "level"), ("struct.estar_split", "stratum"))
+
+
+@pytest.mark.parametrize("mode", [GEOMETRY, MODULE])
+@pytest.mark.parametrize("rel_id,projection", ESTAR_TAMPERS)
+def test_estar_relations_are_falsifiable(ops_cache, mode, rel_id, projection):
+    ops = _ops(ops_cache, mode)
+    assert run_relation(ops, rel_id).passed
+    # the projections are computed, not stored, so no perturbed() reaches
+    # them; a copy without a certificate evaluates every entry in full
+    tampered = ops.perturbed("A", 0, 0, 0)
+    assert tampered.certificate is None
+    i, j = ops.ij[0]
+    method = f"estar_{projection}"
+    real = getattr(tampered, method)
+    target = (i + j,) if projection == "level" else (i, j)
+
+    def estar(*key):
+        op = real(*key)
+        return op.with_entry_added(0, 0, 1) if key == target else op
+
+    setattr(tampered, method, estar)
+    assert not run_relation(tampered, rel_id).passed

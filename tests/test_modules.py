@@ -53,6 +53,8 @@ def test_invalid_types_rejected():
         ModuleType(0, 2, 0, h=2, k=1)  # 2*beta > h-rho
     with pytest.raises(ValueError):
         ModuleType(0, 0, -1, h=2, k=1)
+    with pytest.raises(ValueError, match=r"^rho=9 outside \[0, k\]$"):
+        ModuleType(0, 0, 9, h=3, k=2)  # rho > k, though alpha = 0 is in range
     with pytest.raises(ValueError):
         ModuleType(0, 0, 0, h=1, k=1)  # needs h > k
 

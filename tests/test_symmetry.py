@@ -247,7 +247,7 @@ def test_unsupported_query_falls_back_to_the_full_path(ops_cache, monkeypatch):
     assert seen == ["reduced", "full"]
 
 
-def _bad_generator(h, k, q):
+def _bad_generator(h, k):
     """A transvection e_(h+1) -> e_(h+1) + e_1, which moves y."""
     n = h + k
     g = [[int(r == c) for c in range(n)] for r in range(n)]
@@ -256,8 +256,8 @@ def _bad_generator(h, k, q):
 
 
 @pytest.mark.parametrize("generators", [
-    lambda h, k, q: standard_generators(h, k, q) + [_bad_generator(h, k, q)],
-    lambda h, k, q: standard_generators(h, k, q)[:-1],  # no bridge transvection
+    lambda h, k: standard_generators(h, k) + [_bad_generator(h, k)],
+    lambda h, k: standard_generators(h, k)[:-1],  # no bridge transvection
 ], ids=["moves-y", "no-bridge"])
 def test_broken_certificate_changes_no_verdict(monkeypatch, spy, generators):
     q, h, k = 3, 2, 1
@@ -276,7 +276,7 @@ def test_broken_certificate_changes_no_verdict(monkeypatch, spy, generators):
 
 def test_singular_generator_voids_the_certificate(monkeypatch):
     monkeypatch.setattr(symmetry, "standard_generators",
-                        lambda h, k, q: [[[0] * (h + k) for _ in range(h + k)]])
+                        lambda h, k: [[[0] * (h + k) for _ in range(h + k)]])
     ops = _fresh(2, 2, 1)
     assert generator_permutations(ops.geometry) is None
     assert ops.certificate is None
@@ -284,11 +284,27 @@ def test_singular_generator_voids_the_certificate(monkeypatch):
 
 
 def test_generator_counts():
-    # per block of size >= 2: cycle and transvection; q > 2: one diagonal per block
-    assert len(standard_generators(4, 2, 2)) == 5
-    assert len(standard_generators(2, 1, 2)) == 3
-    assert len(standard_generators(3, 2, 3)) == 7
-    assert len(standard_generators(2, 1, 3)) == 5
+    # a block cycle, a block transvection and the bridge, for every (h, k)
+    # and, as the matrices do not depend on q, every q
+    for h, k in ((4, 2), (2, 1), (3, 2), (5, 1), (3, 1), (4, 3)):
+        assert len(standard_generators(h, k)) == 3
+
+
+# every configuration and y at which the tests build geometry operators:
+# CONFIGS, and the span of e_1, ..., e_k that tests/test_operators.py uses
+TESTED_YS = CONFIGS + tuple(
+    (q, h, k, tuple(tuple(int(c == r) for c in range(h + k)) for r in range(k)))
+    for q, h, k in ((2, 2, 1), (3, 2, 1), (2, 3, 1), (2, 3, 2)))
+
+
+@pytest.mark.parametrize("q,h,k,y_rows", TESTED_YS)
+def test_three_generators_certify_every_tested_configuration(q, h, k, y_rows):
+    # a set whose orbits are not the strata fails check (b), and every
+    # relation then runs in full with the same verdict, so no verdict
+    # test would notice
+    cert = _fresh(q, h, k, y_rows).certificate
+    assert cert is not None
+    assert len(cert.perms) == 3
 
 
 def test_generators_fix_y_and_preserve_strata(geometry_cache):
