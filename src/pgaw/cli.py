@@ -283,6 +283,12 @@ def _build_y(config: RunConfig) -> Optional[Subspace]:
     return Subspace(config.y_rows, config.h + config.k, config.q)
 
 
+def _error_payload(command: str, exc: Exception) -> dict:
+    """The report of a command stopped by exc: no relations, one failure."""
+    return {"context": {"command": command}, "relations": [], "error": str(exc),
+            "summary": {"total": 0, "passed": 0, "failed": 1}}
+
+
 def _cmd_enumerate(config: RunConfig) -> tuple[int, dict]:
     _capacity_guard(config)
     geom = build_geometry(config.q, config.h, config.k, _build_y(config))
@@ -322,9 +328,7 @@ def _cmd_verify(config: RunConfig) -> tuple[int, dict]:
     try:
         selected = select_relations(GEOMETRY, config.suites, config.relation_ids)
     except ValueError as exc:
-        return 1, {"context": {"command": "verify"}, "relations": [],
-                   "error": str(exc),
-                   "summary": {"total": 0, "passed": 0, "failed": 1}}
+        return 1, _error_payload("verify", exc)
     phases: dict = {}
     geom = _build_geometry(config, phases)
     if all(rel.suite == "counts" for rel in selected):
@@ -347,9 +351,7 @@ def _cmd_module(config: RunConfig) -> tuple[int, dict]:
     try:
         report = run_module_suite(module, config.suites, config.relation_ids)
     except ValueError as exc:
-        return 1, {"context": {"command": "module"}, "relations": [],
-                   "error": str(exc),
-                   "summary": {"total": 0, "passed": 0, "failed": 1}}
+        return 1, _error_payload("module", exc)
     report.context = {"command": "module", **report.context, "suites": list(config.suites)}
     extra = None
     if config.include_tables:
@@ -363,7 +365,11 @@ def _cmd_decompose(config: RunConfig) -> tuple[int, dict]:
     phases: dict = {}
     geom = _build_geometry(config, phases)
     ops = _build_operators(config, phases, geom)
-    mults = _timed(phases, "multiplicities", compute_multiplicities, geom, ops)
+    _timed(phases, "symmetry", lambda: ops.certificate)
+    try:
+        mults = _timed(phases, "multiplicities", compute_multiplicities, geom, ops)
+    except ValueError as exc:
+        return 1, _error_payload("decompose", exc)
     report = _timed(phases, "bookkeeping", bookkeeping_check, geom, mults)
     report.context = {"command": "decompose", **report.context}
     report.timings = phases

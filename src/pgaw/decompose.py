@@ -1,55 +1,41 @@
 """Multiplicities of the irreducible module types inside the standard module.
 
-Each type (alpha, beta, rho) acts through the central operators by the
-scalar triple (q^-rho, q[k-rho-alpha]+[alpha], q[h-rho-beta]+[beta]); the
-triples separate types (asserted), so the multiplicity of a type equals the
-dimension of the joint eigenspace of (Omega0, Omega1, Omega2) for its triple
-inside the corner stratum (alpha, rho+beta): the corner size minus the
-exact rank of the stacked sparse integer rows of d b (Omega_i - lambda_i I).
+Each type t = (alpha, beta, rho) acts through the central operators
+Omega0, Omega1, Omega2 by the scalar triple lambda_t = (q^-rho,
+q[k-rho-alpha]+[alpha], q[h-rho-beta]+[beta]); the triples separate types
+(asserted).  The multiplicity m_t is the dimension of the lambda_t joint
+eigenspace inside t's corner stratum S = P_(alpha, rho+beta), and it is
+the trace of a spectral idempotent, with no rank:
+
+    E_t = prod over the other types s that support S of
+          (Omega_c - lambda_(s,c)) / (lambda_(t,c) - lambda_(s,c)),
+
+c the first index at which the two triples differ (Lagrange interpolation
+of the spectral projector).  E_t is multiplied out from start rows in S as
+row vectors, ``row @ Omega_c - row.scale(lambda)``, and checked: each row
+of (Omega_c - lambda_(t,c)) E_t is zero for c = 0, 1, 2, and each row of
+E_t lies in S.  Every such row is then a joint eigenvector supported on S,
+and E_t fixes each of those, since each factor acts on it as 1.  So
+y -> y E_t projects the row vectors on S onto the eigenspace, and m_t is
+its trace: the sum of E_t's diagonal over S.
+
+The start rows are all of S, unless the set's symmetry certificate
+(``pgaw.symmetry``) covers the three Omegas.  Then E_t and its residuals
+are G_y-invariant and S is one orbit, so the start row is the first
+position u0 of S alone: a residual row is zero at every position of S iff
+it is at u0, and the diagonal is constant on S, so m_t = |S| E_t[u0, u0].
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 from .geometry import GeometryIndex
 from .modules import ModuleType, enumerate_types
-from .operators import OperatorSet
+from .operators import OperatorSet, _integer_operator
 from .verify import Outcome, VerificationReport
 
 MultiplicityMap = dict[ModuleType, int]
-
-
-def _rank(rows: list[dict]) -> int:
-    """Rank of sparse integer rows {col: int}, by fraction-free elimination.
-
-    Zero entries are dropped; the input rows are not modified.  Rows go in
-    order of nonzero count (Markowitz, 1957).  A row is reduced by
-    p*row - f*pivot (p, f over their gcd) against the pivot of its last
-    column until it vanishes or becomes that column's pivot, divided by its
-    content; the last column keeps the fill-in low on the lattice strata.
-    """
-    pivots: dict[int, dict] = {}
-    for row in sorted(({c: v for c, v in r.items() if v} for r in rows), key=len):
-        while row:
-            col = max(row)
-            pivot = pivots.get(col)
-            if pivot is None:
-                g = gcd(*row.values())
-                pivots[col] = {c: v // g for c, v in row.items()}
-                break
-            g = gcd(pivot[col], row[col])
-            p, f = pivot[col] // g, row[col] // g
-            if p != 1:
-                row = {c: p * v for c, v in row.items()}
-            for c, v in pivot.items():
-                x = row.get(c, 0) - f * v
-                if x:
-                    row[c] = x
-                else:
-                    del row[c]
-    return len(pivots)
 
 
 def _central_triple(t: ModuleType, ring):
@@ -59,11 +45,14 @@ def _central_triple(t: ModuleType, ring):
 
 
 def compute_multiplicities(geom: GeometryIndex, ops: OperatorSet) -> MultiplicityMap:
-    """Joint-eigenspace dimensions of the central triple at each type's corner."""
-    ring = ops.ring
+    """The trace of each type's spectral idempotent on its corner.
+
+    Raises ValueError when a central operator is irrational or a check
+    fails: a nonzero residual row, a row of E_t outside the corner, or a
+    trace that is not a nonnegative integer."""
     types = enumerate_types(geom.h, geom.k)
 
-    triples = [_central_triple(t, ring) for t in types]
+    triples = [_central_triple(t, ops.ring) for t in types]
     for a in range(len(types)):
         for b in range(a + 1, len(types)):
             if triples[a] == triples[b]:
@@ -72,19 +61,41 @@ def compute_multiplicities(geom: GeometryIndex, ops: OperatorSet) -> Multiplicit
                     f"{types[b]}; corner extraction would silently merge them")
 
     centrals = [ops["Omega0"], ops["Omega1"], ops["Omega2"]]
+    for c, op in enumerate(centrals):
+        if op.m1:
+            raise ValueError(f"decompose needs rational central operators; "
+                             f"Omega{c} has an irrational entry")
+    cert = ops.certificate
+    certified = cert is not None and all(map(cert.covers, centrals))
+
     out: MultiplicityMap = {}
     for t, lam in zip(types, triples):
-        corner = geom.stratum(t.alpha, t.rho + t.beta)
-        stacked = []
-        for op, scalar in zip(centrals, lam):
-            # d b (Omega - (a/b) I) = b M0 - a d I on the corner, in integers
-            block, d = op.restrict(corner)
-            a, b = Fraction(scalar).as_integer_ratio()
-            for r, row in enumerate(block):
-                shifted = {c: b * x for c, x in row.items()}
-                shifted[r] = shifted.get(r, 0) - a * d
-                stacked.append(shifted)
-        out[t] = len(corner) - _rank(stacked)
+        ij = (t.alpha, t.rho + t.beta)
+        corner = geom.stratum(*ij)
+        start = corner[:1] if certified else corner
+        # rows holds the start rows of denominator * E_t
+        rows = _integer_operator(ops.dim, {u: {u: 1} for u in start})
+        denominator = 1
+        for s, mu in zip(types, triples):
+            if s is not t and s.supports(*ij):
+                c = next(c for c in range(3) if lam[c] != mu[c])
+                rows = rows @ centrals[c] - rows.scale(mu[c])
+                denominator *= lam[c] - mu[c]
+        for c in range(3):
+            bad = (rows @ centrals[c] - rows.scale(lam[c])).first_nonzero()
+            if bad:
+                raise ValueError(f"type {t}: (Omega{c} - {lam[c]}) E_t is nonzero "
+                                 f"at row {ops.labels[bad[0]]}")
+        bad = rows.support_violation(lambda r, col: ops.ij[col] == ij)
+        if bad:
+            raise ValueError(f"type {t}: E_t has an entry outside P_{ij} "
+                             f"at row {ops.labels[bad[0]]}")
+        diagonal = sum(rows.entry(u, u) for u in start)
+        m = Fraction(len(corner), len(start)) * diagonal / denominator
+        if m.denominator != 1 or m < 0:
+            raise ValueError(f"type {t}: trace {m} is not a nonnegative integer "
+                             f"(rows from {ops.labels[start[0]]})")
+        out[t] = int(m)
     return out
 
 

@@ -303,15 +303,6 @@ class SparseOperator:
                 return r, c, self.entry(r, c)
         return None
 
-    def restrict(self, positions) -> tuple[list, int]:
-        """(rows, d): the block on positions as sparse local rows {j: numerator}
-        over d.  Only for rational operators (M1 empty) with int numerators."""
-        if self.m1:
-            raise ValueError("restrict needs a rational operator")
-        local = {p: i for i, p in enumerate(positions)}
-        return [{local[c]: v for c, v in self.m0.get(r, {}).items() if c in local}
-                for r in positions], self.d
-
     def coordinate_lines(self, labels=None):
         """Deterministic 'row col value' lines for external inspection."""
         for r, c in self._positions():

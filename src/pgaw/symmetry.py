@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 from .geometry import GeometryIndex
@@ -189,12 +190,18 @@ class Certificate:
         return self.covered.get(id(op)) is op
 
 
+def _may_certify(ops: OperatorSet) -> bool:
+    """The preconditions of a certificate, which cost nothing to check:
+    geometry mode and a completion record."""
+    return ops.mode == GEOMETRY and ops.geometry is not None and ops.completion is not None
+
+
 def certify(ops: OperatorSet) -> Optional[Certificate]:
     """The certificate of ops, or None: outside geometry mode, without a
     completion record, or when (a), (b) or (c) fails."""
-    geom = ops.geometry
-    if ops.mode != GEOMETRY or geom is None or ops.completion is None:
+    if not _may_certify(ops):
         return None
+    geom = ops.geometry
     inputs, derived = ops.completion
     perms = generator_permutations(geom)
     if perms is None or not _orbits_are_strata(perms, geom):
@@ -327,21 +334,33 @@ class RowView:
     """An OperatorSet seen through its representative rows.
 
     Operators, products, the identity and the projections E* are lazy
-    expressions; every other attribute is the set's own.  A set without a
-    certificate, or an operand that is neither covered nor invariant,
-    raises Uncertified."""
+    expressions; every other attribute is the set's own.  The certificate
+    is taken when an operand is first lifted or rows are first multiplied
+    out, so a relation that reads no operator (the counts suite) computes
+    none.  A set without a certificate, or an operand that is neither
+    covered nor invariant, raises Uncertified; it does so at once when the
+    set is not a completed geometry set or its certificate is already
+    known to be None, so such a set evaluates once, in full."""
 
     def __init__(self, ops: OperatorSet):
-        cert = ops.certificate
-        if cert is None:
+        if not _may_certify(ops) or vars(ops).get("certificate", True) is None:
             raise Uncertified("no certificate")
         self._ops = ops
-        self._cert = cert
-        # the identity restricted to the representative rows
-        self.start = _integer_operator(ops.dim, {r: {r: 1} for r in cert.reps})
 
     def __getattr__(self, name):
         return getattr(self._ops, name)
+
+    @cached_property
+    def _cert(self) -> Certificate:
+        cert = self._ops.certificate
+        if cert is None:
+            raise Uncertified("no certificate")
+        return cert
+
+    @cached_property
+    def start(self) -> SparseOperator:
+        """The identity restricted to the representative rows."""
+        return _integer_operator(self._ops.dim, {r: {r: 1} for r in self._cert.reps})
 
     def lift(self, op) -> _Expr:
         if isinstance(op, _Expr):

@@ -169,7 +169,7 @@ def test_run_decompose_timings_phases():
     _, out = run(parse_args(argv + ["--timings"]))
     payload = json.loads(out)
     assert list(payload.pop("timings")) == [
-        "phase.geometry_build", "phase.operators_build",
+        "phase.geometry_build", "phase.operators_build", "phase.symmetry",
         "phase.multiplicities", "phase.bookkeeping"]
     assert json.dumps(payload, indent=2) + "\n" == plain
 
@@ -225,6 +225,29 @@ def test_run_decompose_matches_oracle():
         {"alpha": 0, "beta": 1, "rho": 0, "dim": 2, "multiplicity": 2},
         {"alpha": 0, "beta": 0, "rho": 1, "dim": 2, "multiplicity": 3},
     ]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_failed_decompose_check_is_reported(fmt, monkeypatch):
+    import pgaw.decompose
+    real = pgaw.decompose._central_triple
+
+    def triple(t, ring):  # distinct from every other triple, but not (0,1,0)'s eigenvalues
+        lam = real(t, ring)
+        return (*lam[:2], lam[2] + 1000) if t.triple() == (0, 1, 0) else lam
+
+    monkeypatch.setattr(pgaw.decompose, "_central_triple", triple)
+    status, out = run(parse_args(["decompose", "--q", "2", "--h", "2", "--k", "1",
+                                  "--format", fmt]))
+    assert status == 1
+    error = "type (0,1,0): (Omega2 - 1003) E_t is nonzero at row 010"
+    if fmt == "json":
+        payload = json.loads(out)
+        assert payload["error"] == error
+        assert payload["summary"] == {"total": 0, "passed": 0, "failed": 1}
+    else:
+        assert out.splitlines() == ["context: command=decompose", f"error: {error}",
+                                    "summary: 0/0 pass, 1 fail"]
 
 
 def test_run_convert_spec_example():

@@ -1,24 +1,63 @@
+import dataclasses
 import json
 import os
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
+import pgaw.decompose
 from pgaw.decompose import (
-    _rank,
+    _central_triple,
     bookkeeping_check,
     compute_multiplicities,
     multiplicity_table,
 )
 from pgaw.geometry import build_geometry
 from pgaw.modules import ModuleType, enumerate_types
+from pgaw.operators import SparseOperator
 from pgaw.rings import QuadRing
 
-# The h+k = 6 tables of `pgaw decompose --format json`; CI compares the
-# (2,4,2) run against this file.
-N6_TABLES = os.path.join(os.path.dirname(__file__), "data", "multiplicities_n6.json")
+# The h+k = 6 and h+k = 7 tables of `pgaw decompose --format json`; CI
+# compares the h+k = 6 runs against the first file.
+DATA = os.path.join(os.path.dirname(__file__), "data")
+N6_TABLES = os.path.join(DATA, "multiplicities_n6.json")
+N7_TABLES = os.path.join(DATA, "multiplicities_n7.json")
+PINNED = {"2,4,2": N6_TABLES, "2,5,1": N6_TABLES, "3,3,2": N6_TABLES,
+          "2,5,2": N7_TABLES, "2,6,1": N7_TABLES, "2,4,3": N7_TABLES}
+
+
+def _rank(rows: list[dict]) -> int:
+    """Rank of sparse integer rows {col: int}, by fraction-free elimination:
+    the reference for the multiplicities.
+
+    Zero entries are dropped; the input rows are not modified.  Rows go in
+    order of nonzero count (Markowitz, 1957).  A row is reduced by
+    p*row - f*pivot (p, f over their gcd) against the pivot of its last
+    column until it vanishes or becomes that column's pivot, divided by its
+    content.
+    """
+    pivots: dict[int, dict] = {}
+    for row in sorted(({c: v for c, v in r.items() if v} for r in rows), key=len):
+        while row:
+            col = max(row)
+            pivot = pivots.get(col)
+            if pivot is None:
+                g = gcd(*row.values())
+                pivots[col] = {c: v // g for c, v in row.items()}
+                break
+            g = gcd(pivot[col], row[col])
+            p, f = pivot[col] // g, row[col] // g
+            if p != 1:
+                row = {c: p * v for c, v in row.items()}
+            for c, v in pivot.items():
+                x = row.get(c, 0) - f * v
+                if x:
+                    row[c] = x
+                else:
+                    del row[c]
+    return len(pivots)
 
 
 def _sparse(rows):
@@ -110,9 +149,97 @@ def test_multiplicity_tables_232_331(geometry_cache, ops_cache):
         assert bookkeeping_check(g, mults).passed, config
 
 
-@pytest.mark.parametrize("config", ["2,4,2", "2,5,1", "3,3,2"])
-def test_pinned_h_plus_k_6_tables_keep_the_books(config):
-    with open(N6_TABLES, encoding="utf-8") as fh:
+def _stacked_rows(ops, corner, triple):
+    """The integer rows of d b (Omega_c - (a/b) I) on the corner block, c = 0, 1, 2."""
+    local = {p: i for i, p in enumerate(corner)}
+    stacked = []
+    for c, scalar in enumerate(triple):
+        op = ops[f"Omega{c}"]
+        a, b = Fraction(scalar).as_integer_ratio()
+        for r, p in enumerate(corner):
+            row = {local[col]: b * v for col, v in op.m0.get(p, {}).items() if col in local}
+            row[r] = row.get(r, 0) - a * op.d
+            stacked.append(row)
+    return stacked
+
+
+@pytest.mark.parametrize("config", [(2, 2, 1), (3, 2, 1), (2, 3, 1), (2, 3, 2)])
+def test_multiplicities_match_the_rank_oracle(config, geometry_cache, ops_cache):
+    g, ops = geometry_cache(*config), ops_cache(*config)
+    mults = compute_multiplicities(g, ops)
+    for t, m in mults.items():
+        corner = g.stratum(t.alpha, t.rho + t.beta)
+        triple = _central_triple(t, ops.ring)
+        assert m == len(corner) - _rank(_stacked_rows(ops, corner, triple)), t
+
+
+@pytest.mark.parametrize("config", [(2, 2, 1), (3, 2, 1), (2, 3, 2), (3, 3, 1)])
+def test_certified_and_uncertified_tables_agree(config, geometry_cache, ops_cache):
+    g, ops = geometry_cache(*config), ops_cache(*config)
+    clone = ops.perturbed("A", 0, 0, 0)  # the same operators, with no certificate
+    assert clone.certificate is None
+    assert all(ops.certificate.covers(ops[f"Omega{c}"]) for c in range(3))
+    assert compute_multiplicities(g, clone) == compute_multiplicities(g, ops)
+
+
+@pytest.mark.parametrize("certified", [True, False])
+def test_wrong_central_triple_fails_the_check(certified, geometry_cache, ops_cache,
+                                              monkeypatch):
+    g, ops = geometry_cache(2, 2, 1), ops_cache(2, 2, 1)
+    if not certified:
+        ops = ops.perturbed("A", 0, 0, 0)
+
+    def triple(t, ring):  # distinct from every other triple, but not (0,1,0)'s eigenvalues
+        lam = _central_triple(t, ring)
+        return (*lam[:2], lam[2] + 1000) if t.triple() == (0, 1, 0) else lam
+
+    monkeypatch.setattr(pgaw.decompose, "_central_triple", triple)
+    u0 = ops.labels[g.stratum(0, 1)[0]]
+    with pytest.raises(ValueError, match=rf"type \(0,1,0\): \(Omega2 - .*\) E_t is nonzero "
+                                         rf"at row {u0}$"):
+        compute_multiplicities(g, ops)
+
+
+def _conjugated(ops, u0, u1, x):
+    """A clone without a certificate whose Omegas are T^-1 Omega T,
+    T = I + x E_(u0,u1): the same spectrum, other rows and diagonal."""
+    shear = SparseOperator(ops.dim, {u0: {u1: x}})
+    t, t_inv = ops.identity() + shear, ops.identity() - shear
+    clone = ops.perturbed("A", 0, 0, 0)
+    for c in range(3):
+        clone[f"Omega{c}"] = t_inv @ ops[f"Omega{c}"] @ t
+    return clone
+
+
+def test_idempotent_rows_outside_the_corner_are_an_error(geometry_cache, ops_cache):
+    """Omegas that do not preserve the strata: a row of E_t at P_(0,1) takes
+    entries on P_(0,2), yet every residual row is still zero."""
+    g, ops = geometry_cache(2, 2, 1), ops_cache(2, 2, 1)
+    u0 = g.stratum(0, 1)[0]
+    clone = _conjugated(ops, u0, g.stratum(0, 2)[0], 1)
+    with pytest.raises(ValueError, match=rf"^type \(0,1,0\): E_t has an entry outside "
+                                         rf"P_\(0, 1\) at row {ops.labels[u0]}$"):
+        compute_multiplicities(g, clone)
+
+
+def test_fractional_trace_is_an_error(geometry_cache, ops_cache):
+    """The certified trace |S| E_t[u0, u0] trusts that the Omegas are invariant.
+    Conjugating them inside one stratum keeps every residual zero and every
+    row in the stratum, but moves the diagonal: a certificate that wrongly
+    covers the conjugates yields a trace that is not an integer."""
+    g, ops = geometry_cache(2, 2, 1), ops_cache(2, 2, 1)
+    clone = _conjugated(ops, *g.stratum(0, 1)[:2], Fraction(1, 2))
+    assert compute_multiplicities(g, clone) == compute_multiplicities(g, ops)
+    centrals = [clone[f"Omega{c}"] for c in range(3)]
+    clone.__dict__["certificate"] = dataclasses.replace(
+        ops.certificate, covered={id(op): op for op in centrals})
+    with pytest.raises(ValueError, match=r"^type \(.*\): trace .* is not a nonnegative integer"):
+        compute_multiplicities(g, clone)
+
+
+@pytest.mark.parametrize("config", list(PINNED))
+def test_pinned_tables_keep_the_books(config):
+    with open(PINNED[config], encoding="utf-8") as fh:
         rows = json.load(fh)[config]
     q, h, k = map(int, config.split(","))
     mults = {ModuleType(r["alpha"], r["beta"], r["rho"], h=h, k=k): r["multiplicity"]

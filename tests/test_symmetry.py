@@ -152,6 +152,16 @@ def test_every_installed_operator_is_certified(ops_cache):
                for op in ops.ops.values() for perm in cert.perms)
 
 
+def test_counts_relations_compute_no_certificate():
+    ops = _fresh(2, 2, 1)
+    for rel in relations_for("geometry", ["counts"]):
+        assert run_relation(ops, rel.id).passed
+    assert "certificate" not in ops.__dict__
+    # a relation of the identity and E* alone takes it at its first rows
+    assert run_relation(ops, "struct.estar_sum").passed
+    assert ops.__dict__["certificate"] is not None
+
+
 def test_perturbed_set_takes_the_full_path(ops_cache, spy):
     ops = ops_cache(2, 3, 2)
     calls = spy("aw.askey2")
