@@ -210,7 +210,9 @@ def parse_args(argv: Sequence[str]) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 def _report_payload(report: VerificationReport, config: RunConfig,
-                    extra: Optional[dict] = None) -> dict:
+                    extra: Optional[dict] = None, built: Optional[dict] = None) -> dict:
+    """The report as a dict; with --timings, the timings and, when given,
+    the nnz of every operator the run built, by name."""
     payload: dict = {"context": report.context, "relations": []}
     for o in report.outcomes:
         entry = {"id": o.id, "status": o.status}
@@ -226,6 +228,8 @@ def _report_payload(report: VerificationReport, config: RunConfig,
     }
     if config.include_timings:
         payload["timings"] = {k: round(v, 6) for k, v in report.timings.items()}
+        if built is not None:
+            payload["operators"] = {name: built[name].nnz() for name in sorted(built)}
     return payload
 
 
@@ -247,8 +251,9 @@ def _render_text(payload: dict) -> str:
     s = payload.get("summary")
     if s is not None:
         lines.append(f"summary: {s['passed']}/{s['total']} pass, {s['failed']} fail")
-    if "timings" in payload:
-        lines.append("timings: " + json.dumps(payload["timings"]))
+    for key in ("timings", "operators"):
+        if key in payload:
+            lines.append(f"{key}: {json.dumps(payload[key])}")
     return "\n".join(lines) + "\n"
 
 
@@ -334,13 +339,15 @@ def _cmd_verify(config: RunConfig) -> tuple[int, dict]:
     if all(rel.suite == "counts" for rel in selected):
         # no counts relation reads an operator
         report = verify_counts(geom, config.relation_ids)
+        built = {}
     else:
         ops = _build_operators(config, phases, geom)
         _timed(phases, "symmetry", lambda: ops.certificate)
         report = run_geometry_suite(ops, config.suites, config.relation_ids)
+        built = ops.ops
     report.context = {"command": "verify", **report.context, "suites": list(config.suites)}
     report.timings = {**phases, **report.timings}
-    payload = _report_payload(report, config)
+    payload = _report_payload(report, config, built=built)
     return (0 if report.passed else 1), payload
 
 
@@ -378,7 +385,7 @@ def _cmd_decompose(config: RunConfig) -> tuple[int, dict]:
         "multiplicities": multiplicity_table(mults),
         "dimension_identity": f"{total} = {geom.size}",
     }
-    payload = _report_payload(report, config, extra)
+    payload = _report_payload(report, config, extra, built=ops.ops)
     return (0 if report.passed else 1), payload
 
 

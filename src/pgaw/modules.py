@@ -14,7 +14,7 @@ conversion to the endpoint / dual-endpoint / diameter parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from .operators import MODULE, OperatorSet, SparseOperator, complete_operator_set
+from .operators import MODULE, OperatorSet, SparseOperator
 from .rings import Ring, Scalar
 
 
@@ -88,7 +88,6 @@ class AbstractModule:
         ops = OperatorSet(MODULE, ring, mtype.h, mtype.k, self.basis, labels,
                           module_type=mtype)
         self._install_generators(ops)
-        complete_operator_set(ops)
         self.ops = ops
 
     @property

@@ -17,11 +17,12 @@ with no per-entry conversion.  A product with a diagonal operand (the K
 diagonals and their products, the identity, E*) is a row or column
 scaling of the other operand, chosen by the row kernel from its input.
 
-An OperatorSet holds every named operator over one basis: either the
+An OperatorSet holds the named operators over one basis: either the
 subspace lattice (geometry mode, entries in Q(sqrt q)) or the standard
 basis of an abstract irreducible module (module mode, numeric or symbolic
-entries).  Operators with two independent definitions are built both ways;
-the verifier compares them.
+entries).  A builder installs some; any other name is derived from its
+one definition in ``DERIVED`` at its first read.  Operators with two
+independent definitions are built both ways; the verifier compares them.
 """
 
 from __future__ import annotations
@@ -391,7 +392,7 @@ def commutator(x: SparseOperator, y: SparseOperator) -> SparseOperator:
 
 
 class OperatorSet:
-    """All named operators over one basis, plus the shared stratification."""
+    """The named operators over one basis, plus the shared stratification."""
 
     def __init__(self, mode: str, ring, h: int, k: int, ij, labels,
                  geometry: Optional[GeometryIndex] = None, module_type=None):
@@ -404,21 +405,31 @@ class OperatorSet:
         self.dim = len(self.ij)
         self.geometry = geometry
         self.module_type = module_type
-        self.ops: dict[str, SparseOperator] = {}
+        self.ops: dict[str, SparseOperator] = {}  # installed, then derived
         self._identity: Optional[SparseOperator] = None
         self._estar: dict = {}
         self._products: dict = {}
-        # (inputs, outputs) of complete_operator_set, by name
-        self.completion: Optional[tuple[dict, dict]] = None
+        # the builder's operators; by id, those and all derived from them alone
+        self.inputs: Optional[dict[str, SparseOperator]] = None
+        self.from_inputs: dict[int, SparseOperator] = {}
 
     def __getitem__(self, name: str) -> SparseOperator:
-        return self.ops[name]
+        """The installed operator, else DERIVED[name], derived once and stored."""
+        op = self.ops.get(name)
+        if op is None:
+            op = DERIVED[name](self)
+            if all(id(o) in self.from_inputs for o in self.ops.values()):
+                self.from_inputs[id(op)] = op
+            self.ops[name] = op
+        return op
 
     def __setitem__(self, name: str, op: SparseOperator):
         self.ops[name] = op
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.ops
+    def record_inputs(self) -> None:
+        """Record the installed operators as the inputs ``pgaw.symmetry`` checks."""
+        self.inputs = dict(self.ops)
+        self.from_inputs = {id(op): op for op in self.ops.values()}
 
     def identity(self) -> SparseOperator:
         if self._identity is None:
@@ -450,16 +461,16 @@ class OperatorSet:
         """Memoized product of two named operators."""
         key = (a, b)
         if key not in self._products:
-            self._products[key] = self.ops[a] @ self.ops[b]
+            self._products[key] = self[a] @ self[b]
         return self._products[key]
 
     def perturbed(self, name: str, r: int, c: int, delta=1) -> "OperatorSet":
-        """Shallow copy with one operator entry perturbed (negative control),
-        without a completion record, so without a certificate."""
+        """Copy with one entry perturbed (negative control): it holds every operator
+        of this set, derived ones too, and records no inputs, so has no certificate."""
         clone = OperatorSet(self.mode, self.ring, self.h, self.k, self.ij,
                             self.labels, self.geometry, self.module_type)
-        clone.ops = dict(self.ops)
-        clone.ops[name] = self.ops[name].with_entry_added(r, c, delta)
+        clone.ops = {n: self[n] for n in {*self.ops, *DERIVED}}
+        clone.ops[name] = clone.ops[name].with_entry_added(r, c, delta)
         return clone
 
     def __repr__(self):
@@ -552,37 +563,7 @@ def build_geometry_operators(geom: GeometryIndex, ring: QuadRing) -> OperatorSet
                        ("R", r_comb), ("L", l_comb), ("A", a_comb)):
         ops[name] = _integer_operator(size, rows)
 
-    complete_operator_set(ops)
-    return ops
-
-
-def complete_operator_set(ops: OperatorSet) -> OperatorSet:
-    """Fill in the derived operators from this mode's defining routes.
-
-    ``ops.completion`` records the operators found on entry and the ones
-    computed here; the symmetry certificate checks the former and covers
-    both, by identity."""
-    ring = ops.ring
-    inputs = dict(ops.ops)
-    if ops.mode == MODULE:
-        ops["F0"] = expr_f0_slash(ops)
-        ops["Fplus"] = expr_fplus(ops)
-        ops["Fminus"] = expr_fminus(ops)
-        ops["F"] = ops["F0"] + ops["Fplus"] + ops["Fminus"]
-        ops["R"] = ops["L1"] @ ops["R2"]
-        ops["L"] = ops["L2"] @ ops["R1"]
-        ops["A"] = ops["R"] + ops["L"] + ops["F"]
-    ops["Astar"] = ops["K1i"].scale(ring.q_half(ops.k))
-    ops["Omega0"] = expr_omega0(ops)
-    ops["Omega1"] = expr_omega1(ops)
-    ops["Omega2"] = expr_omega2(ops)
-    ops["Y"] = expr_y(ops)
-    ops["P"] = expr_p(ops)
-    ops["Omega"] = expr_omega_aw(ops)
-    ops["G"] = expr_g(ops)
-    ops["Gstar"] = expr_gstar(ops)
-    ops.completion = (inputs, {name: op for name, op in ops.ops.items()
-                               if inputs.get(name) is not op})
+    ops.record_inputs()
     return ops
 
 
@@ -812,6 +793,27 @@ def expr_gstar(ops: OperatorSet) -> SparseOperator:
     q = ring.q_power(1)
     return (ops["Omega0"] @ ops.prod("K1i", "K2")) \
         .scale(ring.q_half(h + 3 * k - 2) * (q + 1))
+
+
+# The one definition of each derived operator, read by OperatorSet.__getitem__.
+DERIVED: dict[str, Callable[[OperatorSet], SparseOperator]] = {
+    "F0": expr_f0_slash,
+    "Fplus": expr_fplus,
+    "Fminus": expr_fminus,
+    "F": lambda ops: ops["F0"] + ops["Fplus"] + ops["Fminus"],
+    "R": lambda ops: ops["L1"] @ ops["R2"],
+    "L": lambda ops: ops["L2"] @ ops["R1"],
+    "A": lambda ops: ops["R"] + ops["L"] + ops["F"],
+    "Astar": lambda ops: ops["K1i"].scale(ops.ring.q_half(ops.k)),
+    "Omega0": expr_omega0,
+    "Omega1": expr_omega1,
+    "Omega2": expr_omega2,
+    "Y": expr_y,
+    "P": expr_p,
+    "Omega": expr_omega_aw,
+    "G": expr_g,
+    "Gstar": expr_gstar,
+}
 
 
 def expr_askey1(ops: OperatorSet, middle=None) -> SparseOperator:

@@ -19,25 +19,26 @@ representative rows is the full evaluation's witness.  The same holds for
 whose violating entries form an invariant set.
 
 An OperatorSet's certificate is computed at its first use and stored on
-that set alone.  It exists iff the set has a ``completion`` record and
+that set alone.  It exists iff the set has recorded inputs (the 15
+operators ``build_geometry_operators`` installs) and
 
 (a) three elements of G_y -- ``standard_generators``, carried to y by a
     basis B adapted to y, so the vector c B goes to (c g) B -- induce
     permutations of the positions;
 (b) their union-find orbits are exactly ``geom.strata``;
-(c) every input ``complete_operator_set`` recorded (the 15 operators
-    ``build_geometry_operators`` installs) satisfies M[πr, πc] = M[r, c]
-    for each generator π, entry by entry.
+(c) every input, and only those, satisfies M[πr, πc] = M[r, c] for each
+    generator π, entry by entry.
 
-It covers those inputs and the operators ``complete_operator_set`` derived
-from them, matched by object identity; any other operand is checked on the
-spot.  What is trusted rather than checked: that the derived operators are
-invariant (they are products, sums and scalar multiples of the inputs and
-of the identity); that the identity and the projections E* are (they are
-functions of the stratum, and (b) makes the strata the orbits); that
-operators are not changed in place; that a ``support_violation`` predicate
-depends on the strata alone; and that the row view below multiplies out
-exactly the representative rows of the full expressions.
+It covers the inputs and every operator the set derives from them alone
+(``operators.DERIVED``), also after it was computed, matched by object
+identity; any other operand is checked on the spot.  What is trusted rather
+than checked: that the derived operators are invariant (they are products,
+sums and scalar multiples of the inputs and of the identity); that the
+identity and the projections E* are (they are functions of the stratum,
+and (b) makes the strata the orbits); that operators are not changed in
+place; that a ``support_violation`` predicate depends on the strata alone;
+and that the row view below multiplies out exactly the representative rows
+of the full expressions.
 
 ``evaluate`` runs a relation's evaluator on a RowView of the set, in which
 operators, products, sums, scalars and transposes of operators are lazy
@@ -180,7 +181,7 @@ def _invariant(op: SparseOperator, perms) -> bool:
 @dataclass(frozen=True)
 class Certificate:
     """Generator permutations whose orbits are the strata, the first position
-    of each stratum, and the operators covered: id(op) -> op."""
+    of each stratum, and the operators covered: the set's ``from_inputs``."""
 
     perms: list
     reps: tuple[int, ...]
@@ -192,24 +193,23 @@ class Certificate:
 
 def _may_certify(ops: OperatorSet) -> bool:
     """The preconditions of a certificate, which cost nothing to check:
-    geometry mode and a completion record."""
-    return ops.mode == GEOMETRY and ops.geometry is not None and ops.completion is not None
+    geometry mode and recorded inputs."""
+    return ops.mode == GEOMETRY and ops.geometry is not None and ops.inputs is not None
 
 
 def certify(ops: OperatorSet) -> Optional[Certificate]:
-    """The certificate of ops, or None: outside geometry mode, without a
-    completion record, or when (a), (b) or (c) fails."""
+    """The certificate of ops, or None: outside geometry mode, without
+    recorded inputs, or when (a), (b) or (c) fails."""
     if not _may_certify(ops):
         return None
     geom = ops.geometry
-    inputs, derived = ops.completion
     perms = generator_permutations(geom)
     if perms is None or not _orbits_are_strata(perms, geom):
         return None
-    if not all(_invariant(op, perms) for op in inputs.values()):
+    if not all(_invariant(op, perms) for op in ops.inputs.values()):
         return None
     return Certificate(perms, tuple(members[0] for members in geom.strata.values()),
-                       {id(op): op for op in (*inputs.values(), *derived.values())})
+                       ops.from_inputs)
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +339,8 @@ class RowView:
     out, so a relation that reads no operator (the counts suite) computes
     none.  A set without a certificate, or an operand that is neither
     covered nor invariant, raises Uncertified; it does so at once when the
-    set is not a completed geometry set or its certificate is already
-    known to be None, so such a set evaluates once, in full."""
+    set is not a geometry set with recorded inputs or its certificate is
+    already known to be None, so such a set evaluates once, in full."""
 
     def __init__(self, ops: OperatorSet):
         if not _may_certify(ops) or vars(ops).get("certificate", True) is None:

@@ -36,6 +36,7 @@ from typing import Callable, Optional, Sequence
 from .geometry import GeometryIndex, build_geometry
 from .modules import AbstractModule, eigen_scalar
 from .operators import (
+    DERIVED,
     GEOMETRY,
     MODULE,
     OperatorSet,
@@ -399,8 +400,7 @@ IDENTITY_ROWS = (
      "f", _GEO, "Fplus", expr_fplus),
     ("f.fminus_def", "combinatorial F- = R1L1 - q^(h/2)(q-1)^-1 (q^(k/2) K1^-1 - I) K2",
      "f", _GEO, "Fminus", expr_fminus),
-    ("f.fsum", "combinatorial F equals F0 + F+ + F-",
-     "f", _GEO, "F", lambda ops: ops["F0"] + ops["Fplus"] + ops["Fminus"]),
+    ("f.fsum", "combinatorial F equals F0 + F+ + F-", "f", _GEO, "F", DERIVED["F"]),
     ("f.via_lr", "F = L1R1 + L2R2 - (q-1)^-1 (q^((h+k)/2) K1 K2^-1 - I)",
      "f", _BOTH, "F", expr_f_via_lr),
     ("f.via_rl", "F = R1L1 + R2L2 - (q-1)^-1 (q^((h+k)/2) K1^-1 K2 - I)",
@@ -420,8 +420,7 @@ IDENTITY_ROWS = (
     ("a.l_prod", "combinatorial L equals L2 R1", "rla", _GEO, "L", ("L2", "R1")),
     ("a.rl_transpose", "R equals the transpose of L",
      "rla", _GEO, "R", lambda ops: ops["L"].transpose()),
-    ("a.sum", "combinatorial A equals R + L + F",
-     "rla", _GEO, "A", lambda ops: ops["R"] + ops["L"] + ops["F"]),
+    ("a.sum", "combinatorial A equals R + L + F", "rla", _GEO, "A", DERIVED["A"]),
     ("a.via_lr", "A = (L1+L2)(R1+R2) - (q-1)^-1 (q^((h+k)/2) K1 K2^-1 - I)",
      "rla", _BOTH, "A", expr_a_via_lr),
     ("a.via_rl", "A = (R1+R2)(L1+L2) - (q-1)^-1 (q^((h+k)/2) K1^-1 K2 - I)",

@@ -130,6 +130,8 @@ def test_run_verify_with_timings_flag():
     assert list(timings)[:3] == ["phase.geometry_build", "phase.operators_build",
                                  "phase.symmetry"]
     assert "counts.slash_down" in timings and "aw.askey1" in timings
+    # the aw suite reads every operator
+    assert len(payload.pop("operators")) == 24
     assert json.dumps(payload, indent=2) + "\n" == plain
 
 
@@ -160,6 +162,7 @@ def test_verify_counts_suite_builds_no_operators(monkeypatch):
     timings = json.loads(out)["timings"]
     assert [key for key in timings if key.startswith("phase.")] == ["phase.geometry_build"]
     assert list(timings)[1:] == ids
+    assert json.loads(out)["operators"] == {}
 
 
 def test_run_decompose_timings_phases():
@@ -171,7 +174,24 @@ def test_run_decompose_timings_phases():
     assert list(payload.pop("timings")) == [
         "phase.geometry_build", "phase.operators_build", "phase.symmetry",
         "phase.multiplicities", "phase.bookkeeping"]
+    payload.pop("operators")
     assert json.dumps(payload, indent=2) + "\n" == plain
+
+
+def test_decompose_timings_list_the_operators_it_built():
+    argv = ["decompose", "--q", "2", "--h", "3", "--k", "2", "--timings"]
+    ops = build_geometry_operators(build_geometry(2, 3, 2), QuadRing(2))
+    want = {name: ops[name].nnz() for name in sorted(
+        ["K1", "K1i", "K2", "K2i", "L1", "L2", "R1", "R2", "F0", "Fplus", "Fminus",
+         "F", "R", "L", "A", "Omega0", "Omega1", "Omega2"])}
+    _, out = run(parse_args(argv + ["--format", "json"]))
+    assert json.loads(out)["operators"] == want
+    _, text = run(parse_args(argv))
+    _, plain = run(parse_args(argv[:-1]))
+    lines = text.splitlines()
+    assert lines[-1] == "operators: " + json.dumps(want)
+    assert lines[-2].startswith("timings: ")
+    assert "\n".join(lines[:-2]) + "\n" == plain
 
 
 def test_run_verify_with_y_override():

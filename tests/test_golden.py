@@ -25,7 +25,7 @@ import os
 
 from pgaw.geometry import Subspace, build_geometry
 from pgaw.modules import ModuleType, build_abstract_module
-from pgaw.operators import build_geometry_operators
+from pgaw.operators import DERIVED, build_geometry_operators
 from pgaw.rings import QuadRing, SymbolicRing
 from pgaw.verify import REGISTRY, run_geometry_suite, run_module_suite, verify_counts
 
@@ -99,7 +99,7 @@ def test_golden_reports_unchanged():
 
 def _operator_digests(ops) -> dict:
     digests = {}
-    for name in sorted(ops.ops):
+    for name in sorted({*ops.ops, *DERIVED}):
         text = "\n".join(ops[name].coordinate_lines(ops.labels))
         digests[name] = hashlib.sha256(text.encode("utf-8")).hexdigest()
     return digests

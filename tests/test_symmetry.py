@@ -11,12 +11,13 @@ that a broken certificate changes no verdict.
 import pytest
 
 from pgaw import symmetry, verify
+from pgaw.decompose import compute_multiplicities
 from pgaw.geometry import Subspace, build_geometry
 from pgaw.operators import (
+    DERIVED,
     OperatorSet,
     SparseOperator,
     build_geometry_operators,
-    complete_operator_set,
     expr_askey1,
 )
 from pgaw.rings import QuadRing
@@ -57,14 +58,15 @@ def _fresh(q, h, k, y_rows=None):
     return build_geometry_operators(build_geometry(q, h, k, y), QuadRing(q))
 
 
-def _completed(ops, name, op):
-    """A new set with the operators ops was completed from, name replaced by
-    op before complete_operator_set runs."""
+def _rebuilt(ops, name, op):
+    """A new set with the inputs of ops, name replaced by op, recorded as its
+    inputs; it derives every other operator from them."""
     fresh = OperatorSet(ops.mode, ops.ring, ops.h, ops.k, ops.ij, ops.labels,
                         geometry=ops.geometry)
-    fresh.ops = dict(ops.completion[0])
+    fresh.ops = dict(ops.inputs)
     fresh[name] = op
-    return complete_operator_set(fresh)
+    fresh.record_inputs()
+    return fresh
 
 
 def _full(ops, rel_id):
@@ -141,15 +143,66 @@ def test_coefficient_controls_run_once_on_the_representative_rows(
 def test_every_installed_operator_is_certified(ops_cache):
     ops = ops_cache(2, 3, 2)
     cert = ops.certificate
-    inputs, derived = ops.completion
-    assert set(inputs) == {"K1", "K1i", "K2", "K2i", "L1", "L2", "R1", "R2",
-                           "F0", "Fplus", "Fminus", "F", "R", "L", "A"}
-    assert set(derived) == {"Astar", "Omega0", "Omega1", "Omega2", "Y", "P",
-                            "Omega", "G", "Gstar"}
-    assert all(cert.covers(op) for op in ops.ops.values())
+    assert set(ops.inputs) == {"K1", "K1i", "K2", "K2i", "L1", "L2", "R1", "R2",
+                               "F0", "Fplus", "Fminus", "F", "R", "L", "A"}
+    every = [ops[name] for name in {*ops.inputs, *DERIVED}]
+    assert {name for name, op in ops.ops.items() if op is not ops.inputs.get(name)} \
+        == {"Astar", "Omega0", "Omega1", "Omega2", "Y", "P", "Omega", "G", "Gstar"}
+    assert all(cert.covers(op) for op in every)
     # what the certificate trusts of the derived operators holds here
-    assert all(symmetry._permutes(op, perm)
-               for op in ops.ops.values() for perm in cert.perms)
+    assert all(symmetry._permutes(op, perm) for op in every for perm in cert.perms)
+
+
+def test_operators_are_derived_when_first_read():
+    ops = _fresh(2, 3, 2)
+    assert run_geometry_suite(ops, ["generators"]).passed
+    assert ops.ops == ops.inputs
+    compute_multiplicities(ops.geometry, ops)
+    assert set(ops.ops) - set(ops.inputs) == {"Omega0", "Omega1", "Omega2"}
+
+
+def test_check_c_runs_on_the_inputs_only(monkeypatch):
+    ops = _fresh(2, 3, 2)
+    ops["G"]  # derives Y, Omega1 and Omega2 on the way
+    checked = []
+
+    def invariant(op, perms):
+        checked.append(op)
+        return all(symmetry._permutes(op, perm) for perm in perms)
+
+    monkeypatch.setattr(symmetry, "_invariant", invariant)
+    assert ops.certificate is not None
+    assert len(checked) == 15
+    assert {id(op) for op in checked} == {id(op) for op in ops.inputs.values()}
+
+
+def test_operator_derived_after_the_certificate_is_covered():
+    ops = _fresh(2, 3, 2)
+    cert = ops.certificate
+    assert "Omega" not in ops.ops
+    assert cert.covers(ops["Omega"]) and cert.covers(ops["Omega1"])
+
+
+def test_operators_derived_beside_a_replaced_one_are_not_covered(spy):
+    ops = _fresh(2, 2, 1)
+    omega1 = ops["Omega1"]
+    ops["F0"] = ops["F0"].with_entry_added(1, 2, 1)  # not invariant
+    cert = ops.certificate
+    assert cert is not None  # check (c) reads the recorded inputs
+    assert cert.covers(omega1)
+    assert not cert.covers(ops["F0"]) and not cert.covers(ops["Omega0"])
+    calls = spy("center.omega0_l1")
+    out = run_relation(ops, "center.omega0_l1")
+    assert calls == ["reduced", "full"]
+    assert out == _full(ops, "center.omega0_l1") and not out.passed
+
+
+def test_perturbed_clone_keeps_the_parents_derived_operators():
+    ops = _fresh(2, 3, 2)
+    clone = ops.perturbed("F0", 1, 2, 1)
+    assert clone.inputs is None and clone.certificate is None
+    assert clone["Omega0"] is ops["Omega0"]
+    assert set(clone.ops) == set(ops.inputs) | set(DERIVED)
 
 
 def test_counts_relations_compute_no_certificate():
@@ -168,7 +221,7 @@ def test_perturbed_set_takes_the_full_path(ops_cache, spy):
     assert run_relation(ops, "aw.askey2").passed
     assert calls == ["reduced"]
     tampered = ops.perturbed("A", 3, 40, 1)
-    assert tampered.completion is None and tampered.certificate is None
+    assert tampered.inputs is None and tampered.certificate is None
     del calls[:]
     out = run_relation(tampered, "aw.askey2")
     assert calls == ["full"]
@@ -186,7 +239,7 @@ def test_invariant_perturbation_is_caught_on_a_representative_row(
     # the zero subspace, y and the whole space are singleton orbits, so the
     # perturbation is invariant
     assert (r,) in geom.strata.values() and (c,) in geom.strata.values()
-    tampered = _completed(ops, "A", ops["A"].with_entry_added(r, c, 1))
+    tampered = _rebuilt(ops, "A", ops["A"].with_entry_added(r, c, 1))
     assert tampered.certificate is not None
     calls = spy(rel_id)
     out = run_relation(tampered, rel_id)
@@ -199,7 +252,7 @@ def test_invariant_perturbation_is_caught_on_a_representative_row(
 def test_every_stratum_has_a_representative_row(ops_cache):
     ops = ops_cache(2, 3, 2)
     for i, j in ops.geometry.strata:
-        tampered = _completed(ops, "A", ops["A"] + ops.estar_stratum(i, j))  # invariant
+        tampered = _rebuilt(ops, "A", ops["A"] + ops.estar_stratum(i, j))  # invariant
         assert tampered.certificate is not None
         assert EVALUATORS["a.sum"](RowView(tampered)) is not None, (i, j)
         for rel in relations_for("geometry"):
@@ -224,8 +277,7 @@ def test_non_invariant_operand_of_an_evaluator_is_checked(ops_cache, monkeypatch
 
 def test_recompleted_set_does_not_trust_its_derived_operators(ops_cache, spy):
     ops = ops_cache(2, 2, 1)
-    tampered = ops.perturbed("F0", 1, 2, 1)
-    complete_operator_set(tampered)
+    tampered = _rebuilt(ops, "F0", ops["F0"].with_entry_added(1, 2, 1))
     # one input fails check (c), so there is no certificate at all: even a
     # relation that reads no operator derived from F0 runs in full
     assert tampered.certificate is None
