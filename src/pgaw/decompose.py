@@ -19,11 +19,12 @@ and E_t fixes each of those, since each factor acts on it as 1.  So
 y -> y E_t projects the row vectors on S onto the eigenspace, and m_t is
 its trace: the sum of E_t's diagonal over S.
 
-The start rows are all of S, unless the set's symmetry certificate
-(``pgaw.symmetry``) covers the three Omegas.  Then E_t and its residuals
-are G_y-invariant and S is one orbit, so the start row is the first
-position u0 of S alone: a residual row is zero at every position of S iff
-it is at u0, and the diagonal is constant on S, so m_t = |S| E_t[u0, u0].
+The start rows are all of S, unless the set has a symmetry certificate
+(``pgaw.symmetry``), which vouches for the three Omegas it holds.  Then E_t
+and its residuals are G_y-invariant and S is one orbit, so the start row
+is the first position u0 of S alone: a residual row is zero at every
+position of S iff it is at u0, and the diagonal is constant on S, so
+m_t = |S| E_t[u0, u0].
 """
 
 from __future__ import annotations
@@ -65,8 +66,7 @@ def compute_multiplicities(geom: GeometryIndex, ops: OperatorSet) -> Multiplicit
         if op.m1:
             raise ValueError(f"decompose needs rational central operators; "
                              f"Omega{c} has an irrational entry")
-    cert = ops.certificate
-    certified = cert is not None and all(map(cert.covers, centrals))
+    certified = ops.certificate is not None
 
     out: MultiplicityMap = {}
     for t, lam in zip(types, triples):

@@ -14,7 +14,7 @@ conversion to the endpoint / dual-endpoint / diameter parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from .operators import MODULE, OperatorSet, SparseOperator
+from .operators import K_EXPONENTS, MODULE, OperatorSet, SparseOperator, k_diagonals
 from .rings import Ring, Scalar
 
 
@@ -85,55 +85,35 @@ class AbstractModule:
         self.basis = [(i, j) for i in mtype.i_range for j in mtype.j_range]
         self.index = {bj: p for p, bj in enumerate(self.basis)}
         labels = [f"w[{i},{j}]" for i, j in self.basis]
-        ops = OperatorSet(MODULE, ring, mtype.h, mtype.k, self.basis, labels,
-                          module_type=mtype)
-        self._install_generators(ops)
-        self.ops = ops
+        self.ops = OperatorSet(MODULE, ring, mtype.h, mtype.k, self.basis, labels,
+                               self._generators(), module_type=mtype)
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    def _install_generators(self, ops: OperatorSet):
+    def _generators(self) -> dict[str, SparseOperator]:
+        """The K diagonals, and L1, L2, R1, R2 by their closed-form coefficients."""
         t, ring = self.type, self.ring
         a, b, r = t.alpha, t.beta, t.rho
         h, k = t.h, t.k
-        size = len(self.basis)
-        l1 = {}
-        l2 = {}
-        r1 = {}
-        r2 = {}
-        for col, (i, j) in enumerate(self.basis):
-            if (i - 1, j) in self.index:
-                coeff = ring.q_half(r + a + b + i + j - 1) \
-                    * ring.bracket(k - r - a - i + 1)
-                if coeff:
-                    l1.setdefault(self.index[(i - 1, j)], {})[col] = coeff
-            if (i, j - 1) in self.index:
-                coeff = ring.q_half(2 * k - r - a + b - i + j - 1) \
-                    * ring.bracket(h - b - j + 1)
-                if coeff:
-                    l2.setdefault(self.index[(i, j - 1)], {})[col] = coeff
-            if (i + 1, j) in self.index:
-                coeff = ring.q_half(a - r - b - i + j) * ring.bracket(i - a + 1)
-                if coeff:
-                    r1.setdefault(self.index[(i + 1, j)], {})[col] = coeff
-            if (i, j + 1) in self.index:
-                coeff = ring.q_half(r + a + b - i - j) * ring.bracket(j - r - b + 1)
-                if coeff:
-                    r2.setdefault(self.index[(i, j + 1)], {})[col] = coeff
-        ops["L1"] = SparseOperator(size, l1)
-        ops["L2"] = SparseOperator(size, l2)
-        ops["R1"] = SparseOperator(size, r1)
-        ops["R2"] = SparseOperator(size, r2)
-        ops["K1"] = SparseOperator.diagonal(
-            [ring.q_half(k - 2 * i) for i, _ in self.basis])
-        ops["K1i"] = SparseOperator.diagonal(
-            [ring.q_half(2 * i - k) for i, _ in self.basis])
-        ops["K2"] = SparseOperator.diagonal(
-            [ring.q_half(2 * j - h) for _, j in self.basis])
-        ops["K2i"] = SparseOperator.diagonal(
-            [ring.q_half(h - 2 * j) for _, j in self.basis])
+        qh, br = ring.q_half, ring.bracket
+        # (name, the step (di, dj) it takes w[i,j] to, its coefficient there)
+        steps = (
+            ("L1", -1, 0, lambda i, j: qh(r + a + b + i + j - 1) * br(k - r - a - i + 1)),
+            ("L2", 0, -1, lambda i, j: qh(2 * k - r - a + b - i + j - 1) * br(h - b - j + 1)),
+            ("R1", 1, 0, lambda i, j: qh(a - r - b - i + j) * br(i - a + 1)),
+            ("R2", 0, 1, lambda i, j: qh(r + a + b - i - j) * br(j - r - b + 1)),
+        )
+        ops = k_diagonals(ring, h, k, self.basis)
+        for name, di, dj, coeff in steps:
+            rows: dict = {}
+            for col, (i, j) in enumerate(self.basis):
+                target = self.index.get((i + di, j + dj))
+                if target is not None and (c := coeff(i, j)):
+                    rows.setdefault(target, {})[col] = c
+            ops[name] = SparseOperator(self.dim, rows)
+        return ops
 
     def __repr__(self):
         return f"AbstractModule(type={self.type}, dim={self.dim}, ring={self.ring!r})"
@@ -177,14 +157,8 @@ def eigen_scalar(name: str, t: ModuleType, i: int, j: int, ring: Ring) -> Scalar
     q = ring.q_power(1)
     br = ring.bracket
     qp = ring.q_power
-    if name == "K1":
-        return ring.q_half(k - 2 * i)
-    if name == "K1i":
-        return ring.q_half(2 * i - k)
-    if name == "K2":
-        return ring.q_half(2 * j - h)
-    if name == "K2i":
-        return ring.q_half(h - 2 * j)
+    if name in K_EXPONENTS:
+        return ring.q_half(K_EXPONENTS[name](h, k, i, j))
     if name == "L1R1":
         return qp(a + j) * br(i - a + 1) * br(k - r - a - i)
     if name == "R1L1":

@@ -20,9 +20,13 @@ scaling of the other operand, chosen by the row kernel from its input.
 An OperatorSet holds the named operators over one basis: either the
 subspace lattice (geometry mode, entries in Q(sqrt q)) or the standard
 basis of an abstract irreducible module (module mode, numeric or symbolic
-entries).  A builder installs some; any other name is derived from its
-one definition in ``DERIVED`` at its first read.  Operators with two
-independent definitions are built both ways; the verifier compares them.
+entries).  It is fixed once built: its builder passes in the inputs, any
+other name is derived from its one definition in ``DERIVED`` at its first
+read, and nothing is assigned later, so ``pgaw.symmetry``'s certificate
+of a set vouches for every operator the set holds.  A ``perturbed`` clone
+holds only its perturbed operator and reads every other name from its
+parent.  Operators with two independent definitions are built both ways;
+the verifier compares them.
 """
 
 from __future__ import annotations
@@ -392,10 +396,12 @@ def commutator(x: SparseOperator, y: SparseOperator) -> SparseOperator:
 
 
 class OperatorSet:
-    """The named operators over one basis, plus the shared stratification."""
+    """The named operators over one basis, plus the shared stratification;
+    fixed once built (see the module docstring)."""
 
-    def __init__(self, mode: str, ring, h: int, k: int, ij, labels,
-                 geometry: Optional[GeometryIndex] = None, module_type=None):
+    def __init__(self, mode: str, ring, h: int, k: int, ij, labels, inputs: dict,
+                 geometry: Optional[GeometryIndex] = None, module_type=None,
+                 parent: Optional["OperatorSet"] = None):
         self.mode = mode
         self.ring = ring
         self.h = h
@@ -405,31 +411,24 @@ class OperatorSet:
         self.dim = len(self.ij)
         self.geometry = geometry
         self.module_type = module_type
-        self.ops: dict[str, SparseOperator] = {}  # installed, then derived
+        self.parent = parent
+        self.ops: dict[str, SparseOperator] = dict(inputs)  # inputs, then derived
+        # the builder's operators, which ``pgaw.symmetry`` checks; a clone has none
+        self.inputs: Optional[dict[str, SparseOperator]] = \
+            None if parent is not None else dict(inputs)
         self._identity: Optional[SparseOperator] = None
         self._estar: dict = {}
         self._products: dict = {}
-        # the builder's operators; by id, those and all derived from them alone
-        self.inputs: Optional[dict[str, SparseOperator]] = None
-        self.from_inputs: dict[int, SparseOperator] = {}
 
     def __getitem__(self, name: str) -> SparseOperator:
-        """The installed operator, else DERIVED[name], derived once and stored."""
+        """The operator this set holds, else the parent's, else DERIVED[name],
+        derived once and stored."""
         op = self.ops.get(name)
         if op is None:
-            op = DERIVED[name](self)
-            if all(id(o) in self.from_inputs for o in self.ops.values()):
-                self.from_inputs[id(op)] = op
-            self.ops[name] = op
+            if self.parent is not None:
+                return self.parent[name]
+            op = self.ops[name] = DERIVED[name](self)
         return op
-
-    def __setitem__(self, name: str, op: SparseOperator):
-        self.ops[name] = op
-
-    def record_inputs(self) -> None:
-        """Record the installed operators as the inputs ``pgaw.symmetry`` checks."""
-        self.inputs = dict(self.ops)
-        self.from_inputs = {id(op): op for op in self.ops.values()}
 
     def identity(self) -> SparseOperator:
         if self._identity is None:
@@ -465,17 +464,31 @@ class OperatorSet:
         return self._products[key]
 
     def perturbed(self, name: str, r: int, c: int, delta=1) -> "OperatorSet":
-        """Copy with one entry perturbed (negative control): it holds every operator
-        of this set, derived ones too, and records no inputs, so has no certificate."""
-        clone = OperatorSet(self.mode, self.ring, self.h, self.k, self.ij,
-                            self.labels, self.geometry, self.module_type)
-        clone.ops = {n: self[n] for n in {*self.ops, *DERIVED}}
-        clone.ops[name] = clone.ops[name].with_entry_added(r, c, delta)
-        return clone
+        """Copy with one entry perturbed (negative control): it holds only the
+        perturbed operator, reads every other name from this set, and has no
+        inputs, so no certificate."""
+        return OperatorSet(self.mode, self.ring, self.h, self.k, self.ij, self.labels,
+                           {name: self[name].with_entry_added(r, c, delta)},
+                           self.geometry, self.module_type, parent=self)
 
     def __repr__(self):
         return (f"OperatorSet(mode={self.mode}, dim={self.dim}, "
                 f"h={self.h}, k={self.k}, ops={sorted(self.ops)})")
+
+
+# e(h, k, i, j) with K = q^(e/2) on the weight (i, j)
+K_EXPONENTS: dict[str, Callable[[int, int, int, int], int]] = {
+    "K1": lambda h, k, i, j: k - 2 * i,
+    "K1i": lambda h, k, i, j: 2 * i - k,
+    "K2": lambda h, k, i, j: 2 * j - h,
+    "K2i": lambda h, k, i, j: h - 2 * j,
+}
+
+
+def k_diagonals(ring, h: int, k: int, ij) -> dict[str, SparseOperator]:
+    """The diagonal operators K1, K1i, K2 and K2i over a basis of weights ij."""
+    return {name: SparseOperator.diagonal([ring.q_half(e(h, k, i, j)) for i, j in ij])
+            for name, e in K_EXPONENTS.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -513,15 +526,8 @@ def build_geometry_operators(geom: GeometryIndex, ring: QuadRing) -> OperatorSet
     if getattr(ring, "kind", None) != "numeric" or ring.q != geom.q:
         raise RingMismatchError(
             "geometry operators need a numeric ring with matching q")
-    h, k = geom.h, geom.k
-    ops = OperatorSet(GEOMETRY, ring, h, k, geom.ij, geom.labels(), geometry=geom)
     size = geom.size
-
-    ops["K1"] = SparseOperator.diagonal([ring.q_half(k - 2 * i) for i, _ in geom.ij])
-    ops["K1i"] = SparseOperator.diagonal([ring.q_half(2 * i - k) for i, _ in geom.ij])
-    ops["K2"] = SparseOperator.diagonal([ring.q_half(2 * j - h) for _, j in geom.ij])
-    ops["K2i"] = SparseOperator.diagonal([ring.q_half(h - 2 * j) for _, j in geom.ij])
-
+    ops = k_diagonals(ring, geom.h, geom.k, geom.ij)
     for name, covered_by in (("L1", geom.slash_covered_by),
                              ("L2", geom.backslash_covered_by)):
         ops[name] = _integer_operator(size, {u: dict.fromkeys(above, 1)
@@ -562,9 +568,8 @@ def build_geometry_operators(geom: GeometryIndex, ring: QuadRing) -> OperatorSet
     for name, rows in (("F0", f0), ("Fplus", fplus), ("Fminus", fminus), ("F", f_all),
                        ("R", r_comb), ("L", l_comb), ("A", a_comb)):
         ops[name] = _integer_operator(size, rows)
-
-    ops.record_inputs()
-    return ops
+    return OperatorSet(GEOMETRY, ring, geom.h, geom.k, geom.ij, geom.labels(), ops,
+                       geometry=geom)
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,9 @@ representative rows is the full evaluation's witness.  The same holds for
 whose violating entries form an invariant set.
 
 An OperatorSet's certificate is computed at its first use and stored on
-that set alone.  It exists iff the set has recorded inputs (the 15
-operators ``build_geometry_operators`` installs) and
+that set alone.  It exists iff the set is a geometry set with inputs (the
+15 operators ``build_geometry_operators`` builds it from; a ``perturbed``
+clone has none) and
 
 (a) three elements of G_y -- ``standard_generators``, carried to y by a
     basis B adapted to y, so the vector c B goes to (c g) B -- induce
@@ -29,16 +30,18 @@ operators ``build_geometry_operators`` installs) and
 (c) every input, and only those, satisfies M[πr, πc] = M[r, c] for each
     generator π, entry by entry.
 
-It covers the inputs and every operator the set derives from them alone
-(``operators.DERIVED``), also after it was computed, matched by object
-identity; any other operand is checked on the spot.  What is trusted rather
-than checked: that the derived operators are invariant (they are products,
-sums and scalar multiples of the inputs and of the identity); that the
-identity and the projections E* are (they are functions of the stratum,
-and (b) makes the strata the orbits); that operators are not changed in
-place; that a ``support_violation`` predicate depends on the strata alone;
-and that the row view below multiplies out exactly the representative rows
-of the full expressions.
+A set is fixed once built: it holds its inputs and what it derives from
+them by ``operators.DERIVED``, and takes no assignment.  So the certificate
+vouches for every operator the set holds, also one derived after it was
+computed; an operand an evaluator builds itself is checked on the spot.
+What is trusted rather than checked: that the derived operators are
+invariant (they are products, sums and scalar multiples of the inputs and
+of the identity); that the identity and the projections E* are (they are
+functions of the stratum, and (b) makes the strata the orbits); that
+operators are not changed in place and ``OperatorSet.ops`` is not written
+to from outside; that a ``support_violation`` predicate depends on the
+strata alone; and that the row view below multiplies out exactly the
+representative rows of the full expressions.
 
 ``evaluate`` runs a relation's evaluator on a RowView of the set, in which
 operators, products, sums, scalars and transposes of operators are lazy
@@ -180,26 +183,22 @@ def _invariant(op: SparseOperator, perms) -> bool:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Generator permutations whose orbits are the strata, the first position
-    of each stratum, and the operators covered: the set's ``from_inputs``."""
+    """Generator permutations whose orbits are the strata, and the first
+    position of each stratum."""
 
     perms: list
     reps: tuple[int, ...]
-    covered: dict
-
-    def covers(self, op) -> bool:
-        return self.covered.get(id(op)) is op
 
 
 def _may_certify(ops: OperatorSet) -> bool:
     """The preconditions of a certificate, which cost nothing to check:
-    geometry mode and recorded inputs."""
+    geometry mode and inputs (a perturbed clone has none)."""
     return ops.mode == GEOMETRY and ops.geometry is not None and ops.inputs is not None
 
 
 def certify(ops: OperatorSet) -> Optional[Certificate]:
     """The certificate of ops, or None: outside geometry mode, without
-    recorded inputs, or when (a), (b) or (c) fails."""
+    inputs, or when (a), (b) or (c) fails."""
     if not _may_certify(ops):
         return None
     geom = ops.geometry
@@ -208,8 +207,7 @@ def certify(ops: OperatorSet) -> Optional[Certificate]:
         return None
     if not all(_invariant(op, perms) for op in ops.inputs.values()):
         return None
-    return Certificate(perms, tuple(members[0] for members in geom.strata.values()),
-                       ops.from_inputs)
+    return Certificate(perms, tuple(members[0] for members in geom.strata.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -335,12 +333,13 @@ class RowView:
 
     Operators, products, the identity and the projections E* are lazy
     expressions; every other attribute is the set's own.  The certificate
-    is taken when an operand is first lifted or rows are first multiplied
-    out, so a relation that reads no operator (the counts suite) computes
-    none.  A set without a certificate, or an operand that is neither
-    covered nor invariant, raises Uncertified; it does so at once when the
-    set is not a geometry set with recorded inputs or its certificate is
-    already known to be None, so such a set evaluates once, in full."""
+    is taken when rows are first multiplied out or an operand the evaluator
+    built is lifted, so a relation that reads no operator (the counts
+    suite) computes none.  It vouches for the set's own operators.  A set
+    without a certificate, or a built operand that is not invariant,
+    raises Uncertified; it does so at once when the set is not a geometry
+    set with inputs or its certificate is already known to be None, so
+    such a set evaluates once, in full."""
 
     def __init__(self, ops: OperatorSet):
         if not _may_certify(ops) or vars(ops).get("certificate", True) is None:
@@ -363,15 +362,15 @@ class RowView:
         return _integer_operator(self._ops.dim, {r: {r: 1} for r in self._cert.reps})
 
     def lift(self, op) -> _Expr:
+        """An operand the evaluator built itself, checked for invariance here."""
         if isinstance(op, _Expr):
             return op
-        if not isinstance(op, SparseOperator) or not (
-                self._cert.covers(op) or _invariant(op, self._cert.perms)):
+        if not isinstance(op, SparseOperator) or not _invariant(op, self._cert.perms):
             raise Uncertified("operand is not a G_y-invariant operator")
         return _Leaf(self, op)
 
     def __getitem__(self, name: str) -> _Expr:
-        return self.lift(self._ops[name])
+        return _Leaf(self, self._ops[name])
 
     def prod(self, a: str, b: str) -> _Expr:
         return self[a] @ self[b]
@@ -392,7 +391,7 @@ def evaluate(ops: OperatorSet, evaluator: Callable[[OperatorSet], Optional[str]]
              ) -> Optional[str]:
     """The evaluator's result for ops: None when the relation holds, else
     the witness.  It comes from the representative rows whenever ops has a
-    certificate that covers the relation; Uncertified runs it in full."""
+    certificate; Uncertified runs it in full."""
     try:
         return evaluator(RowView(ops))
     except Uncertified:

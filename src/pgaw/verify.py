@@ -622,9 +622,12 @@ def run_relation(ops: OperatorSet, rel_id: str) -> Outcome:
     row per stratum and its result there is the outcome: each representative
     is the first position of its stratum and residuals are G_y-invariant,
     so the first nonzero row of a residual is a representative row and the
-    witness is the full evaluation's.  What this trusts is listed in
-    ``pgaw.symmetry``.  A perturbed clone, a module or an uncovered operand
-    runs on the full set."""
+    witness is the full evaluation's.  The certificate vouches for every
+    operator the set holds; an operand the evaluator builds itself is
+    checked for invariance when it is read.  What this trusts is listed in
+    ``pgaw.symmetry``.  A perturbed clone (it holds its perturbed operator
+    and reads the rest from its parent), a module or a built operand that
+    is not invariant runs on the full set."""
     return _outcome(ops, rel_id, EVALUATORS[rel_id])
 
 
@@ -669,7 +672,7 @@ def verify_counts(geom: GeometryIndex,
     among them: no operators needed, as every counts relation reads only
     the lattice."""
     ops = OperatorSet(GEOMETRY, QuadRing(geom.q), geom.h, geom.k, geom.ij,
-                      geom.labels(), geometry=geom)
+                      geom.labels(), {}, geometry=geom)
     return run_suites(ops, ["counts"], relation_ids)
 
 
