@@ -10,7 +10,6 @@ the adjacency-style operators A, A* — with exact zero residuals.
 from .rings import (
     QuadRing,
     QuadScalar,
-    LaurentPoly,
     RatFunc,
     SymbolicRing,
     RingMismatchError,
@@ -44,7 +43,6 @@ __version__ = "0.1.0"
 __all__ = [
     "QuadRing",
     "QuadScalar",
-    "LaurentPoly",
     "RatFunc",
     "SymbolicRing",
     "RingMismatchError",

@@ -32,7 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .geometry import GeometryIndex
-from .modules import ModuleType, enumerate_types
+from .modules import ModuleType, eigen_scalar, enumerate_types
 from .operators import OperatorSet, _integer_operator
 from .verify import Outcome, VerificationReport
 
@@ -40,9 +40,7 @@ MultiplicityMap = dict[ModuleType, int]
 
 
 def _central_triple(t: ModuleType, ring):
-    return (ring.q_power(-t.rho),
-            ring.q_power(1) * ring.bracket(t.k - t.rho - t.alpha) + ring.bracket(t.alpha),
-            ring.q_power(1) * ring.bracket(t.h - t.rho - t.beta) + ring.bracket(t.beta))
+    return tuple(eigen_scalar(f"Omega{c}", t, t.alpha, t.rho + t.beta, ring) for c in range(3))
 
 
 def compute_multiplicities(geom: GeometryIndex, ops: OperatorSet) -> MultiplicityMap:

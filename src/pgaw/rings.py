@@ -5,11 +5,12 @@ Two coefficient fields are supported:
 * numeric mode -- Q(sqrt(q)) for a fixed non-square prime q, elements
   ``a + b*sqrt(q)`` with arbitrary-precision rational a, b;
 * symbolic mode -- integer Laurent polynomials in an indeterminate ``s``
-  over ``(s-1)**b (s+1)**c``, with ``q = s**2``: half-integer powers of q
-  are Laurent monomials in s, and the paper's coefficients only ever
-  divide by powers of ``q - 1 = (s-1)(s+1)``.  Reduction is synthetic
-  division by ``s - 1`` and ``s + 1``; inverting anything but a unit
-  ``c s**m (s-1)**i (s+1)**j`` raises ValueError.
+  over ``(s-1)**b (s+1)**c``, with ``q = s**2`` (``RatFunc``, which holds
+  its numerator as an ``{exponent: coefficient}`` dict beside b and c):
+  half-integer powers of q are Laurent monomials in s, and the paper's
+  coefficients only ever divide by powers of ``q - 1 = (s-1)(s+1)``.
+  Reduction is synthetic division by ``s - 1`` and ``s + 1``; inverting
+  anything but a unit ``c s**m (s-1)**i (s+1)**j`` raises ValueError.
 
 Plain Python ints and ``fractions.Fraction`` values embed canonically in
 both fields and are accepted by every operation; results collapse back to
@@ -302,105 +303,57 @@ def _cancel(x: dict, r: int, limit: int):
     return x, n
 
 
-class LaurentPoly:
-    """Laurent polynomial in s as {exponent: coefficient}; zeros never stored."""
+def _terms_eval(x: dict, s, s_inv=None):
+    """Value of the Laurent polynomial x at s; s_inv supplies s**-1 for negative exponents."""
+    total = 0
+    for e, v in sorted(x.items()):
+        if e >= 0:
+            total = total + v * (s ** e)
+        else:
+            if s_inv is None:
+                s_inv = Fraction(1) / s  # 1 / s would be a float for int s
+            total = total + v * (s_inv ** (-e))
+    return total
 
-    __slots__ = ("terms",)
 
-    def __init__(self, terms=None):
-        self.terms = {e: c for e, c in (terms or {}).items() if c}
-
-    @staticmethod
-    def _of(terms: dict) -> "LaurentPoly":
-        p = LaurentPoly.__new__(LaurentPoly)
-        p.terms = terms
-        return p
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, LaurentPoly):
-            return self.terms == other.terms
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.terms.items())))
-
-    def __neg__(self):
-        return LaurentPoly._of({e: -c for e, c in self.terms.items()})
-
-    def __add__(self, other):
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return LaurentPoly._of(_terms_add(self.terms, other.terms))
-
-    def __sub__(self, other):
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return LaurentPoly._of(_terms_mul(self.terms, other.terms))
-
-    def evaluate(self, x, x_inv=None):
-        """Value at s = x; x_inv supplies x**-1 for negative exponents."""
-        total = 0
-        for e, c in sorted(self.terms.items()):
-            if e >= 0:
-                total = total + c * (x ** e)
-            else:
-                if x_inv is None:
-                    x_inv = Fraction(1) / x  # 1 / x would be a float for int x
-                total = total + c * (x_inv ** (-e))
-        return total
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for e in sorted(self.terms, reverse=True):
-            c = self.terms[e]
-            if e == 0:
-                term = str(c)
-            else:
-                se = "s" if e == 1 else f"s^{e}"
-                if c == 1:
-                    term = se
-                elif c == -1:
-                    term = f"-{se}"
-                else:
-                    term = f"{c}*{se}"
-            parts.append(term)
-        out = parts[0]
-        for term in parts[1:]:
+def _terms_str(x: dict) -> str:
+    """x as a polynomial in s, highest power first."""
+    if not x:
+        return "0"
+    out = ""
+    for e in sorted(x, reverse=True):
+        v = x[e]
+        if e == 0:
+            term = str(v)
+        else:
+            se = "s" if e == 1 else f"s^{e}"
+            term = se if v == 1 else f"-{se}" if v == -1 else f"{v}*{se}"
+        if not out:
+            out = term
+        else:
             out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-        return out
-
-    def __repr__(self):
-        return f"LaurentPoly({self.terms!r})"
+    return out
 
 
 class RatFunc:
     """num / ((s-1)^b (s+1)^c): a Laurent polynomial over powers of s-1 and s+1.
 
     These are the only denominators the paper's coefficients produce (powers
-    of q - 1 = (s-1)(s+1)).  The form is reduced: num(1) != 0 when b > 0 and
-    num(-1) != 0 when c > 0, which makes it unique, so equality compares the
-    parts.  Only units c s^m (s-1)^i (s+1)^j can be inverted.  Construct
-    through :func:`ratfunc_reduce` or a :class:`SymbolicRing`; constant values
-    collapse to int/Fraction there, so a RatFunc instance always carries a
-    genuinely non-constant value.
+    of q - 1 = (s-1)(s+1)).  The numerator num is ``terms``, an
+    {exponent: coefficient} dict with no zero coefficient.  The form is
+    reduced: num(1) != 0 when b > 0 and num(-1) != 0 when c > 0, which makes
+    it unique, so equality compares the parts.  Only units c s^m (s-1)^i
+    (s+1)^j can be inverted.  Construct through :func:`ratfunc_reduce` or a
+    :class:`SymbolicRing`; constant values collapse to int/Fraction there, so
+    a RatFunc instance always carries a genuinely non-constant value.
     """
 
-    __slots__ = ("num", "b", "c")
+    __slots__ = ("terms", "b", "c")
 
     @staticmethod
     def _raw(terms: dict, b: int, c: int) -> "RatFunc":
         r = RatFunc.__new__(RatFunc)
-        r.num, r.b, r.c = LaurentPoly._of(terms), b, c
+        r.terms, r.b, r.c = terms, b, c
         return r
 
     @staticmethod
@@ -421,7 +374,7 @@ class RatFunc:
     @staticmethod
     def _parts(x):
         if type(x) is RatFunc:
-            return x.num.terms, x.b, x.c
+            return x.terms, x.b, x.c
         return ({0: x} if x else {}), 0, 0
 
     def __add__(self, other):
@@ -429,13 +382,13 @@ class RatFunc:
             return NotImplemented
         n2, b2, c2 = RatFunc._parts(other)
         b, c = max(self.b, b2), max(self.c, c2)
-        return RatFunc._make(_terms_add(_lift(self.num.terms, b - self.b, c - self.c),
+        return RatFunc._make(_terms_add(_lift(self.terms, b - self.b, c - self.c),
                                         _lift(n2, b - b2, c - c2)), b, c)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc._raw({e: -v for e, v in self.num.terms.items()}, self.b, self.c)
+        return RatFunc._raw({e: -v for e, v in self.terms.items()}, self.b, self.c)
 
     def __sub__(self, other):
         if type(other) not in (RatFunc, int, Fraction):
@@ -450,21 +403,21 @@ class RatFunc:
         if t is int or t is Fraction:
             if not other:
                 return 0
-            return RatFunc._raw(_terms_scale(self.num.terms, 0, other), self.b, self.c)
+            return RatFunc._raw(_terms_scale(self.terms, 0, other), self.b, self.c)
         if t is not RatFunc:
             return NotImplemented
-        return RatFunc._make(_terms_mul(self.num.terms, other.num.terms),
+        return RatFunc._make(_terms_mul(self.terms, other.terms),
                              self.b + other.b, self.c + other.c)
 
     __rmul__ = __mul__
 
-    def denominator(self) -> LaurentPoly:
+    def denominator(self) -> dict:
         """(s-1)^b (s+1)^c, expanded."""
-        return LaurentPoly._of(_lift({0: 1}, self.b, self.c))
+        return _lift({0: 1}, self.b, self.c)
 
     def inverse(self):
         """1/self for a unit c s^m (s-1)^i (s+1)^j; any other value raises ValueError."""
-        return ratfunc_reduce(self.denominator(), self.num)
+        return ratfunc_reduce(self.denominator(), self.terms)
 
     def __truediv__(self, other):
         t = type(other)
@@ -484,20 +437,20 @@ class RatFunc:
     def __eq__(self, other):
         t = type(other)
         if t is RatFunc:
-            return self.b == other.b and self.c == other.c and self.num == other.num
+            return self.b == other.b and self.c == other.c and self.terms == other.terms
         if t in (int, Fraction):
             return False  # constants never survive as RatFunc
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.num, self.b, self.c))
+        return hash((tuple(sorted(self.terms.items())), self.b, self.c))
 
     def __bool__(self):
         return True  # zero collapses to int 0 at construction
 
     def evaluate(self, x, x_inv=None):
         """Value at s = x (exact, in whatever ring x lives in)."""
-        n = self.num.evaluate(x, x_inv)
+        n = _terms_eval(self.terms, x, x_inv)
         d = (x - 1) ** self.b * (x + 1) ** self.c
         if isinstance(d, QuadScalar):
             return n * d.inverse()
@@ -507,28 +460,32 @@ class RatFunc:
 
     def __str__(self):
         if not self.b and not self.c:
-            return str(self.num)
-        return f"({self.num})/({self.denominator()})"
+            return _terms_str(self.terms)
+        return f"({_terms_str(self.terms)})/({_terms_str(self.denominator())})"
 
     def __repr__(self):
-        return f"RatFunc({self.num!r}, b={self.b}, c={self.c})"
+        return f"RatFunc({self.terms!r}, b={self.b}, c={self.c})"
 
 
-def ratfunc_reduce(num: LaurentPoly, den: LaurentPoly):
+def ratfunc_reduce(num: dict, den: dict):
     """Reduced num/den for den = c s^m (s-1)^b (s+1)^c; collapses to int/Fraction when constant.
 
-    Any other denominator raises ValueError, a zero one ZeroDivisionError.
+    num and den are {exponent: coefficient} dicts; zero coefficients are
+    dropped.  Any other denominator raises ValueError, a zero one
+    ZeroDivisionError.
     """
+    num = {e: v for e, v in num.items() if v}
+    den = {e: v for e, v in den.items() if v}
     if not den:
         raise ZeroDivisionError("rational function with zero denominator")
-    span = max(den.terms) - min(den.terms)
-    rest, b = _cancel(den.terms, 1, span)
+    span = max(den) - min(den)
+    rest, b = _cancel(den, 1, span)
     rest, c = _cancel(rest, -1, span)
     if len(rest) != 1:
-        raise ValueError(f"{den} is not c*s^m*(s-1)^b*(s+1)^c, "
+        raise ValueError(f"{_terms_str(den)} is not c*s^m*(s-1)^b*(s+1)^c, "
                          "the only denominators of symbolic scalars")
     (e, coeff), = rest.items()
-    return RatFunc._make(_terms_scale(num.terms, -e, Fraction(1) / coeff), b, c)
+    return RatFunc._make(_terms_scale(num, -e, Fraction(1) / coeff), b, c)
 
 
 class SymbolicRing:

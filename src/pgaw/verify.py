@@ -484,22 +484,6 @@ def _shift_action(ops: OperatorSet, name: str, di: int) -> SparseOperator:
     return SparseOperator(ops.dim, expected)
 
 
-def _a_action(ops: OperatorSet) -> SparseOperator:
-    t, ring = ops.module_type, ops.ring
-    index = {bj: p for p, bj in enumerate(ops.ij)}
-    expected: dict = {}
-    for (i, j), col in index.items():
-        targets = (
-            ((i + 1, j - 1), eigen_scalar("b", t, i + 1, j - 1, ring)),
-            ((i, j), eigen_scalar("a", t, i, j, ring)),
-            ((i - 1, j + 1), eigen_scalar("c", t, i - 1, j + 1, ring)),
-        )
-        for target, value in targets:
-            if target in index and value:
-                expected.setdefault(index[target], {})[col] = value
-    return SparseOperator(ops.dim, expected)
-
-
 @_relation("module.k_eigen",
            "K1, K1^-1, K2, K2^-1 act on w[i,j] by q^(k/2-i), q^(i-k/2), "
            "q^(j-h/2), q^(h/2-j)",
@@ -561,7 +545,8 @@ MODULE_ROWS = (
      "L", partial(_shift_action, name="b", di=-1)),
     ("module.a_action",
      "A w[i,j] = b_(i+1,j-1) w[i+1,j-1] + a_(i,j) w[i,j] + c_(i-1,j+1) w[i-1,j+1]",
-     "A", _a_action),
+     "A", lambda ops: (_shift_action(ops, "c", 1) + _shift_action(ops, "b", -1)
+                       + _module_diag(ops, "a"))),
 )
 for _id, _desc, _lhs, _rhs in MODULE_ROWS:
     _register(_id, _desc, "module", _MOD, partial(_identity_check, lhs=_lhs, rhs=_rhs))

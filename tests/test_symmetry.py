@@ -280,14 +280,21 @@ def test_invariant_perturbation_is_caught_on_a_representative_row(
     assert out.witness.startswith(f"row={ops.labels[r]}, col={ops.labels[c]}")
 
 
+# The geometry relations that read A.  No DERIVED operator reads A, so on a
+# set that differs from a passing one only in A every other relation has the
+# passing set's outcome, which test_reduced_and_full_outcomes_agree pins.
+READS_A = ("struct.a_support", "a.sum", "a.via_lr", "a.via_rl", "aw.askey1", "aw.askey2",
+           *(f"aw.comm_{coeff}_a" for coeff in ("y", "p", "omega", "g", "gstar")))
+
+
 def test_every_stratum_has_a_representative_row(ops_cache):
     ops = ops_cache(2, 3, 2)
     for i, j in ops.geometry.strata:
         tampered = _rebuilt(ops, "A", ops["A"] + ops.estar_stratum(i, j))  # invariant
         assert tampered.certificate is not None
         assert EVALUATORS["a.sum"](RowView(tampered)) is not None, (i, j)
-        for rel in relations_for("geometry"):
-            assert run_relation(tampered, rel.id) == _full(tampered, rel.id), (i, j, rel.id)
+        for rel_id in READS_A:
+            assert run_relation(tampered, rel_id) == _full(tampered, rel_id), (i, j, rel_id)
 
 
 def test_non_invariant_operand_of_an_evaluator_is_checked(ops_cache, monkeypatch):
