@@ -6,10 +6,12 @@ empty unless some entry is irrational.  Over Q(sqrt q) (geometry mode and
 numeric modules) every numerator is a Python int, so products, sums and
 zero tests run on integer arithmetic: a product combines the parts as
 M0 N0 + q M1 N1 and M0 N1 + M1 N0 over d e, a sum cross-multiplies the
-denominators, and a residual is zero iff both parts are empty.  Symbolic
-entries (RatFunc) go through the same row kernels as their own numerators
-over d = 1.  ``entry`` and the witnesses render the canonical scalar
-(int, Fraction, QuadScalar or RatFunc).
+denominators, and a residual is zero iff both parts are empty.  A
+difference X - Y over a shared d subtracts Y's entries from a copy of X's
+rows, negating only the entries X lacks, and leaves both operands as they
+were.  Symbolic entries (RatFunc) go through the same row kernels as their
+own numerators over d = 1.  ``entry`` and the witnesses render the
+canonical scalar (int, Fraction, QuadScalar or RatFunc).
 
 The 0/1 operators -- the geometry incidence families, the identity and
 the projections E* -- are built as int rows and stored as M0 over d = 1
@@ -153,7 +155,10 @@ def _rows_scale(x: dict, s) -> dict:
 
 
 def _rows_lincomb(x: dict, a, y: dict, b) -> dict:
-    """a * x + b * y."""
+    """a * x + b * y.  No input is changed, and the output shares no row
+    with one unless it is x or y itself (the other term empty or zero, its
+    own coefficient 1).  b = -1 subtracts y's entries and negates only those
+    new to the output."""
     if not b or not y:
         return _rows_scale(x, a)
     if not a or not x:
@@ -161,6 +166,24 @@ def _rows_lincomb(x: dict, a, y: dict, b) -> dict:
     out = _rows_scale(x, a)
     if out is x:
         out = {r: dict(row) for r, row in x.items()}
+    if type(b) is int and b == -1:
+        for r, row in y.items():
+            mine = out.get(r)
+            if mine is None:
+                out[r] = {c: -v for c, v in row.items()}
+                continue
+            for c, v in row.items():
+                if c not in mine:
+                    mine[c] = -v
+                    continue
+                s = mine[c] - v
+                if s:
+                    mine[c] = s
+                else:
+                    del mine[c]
+            if not mine:
+                del out[r]
+        return out
     scaled = _rows_scale(y, b)
     for r, row in scaled.items():
         mine = out.get(r)
@@ -593,14 +616,14 @@ def _fplus_diag(ops: OperatorSet) -> SparseOperator:
     """q^(k/2) (q-1)^-1 K1 (q^(h/2) K2^-1 - I), the diagonal part of L2R2 - F+."""
     ring = ops.ring
     diag = ops.prod("K1", "K2i").scale(ring.q_half(ops.h)) - ops["K1"]
-    return diag.scale(ring.q_half(ops.k)).scale(_qm1_inv(ops))
+    return diag.scale(ring.q_half(ops.k) * _qm1_inv(ops))
 
 
 def _fminus_diag(ops: OperatorSet) -> SparseOperator:
     """q^(h/2) (q-1)^-1 (q^(k/2) K1^-1 - I) K2, the diagonal part of R1L1 - F-."""
     ring = ops.ring
     diag = ops.prod("K1i", "K2").scale(ring.q_half(ops.k)) - ops["K2"]
-    return diag.scale(ring.q_half(ops.h)).scale(_qm1_inv(ops))
+    return diag.scale(ring.q_half(ops.h) * _qm1_inv(ops))
 
 
 def _balance_diag(ops: OperatorSet, k_pair: tuple[str, str]) -> SparseOperator:
@@ -832,7 +855,7 @@ def expr_askey1(ops: OperatorSet, middle=None) -> SparseOperator:
     astar_a = ops.prod("Astar", "A")
     lhs = (a2 @ astar) - (a_astar @ a).scale(middle) + (astar @ a2) \
         - (ops["Y"] @ (a_astar + astar_a)) - (ops["P"] @ astar)
-    rhs = (ops["Omega"] @ a) + ops["G"]
+    rhs = ops.prod("Omega", "A") + ops["G"]
     return lhs - rhs
 
 

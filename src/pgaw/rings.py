@@ -12,6 +12,16 @@ Two coefficient fields are supported:
   Reduction is synthetic division by ``s - 1`` and ``s + 1``; inverting
   anything but a unit ``c s**m (s-1)**i (s+1)**j`` raises ValueError.
 
+Every symbolic value is kept reduced, and two operations skip the
+reduction because it cannot change their result: scaling by a nonzero
+rational, and multiplying by a monomial ``c s**m`` (which is what
+``SymbolicRing.q_half`` returns).  Neither factor vanishes at s = 1 or
+s = -1, so a numerator without those roots keeps none; the product keeps
+b and c, and is constant only when two monomials' exponents cancel.  Sums
+and differences over a shared (b, c) combine the numerators in one pass
+and are reduced, since a sum can gain a root at s = 1 or -1.
+``SymbolicRing`` memoises s**m and [m] by m.
+
 Plain Python ints and ``fractions.Fraction`` values embed canonically in
 both fields and are accepted by every operation; results collapse back to
 int/Fraction whenever they are rational.  No floating point anywhere.
@@ -249,6 +259,18 @@ def _terms_add(x: dict, y: dict) -> dict:
     return out
 
 
+def _terms_sub(x: dict, y: dict) -> dict:
+    """x - y in one pass, without negating y first."""
+    out = dict(x)
+    for e, v in y.items():
+        w = out.get(e, 0) - v
+        if w:
+            out[e] = w
+        else:
+            del out[e]
+    return out
+
+
 def _terms_mul(x: dict, y: dict) -> dict:
     out: dict = {}
     for e1, v1 in x.items():
@@ -368,22 +390,31 @@ class RatFunc:
             terms, n = _cancel(terms, -1, c)
             c -= n
         if not b and not c and len(terms) == 1 and 0 in terms:
-            return terms[0]
+            return _demote(terms[0])
         return RatFunc._raw(terms, b, c)
 
-    @staticmethod
-    def _parts(x):
-        if type(x) is RatFunc:
-            return x.terms, x.b, x.c
-        return ({0: x} if x else {}), 0, 0
+    def _plus(self, other, combine):
+        """self + other or self - other, as combine is _terms_add or _terms_sub.
+
+        Over a shared (b, c) the numerators combine in one pass, with nothing
+        lifted; the result is still reduced, as a sum can gain a root at
+        s = 1 or -1."""
+        t = type(other)
+        if t is RatFunc:
+            n2, b2, c2 = other.terms, other.b, other.c
+        elif t is int or t is Fraction:
+            n2, b2, c2 = ({0: other} if other else {}), 0, 0
+        else:
+            return NotImplemented
+        b, c = self.b, self.c
+        if b == b2 and c == c2:
+            return RatFunc._make(combine(self.terms, n2), b, c)
+        b, c = max(b, b2), max(c, c2)
+        return RatFunc._make(combine(_lift(self.terms, b - self.b, c - self.c),
+                                     _lift(n2, b - b2, c - c2)), b, c)
 
     def __add__(self, other):
-        if type(other) not in (RatFunc, int, Fraction):
-            return NotImplemented
-        n2, b2, c2 = RatFunc._parts(other)
-        b, c = max(self.b, b2), max(self.c, c2)
-        return RatFunc._make(_terms_add(_lift(self.terms, b - self.b, c - self.c),
-                                        _lift(n2, b - b2, c - c2)), b, c)
+        return self._plus(other, _terms_add)
 
     __radd__ = __add__
 
@@ -391,12 +422,22 @@ class RatFunc:
         return RatFunc._raw({e: -v for e, v in self.terms.items()}, self.b, self.c)
 
     def __sub__(self, other):
-        if type(other) not in (RatFunc, int, Fraction):
-            return NotImplemented
-        return self + (-other)
+        return self._plus(other, _terms_sub)
 
     def __rsub__(self, other):
         return (-self) + other
+
+    def _times_monomial(self, monomial: dict):
+        """self times v s^m, given as {m: v}: a shift and a scaling, unreduced.
+
+        v s^m is nonzero at s = 1 and s = -1, so a reduced form stays
+        reduced and keeps its b and c.  The product is constant only when
+        self is a monomial too and the exponents cancel."""
+        (m, v), = monomial.items()
+        terms = _terms_scale(self.terms, m, v)
+        if not self.b and not self.c and len(terms) == 1 and 0 in terms:
+            return _demote(terms[0])
+        return RatFunc._raw(terms, self.b, self.c)
 
     def __mul__(self, other):
         t = type(other)
@@ -406,6 +447,10 @@ class RatFunc:
             return RatFunc._raw(_terms_scale(self.terms, 0, other), self.b, self.c)
         if t is not RatFunc:
             return NotImplemented
+        if not other.b and not other.c and len(other.terms) == 1:
+            return self._times_monomial(other.terms)
+        if not self.b and not self.c and len(self.terms) == 1:
+            return other._times_monomial(self.terms)
         return RatFunc._make(_terms_mul(self.terms, other.terms),
                              self.b + other.b, self.c + other.c)
 
@@ -500,19 +545,29 @@ class SymbolicRing:
 
     zero = 0
 
+    def __init__(self):
+        # s**m and [m] by m; the paper's formulas ask for a few dozen m
+        self._powers: dict = {}
+        self._brackets: dict = {}
+
     def q_half(self, m: int):
         """q**(m/2) = s**m."""
-        return RatFunc._make({m: 1}, 0, 0)
+        if m not in self._powers:
+            self._powers[m] = RatFunc._make({m: 1}, 0, 0)
+        return self._powers[m]
 
     def q_power(self, m: int):
         return self.q_half(2 * m)
 
     def bracket(self, m: int):
         """[m] = (q**m - 1)/(q - 1) as a Laurent polynomial in s."""
-        if m >= 0:
-            return RatFunc._make({2 * t: 1 for t in range(m)}, 0, 0)
-        # [-r] = -(q**-r + ... + q**-1)
-        return RatFunc._make({2 * t: -1 for t in range(m, 0)}, 0, 0)
+        if m not in self._brackets:
+            if m >= 0:
+                terms = {2 * t: 1 for t in range(m)}
+            else:  # [-r] = -(q**-r + ... + q**-1)
+                terms = {2 * t: -1 for t in range(m, 0)}
+            self._brackets[m] = RatFunc._make(terms, 0, 0)
+        return self._brackets[m]
 
     def inv(self, x):
         if type(x) is RatFunc:

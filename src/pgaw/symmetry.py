@@ -167,13 +167,20 @@ def _orbits_are_strata(perms, geom: GeometryIndex) -> bool:
 
 
 def _permutes(op: SparseOperator, perm) -> bool:
-    """op[perm[r], perm[c]] == op[r, c] for every entry (perm a bijection)."""
-    at = perm.__getitem__
+    """op[perm[r], perm[c]] == op[r, c] for every entry (perm a bijection).
+
+    Each stored row is matched against its image row entry by entry: equal
+    lengths and every entry found at its image make the two rows equal, as
+    perm is injective and no zero is stored."""
     for part in (op.m0, op.m1):
-        get = part.get
         for r, row in part.items():
-            if get(at(r)) != dict(zip(map(at, row), row.values())):
+            image = part.get(perm[r])
+            if image is None or len(image) != len(row):
                 return False
+            get = image.get
+            for c, v in row.items():
+                if get(perm[c]) != v:
+                    return False
     return True
 
 

@@ -349,8 +349,7 @@ def _(ops):
     lhs = ops.prod("L1", "R1") - ops.prod("R1", "L1") \
         + ops.prod("L2", "R2") - ops.prod("R2", "L2")
     rhs = (ops.prod("K1", "K2i") - ops.prod("K1i", "K2")) \
-        .scale(ring.q_half(ops.h + ops.k)) \
-        .scale(ring.inv(ring.q_power(1) - 1))
+        .scale(ring.q_half(ops.h + ops.k) * ring.inv(ring.q_power(1) - 1))
     return _residual_witness(lhs - rhs, ops)
 
 

@@ -7,6 +7,8 @@ import pytest
 from pgaw.geometry import Subspace, build_geometry
 from pgaw.operators import (
     SparseOperator,
+    _rows_lincomb,
+    _rows_scale,
     build_geometry_operators,
     commutator,
 )
@@ -171,6 +173,40 @@ def test_with_entry_added():
 def test_diagonal_skips_zero_values():
     op = SparseOperator.diagonal([1, 0, Fraction(1, 2)])
     assert op.nnz() == 2
+
+
+@pytest.mark.parametrize("q", [2, None])
+def test_rows_lincomb_subtracts_as_negate_then_add(q):
+    """a * x - y equals a * x + (-y) on int rows (q = 2) and on rows holding
+    RatFunc numerators (symbolic); entries cancel and rows vanish, and the
+    output of two nonempty operands shares no row with x or y."""
+    rng = random.Random(15 if q else 16)
+    kinds = set()
+    for _ in range(40):
+        dim = rng.randint(1, 6)
+        x, y = _random_sparse(rng, dim, q).m0, _random_sparse(rng, dim, q).m0
+        for r, row in x.items():  # rows and entries of x in y
+            pick = rng.randrange(3)
+            if pick == 0:
+                y[r] = dict(row)
+            elif pick == 1:
+                c = rng.choice(list(row))
+                y.setdefault(r, {})[c] = row[c]
+        kinds.update(type(v) for rows in (x, y) for row in rows.values() for v in row.values())
+        x0 = {r: dict(row) for r, row in x.items()}
+        y0 = {r: dict(row) for r, row in y.items()}
+        for a in (1, 2):
+            got = _rows_lincomb(x, a, y, -1)
+            assert got == _rows_lincomb(x, a, _rows_scale(y, -1), 1)
+            assert all(row and all(row.values()) for row in got.values())
+            if not x or not y:
+                continue
+            for row in got.values():
+                row.clear()
+                row[dim] = 1
+            got[dim] = {dim: 1}
+            assert x == x0 and y == y0
+    assert RatFunc in kinds if q is None else kinds == {int}
 
 
 # ---------------------------------------------------------------------------

@@ -386,6 +386,77 @@ def test_symbolic_half_powers_multiply():
     assert SYM.q_half(2) == poly({2: 1})
 
 
+def test_monomials_whose_exponents_cancel_collapse_to_int():
+    one = SYM.q_half(2) * SYM.q_half(-2)
+    assert type(one) is int and one == 1
+    half = (SYM.q_half(3) * Fraction(1, 2)) * (SYM.q_half(-3) * 3)
+    assert type(half) is Fraction and half == Fraction(3, 2)
+    whole = (SYM.q_half(1) * Fraction(1, 2)) * (SYM.q_half(-1) * 2)
+    assert type(whole) is int and whole == 1
+
+
+def test_symbolic_ring_memoises_by_m():
+    ring = SymbolicRing()
+    for m in (-3, 0, 1, 4):
+        assert ring.q_half(m) is ring.q_half(m)
+        assert ring.q_power(m) is ring.q_half(2 * m)
+        assert ring.bracket(m) is ring.bracket(m)
+    assert ring.q_half(2) == SYM.q_half(2) and ring.bracket(-2) == SYM.bracket(-2)
+
+
+def _unit(m, c, i, j):
+    """c s^m / ((s-1)^i (s+1)^j)."""
+    return ratfunc_reduce({m: c}, _pmul(_linear_power(1, i), _linear_power(-1, j)))
+
+
+# ints and Fractions; +-c s^m, with Fraction c too; units over (s-1)^i (s+1)^j;
+# brackets; and values whose sums are 0 or a constant: x and -x, x and 1 - x,
+# numerators over one (b, c) that gain the root s = 1 when added, and
+# Fraction coefficients whose sum or product is a whole number
+_S = SYM.q_half(1)
+_X = (SYM.q_power(1) + 2) * SYM.inv(SYM.q_power(1) - 1)
+OPERAND_CORPUS = (
+    0, 1, -2, 3, Fraction(1, 2), Fraction(-3, 4),
+    _S, -SYM.q_half(2), SYM.q_half(-3), SYM.q_half(3) * Fraction(2, 3),
+    SYM.q_half(-3) * Fraction(3, 2),
+    _unit(0, 1, 1, 0), _unit(1, -1, 0, 1), _unit(-2, 3, 2, 1), _unit(1, Fraction(1, 2), 1, 1),
+    SYM.bracket(2), SYM.bracket(3), SYM.bracket(-2), SYM.q_power(2) * SYM.bracket(2),
+    _X, -_X, 1 - _X,
+    _S * _unit(0, 1, 1, 0), _unit(0, -1, 1, 0), SYM.q_power(1) * _unit(0, 1, 1, 0),
+    (_S + 1) * Fraction(1, 2), (1 - _S) * Fraction(1, 2), _unit(0, 2, 0, 1),
+)
+
+
+def _expanded(x):
+    """(numerator, denominator) dicts of x, unreduced."""
+    if isinstance(x, RatFunc):
+        return dict(x.terms), x.denominator()
+    return ({0: x} if x else {}), {0: 1}
+
+
+def _same_scalar(got, want):
+    assert type(got) is type(want), (got, want)
+    assert got == want and hash(got) == hash(want) and str(got) == str(want)
+
+
+def test_products_sums_and_differences_match_reduction_of_the_expanded_form():
+    """Every pair with a symbolic operand: x * y, x + y and x - y equal
+    ratfunc_reduce of the expanded numerator and denominator, in type, ==,
+    hash and str, so the skipped reductions change no value or text."""
+    assert all(isinstance(x, RatFunc) for x in OPERAND_CORPUS[6:])
+    assert any(x + y == 0 for x in OPERAND_CORPUS[6:] for y in OPERAND_CORPUS[6:])
+    assert type(OPERAND_CORPUS[-6] + OPERAND_CORPUS[-5]) is int  # s/(s-1) - 1/(s-1)
+    for x, y in itertools.product(OPERAND_CORPUS, repeat=2):
+        if not (isinstance(x, RatFunc) or isinstance(y, RatFunc)):
+            continue
+        (n1, d1), (n2, d2) = _expanded(x), _expanded(y)
+        den = _pmul(d1, d2)
+        _same_scalar(x * y, ratfunc_reduce(_pmul(n1, n2), den))
+        _same_scalar(x + y, ratfunc_reduce(_padd(_pmul(n1, d2), _pmul(n2, d1)), den))
+        minus_n2 = {e: -c for e, c in n2.items()}
+        _same_scalar(x - y, ratfunc_reduce(_padd(_pmul(n1, d2), _pmul(minus_n2, d1)), den))
+
+
 # ---------------------------------------------------------------------------
 # q-integers and Gaussian binomials
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ the certificate exists only when every input is invariant, and
 that a broken certificate changes no verdict.
 """
 
+import random
+
 import pytest
 
 from pgaw import symmetry, verify
@@ -412,3 +414,51 @@ def test_module_mode_is_untouched(spy):
     assert run_relation(module.ops, "aw.askey1").passed
     assert calls == ["full"]
     assert module.ops.certificate is None
+
+
+def _permutes_by_entries(op, perm) -> bool:
+    """The statement of check (c) on every position, as an oracle."""
+    return all(op.entry(perm[r], perm[c]) == op.entry(r, c)
+               for r in range(op.dim) for c in range(op.dim))
+
+
+def test_permutes_is_false_at_any_mismatch():
+    """Check (c) on each part: a changed value under an unchanged support, an
+    extra entry in an image row, a missing image row and a difference in
+    the sqrt(q) part alone each make it fail."""
+    root = QuadRing(2).sqrt_q
+    perm = [1, 0, 2]  # swaps positions 0 and 1
+    rows = {0: {0: 5, 2: 1}, 1: {1: 5, 2: 1}, 2: {0: 3, 1: 3}}
+    cases = {
+        "invariant": (rows, True),
+        "value": ({**rows, 1: {1: 5, 2: 2}}, False),
+        "extra entry": ({**rows, 1: {0: 7, 1: 5, 2: 1}}, False),
+        "missing image row": ({0: rows[0], 2: rows[2]}, False),
+        "sqrt(q) part alone": ({**rows, 0: {0: 5 + root, 2: 1}, 1: {1: 5 + 2 * root, 2: 1}},
+                               False),
+        "invariant sqrt(q) part": ({**rows, 0: {0: 5 + root, 2: 1}, 1: {1: 5 + root, 2: 1}},
+                                   True),
+    }
+    for name, (entries, want) in cases.items():
+        op = SparseOperator(3, entries)
+        assert symmetry._permutes(op, perm) is want, name
+        assert _permutes_by_entries(op, perm) is want, name
+    assert SparseOperator(3, cases["sqrt(q) part alone"][0]).m0 == \
+        SparseOperator(3, rows).m0
+
+
+def test_permutes_agrees_with_the_entrywise_statement():
+    rng = random.Random(3)
+    for _ in range(300):
+        dim = rng.randint(1, 4)
+        perm = rng.sample(range(dim), dim)
+        entries = {}
+        for r in range(dim):
+            for c in range(dim):
+                if rng.randrange(3):
+                    v = rng.choice((1, 2, QuadRing(3).sqrt_q))
+                    entries.setdefault(r, {})[c] = v
+                    entries.setdefault(perm[r], {})[perm[c]] = \
+                        v if rng.randrange(4) else rng.choice((0, 1, 3))
+        op = SparseOperator(dim, entries)
+        assert symmetry._permutes(op, perm) == _permutes_by_entries(op, perm)
