@@ -14,10 +14,6 @@ from typing import Iterable, Optional, Sequence
 
 from .rings import SUPPORTED_Q, gaussian_binomial
 
-SLASH = "slash"
-BACKSLASH = "backslash"
-NONE = "none"
-
 
 def _rref(rows: Iterable[Sequence[int]], n: int, q: int) -> tuple[tuple[int, ...], ...]:
     """Reduced row echelon form over F_q; zero rows dropped."""
@@ -85,23 +81,6 @@ class Subspace:
         if self.n != other.n or self.q != other.q:
             raise ValueError("subspaces live in different ambient spaces")
 
-    def reduce_vector(self, vec: Sequence[int]) -> tuple[int, ...]:
-        """Remainder of vec after elimination against this RREF basis."""
-        v = [x % self.q for x in vec]
-        for row in self.rows:
-            lead = next(c for c, x in enumerate(row) if x)
-            if v[lead]:
-                f = v[lead]
-                v = [(a - f * b) % self.q for a, b in zip(v, row)]
-        return tuple(v)
-
-    def contains_vector(self, vec: Sequence[int]) -> bool:
-        return not any(self.reduce_vector(vec))
-
-    def contains(self, other: "Subspace") -> bool:
-        self._check_ambient(other)
-        return all(self.contains_vector(r) for r in other.rows)
-
     def intersect(self, other: "Subspace") -> "Subspace":
         """Intersection via the Zassenhaus block construction."""
         self._check_ambient(other)
@@ -111,23 +90,6 @@ class Subspace:
         reduced = _rref(block, 2 * n, q)
         inter = [r[n:] for r in reduced if not any(r[:n])]
         return Subspace._trusted(_rref(inter, n, q), n, q)
-
-    def sum_with(self, other: "Subspace") -> "Subspace":
-        self._check_ambient(other)
-        return Subspace._trusted(
-            _rref(list(self.rows) + list(other.rows), self.n, self.q), self.n, self.q)
-
-    __add__ = sum_with
-
-    def vectors(self):
-        """All vectors of the subspace (exponential in dim)."""
-        q, n = self.q, self.n
-        for coeffs in itertools.product(range(q), repeat=self.dim):
-            v = [0] * n
-            for c, row in zip(coeffs, self.rows):
-                if c:
-                    v = [(a + c * b) % q for a, b in zip(v, row)]
-            yield tuple(v)
 
     def sort_key(self):
         return (self.dim, self.rows)
@@ -147,26 +109,6 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace({self.label()}, n={self.n}, q={self.q})"
-
-
-def classify_ij(u: Subspace, y: Subspace) -> tuple[int, int]:
-    """Stratum coordinates: i = dim(u ∩ y), j = dim(u) - i."""
-    i = u.intersect(y).dim
-    return i, u.dim - i
-
-
-def cover_classify(u: Subspace, v: Subspace, y: Subspace) -> str:
-    """slash / backslash / none for the candidate covering pair u ⊂ v."""
-    u._check_ambient(v)
-    if v.dim != u.dim + 1 or not v.contains(u):
-        return NONE
-    iu, _ = classify_ij(u, y)
-    iv, _ = classify_ij(v, y)
-    if iv == iu + 1:
-        return SLASH
-    if iv == iu:
-        return BACKSLASH
-    raise AssertionError("covering pair with dim(v ∩ y) - dim(u ∩ y) not in {0, 1}")
 
 
 def _upper_covers(u: Subspace):

@@ -151,6 +151,11 @@ EIGEN_NAMES = (
 
 def eigen_scalar(name: str, t: ModuleType, i: int, j: int, ring: Ring) -> Scalar:
     """Closed-form value of the named operator on the (i, j) weight space."""
+    return EigenTable(t, ring, ((i, j),))[name][0]
+
+
+def _closed_form(name: str, t: ModuleType, i: int, j: int, ring: Ring) -> Scalar:
+    """The value of a name that is not a sum or function of other names."""
     a, b, r = t.alpha, t.beta, t.rho
     h, k = t.h, t.k
     ell = i + j
@@ -173,10 +178,6 @@ def eigen_scalar(name: str, t: ModuleType, i: int, j: int, ring: Ring) -> Scalar
         return qp(k - i) * (qp(b + 1) * br(j - r - b) * br(h - b - j) - br(b))
     if name == "aminus":
         return qp(j) * (qp(a + 1) * br(i - a) * br(k - r - a - i) - br(a))
-    if name == "a":
-        return (eigen_scalar("a0", t, i, j, ring)
-                + eigen_scalar("aplus", t, i, j, ring)
-                + eigen_scalar("aminus", t, i, j, ring))
     if name == "Omega0":
         return qp(-r)
     if name == "Omega1":
@@ -185,10 +186,6 @@ def eigen_scalar(name: str, t: ModuleType, i: int, j: int, ring: Ring) -> Scalar
         return q * br(h - r - b) + br(b)
     if name == "Y":
         return qp(h + k - ell) + qp(ell) - 1 + qp(-1)
-    if name == "P":
-        y = eigen_scalar("Y", t, i, j, ring)
-        c2 = ring.inv(q - 1)
-        return q * c2 * c2 * (y * y - qp(h + k - 2) * (q + 1) * (q + 1))
     if name == "Omega":
         return -(qp(h + k - r - b) + qp(k + b - 1) + qp(k + ell - r - a)
                  + qp(ell + a - 1))
@@ -201,18 +198,51 @@ def eigen_scalar(name: str, t: ModuleType, i: int, j: int, ring: Ring) -> Scalar
         return c1 * (left - right)
     if name == "Gstar":
         return qp(k + ell - r - 1) * (q + 1)
-    if name == "c":
-        return bc_coefficients(t, i, j, ring)[0]
-    if name == "b":
-        return bc_coefficients(t, i, j, ring)[1]
     raise KeyError(f"unknown eigen scalar {name!r}")
+
+
+class EigenTable:
+    """The closed-form value of each name at each weight of a basis, one
+    column per name, computed at its first read.
+
+    ``a`` is the sum of the a0, a+ and a- columns, ``P`` is
+    q (q-1)^-2 (Y^2 - q^(h+k-2) (q+1)^2) on the ``Y`` column, and ``c`` and
+    ``b`` come from one ``bc_coefficients`` call per weight; every other
+    name is its closed form."""
+
+    def __init__(self, t: ModuleType, ring: Ring, weights):
+        self.type, self.ring, self.weights = t, ring, tuple(weights)
+        self._columns: dict[str, tuple] = {}
+
+    def __getitem__(self, name: str) -> tuple:
+        column = self._columns.get(name)
+        if column is None:
+            column = self._columns[name] = self._column(name)
+        return column
+
+    def _column(self, name: str) -> tuple:
+        t, ring = self.type, self.ring
+        if name == "a":
+            return tuple(x + y + z for x, y, z in
+                         zip(self["a0"], self["aplus"], self["aminus"]))
+        if name == "P":
+            q = ring.q_power(1)
+            c2 = ring.inv(q - 1)
+            shift = ring.q_power(t.h + t.k - 2) * (q + 1) * (q + 1)
+            return tuple(q * c2 * c2 * (y * y - shift) for y in self["Y"])
+        if name in ("c", "b"):
+            pairs = [bc_coefficients(t, i, j, ring) for i, j in self.weights]
+            self._columns["c"] = tuple(c for c, _ in pairs)
+            self._columns["b"] = tuple(b for _, b in pairs)
+            return self._columns[name]
+        return tuple(_closed_form(name, t, i, j, ring) for i, j in self.weights)
 
 
 def eigen_tables(module: AbstractModule) -> dict[tuple[int, int], dict[str, Scalar]]:
     """Closed-form table for every weight space of the module."""
-    t, ring = module.type, module.ring
-    return {(i, j): {name: eigen_scalar(name, t, i, j, ring) for name in EIGEN_NAMES}
-            for i, j in module.basis}
+    table = module.ops.eigen
+    return {(i, j): {name: table[name][p] for name in EIGEN_NAMES}
+            for p, (i, j) in enumerate(module.basis)}
 
 
 # ---------------------------------------------------------------------------

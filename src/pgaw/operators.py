@@ -290,13 +290,6 @@ class SparseOperator:
     def diagonal(cls, values) -> "SparseOperator":
         return cls(len(values), {r: {r: v} for r, v in enumerate(values)})
 
-    @classmethod
-    def from_entries(cls, dim: int, entries) -> "SparseOperator":
-        rows: dict = {}
-        for r, c, v in entries:
-            rows.setdefault(r, {})[c] = v
-        return cls(dim, rows)
-
     # -- queries --------------------------------------------------------------
 
     def entry(self, r: int, c: int):
@@ -424,7 +417,7 @@ class OperatorSet:
 
     def __init__(self, mode: str, ring, h: int, k: int, ij, labels, inputs: dict,
                  geometry: Optional[GeometryIndex] = None, module_type=None,
-                 parent: Optional["OperatorSet"] = None):
+                 parent: Optional["OperatorSet"] = None, from_lattice=frozenset()):
         self.mode = mode
         self.ring = ring
         self.h = h
@@ -439,6 +432,10 @@ class OperatorSet:
         # the builder's operators, which ``pgaw.symmetry`` checks; a clone has none
         self.inputs: Optional[dict[str, SparseOperator]] = \
             None if parent is not None else dict(inputs)
+        # the inputs ``build_geometry_operators`` made from the geometry's
+        # strata, cover lists and meet_y, which ``pgaw.symmetry`` checks on
+        # the lattice; any other input it checks entry by entry
+        self.from_lattice = frozenset(from_lattice)
         self._identity: Optional[SparseOperator] = None
         self._estar: dict = {}
         self._products: dict = {}
@@ -478,6 +475,16 @@ class OperatorSet:
         computed at first use and never copied to a perturbed clone."""
         from .symmetry import certify
         return certify(self)
+
+    @cached_property
+    def eigen(self):
+        """The closed-form eigen scalars over a module set's basis
+        (``modules.EigenTable``), built at first read and dropped with the
+        set; a perturbed clone reads its parent's."""
+        if self.parent is not None:
+            return self.parent.eigen
+        from .modules import EigenTable
+        return EigenTable(self.module_type, self.ring, self.ij)
 
     def prod(self, a: str, b: str) -> SparseOperator:
         """Memoized product of two named operators."""
@@ -592,7 +599,7 @@ def build_geometry_operators(geom: GeometryIndex, ring: QuadRing) -> OperatorSet
                        ("R", r_comb), ("L", l_comb), ("A", a_comb)):
         ops[name] = _integer_operator(size, rows)
     return OperatorSet(GEOMETRY, ring, geom.h, geom.k, geom.ij, geom.labels(), ops,
-                       geometry=geom)
+                       geometry=geom, from_lattice=ops)
 
 
 # ---------------------------------------------------------------------------

@@ -25,19 +25,32 @@ clone has none) and
 
 (a) three elements of G_y -- ``standard_generators``, carried to y by a
     basis B adapted to y, so the vector c B goes to (c g) B -- induce
-    permutations of the positions;
-(b) their union-find orbits are exactly ``geom.strata``;
-(c) every input, and only those, satisfies M[πr, πc] = M[r, c] for each
-    generator π, entry by entry.
+    permutations of the positions: each point goes to the span of its
+    image, each higher subspace to the one common upper cover of the
+    images of two of its lower covers, and the result is a bijection;
+(b) their union-find orbits are exactly ``geom.strata``, so each
+    generator π preserves (i, j);
+(c) for each π and each position u, the four cover lists of πu are the
+    images under π of u's, and meet_y[πu] = π meet_y[u]; and every input
+    the builder did not make from the lattice (``OperatorSet.from_lattice``
+    names those it did) satisfies M[πr, πc] = M[r, c], entry by entry.
+
+(a)-(c) on the lattice alone are ``lattice_certificate``, which needs no
+operator.  They make the builder's inputs invariant: the K diagonals are
+functions of the stratum, which (b) makes π preserve, and the 0/1 families
+L1, L2, their transposes R1, R2, F0, F+, F-, F, R, L and A are functions
+of the cover lists and meet_y, which (c) makes π preserve, and the builder
+makes them so.
 
 A set is fixed once built: it holds its inputs and what it derives from
 them by ``operators.DERIVED``, and takes no assignment.  So the certificate
 vouches for every operator the set holds, also one derived after it was
 computed; an operand an evaluator builds itself is checked on the spot.
-What is trusted rather than checked: that the derived operators are
-invariant (they are products, sums and scalar multiples of the inputs and
-of the identity); that the identity and the projections E* are (they are
-functions of the stratum, and (b) makes the strata the orbits); that
+What is trusted rather than checked: that ``build_geometry_operators``
+reads nothing of the lattice but the strata, the cover lists and meet_y;
+that the derived operators are invariant (they are products, sums and
+scalar multiples of the inputs and of the identity); that the identity
+and the projections E* are (they are functions of the stratum); that
 operators are not changed in place and ``OperatorSet.ops`` is not written
 to from outside; that a ``support_violation`` predicate depends on the
 strata alone; and that the row view below multiplies out exactly the
@@ -55,12 +68,11 @@ not invariant, or a query of a residual other than ``is_zero``,
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
 
-from .geometry import GeometryIndex
+from .geometry import GeometryIndex, Subspace, _rref
 from .operators import GEOMETRY, OperatorSet, SparseOperator, _integer_operator
 
 Matrix = list[list[int]]
@@ -114,32 +126,65 @@ def _adapted_basis(geom: GeometryIndex) -> Matrix:
     return units + [list(row) for row in rows]
 
 
+def _inverse(m: Matrix, q: int) -> Matrix:
+    """m^-1 over F_q for an invertible m: the right half of the RREF of [m | I]."""
+    n = len(m)
+    reduced = _rref([row + unit for row, unit in zip(m, _identity(n))], 2 * n, q)
+    return [list(row[n:]) for row in reduced]
+
+
+def _join_permutation(geom: GeometryIndex, m: Matrix) -> Optional[list[int]]:
+    """The permutation of positions induced by x -> x m, or None when m is
+    singular or the joins below do not give a bijection.
+
+    A point goes to the span of its row's image, located by its RREF in
+    ``geom.index``; a point sent to 0 means m is singular.  A subspace v of
+    dimension d >= 2 is the join of any two distinct lower covers u1, u2,
+    so its image is the one common upper cover of the images of u1 and u2,
+    read from the cover lists level by level."""
+    n, q = geom.n, geom.q
+    perm: list = [None] * geom.size
+    for p in geom.by_level[0]:
+        perm[p] = p
+    for p in geom.by_level[1]:
+        (image,) = _matmul(geom.elements[p].rows, m, q)
+        lead = next((x for x in image if x), 0)
+        if not lead:
+            return None
+        inv = pow(lead, -1, q)
+        perm[p] = geom.index[Subspace._trusted((tuple(x * inv % q for x in image),), n, q)]
+    slash_by, back_by = geom.slash_covered_by, geom.backslash_covered_by
+    for level in geom.by_level[2:]:
+        for v in level:
+            below = geom.slash_covers_of[v] + geom.backslash_covers_of[v]
+            if len(below) < 2:
+                return None
+            a, b = perm[below[0]], perm[below[1]]
+            above = set(slash_by[a])
+            above.update(back_by[a])
+            common = [w for w in slash_by[b] + back_by[b] if w in above]
+            if len(common) != 1:
+                return None
+            perm[v] = common[0]
+    return perm if len(set(perm)) == len(perm) else None
+
+
 def generator_permutations(geom: GeometryIndex) -> Optional[list[list[int]]]:
     """The permutation of positions induced by each generator of G_y, or None
-    when some generator matrix is singular.
+    when some generator is singular or its joins give no bijection.
 
     With B the adapted basis, g sends the vector with coordinates c in B,
-    i.e. c B, to (c g) B; that is B^-1 g B, which fixes y because g fixes
-    span(e_(h+1), ..., e_n).  A subspace is keyed by the bitmask of the
-    codes of its vectors, so the image of u is located without an echelon
-    form: map each vector of u and look the new mask up."""
-    n, q = geom.n, geom.q
+    i.e. c B, to (c g) B; that is x -> x B^-1 g B, which fixes y because g
+    fixes span(e_(h+1), ..., e_n)."""
+    q = geom.q
     basis = _adapted_basis(geom)
-    coords = list(itertools.product(range(q), repeat=n))
-    code = {v: i for i, v in enumerate(coords)}
-    members = [[code[v] for v in u.vectors()] for u in geom.elements]
-    bits = [1 << i for i in range(len(coords))]
-    position = {sum(map(bits.__getitem__, m)): p for p, m in enumerate(members)}
-    source = [code[tuple(v)] for v in _matmul(coords, basis, q)]
+    inverse = _inverse(basis, q)
     perms = []
     for g in standard_generators(geom.h, geom.k):
-        target = [code[tuple(v)] for v in _matmul(_matmul(coords, g, q), basis, q)]
-        if len(set(target)) != len(target):
+        perm = _join_permutation(geom, _matmul(_matmul(inverse, g, q), basis, q))
+        if perm is None:
             return None
-        moved = [0] * len(coords)
-        for src, dst in zip(source, target):
-            moved[src] = bits[dst]
-        perms.append([position[sum(map(moved.__getitem__, m))] for m in members])
+        perms.append(perm)
     return perms
 
 
@@ -188,6 +233,26 @@ def _invariant(op: SparseOperator, perms) -> bool:
     return all(_permutes(op, perm) for perm in perms)
 
 
+COVER_LISTS = ("slash_covers_of", "backslash_covers_of",
+               "slash_covered_by", "backslash_covered_by")
+
+
+def _lattice_invariant(geom: GeometryIndex, perm) -> bool:
+    """For every position u: each cover list of perm[u] is the image under
+    perm of u's list, sorted (every cover list ascends), and
+    meet_y[perm[u]] == perm[meet_y[u]]."""
+    meet_y = geom.meet_y
+    if any(meet_y[pu] != perm[mu] for pu, mu in zip(perm, meet_y)):
+        return False
+    image = perm.__getitem__
+    for name in COVER_LISTS:
+        lists = getattr(geom, name)
+        for mine, pu in zip(lists, perm):
+            if tuple(sorted(map(image, mine))) != lists[pu]:
+                return False
+    return True
+
+
 @dataclass(frozen=True)
 class Certificate:
     """Generator permutations whose orbits are the strata, and the first
@@ -195,6 +260,16 @@ class Certificate:
 
     perms: list
     reps: tuple[int, ...]
+
+
+def lattice_certificate(geom: GeometryIndex) -> Optional[Certificate]:
+    """Checks (a), (b) and (c) on the lattice alone, or None when one fails."""
+    perms = generator_permutations(geom)
+    if perms is None or not _orbits_are_strata(perms, geom):
+        return None
+    if not all(_lattice_invariant(geom, perm) for perm in perms):
+        return None
+    return Certificate(perms, tuple(members[0] for members in geom.strata.values()))
 
 
 def _may_certify(ops: OperatorSet) -> bool:
@@ -205,16 +280,17 @@ def _may_certify(ops: OperatorSet) -> bool:
 
 def certify(ops: OperatorSet) -> Optional[Certificate]:
     """The certificate of ops, or None: outside geometry mode, without
-    inputs, or when (a), (b) or (c) fails."""
+    inputs, when the lattice certificate fails, or when an input the
+    builder did not make from the lattice is not invariant, entry by entry."""
     if not _may_certify(ops):
         return None
-    geom = ops.geometry
-    perms = generator_permutations(geom)
-    if perms is None or not _orbits_are_strata(perms, geom):
+    cert = lattice_certificate(ops.geometry)
+    if cert is None:
         return None
-    if not all(_invariant(op, perms) for op in ops.inputs.values()):
+    if not all(_invariant(op, cert.perms) for name, op in ops.inputs.items()
+               if name not in ops.from_lattice):
         return None
-    return Certificate(perms, tuple(members[0] for members in geom.strata.values()))
+    return cert
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from functools import partial
 from typing import Callable, Optional, Sequence
 
 from .geometry import GeometryIndex, build_geometry
-from .modules import AbstractModule, eigen_scalar
+from .modules import AbstractModule
 from .operators import (
     DERIVED,
     GEOMETRY,
@@ -459,9 +459,7 @@ for _id, _desc, _suite, _modes, _lhs, _rhs in IDENTITY_ROWS:
 # -- module-only eigen tables -------------------------------------------------------
 
 def _module_diag(ops: OperatorSet, name: str) -> SparseOperator:
-    t, ring = ops.module_type, ops.ring
-    return SparseOperator.diagonal(
-        [eigen_scalar(name, t, i, j, ring) for i, j in ops.ij])
+    return SparseOperator.diagonal(ops.eigen[name])
 
 
 def _eigen(name: str):
@@ -471,15 +469,13 @@ def _eigen(name: str):
 
 def _shift_action(ops: OperatorSet, name: str, di: int) -> SparseOperator:
     """The operator sending w[i+di, j-di] to eigen_scalar(name, i, j) w[i,j]."""
-    t, ring = ops.module_type, ops.ring
+    values = ops.eigen[name]
     index = {bj: p for p, bj in enumerate(ops.ij)}
     expected: dict = {}
-    for (i, j), row in index.items():
-        src = (i + di, j - di)
-        if src in index:
-            value = eigen_scalar(name, t, i, j, ring)
-            if value:
-                expected.setdefault(row, {})[index[src]] = value
+    for row, (i, j) in enumerate(ops.ij):
+        src = index.get((i + di, j - di))
+        if src is not None and values[row]:
+            expected[row] = {src: values[row]}
     return SparseOperator(ops.dim, expected)
 
 

@@ -146,6 +146,18 @@ def test_eigen_tables_export():
     assert "G" in tables[(0, 0)] and "c" in tables[(0, 0)]
 
 
+def test_eigen_table_is_one_per_module_set():
+    m = build_abstract_module(ModuleType(0, 1, 1, h=4, k=2), SYM)
+    table = m.ops.eigen
+    assert run_module_suite(m).passed
+    # read by every module relation, shared with a perturbed clone
+    assert m.ops.eigen is table and m.ops.perturbed("A", 0, 0, 1).eigen is table
+    # the columns are in basis order: each entry is the one-weight value
+    for name, column in table._columns.items():
+        assert column == tuple(eigen_scalar(name, m.type, i, j, SYM) for i, j in m.basis)
+    assert {"a0", "aplus", "aminus", "a", "Y", "P", "c", "b"} <= set(table._columns)
+
+
 def test_module_suites_pass_both_rings_at_21():
     for t in enumerate_types(2, 1):
         for ring in (R2, SYM):

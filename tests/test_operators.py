@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import from_entries
 from pgaw.geometry import Subspace, build_geometry
 from pgaw.operators import (
     SparseOperator,
@@ -47,7 +48,7 @@ def _random_sparse(rng, dim, q=2):
     entries = []
     for _ in range(rng.randint(0, dim * dim // 2)):
         entries.append((rng.randrange(dim), rng.randrange(dim), _random_scalar(rng, q)))
-    return SparseOperator.from_entries(dim, entries)
+    return from_entries(dim, entries)
 
 
 def _random_diagonal(rng, dim, q):
@@ -118,7 +119,7 @@ def test_sparse_matmul_against_dense_oracle():
             assert op.first_nonzero() == (nonzero[0] if nonzero else None)
             assert op.nnz() == len(nonzero)
             assert op.is_zero() == (not nonzero)
-            assert op == SparseOperator.from_entries(op.dim, nonzero)
+            assert op == from_entries(op.dim, nonzero)
             assert op != op.with_entry_added(op.dim - 1, 0, Fraction(1, 3))
 
 
@@ -157,13 +158,13 @@ def test_sparse_transpose_and_identity():
 
 
 def test_first_nonzero_row_major():
-    op = SparseOperator.from_entries(4, [(2, 1, 5), (1, 3, 7), (1, 0, 2)])
+    op = from_entries(4, [(2, 1, 5), (1, 3, 7), (1, 0, 2)])
     assert op.first_nonzero() == (1, 0, 2)
     assert SparseOperator.zero(3).first_nonzero() is None
 
 
 def test_with_entry_added():
-    op = SparseOperator.from_entries(3, [(0, 1, 2)])
+    op = from_entries(3, [(0, 1, 2)])
     bumped = op.with_entry_added(0, 1, -2)
     assert bumped.is_zero()
     assert op.entry(0, 1) == 2  # original untouched

@@ -8,10 +8,12 @@ the certificate exists only when every input is invariant, and
 that a broken certificate changes no verdict.
 """
 
+import copy
 import random
 
 import pytest
 
+from oracles import vector_mask_permutations
 from pgaw import symmetry, verify
 from pgaw.decompose import compute_multiplicities
 from pgaw.geometry import Subspace, build_geometry
@@ -23,7 +25,13 @@ from pgaw.operators import (
     expr_askey1,
 )
 from pgaw.rings import QuadRing
-from pgaw.symmetry import RowView, generator_permutations, standard_generators
+from pgaw.symmetry import (
+    COVER_LISTS,
+    RowView,
+    generator_permutations,
+    lattice_certificate,
+    standard_generators,
+)
 from pgaw.verify import (
     EVALUATORS,
     Outcome,
@@ -54,10 +62,14 @@ def _perturb(ops):
     return ops
 
 
+def _geometry(q, h, k, y_rows=None):
+    y = None if y_rows is None else Subspace(y_rows, h + k, q)
+    return build_geometry(q, h, k, y)
+
+
 def _fresh(q, h, k, y_rows=None):
     """A new OperatorSet, so no certificate is computed yet."""
-    y = None if y_rows is None else Subspace(y_rows, h + k, q)
-    return build_geometry_operators(build_geometry(q, h, k, y), QuadRing(q))
+    return build_geometry_operators(_geometry(q, h, k, y_rows), QuadRing(q))
 
 
 def _rebuilt(ops, name, op):
@@ -160,7 +172,7 @@ def test_operators_are_derived_when_first_read():
     assert set(ops.ops) - set(ops.inputs) == {"Omega0", "Omega1", "Omega2"}
 
 
-def test_check_c_runs_on_the_inputs_only(monkeypatch):
+def test_check_c_checks_no_matrix_of_a_builders_set(monkeypatch):
     ops = _fresh(2, 3, 2)
     ops["G"]  # derives Y, Omega1 and Omega2 on the way
     checked = []
@@ -170,7 +182,14 @@ def test_check_c_runs_on_the_inputs_only(monkeypatch):
         return all(symmetry._permutes(op, perm) for perm in perms)
 
     monkeypatch.setattr(symmetry, "_invariant", invariant)
+    # the builder made every input from the lattice, so the lattice vouches
+    assert ops.from_lattice == set(ops.inputs)
     assert ops.certificate is not None
+    assert checked == []
+    # a set built from the same inputs by hand checks each of them
+    rebuilt = _rebuilt(ops, "A", ops.inputs["A"])
+    assert rebuilt.from_lattice == set()
+    assert rebuilt.certificate is not None
     assert len(checked) == 15
     assert {id(op) for op in checked} == {id(op) for op in ops.inputs.values()}
 
@@ -462,3 +481,107 @@ def test_permutes_agrees_with_the_entrywise_statement():
                         v if rng.randrange(4) else rng.choice((0, 1, 3))
         op = SparseOperator(dim, entries)
         assert symmetry._permutes(op, perm) == _permutes_by_entries(op, perm)
+
+
+# -- the certificate from the lattice -------------------------------------------
+
+def _list_check(geom, perms) -> bool:
+    return all(symmetry._lattice_invariant(geom, perm) for perm in perms)
+
+
+def _matrix_check(ops, perms) -> bool:
+    return all(symmetry._invariant(op, perms) for op in ops.inputs.values())
+
+
+@pytest.mark.parametrize("q,h,k,y_rows", TESTED_YS + ((5, 2, 1, ((1, 2, 3),)),))
+def test_join_permutations_equal_the_vector_mask_oracle(q, h, k, y_rows):
+    ops = _fresh(q, h, k, y_rows)
+    perms = generator_permutations(ops.geometry)
+    assert perms == vector_mask_permutations(ops.geometry)
+    # on the true set the list check and the matrix check both pass
+    assert _list_check(ops.geometry, perms) and _matrix_check(ops, perms)
+
+
+def _tampered(geom, name, at, value):
+    """A copy of geom whose sequence ``name`` holds value at position at."""
+    out = copy.copy(geom)
+    seq = list(getattr(geom, name))
+    seq[at] = value
+    setattr(out, name, tuple(seq))
+    return out
+
+
+def _changes_an_input(true: OperatorSet, tampered) -> bool:
+    built = build_geometry_operators(tampered, true.ring).inputs
+    return any(built[name] != op for name, op in true.inputs.items())
+
+
+@pytest.mark.parametrize("name", COVER_LISTS)
+def test_dropped_cover_entry_fails_both_checks(name):
+    true = _fresh(2, 3, 2)
+    geom = true.geometry
+    perms = vector_mask_permutations(geom)
+    lists = getattr(geom, name)
+    # the last entry of the first list, at a non-singleton orbit, whose loss
+    # changes an input the builder makes
+    tampered = next(
+        t for u, mine in enumerate(lists)
+        if mine and len(geom.stratum(*geom.ij[u])) > 1
+        for t in [_tampered(geom, name, u, mine[:-1])] if _changes_an_input(true, t))
+    ops = build_geometry_operators(tampered, QuadRing(2))
+    assert not _list_check(tampered, perms)
+    assert not _matrix_check(ops, perms)
+    assert ops.certificate is None
+
+
+def test_swapped_meet_fails_both_checks():
+    true = _fresh(2, 3, 2)
+    geom = true.geometry
+    perms = vector_mask_permutations(geom)
+    meet_y = geom.meet_y
+    # the first two elements of one stratum whose meets differ and whose
+    # swapped meets change an input the builder makes
+    tampered = next(
+        t for members in geom.strata.values() for a in members for b in members
+        if meet_y[a] != meet_y[b]
+        for t in [_tampered(_tampered(geom, "meet_y", a, meet_y[b]), "meet_y", b, meet_y[a])]
+        if _changes_an_input(true, t))
+    ops = build_geometry_operators(tampered, QuadRing(2))
+    assert not _list_check(tampered, perms)
+    assert not _matrix_check(ops, perms)
+    assert ops.certificate is None
+
+
+def test_generator_that_moves_y_fails_both_checks(monkeypatch):
+    ops = _fresh(3, 2, 1)
+    monkeypatch.setattr(symmetry, "standard_generators", lambda h, k: [_bad_generator(h, k)])
+    perms = generator_permutations(ops.geometry)
+    assert perms == vector_mask_permutations(ops.geometry)
+    assert not _list_check(ops.geometry, perms)
+    assert not _matrix_check(ops, perms)
+
+
+@pytest.mark.parametrize("common", [0, 2])
+def test_join_without_one_common_cover_gives_none(common):
+    geom = _geometry(2, 3, 2)
+    identity = symmetry._identity(geom.n)
+    assert symmetry._join_permutation(geom, identity) == list(range(geom.size))
+    v = geom.by_level[2][0]
+    u1, u2 = (geom.slash_covers_of[v] + geom.backslash_covers_of[v])[:2]
+    name = "slash_covered_by" if v in geom.slash_covered_by[u1] else "backslash_covered_by"
+    above = getattr(geom, name)[u1]
+    if common == 0:
+        value = tuple(w for w in above if w != v)
+    else:  # another upper cover of u2, which does not contain u1
+        other = next(w for w in geom.slash_covered_by[u2] + geom.backslash_covered_by[u2]
+                     if w != v)
+        value = tuple(sorted(above + (other,)))
+    assert symmetry._join_permutation(_tampered(geom, name, u1, value), identity) is None
+
+
+def test_lattice_certificate_needs_no_operator(geometry_cache, ops_cache):
+    geom = geometry_cache(2, 4, 2)
+    cert = lattice_certificate(geom)
+    assert len(cert.perms) == 3 and len(cert.reps) == len(geom.strata) == 15
+    ops = ops_cache(2, 3, 2)
+    assert lattice_certificate(ops.geometry) == ops.certificate
