@@ -103,9 +103,12 @@ def _diagonal(x: dict):
 def _rows_mul(x: dict, y: dict) -> dict:
     """x @ y; a diagonal operand makes it a column (y) or row (x) scaling.
 
-    A product of nonzero field elements is nonzero, so scaling stores no
+    y is scanned for a diagonal only when x has at least as many rows: on
+    fewer rows (the representative rows of ``pgaw.symmetry``) the product
+    below costs O(nnz x) against a diagonal y, less than the scan.  A
+    product of nonzero field elements is nonzero, so scaling stores no
     zero; a row or column that meets a missing diagonal entry is dropped."""
-    diag = _diagonal(y)
+    diag = _diagonal(y) if len(x) >= len(y) else None
     if diag is not None:
         out = {}
         for r, row in x.items():
@@ -404,7 +407,17 @@ def _integer_operator(dim: int, rows: dict) -> SparseOperator:
     Precondition: every value is a nonzero int and no row is empty, as
     for the 0/1 incidence and projection rows built here; nothing is
     split, checked or copied."""
-    return SparseOperator(dim)._set(1, rows, {}, None)
+    return _stored_operator(dim, 1, rows, {}, None)
+
+
+def _stored_operator(dim: int, d: int, m0: dict, m1: dict, q) -> SparseOperator:
+    """The operator (M0 + sqrt(q) M1) / d, stored as given.
+
+    Precondition: the parts are in lowest terms, no numerator is zero, no
+    row is empty, and q is None iff M1 is empty; no gcd pass is made."""
+    op = SparseOperator(dim)
+    op.d, op.m0, op.m1, op.q = d, m0, m1, q
+    return op
 
 
 def commutator(x: SparseOperator, y: SparseOperator) -> SparseOperator:
@@ -442,12 +455,14 @@ class OperatorSet:
 
     def __getitem__(self, name: str) -> SparseOperator:
         """The operator this set holds, else the parent's, else DERIVED[name],
-        derived once and stored."""
+        derived once and stored (by ``pgaw.symmetry.derive``: from the
+        representative rows when the set is certified)."""
         op = self.ops.get(name)
         if op is None:
             if self.parent is not None:
                 return self.parent[name]
-            op = self.ops[name] = DERIVED[name](self)
+            from .symmetry import derive
+            op = self.ops[name] = derive(self, DERIVED[name])
         return op
 
     def identity(self) -> SparseOperator:
@@ -516,9 +531,29 @@ K_EXPONENTS: dict[str, Callable[[int, int, int, int], int]] = {
 
 
 def k_diagonals(ring, h: int, k: int, ij) -> dict[str, SparseOperator]:
-    """The diagonal operators K1, K1i, K2 and K2i over a basis of weights ij."""
-    return {name: SparseOperator.diagonal([ring.q_half(e(h, k, i, j)) for i, j in ij])
-            for name, e in K_EXPONENTS.items()}
+    """The diagonal operators K1, K1i, K2 and K2i over a basis of weights ij.
+
+    Each operator computes and splits q^(e/2) once per distinct weight,
+    then stores every row's numerators over the lcm of those denominators,
+    as ``SparseOperator.diagonal`` of the same values would."""
+    weights = set(ij)
+    out = {}
+    for name, e in K_EXPONENTS.items():
+        split = {w: _split(ring.q_half(e(h, k, *w))) for w in weights}
+        d = lcm(*(den for _, _, den, _ in split.values()))
+        scaled = {w: (n0 * (d // den) if den != d else n0, n1 * (d // den))
+                  for w, (n0, n1, den, _) in split.items()}
+        m0: dict = {}
+        m1: dict = {}
+        for r, w in enumerate(ij):
+            n0, n1 = scaled[w]
+            if n0:
+                m0[r] = {r: n0}
+            if n1:
+                m1[r] = {r: n1}
+        out[name] = SparseOperator(len(ij))._set(
+            d, m0, m1, _common_q(*(qs for _, _, _, qs in split.values())))
+    return out
 
 
 # ---------------------------------------------------------------------------

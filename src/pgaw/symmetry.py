@@ -28,8 +28,12 @@ clone has none) and
     permutations of the positions: each point goes to the span of its
     image, each higher subspace to the one common upper cover of the
     images of two of its lower covers, and the result is a bijection;
-(b) their union-find orbits are exactly ``geom.strata``, so each
-    generator π preserves (i, j);
+(b) a BFS from the first position of each stratum over the three
+    permutations reaches every position of that stratum and none outside
+    it, so the orbits are exactly ``geom.strata`` and each generator π
+    preserves (i, j).  The BFS records its forest: in BFS order, each
+    position u other than a representative with a generator π and a
+    position p reached before it such that u = π p;
 (c) for each π and each position u, the four cover lists of πu are the
     images under π of u's, and meet_y[πu] = π meet_y[u]; and every input
     the builder did not make from the lattice (``OperatorSet.from_lattice``
@@ -42,6 +46,14 @@ L1, L2, their transposes R1, R2, F0, F+, F-, F, R, L and A are functions
 of the cover lists and meet_y, which (c) makes π preserve, and the builder
 makes them so.
 
+A certified set derives each operator of ``operators.DERIVED`` (``derive``)
+by evaluating its definition on the RowView below, which gives the
+operator's representative rows, and then fills the other rows along the
+forest: row πp is row p with each column c moved to πc.  That is the
+operator's own row at πp, since the operator is invariant.  Every row is
+thus a permuted representative row, so the result is in lowest terms as
+the representative rows are.  Any other set derives in full.
+
 A set is fixed once built: it holds its inputs and what it derives from
 them by ``operators.DERIVED``, and takes no assignment.  So the certificate
 vouches for every operator the set holds, also one derived after it was
@@ -53,8 +65,9 @@ scalar multiples of the inputs and of the identity); that the identity
 and the projections E* are (they are functions of the stratum); that
 operators are not changed in place and ``OperatorSet.ops`` is not written
 to from outside; that a ``support_violation`` predicate depends on the
-strata alone; and that the row view below multiplies out exactly the
-representative rows of the full expressions.
+strata alone; that the row view below multiplies out exactly the
+representative rows of the full expressions; and that each forest entry
+(u, π, p) has u = π p, which holds by construction.
 
 ``evaluate`` runs a relation's evaluator on a RowView of the set, in which
 operators, products, sums, scalars and transposes of operators are lazy
@@ -73,7 +86,8 @@ from functools import cached_property
 from typing import Callable, Optional
 
 from .geometry import GeometryIndex, Subspace, _rref
-from .operators import GEOMETRY, OperatorSet, SparseOperator, _integer_operator
+from .operators import (GEOMETRY, OperatorSet, SparseOperator, _integer_operator,
+                        _stored_operator)
 
 Matrix = list[list[int]]
 
@@ -192,23 +206,31 @@ def generator_permutations(geom: GeometryIndex) -> Optional[list[list[int]]]:
 # (b) orbits, (c) invariance
 # ---------------------------------------------------------------------------
 
-def _orbits_are_strata(perms, geom: GeometryIndex) -> bool:
-    """Union-find over the generator permutations; True iff the orbits are the strata."""
-    parent = list(range(geom.size))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for perm in perms:
-        for p, t in enumerate(perm):
-            a, b = find(p), find(t)
-            if a != b:
-                parent[a] = b
-    roots = [{find(p) for p in members} for members in geom.strata.values()]
-    return all(len(r) == 1 for r in roots) and len(set().union(*roots)) == len(roots)
+def _orbit_forest(perms, geom: GeometryIndex) -> Optional[tuple]:
+    """Check (b): a BFS from each stratum's first position over the
+    generator permutations.  A permutation's inverse is a power of it, so
+    the forward images reach the whole orbit.  None unless every position is
+    reached from the representative of its own stratum; else the forest, in
+    BFS order: each non-representative u with the index g of a generator
+    and a predecessor p reached before it, such that u = perms[g][p]."""
+    ij = geom.ij
+    reached = bytearray(geom.size)
+    forest = []
+    for members in geom.strata.values():
+        rep = members[0]
+        stratum = ij[rep]
+        reached[rep] = 1
+        queue = [rep]
+        for p in queue:  # grows while it is read: breadth first
+            for g, perm in enumerate(perms):
+                u = perm[p]
+                if ij[u] != stratum:
+                    return None
+                if not reached[u]:
+                    reached[u] = 1
+                    forest.append((u, g, p))
+                    queue.append(u)
+    return tuple(forest) if all(reached) else None
 
 
 def _permutes(op: SparseOperator, perm) -> bool:
@@ -255,21 +277,44 @@ def _lattice_invariant(geom: GeometryIndex, perm) -> bool:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Generator permutations whose orbits are the strata, and the first
-    position of each stratum."""
+    """Generator permutations whose orbits are the strata, the first
+    position of each stratum, and the BFS forest that reaches every other
+    position from its representative (``_orbit_forest``)."""
 
     perms: list
     reps: tuple[int, ...]
+    forest: tuple[tuple[int, int, int], ...]
+
+    def transport(self, rows: SparseOperator) -> SparseOperator:
+        """The invariant operator whose representative rows are those of
+        rows (its other rows empty): each forest entry (u, g, p) sets row u
+        to row p with its columns moved by perms[g].
+
+        Every row is a permuted representative row, so the numerators'
+        gcd is that of rows, which is in lowest terms already."""
+        perms = self.perms
+        parts = []
+        for part in (rows.m0, rows.m1):
+            out = dict(part)
+            get = out.get
+            for u, g, p in self.forest:
+                row = get(p)
+                if row is not None:
+                    perm = perms[g]
+                    out[u] = {perm[c]: v for c, v in row.items()}
+            parts.append(out)
+        return _stored_operator(rows.dim, rows.d, *parts, rows.q)
 
 
 def lattice_certificate(geom: GeometryIndex) -> Optional[Certificate]:
     """Checks (a), (b) and (c) on the lattice alone, or None when one fails."""
     perms = generator_permutations(geom)
-    if perms is None or not _orbits_are_strata(perms, geom):
+    if perms is None:
         return None
-    if not all(_lattice_invariant(geom, perm) for perm in perms):
+    forest = _orbit_forest(perms, geom)
+    if forest is None or not all(_lattice_invariant(geom, perm) for perm in perms):
         return None
-    return Certificate(perms, tuple(members[0] for members in geom.strata.values()))
+    return Certificate(perms, tuple(members[0] for members in geom.strata.values()), forest)
 
 
 def _may_certify(ops: OperatorSet) -> bool:
@@ -468,6 +513,17 @@ class RowView:
 
     def estar_stratum(self, i: int, j: int) -> _Expr:
         return _Leaf(self, self._ops.estar_stratum(i, j))
+
+
+def derive(ops: OperatorSet, definition: Callable[[OperatorSet], SparseOperator]
+           ) -> SparseOperator:
+    """definition(ops) for a ``DERIVED`` definition.  On a certified set it
+    is multiplied out on the representative rows of a RowView and moved
+    along the certificate's forest to every other row; any other set
+    derives it in full."""
+    if not _may_certify(ops) or ops.certificate is None:
+        return definition(ops)
+    return ops.certificate.transport(definition(RowView(ops)).rows())
 
 
 def evaluate(ops: OperatorSet, evaluator: Callable[[OperatorSet], Optional[str]]

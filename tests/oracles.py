@@ -2,13 +2,14 @@
 
 The tests check the program against these.  None of them is called by
 ``src/``: subspaces are compared by their RREF, covers are generated rather
-than tested, and the symmetry certificate maps subspaces by cover joins.
+than tested, the symmetry certificate maps subspaces by cover joins, and a
+certified set derives its operators from its representative rows.
 """
 
 import itertools
 
 from pgaw.geometry import Subspace, _rref
-from pgaw.operators import SparseOperator
+from pgaw.operators import OperatorSet, SparseOperator
 from pgaw import symmetry
 from pgaw.symmetry import _adapted_basis, _matmul
 
@@ -88,6 +89,18 @@ def from_entries(dim: int, entries) -> SparseOperator:
     for r, c, v in entries:
         rows.setdefault(r, {})[c] = v
     return SparseOperator(dim, rows)
+
+
+def uncertified_twin(ops: OperatorSet) -> OperatorSet:
+    """A set with the inputs and geometry of ops whose certificate is None.
+
+    It derives every operator in full and evaluates every relation in full,
+    so the full side of a reduced-vs-full comparison shares nothing with
+    the representative-row derivation of a certified ops."""
+    twin = OperatorSet(ops.mode, ops.ring, ops.h, ops.k, ops.ij, ops.labels, ops.inputs,
+                       geometry=ops.geometry)
+    twin.__dict__["certificate"] = None
+    return twin
 
 
 def vector_mask_permutations(geom):

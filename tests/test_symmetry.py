@@ -2,10 +2,13 @@
 
 On a certified set every relation is evaluated once, on the representative
 rows, and that result -- pass or witness -- is the outcome; a set without a
-certificate (a perturbed clone, a module) evaluates once, in full.  These
-tests pin that both give the full evaluation's outcome byte for byte, that
-the certificate exists only when every input is invariant, and
-that a broken certificate changes no verdict.
+certificate (a perturbed clone, a module) evaluates once, in full.  A
+certified set also derives its operators from their representative rows and
+moves them along the certificate's forest.  These tests pin that both give
+the outcomes and operators of an uncertified twin (``uncertified_twin``),
+which derives and evaluates everything in full, byte for byte; that the
+certificate exists only when every input is invariant; and that a broken
+certificate changes no verdict.
 """
 
 import copy
@@ -13,7 +16,7 @@ import random
 
 import pytest
 
-from oracles import vector_mask_permutations
+from oracles import uncertified_twin, vector_mask_permutations
 from pgaw import symmetry, verify
 from pgaw.decompose import compute_multiplicities
 from pgaw.geometry import Subspace, build_geometry
@@ -79,8 +82,10 @@ def _rebuilt(ops, name, op):
                        {**ops.inputs, name: op}, geometry=ops.geometry)
 
 
-def _full(ops, rel_id):
-    witness = EVALUATORS[rel_id](ops)
+def _full(twin, rel_id):
+    """The outcome of rel_id evaluated in full on twin, a set with no
+    certified ancestor: an ``uncertified_twin`` or a clone of one."""
+    witness = EVALUATORS[rel_id](twin)
     return Outcome(rel_id, "pass" if witness is None else "fail", witness)
 
 
@@ -110,16 +115,18 @@ def test_reduced_and_full_outcomes_agree(q, h, k, y_rows):
     cert = ops.certificate
     assert cert is not None
     assert len(cert.reps) == len(ops.geometry.strata)
+    twin = uncertified_twin(ops)
     for rel in relations_for("geometry"):
         assert EVALUATORS[rel.id](RowView(ops)) is None, rel.id
-        assert run_relation(ops, rel.id) == _full(ops, rel.id) == Outcome(rel.id, "pass")
+        assert run_relation(ops, rel.id) == _full(twin, rel.id) == Outcome(rel.id, "pass")
 
 
 @pytest.mark.parametrize("q,h,k,y_rows", CONFIGS)
 def test_perturbed_outcomes_and_witnesses_agree(q, h, k, y_rows):
-    ops = _perturb(_fresh(q, h, k, y_rows))
+    base = _fresh(q, h, k, y_rows)
+    ops, twin = _perturb(base), _perturb(uncertified_twin(base))
     outcomes = run_geometry_suite(ops).outcomes
-    assert outcomes == [_full(ops, rel.id) for rel in relations_for("geometry")]
+    assert outcomes == [_full(twin, rel.id) for rel in relations_for("geometry")]
     assert any(not o.passed for o in outcomes)
 
 
@@ -127,10 +134,11 @@ def test_perturbed_outcomes_and_witnesses_agree(q, h, k, y_rows):
 def test_coefficient_controls_run_once_on_the_representative_rows(
         monkeypatch, q, h, k, y_rows):
     ops = _fresh(q, h, k, y_rows)
+    twin = uncertified_twin(ops)
     coeff = ops.ring.q_power(1) + 1
-    want_askey1 = verify._residual_witness(expr_askey1(ops, middle=coeff), ops)
+    want_askey1 = verify._residual_witness(expr_askey1(twin, middle=coeff), twin)
     want_k1l1 = verify._residual_witness(
-        verify._q_commutation(ops, "K1", "L1", right=coeff), ops)
+        verify._q_commutation(twin, "K1", "L1", right=coeff), twin)
     calls = []
 
     def spied(real):
@@ -277,7 +285,8 @@ def test_perturbed_set_takes_the_full_path(ops_cache, spy):
     del calls[:]
     out = run_relation(tampered, "aw.askey2")
     assert calls == ["full"]
-    assert out == _full(tampered, "aw.askey2") and not out.passed
+    twin = uncertified_twin(ops).perturbed("A", 3, 40, 1)
+    assert out == _full(twin, "aw.askey2") and not out.passed
 
 
 @pytest.mark.parametrize("rel_id", ["aw.askey2", "a.sum"])
@@ -297,7 +306,7 @@ def test_invariant_perturbation_is_caught_on_a_representative_row(
     out = run_relation(tampered, rel_id)
     assert calls == ["reduced"]
     assert not out.passed
-    assert out == _full(tampered, rel_id)
+    assert out == _full(uncertified_twin(tampered), rel_id)
     assert out.witness.startswith(f"row={ops.labels[r]}, col={ops.labels[c]}")
 
 
@@ -314,8 +323,9 @@ def test_every_stratum_has_a_representative_row(ops_cache):
         tampered = _rebuilt(ops, "A", ops["A"] + ops.estar_stratum(i, j))  # invariant
         assert tampered.certificate is not None
         assert EVALUATORS["a.sum"](RowView(tampered)) is not None, (i, j)
+        twin = uncertified_twin(tampered)
         for rel_id in READS_A:
-            assert run_relation(tampered, rel_id) == _full(tampered, rel_id), (i, j, rel_id)
+            assert run_relation(tampered, rel_id) == _full(twin, rel_id), (i, j, rel_id)
 
 
 def test_non_invariant_operand_of_an_evaluator_is_checked(ops_cache, monkeypatch):
@@ -367,10 +377,14 @@ def _bad_generator(h, k):
     return g
 
 
-@pytest.mark.parametrize("generators", [
+# generator sets whose orbits are not the strata, so check (b) fails
+BROKEN_GENERATORS = pytest.mark.parametrize("generators", [
     lambda h, k: standard_generators(h, k) + [_bad_generator(h, k)],
     lambda h, k: standard_generators(h, k)[:-1],  # no bridge transvection
 ], ids=["moves-y", "no-bridge"])
+
+
+@BROKEN_GENERATORS
 def test_broken_certificate_changes_no_verdict(monkeypatch, spy, generators):
     q, h, k = 3, 2, 1
     want_clean = run_geometry_suite(_fresh(q, h, k)).outcomes
@@ -585,3 +599,67 @@ def test_lattice_certificate_needs_no_operator(geometry_cache, ops_cache):
     assert len(cert.perms) == 3 and len(cert.reps) == len(geom.strata) == 15
     ops = ops_cache(2, 3, 2)
     assert lattice_certificate(ops.geometry) == ops.certificate
+
+
+# -- operators derived from the representative rows ------------------------------
+
+def _parts(op):
+    return op.d, op.m0, op.m1, op.q
+
+
+def _derived(ops):
+    return {name: ops[name] for name in DERIVED if name not in ops.inputs}
+
+
+@pytest.fixture
+def derivations(monkeypatch):
+    """Records (name, "reduced" or "full") for every DERIVED definition run."""
+    seen = []
+    for name, definition in list(DERIVED.items()):
+        def spied(o, name=name, definition=definition):
+            seen.append((name, _seen(o)))
+            return definition(o)
+        monkeypatch.setitem(DERIVED, name, spied)
+    return seen
+
+
+@pytest.mark.parametrize("q,h,k,y_rows", TESTED_YS + ((5, 2, 1, None),))
+def test_derived_operators_equal_the_full_derivation(derivations, q, h, k, y_rows):
+    ops = _fresh(q, h, k, y_rows)
+    assert ops.certificate is not None
+    twin = uncertified_twin(ops)
+    derived = _derived(ops)
+    for name, op in derived.items():
+        assert _parts(op) == _parts(twin[name]), name
+    # each definition ran once per set: on the certified set's representative
+    # rows, and on the twin in full
+    assert sorted(derivations) == sorted([(name, "reduced") for name in derived]
+                                         + [(name, "full") for name in derived])
+
+
+@pytest.mark.parametrize("q,h,k,y_rows", TESTED_YS)
+def test_forest_moves_each_other_position_from_one_reached_before_it(q, h, k, y_rows):
+    geom = _geometry(q, h, k, y_rows)
+    cert = lattice_certificate(geom)
+    reached = set(cert.reps)
+    for u, g, p in cert.forest:
+        assert cert.perms[g][p] == u
+        assert p in reached
+        reached.add(u)
+    # every non-representative position appears exactly once, and no representative
+    moved = [u for u, _, _ in cert.forest]
+    assert sorted(moved) == sorted(set(range(geom.size)) - set(cert.reps))
+
+
+@BROKEN_GENERATORS
+def test_set_that_fails_check_b_derives_in_full(monkeypatch, derivations, generators):
+    q, h, k = 3, 2, 1
+    want = {name: _parts(op) for name, op in _derived(_fresh(q, h, k)).items()}
+    monkeypatch.setattr(symmetry, "standard_generators", generators)
+    ops = _fresh(q, h, k)
+    perms = generator_permutations(ops.geometry)
+    assert perms is not None and symmetry._orbit_forest(perms, ops.geometry) is None
+    assert ops.certificate is None
+    del derivations[:]
+    assert {name: _parts(op) for name, op in _derived(ops).items()} == want
+    assert derivations and {seen for _, seen in derivations} == {"full"}
