@@ -24,11 +24,12 @@ subspace lattice (geometry mode, entries in Q(sqrt q)) or the standard
 basis of an abstract irreducible module (module mode, numeric or symbolic
 entries).  It is fixed once built: its builder passes in the inputs, any
 other name is derived from its one definition in ``DERIVED`` at its first
-read, and nothing is assigned later, so ``pgaw.symmetry``'s certificate
-of a set vouches for every operator the set holds.  A ``perturbed`` clone
-holds only its perturbed operator and reads every other name from its
-parent.  Operators with two independent definitions are built both ways;
-the verifier compares them.
+read, and nothing is assigned later.  Only a set that
+``build_geometry_operators`` made has a ``pgaw.symmetry`` certificate, and
+it vouches for every operator the set holds.  A ``perturbed`` clone holds
+only its perturbed operator and reads every other name from its parent.
+Operators with two independent definitions are built both ways; the
+verifier compares them.
 """
 
 from __future__ import annotations
@@ -426,11 +427,13 @@ def commutator(x: SparseOperator, y: SparseOperator) -> SparseOperator:
 
 class OperatorSet:
     """The named operators over one basis, plus the shared stratification;
-    fixed once built (see the module docstring)."""
+    fixed once built (see the module docstring).  ``from_lattice`` is set
+    by ``build_geometry_operators`` alone, and only such a set has a
+    certificate: a module, a clone or a set built by hand runs in full."""
 
     def __init__(self, mode: str, ring, h: int, k: int, ij, labels, inputs: dict,
                  geometry: Optional[GeometryIndex] = None, module_type=None,
-                 parent: Optional["OperatorSet"] = None, from_lattice=frozenset()):
+                 parent: Optional["OperatorSet"] = None, from_lattice: bool = False):
         self.mode = mode
         self.ring = ring
         self.h = h
@@ -442,13 +445,10 @@ class OperatorSet:
         self.module_type = module_type
         self.parent = parent
         self.ops: dict[str, SparseOperator] = dict(inputs)  # inputs, then derived
-        # the builder's operators, which ``pgaw.symmetry`` checks; a clone has none
-        self.inputs: Optional[dict[str, SparseOperator]] = \
-            None if parent is not None else dict(inputs)
-        # the inputs ``build_geometry_operators`` made from the geometry's
-        # strata, cover lists and meet_y, which ``pgaw.symmetry`` checks on
-        # the lattice; any other input it checks entry by entry
-        self.from_lattice = frozenset(from_lattice)
+        # True only when ``build_geometry_operators`` made the inputs from the
+        # geometry's strata, cover lists and meet_y, which ``pgaw.symmetry``
+        # checks on the lattice
+        self.from_lattice = from_lattice
         self._identity: Optional[SparseOperator] = None
         self._estar: dict = {}
         self._products: dict = {}
@@ -486,10 +486,13 @@ class OperatorSet:
 
     @cached_property
     def certificate(self):
-        """The symmetry certificate of this set (``pgaw.symmetry``), or None;
-        computed at first use and never copied to a perturbed clone."""
-        from .symmetry import certify
-        return certify(self)
+        """The symmetry certificate of this set: ``lattice_certificate`` of
+        its geometry when ``build_geometry_operators`` made the set, else
+        None (``pgaw.symmetry``); computed at first use."""
+        if not self.from_lattice:
+            return None
+        from .symmetry import lattice_certificate
+        return lattice_certificate(self.geometry)
 
     @cached_property
     def eigen(self):
@@ -510,8 +513,8 @@ class OperatorSet:
 
     def perturbed(self, name: str, r: int, c: int, delta=1) -> "OperatorSet":
         """Copy with one entry perturbed (negative control): it holds only the
-        perturbed operator, reads every other name from this set, and has no
-        inputs, so no certificate."""
+        perturbed operator, reads every other name from this set, and is not
+        the builder's, so it has no certificate."""
         return OperatorSet(self.mode, self.ring, self.h, self.k, self.ij, self.labels,
                            {name: self[name].with_entry_added(r, c, delta)},
                            self.geometry, self.module_type, parent=self)
@@ -634,7 +637,7 @@ def build_geometry_operators(geom: GeometryIndex, ring: QuadRing) -> OperatorSet
                        ("R", r_comb), ("L", l_comb), ("A", a_comb)):
         ops[name] = _integer_operator(size, rows)
     return OperatorSet(GEOMETRY, ring, geom.h, geom.k, geom.ij, geom.labels(), ops,
-                       geometry=geom, from_lattice=ops)
+                       geometry=geom, from_lattice=True)
 
 
 # ---------------------------------------------------------------------------
@@ -901,11 +904,10 @@ def expr_askey1(ops: OperatorSet, middle=None) -> SparseOperator:
     return lhs - rhs
 
 
-def expr_askey2(ops: OperatorSet, middle=None) -> SparseOperator:
+def expr_askey2(ops: OperatorSet) -> SparseOperator:
     """Residual of A*^2 A - (q+1/q) A* A A* + A A*^2 = Y A*^2 + Omega A* + G*."""
     ring = ops.ring
-    if middle is None:
-        middle = ring.q_power(1) + ring.q_power(-1)
+    middle = ring.q_power(1) + ring.q_power(-1)
     a, astar = ops["A"], ops["Astar"]
     astar2 = ops.prod("Astar", "Astar")
     astar_a = ops.prod("Astar", "A")

@@ -19,9 +19,9 @@ representative rows is the full evaluation's witness.  The same holds for
 whose violating entries form an invariant set.
 
 An OperatorSet's certificate is computed at its first use and stored on
-that set alone.  It exists iff the set is a geometry set with inputs (the
-15 operators ``build_geometry_operators`` builds it from; a ``perturbed``
-clone has none) and
+that set alone.  Only a set ``build_geometry_operators`` made
+(``OperatorSet.from_lattice``) has one, ``lattice_certificate`` of its
+geometry, which exists iff
 
 (a) three elements of G_y -- ``standard_generators``, carried to y by a
     basis B adapted to y, so the vector c B goes to (c g) B -- induce
@@ -35,16 +35,15 @@ clone has none) and
     position u other than a representative with a generator π and a
     position p reached before it such that u = π p;
 (c) for each π and each position u, the four cover lists of πu are the
-    images under π of u's, and meet_y[πu] = π meet_y[u]; and every input
-    the builder did not make from the lattice (``OperatorSet.from_lattice``
-    names those it did) satisfies M[πr, πc] = M[r, c], entry by entry.
+    images under π of u's, and meet_y[πu] = π meet_y[u].
 
-(a)-(c) on the lattice alone are ``lattice_certificate``, which needs no
-operator.  They make the builder's inputs invariant: the K diagonals are
-functions of the stratum, which (b) makes π preserve, and the 0/1 families
-L1, L2, their transposes R1, R2, F0, F+, F-, F, R, L and A are functions
-of the cover lists and meet_y, which (c) makes π preserve, and the builder
-makes them so.
+(a)-(c) read the lattice alone and need no operator.  They make the
+builder's inputs invariant: the K diagonals are functions of the stratum,
+which (b) makes π preserve, and the 0/1 families L1, L2, their transposes
+R1, R2, F0, F+, F-, F, R, L and A are functions of the cover lists and
+meet_y, which (c) makes π preserve, and the builder makes them so.  Any
+other set -- a module, a ``perturbed`` clone, a set built by hand -- has
+no certificate and runs in full.
 
 A certified set derives each operator of ``operators.DERIVED`` (``derive``)
 by evaluating its definition on the RowView below, which gives the
@@ -57,37 +56,36 @@ the representative rows are.  Any other set derives in full.
 A set is fixed once built: it holds its inputs and what it derives from
 them by ``operators.DERIVED``, and takes no assignment.  So the certificate
 vouches for every operator the set holds, also one derived after it was
-computed; an operand an evaluator builds itself is checked on the spot.
-What is trusted rather than checked: that ``build_geometry_operators``
-reads nothing of the lattice but the strata, the cover lists and meet_y;
-that the derived operators are invariant (they are products, sums and
-scalar multiples of the inputs and of the identity); that the identity
-and the projections E* are (they are functions of the stratum); that
-operators are not changed in place and ``OperatorSet.ops`` is not written
-to from outside; that a ``support_violation`` predicate depends on the
-strata alone; that the row view below multiplies out exactly the
-representative rows of the full expressions; and that each forest entry
-(u, π, p) has u = π p, which holds by construction.
+computed.  An evaluator on the row view combines only the set's own
+operators: any other operand raises TypeError.  What is trusted rather
+than checked: that ``build_geometry_operators`` reads nothing of the
+lattice but the strata, the cover lists and meet_y, and that it alone sets
+``from_lattice``; that the derived operators are invariant (they are
+products, sums and scalar multiples of the inputs and of the identity);
+that the identity and the projections E* are (they are functions of the
+stratum); that operators are not changed in place and ``OperatorSet.ops``
+is not written to from outside; that a ``support_violation`` predicate
+depends on the strata alone; that the row view below multiplies out
+exactly the representative rows of the full expressions; and that each
+forest entry (u, π, p) has u = π p, which holds by construction.
 
-``evaluate`` runs a relation's evaluator on a RowView of the set, in which
+``evaluate`` reads the certificate once, before the evaluator runs.  With
+one, it runs the relation's evaluator on a RowView of the set, in which
 operators, products, sums, scalars and transposes of operators are lazy
-expressions multiplied out from the representative rows, left to right.
-Its result there -- None or the witness -- is the outcome.  Only
-Uncertified runs the evaluator on the full set instead: no certificate (a
-``perturbed`` clone never has one, nor has a module), an operand that is
-not invariant, or a query of a residual other than ``is_zero``,
-``first_nonzero`` and ``support_violation``.
+expressions multiplied out from the representative rows, left to right;
+its result there -- None or the witness -- is the outcome.  Without one,
+it runs the evaluator on the set itself.  Either way the relation is
+evaluated once.  A query of a residual other than ``is_zero``,
+``first_nonzero`` and ``support_violation`` raises AttributeError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Optional
 
 from .geometry import GeometryIndex, Subspace, _rref
-from .operators import (GEOMETRY, OperatorSet, SparseOperator, _integer_operator,
-                        _stored_operator)
+from .operators import OperatorSet, SparseOperator, _integer_operator, _stored_operator
 
 Matrix = list[list[int]]
 
@@ -233,33 +231,11 @@ def _orbit_forest(perms, geom: GeometryIndex) -> Optional[tuple]:
     return tuple(forest) if all(reached) else None
 
 
-def _permutes(op: SparseOperator, perm) -> bool:
-    """op[perm[r], perm[c]] == op[r, c] for every entry (perm a bijection).
-
-    Each stored row is matched against its image row entry by entry: equal
-    lengths and every entry found at its image make the two rows equal, as
-    perm is injective and no zero is stored."""
-    for part in (op.m0, op.m1):
-        for r, row in part.items():
-            image = part.get(perm[r])
-            if image is None or len(image) != len(row):
-                return False
-            get = image.get
-            for c, v in row.items():
-                if get(perm[c]) != v:
-                    return False
-    return True
-
-
-def _invariant(op: SparseOperator, perms) -> bool:
-    return all(_permutes(op, perm) for perm in perms)
-
-
 COVER_LISTS = ("slash_covers_of", "backslash_covers_of",
                "slash_covered_by", "backslash_covered_by")
 
 
-def _lattice_invariant(geom: GeometryIndex, perm) -> bool:
+def _preserves_lattice(geom: GeometryIndex, perm) -> bool:
     """For every position u: each cover list of perm[u] is the image under
     perm of u's list, sorted (every cover list ascends), and
     meet_y[perm[u]] == perm[meet_y[u]]."""
@@ -312,39 +288,14 @@ def lattice_certificate(geom: GeometryIndex) -> Optional[Certificate]:
     if perms is None:
         return None
     forest = _orbit_forest(perms, geom)
-    if forest is None or not all(_lattice_invariant(geom, perm) for perm in perms):
+    if forest is None or not all(_preserves_lattice(geom, perm) for perm in perms):
         return None
     return Certificate(perms, tuple(members[0] for members in geom.strata.values()), forest)
-
-
-def _may_certify(ops: OperatorSet) -> bool:
-    """The preconditions of a certificate, which cost nothing to check:
-    geometry mode and inputs (a perturbed clone has none)."""
-    return ops.mode == GEOMETRY and ops.geometry is not None and ops.inputs is not None
-
-
-def certify(ops: OperatorSet) -> Optional[Certificate]:
-    """The certificate of ops, or None: outside geometry mode, without
-    inputs, when the lattice certificate fails, or when an input the
-    builder did not make from the lattice is not invariant, entry by entry."""
-    if not _may_certify(ops):
-        return None
-    cert = lattice_certificate(ops.geometry)
-    if cert is None:
-        return None
-    if not all(_invariant(op, cert.perms) for name, op in ops.inputs.items()
-               if name not in ops.from_lattice):
-        return None
-    return cert
 
 
 # ---------------------------------------------------------------------------
 # reduced evaluation
 # ---------------------------------------------------------------------------
-
-class Uncertified(Exception):
-    """The relation cannot be evaluated on the representative rows."""
-
 
 class _Expr:
     """A lazy operator expression, evaluated as (representative rows) @ self."""
@@ -362,20 +313,11 @@ class _Expr:
     def __matmul__(self, other):
         return _Product(self.view, self, self.view.lift(other))
 
-    def __rmatmul__(self, other):
-        return _Product(self.view, self.view.lift(other), self)
-
     def __add__(self, other):
         return _Sum(self.view, self, self.view.lift(other), 1)
 
-    def __radd__(self, other):
-        return _Sum(self.view, self.view.lift(other), self, 1)
-
     def __sub__(self, other):
         return _Sum(self.view, self, self.view.lift(other), -1)
-
-    def __rsub__(self, other):
-        return _Sum(self.view, self.view.lift(other), self, -1)
 
     def __neg__(self):
         return self.scale(-1)
@@ -402,9 +344,6 @@ class _Expr:
         every generator permutation preserves."""
         return self.rows().support_violation(allowed)
 
-    def __getattr__(self, name):
-        raise Uncertified(f"{name} is not available on the representative rows")
-
 
 class _Leaf(_Expr):
     __slots__ = ("op",)
@@ -418,7 +357,7 @@ class _Leaf(_Expr):
 
     def transpose(self):
         """Invariant as the operator is; a composite expression has no
-        transpose here, so its relation runs in full."""
+        transpose here."""
         return _Leaf(self.view, self.op.transpose())
 
 
@@ -457,45 +396,25 @@ class _Scaled(_Expr):
 
 
 class RowView:
-    """An OperatorSet seen through its representative rows.
+    """An OperatorSet seen through the representative rows of its certificate.
 
     Operators, products, the identity and the projections E* are lazy
-    expressions; every other attribute is the set's own.  The certificate
-    is taken when rows are first multiplied out or an operand the evaluator
-    built is lifted, so a relation that reads no operator (the counts
-    suite) computes none.  It vouches for the set's own operators.  A set
-    without a certificate, or a built operand that is not invariant,
-    raises Uncertified; it does so at once when the set is not a geometry
-    set with inputs or its certificate is already known to be None, so
-    such a set evaluates once, in full."""
+    expressions; every other attribute is the set's own."""
 
-    def __init__(self, ops: OperatorSet):
-        if not _may_certify(ops) or vars(ops).get("certificate", True) is None:
-            raise Uncertified("no certificate")
+    def __init__(self, ops: OperatorSet, cert: Certificate):
         self._ops = ops
+        # the identity restricted to the representative rows
+        self.start = _integer_operator(ops.dim, {r: {r: 1} for r in cert.reps})
 
     def __getattr__(self, name):
         return getattr(self._ops, name)
 
-    @cached_property
-    def _cert(self) -> Certificate:
-        cert = self._ops.certificate
-        if cert is None:
-            raise Uncertified("no certificate")
-        return cert
-
-    @cached_property
-    def start(self) -> SparseOperator:
-        """The identity restricted to the representative rows."""
-        return _integer_operator(self._ops.dim, {r: {r: 1} for r in self._cert.reps})
-
     def lift(self, op) -> _Expr:
-        """An operand the evaluator built itself, checked for invariance here."""
-        if isinstance(op, _Expr):
-            return op
-        if not isinstance(op, SparseOperator) or not _invariant(op, self._cert.perms):
-            raise Uncertified("operand is not a G_y-invariant operator")
-        return _Leaf(self, op)
+        """op, an expression of this view; any other operand (a
+        SparseOperator an evaluator built, say) is a programming error."""
+        if not isinstance(op, _Expr) or op.view is not self:
+            raise TypeError(f"{type(op).__name__} is not an expression of this row view")
+        return op
 
     def __getitem__(self, name: str) -> _Expr:
         return _Leaf(self, self._ops[name])
@@ -521,18 +440,16 @@ def derive(ops: OperatorSet, definition: Callable[[OperatorSet], SparseOperator]
     is multiplied out on the representative rows of a RowView and moved
     along the certificate's forest to every other row; any other set
     derives it in full."""
-    if not _may_certify(ops) or ops.certificate is None:
+    cert = ops.certificate
+    if cert is None:
         return definition(ops)
-    return ops.certificate.transport(definition(RowView(ops)).rows())
+    return cert.transport(definition(RowView(ops, cert)).rows())
 
 
 def evaluate(ops: OperatorSet, evaluator: Callable[[OperatorSet], Optional[str]]
              ) -> Optional[str]:
-    """The evaluator's result for ops: None when the relation holds, else
-    the witness.  It comes from the representative rows whenever ops has a
-    certificate; Uncertified runs it in full."""
-    try:
-        return evaluator(RowView(ops))
-    except Uncertified:
-        pass  # the full evaluation runs after the reduced one is released
-    return evaluator(ops)
+    """The evaluator's result for ops, from its one run: None when the
+    relation holds, else the witness.  It runs on the representative rows
+    when ops has a certificate, else on ops in full."""
+    cert = ops.certificate
+    return evaluator(ops if cert is None else RowView(ops, cert))

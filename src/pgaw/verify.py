@@ -19,11 +19,15 @@ entry in row-major order.  The same registry drives geometry-mode runs
 abstract module's standard basis); each relation declares the modes it
 applies to.  All passes are exact -- there are no tolerances anywhere.
 
-Each relation is evaluated once, by ``pgaw.symmetry.evaluate``.  On a
-certified geometry set that evaluation reads one representative row per
-G_y-orbit; the first nonzero row of a residual is always one of them, so
-witnesses are the full evaluation's.  A perturbed clone or a module is
-evaluated on the full set.
+Each relation is evaluated once, by ``pgaw.symmetry.evaluate``, on the
+path the set's certificate chose before the evaluator ran.  On a set
+``build_geometry_operators`` made, that evaluation reads one
+representative row per G_y-orbit; the first nonzero row of a residual is
+always one of them, so witnesses are the full evaluation's.  An evaluator
+combines only the set's own operators: the identity, the projections E*,
+the named operators and their products, sums, scalar multiples and (for a
+named operator) transposes.  Any other set -- a perturbed clone, a module,
+a set built by hand -- is evaluated in full.
 """
 
 from __future__ import annotations
@@ -194,8 +198,8 @@ for _id, _desc, _lists, _expected in COUNT_ROWS:
 @_relation("struct.estar_sum", "sum of the level projections E*_l is the identity",
            "structure", _BOTH)
 def _(ops):
-    total = SparseOperator.zero(ops.dim)
-    for level in range(ops.h + ops.k + 1):
+    total = ops.estar_level(0)
+    for level in range(1, ops.h + ops.k + 1):
         total = total + ops.estar_level(level)
     return _residual_witness(total - ops.identity(), ops)
 
@@ -207,8 +211,7 @@ def _(ops):
         ea = ops.estar_level(a)
         for b in range(ops.h + ops.k + 1):
             prod = ea @ ops.estar_level(b)
-            want = ea if a == b else SparseOperator.zero(ops.dim)
-            w = _residual_witness(prod - want, ops)
+            w = _residual_witness(prod - ea if a == b else prod, ops)
             if w:
                 return f"pair (l={a}, l={b}): {w}"
     return None
@@ -219,12 +222,9 @@ def _(ops):
            "structure", _BOTH)
 def _(ops):
     for level in range(ops.h + ops.k + 1):
-        total = SparseOperator.zero(ops.dim)
-        for i in range(ops.k + 1):
-            j = level - i
-            if 0 <= j <= ops.h:
-                total = total + ops.estar_stratum(i, j)
-        w = _residual_witness(ops.estar_level(level) - total, ops)
+        blocks = [ops.estar_stratum(i, level - i)
+                  for i in range(ops.k + 1) if 0 <= level - i <= ops.h]
+        w = _residual_witness(ops.estar_level(level) - sum(blocks[1:], blocks[0]), ops)
         if w:
             return f"level {level}: {w}"
     return None
@@ -378,6 +378,17 @@ def _operand(ops: OperatorSet, spec) -> SparseOperator:
     return spec(ops)
 
 
+def _astar_closed_form(ops: OperatorSet) -> SparseOperator:
+    """The sum of q^i E*_(i,j) over the strata, from E*_(0,0)."""
+    total = ops.estar_stratum(0, 0)
+    for i in range(ops.k + 1):
+        q_i = ops.ring.q_power(i)
+        for j in range(ops.h + 1):
+            if i or j:
+                total = total + ops.estar_stratum(i, j).scale(q_i)
+    return total
+
+
 def _identity_check(ops: OperatorSet, lhs, rhs) -> Optional[str]:
     residual = _operand(ops, lhs)
     if rhs is not None:
@@ -425,8 +436,7 @@ IDENTITY_ROWS = (
     ("a.via_rl", "A = (R1+R2)(L1+L2) - (q-1)^-1 (q^((h+k)/2) K1^-1 K2 - I)",
      "rla", _BOTH, "A", expr_a_via_rl),
     ("a.astar_diag", "A* is diagonal with entry q^i on the (i,j) block",
-     "rla", _BOTH, "Astar",
-     lambda ops: SparseOperator.diagonal([ops.ring.q_power(i) for i, _ in ops.ij])),
+     "rla", _BOTH, "Astar", _astar_closed_form),
     *((f"center.omega{i}_{gen.lower()}", f"[Omega{i}, {gen}] = 0", "center", _BOTH,
        _Commutator(f"Omega{i}", gen), None)
       for i in (0, 1, 2) for gen in ("L1", "L2", "R1", "R2", "K1", "K2")),
@@ -603,11 +613,11 @@ def run_relation(ops: OperatorSet, rel_id: str) -> Outcome:
     is the first position of its stratum and residuals are G_y-invariant,
     so the first nonzero row of a residual is a representative row and the
     witness is the full evaluation's.  The certificate vouches for every
-    operator the set holds; an operand the evaluator builds itself is
-    checked for invariance when it is read.  What this trusts is listed in
-    ``pgaw.symmetry``.  A perturbed clone (it holds its perturbed operator
-    and reads the rest from its parent), a module or a built operand that
-    is not invariant runs on the full set."""
+    operator the set holds, and the evaluator reads no other: an operand
+    it builds itself raises TypeError there.  What this trusts is listed
+    in ``pgaw.symmetry``.  A set without a certificate -- a perturbed clone
+    (it holds its perturbed operator and reads the rest from its parent),
+    a module, a set built by hand -- runs on the full set."""
     return _outcome(ops, rel_id, EVALUATORS[rel_id])
 
 

@@ -2,14 +2,16 @@
 
 The tests check the program against these.  None of them is called by
 ``src/``: subspaces are compared by their RREF, covers are generated rather
-than tested, the symmetry certificate maps subspaces by cover joins, and a
-certified set derives its operators from its representative rows.
+than tested, the symmetry certificate maps subspaces by cover joins and
+checks no operator, and a certified set derives its operators from its
+representative rows.
 """
 
 import itertools
 
 from pgaw.geometry import Subspace, _rref
-from pgaw.operators import OperatorSet, SparseOperator
+from pgaw.operators import GEOMETRY, OperatorSet, SparseOperator, build_geometry_operators
+from pgaw.rings import QuadRing
 from pgaw import symmetry
 from pgaw.symmetry import _adapted_basis, _matmul
 
@@ -91,16 +93,59 @@ def from_entries(dim: int, entries) -> SparseOperator:
     return SparseOperator(dim, rows)
 
 
+def permutes(op: SparseOperator, perm) -> bool:
+    """op[perm[r], perm[c]] == op[r, c] for every entry (perm a bijection):
+    the invariance of an operator under one generator permutation.
+
+    Each stored row is matched against its image row entry by entry: equal
+    lengths and every entry found at its image make the two rows equal, as
+    perm is injective and no zero is stored."""
+    for part in (op.m0, op.m1):
+        for r, row in part.items():
+            image = part.get(perm[r])
+            if image is None or len(image) != len(row):
+                return False
+            get = image.get
+            for c, v in row.items():
+                if get(perm[c]) != v:
+                    return False
+    return True
+
+
+def builder_inputs(geom) -> dict:
+    """The inputs ``build_geometry_operators`` makes for geom, read from a
+    fresh set, which holds nothing else yet."""
+    return dict(build_geometry_operators(geom, QuadRing(geom.q)).ops)
+
+
+def hand_made(geom, inputs: dict) -> OperatorSet:
+    """A geometry set built by hand from inputs: it derives every other
+    operator and evaluates every relation in full, as it has no certificate."""
+    return OperatorSet(GEOMETRY, QuadRing(geom.q), geom.h, geom.k, geom.ij, geom.labels(),
+                       inputs, geometry=geom)
+
+
+def hand_certified(geom, inputs: dict) -> OperatorSet:
+    """A set built by hand from inputs, each asserted invariant under every
+    generator permutation, with ``lattice_certificate(geom)`` installed: it
+    runs on the representative rows as a builder's set does."""
+    cert = symmetry.lattice_certificate(geom)
+    assert cert is not None
+    for name, op in inputs.items():
+        assert all(permutes(op, perm) for perm in cert.perms), f"{name} is not invariant"
+    ops = hand_made(geom, inputs)
+    ops.certificate = cert
+    return ops
+
+
 def uncertified_twin(ops: OperatorSet) -> OperatorSet:
-    """A set with the inputs and geometry of ops whose certificate is None.
+    """A set built by hand from the builder's inputs for the geometry of
+    ops, so its certificate is None.
 
     It derives every operator in full and evaluates every relation in full,
     so the full side of a reduced-vs-full comparison shares nothing with
     the representative-row derivation of a certified ops."""
-    twin = OperatorSet(ops.mode, ops.ring, ops.h, ops.k, ops.ij, ops.labels, ops.inputs,
-                       geometry=ops.geometry)
-    twin.__dict__["certificate"] = None
-    return twin
+    return hand_made(ops.geometry, builder_inputs(ops.geometry))
 
 
 def vector_mask_permutations(geom):

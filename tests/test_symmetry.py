@@ -2,13 +2,17 @@
 
 On a certified set every relation is evaluated once, on the representative
 rows, and that result -- pass or witness -- is the outcome; a set without a
-certificate (a perturbed clone, a module) evaluates once, in full.  A
-certified set also derives its operators from their representative rows and
-moves them along the certificate's forest.  These tests pin that both give
-the outcomes and operators of an uncertified twin (``uncertified_twin``),
-which derives and evaluates everything in full, byte for byte; that the
-certificate exists only when every input is invariant; and that a broken
-certificate changes no verdict.
+certificate (a perturbed clone, a module, a set built by hand) evaluates
+once, in full.  A certified set also derives its operators from their
+representative rows and moves them along the certificate's forest.  These
+tests pin that both give the outcomes and operators of an uncertified twin
+(``uncertified_twin``), which derives and evaluates everything in full,
+byte for byte; that only a set ``build_geometry_operators`` made is
+certified, from the lattice alone; that an evaluator on the row view can
+use only the set's own operands and queries; and that a broken certificate
+changes no verdict.  Tests that tamper with invariant inputs certify them
+by hand (``hand_certified``), after checking each with the invariance
+oracle ``permutes``.
 """
 
 import copy
@@ -16,13 +20,19 @@ import random
 
 import pytest
 
-from oracles import uncertified_twin, vector_mask_permutations
+from oracles import (
+    builder_inputs,
+    hand_certified,
+    hand_made,
+    permutes,
+    uncertified_twin,
+    vector_mask_permutations,
+)
 from pgaw import symmetry, verify
 from pgaw.decompose import compute_multiplicities
 from pgaw.geometry import Subspace, build_geometry
 from pgaw.operators import (
     DERIVED,
-    OperatorSet,
     SparseOperator,
     build_geometry_operators,
     expr_askey1,
@@ -43,6 +53,7 @@ from pgaw.verify import (
     relations_for,
     run_geometry_suite,
     run_relation,
+    verify_counts,
 )
 
 # (q, h, k, rows of a non-coordinate y or None for the default y)
@@ -75,11 +86,9 @@ def _fresh(q, h, k, y_rows=None):
     return build_geometry_operators(_geometry(q, h, k, y_rows), QuadRing(q))
 
 
-def _rebuilt(ops, name, op):
-    """A new set whose inputs are those of ops with name replaced by op; it
-    derives every other operator from them."""
-    return OperatorSet(ops.mode, ops.ring, ops.h, ops.k, ops.ij, ops.labels,
-                       {**ops.inputs, name: op}, geometry=ops.geometry)
+def _replaced(geom, name, op):
+    """The builder's inputs for geom with name replaced by op."""
+    return {**builder_inputs(geom), name: op}
 
 
 def _full(twin, rel_id):
@@ -117,7 +126,7 @@ def test_reduced_and_full_outcomes_agree(q, h, k, y_rows):
     assert len(cert.reps) == len(ops.geometry.strata)
     twin = uncertified_twin(ops)
     for rel in relations_for("geometry"):
-        assert EVALUATORS[rel.id](RowView(ops)) is None, rel.id
+        assert EVALUATORS[rel.id](RowView(ops, cert)) is None, rel.id
         assert run_relation(ops, rel.id) == _full(twin, rel.id) == Outcome(rel.id, "pass")
 
 
@@ -158,48 +167,40 @@ def test_coefficient_controls_run_once_on_the_representative_rows(
     assert calls == ["reduced"]
 
 
-def test_every_installed_operator_is_certified(ops_cache):
-    ops = ops_cache(2, 3, 2)
+def test_every_installed_operator_is_certified():
+    ops = _fresh(2, 3, 2)
+    inputs = dict(ops.ops)  # a fresh set holds its inputs alone
     cert = ops.certificate
-    assert set(ops.inputs) == {"K1", "K1i", "K2", "K2i", "L1", "L2", "R1", "R2",
-                               "F0", "Fplus", "Fminus", "F", "R", "L", "A"}
-    every = [ops[name] for name in {*ops.inputs, *DERIVED}]
-    assert {name for name, op in ops.ops.items() if op is not ops.inputs.get(name)} \
+    assert set(inputs) == {"K1", "K1i", "K2", "K2i", "L1", "L2", "R1", "R2",
+                           "F0", "Fplus", "Fminus", "F", "R", "L", "A"}
+    every = [ops[name] for name in {*inputs, *DERIVED}]
+    assert {name for name, op in ops.ops.items() if op is not inputs.get(name)} \
         == {"Astar", "Omega0", "Omega1", "Omega2", "Y", "P", "Omega", "G", "Gstar"}
     # the certified set holds every one of them, so its certificate covers them
-    assert cert is not None and set(ops.ops) == {*ops.inputs, *DERIVED}
-    # what the certificate trusts of the derived operators holds here
-    assert all(symmetry._permutes(op, perm) for op in every for perm in cert.perms)
+    assert cert is not None and set(ops.ops) == {*inputs, *DERIVED}
+    # what the certificate derives from the lattice, and trusts of the
+    # derived operators, holds here
+    assert all(permutes(op, perm) for op in every for perm in cert.perms)
 
 
 def test_operators_are_derived_when_first_read():
     ops = _fresh(2, 3, 2)
+    inputs = dict(ops.ops)
     assert run_geometry_suite(ops, ["generators"]).passed
-    assert ops.ops == ops.inputs
+    assert ops.ops == inputs
     compute_multiplicities(ops.geometry, ops)
-    assert set(ops.ops) - set(ops.inputs) == {"Omega0", "Omega1", "Omega2"}
+    assert set(ops.ops) - set(inputs) == {"Omega0", "Omega1", "Omega2"}
 
 
-def test_check_c_checks_no_matrix_of_a_builders_set(monkeypatch):
+def test_same_inputs_by_hand_get_no_certificate(spy):
     ops = _fresh(2, 3, 2)
-    ops["G"]  # derives Y, Omega1 and Omega2 on the way
-    checked = []
-
-    def invariant(op, perms):
-        checked.append(op)
-        return all(symmetry._permutes(op, perm) for perm in perms)
-
-    monkeypatch.setattr(symmetry, "_invariant", invariant)
-    # the builder made every input from the lattice, so the lattice vouches
-    assert ops.from_lattice == set(ops.inputs)
-    assert ops.certificate is not None
-    assert checked == []
-    # a set built from the same inputs by hand checks each of them
-    rebuilt = _rebuilt(ops, "A", ops.inputs["A"])
-    assert rebuilt.from_lattice == set()
-    assert rebuilt.certificate is not None
-    assert len(checked) == 15
-    assert {id(op) for op in checked} == {id(op) for op in ops.inputs.values()}
+    assert ops.from_lattice is True and ops.certificate is not None
+    # the very operators the builder made, in a set built by hand
+    by_hand = hand_made(ops.geometry, dict(ops.ops))
+    assert by_hand.from_lattice is False and by_hand.certificate is None
+    calls = spy("aw.askey2")
+    assert run_relation(by_hand, "aw.askey2") == run_relation(ops, "aw.askey2")
+    assert calls == ["full", "reduced"]
 
 
 def test_operator_derived_after_the_certificate_is_covered(spy):
@@ -214,17 +215,18 @@ def test_operator_derived_after_the_certificate_is_covered(spy):
 
 def test_operator_sets_take_no_item_assignment():
     ops = _fresh(2, 2, 1)
+    inputs = dict(ops.ops)
     for target in (ops, ops.perturbed("A", 0, 1, 1)):
         with pytest.raises(TypeError):
             target["F0"] = ops["F0"].with_entry_added(1, 2, 1)
-    assert ops.ops == ops.inputs
+    assert ops.ops == inputs
 
 
-def test_non_invariant_operand_an_evaluator_builds_runs_in_full(ops_cache, monkeypatch):
+def test_operand_an_evaluator_builds_raises_type_error(ops_cache, monkeypatch):
     ops = ops_cache(2, 2, 1)
     reps = ops.certificate.reps
     r = next(p for p in range(ops.dim) if p not in reps)
-    other = ops.inputs["A"].with_entry_added(r, 0, 1)  # differs from A off the reps
+    other = ops["A"].with_entry_added(r, 0, 1)  # differs from A off the reps
     seen = []
 
     def evaluate(o):
@@ -232,7 +234,12 @@ def test_non_invariant_operand_an_evaluator_builds_runs_in_full(ops_cache, monke
         return verify._residual_witness(o["A"] - other, o)
 
     monkeypatch.setitem(EVALUATORS, "a.sum", evaluate)
-    out = run_relation(ops, "a.sum")
+    with pytest.raises(TypeError, match="SparseOperator is not an expression of this row view"):
+        run_relation(ops, "a.sum")
+    assert seen == ["reduced"]
+    # without a certificate the same evaluator runs once, in full
+    twin = uncertified_twin(ops)
+    out = run_relation(twin, "a.sum")
     assert seen == ["reduced", "full"]
     assert out == Outcome("a.sum", "fail", verify._residual_witness(ops["A"] - other, ops))
     assert out.witness.startswith(f"row={ops.labels[r]}, col={ops.labels[0]}, ")
@@ -241,7 +248,7 @@ def test_non_invariant_operand_an_evaluator_builds_runs_in_full(ops_cache, monke
 def test_perturbed_clone_keeps_the_parents_derived_operators():
     ops = _fresh(2, 3, 2)
     clone = ops.perturbed("F0", 1, 2, 1)
-    assert clone.inputs is None and clone.certificate is None
+    assert clone.from_lattice is False and clone.certificate is None
     assert clone["F0"] is not ops["F0"]
     assert clone["Omega0"] is ops["Omega0"]
     assert clone["L1"] is ops["L1"]
@@ -250,9 +257,10 @@ def test_perturbed_clone_keeps_the_parents_derived_operators():
 
 def test_perturbed_clone_derives_nothing_on_its_parent(geometry_cache):
     ops = build_geometry_operators(geometry_cache(2, 4, 2), QuadRing(2))
+    inputs = set(ops.ops)
     clone = ops.perturbed("A", 0, 1, 1)
     assert not run_relation(clone, "a.sum").passed
-    assert set(ops.ops) == set(ops.inputs)
+    assert set(ops.ops) == inputs
 
 
 def test_clone_of_a_clone_reads_through_both_levels():
@@ -265,14 +273,21 @@ def test_clone_of_a_clone_reads_through_both_levels():
     assert twice["L1"] is ops["L1"] and twice["Omega"] is ops["Omega"]
 
 
-def test_counts_relations_compute_no_certificate():
+def test_counts_relations_compute_no_certificate(monkeypatch):
+    computed = []
+    real = symmetry.lattice_certificate
+    monkeypatch.setattr(symmetry, "lattice_certificate",
+                        lambda geom: computed.append(geom) or real(geom))
+    report = verify_counts(_geometry(2, 2, 1))
+    assert report.passed and len(report.outcomes) == 5
+    assert computed == []
+    # a builder's set takes its certificate once, before its first relation
+    # runs, whatever that relation reads
     ops = _fresh(2, 2, 1)
     for rel in relations_for("geometry", ["counts"]):
         assert run_relation(ops, rel.id).passed
-    assert "certificate" not in ops.__dict__
-    # a relation of the identity and E* alone takes it at its first rows
-    assert run_relation(ops, "struct.estar_sum").passed
-    assert ops.__dict__["certificate"] is not None
+    assert computed == [ops.geometry]
+    assert ops.certificate is not None
 
 
 def test_perturbed_set_takes_the_full_path(ops_cache, spy):
@@ -281,7 +296,7 @@ def test_perturbed_set_takes_the_full_path(ops_cache, spy):
     assert run_relation(ops, "aw.askey2").passed
     assert calls == ["reduced"]
     tampered = ops.perturbed("A", 3, 40, 1)
-    assert tampered.inputs is None and tampered.certificate is None
+    assert tampered.from_lattice is False and tampered.certificate is None
     del calls[:]
     out = run_relation(tampered, "aw.askey2")
     assert calls == ["full"]
@@ -300,13 +315,14 @@ def test_invariant_perturbation_is_caught_on_a_representative_row(
     # the zero subspace, y and the whole space are singleton orbits, so the
     # perturbation is invariant
     assert (r,) in geom.strata.values() and (c,) in geom.strata.values()
-    tampered = _rebuilt(ops, "A", ops["A"].with_entry_added(r, c, 1))
+    inputs = _replaced(geom, "A", ops["A"].with_entry_added(r, c, 1))
+    tampered = hand_certified(geom, inputs)
     assert tampered.certificate is not None
     calls = spy(rel_id)
     out = run_relation(tampered, rel_id)
     assert calls == ["reduced"]
     assert not out.passed
-    assert out == _full(uncertified_twin(tampered), rel_id)
+    assert out == _full(hand_made(geom, inputs), rel_id)
     assert out.witness.startswith(f"row={ops.labels[r]}, col={ops.labels[c]}")
 
 
@@ -319,36 +335,52 @@ READS_A = ("struct.a_support", "a.sum", "a.via_lr", "a.via_rl", "aw.askey1", "aw
 
 def test_every_stratum_has_a_representative_row(ops_cache):
     ops = ops_cache(2, 3, 2)
-    for i, j in ops.geometry.strata:
-        tampered = _rebuilt(ops, "A", ops["A"] + ops.estar_stratum(i, j))  # invariant
+    geom = ops.geometry
+    for i, j in geom.strata:
+        inputs = _replaced(geom, "A", ops["A"] + ops.estar_stratum(i, j))  # invariant
+        tampered = hand_certified(geom, inputs)
         assert tampered.certificate is not None
-        assert EVALUATORS["a.sum"](RowView(tampered)) is not None, (i, j)
-        twin = uncertified_twin(tampered)
+        assert EVALUATORS["a.sum"](RowView(tampered, tampered.certificate)) is not None, (i, j)
+        twin = hand_made(geom, inputs)
         for rel_id in READS_A:
             assert run_relation(tampered, rel_id) == _full(twin, rel_id), (i, j, rel_id)
 
 
-def test_non_invariant_operand_of_an_evaluator_is_checked(ops_cache, monkeypatch):
+def test_operand_on_either_side_of_a_view_expression_raises_type_error(ops_cache,
+                                                                       monkeypatch):
     ops = ops_cache(2, 3, 2)
     reps = ops.certificate.reps
     p = next(p for p in range(ops.dim) if p not in reps)
     spike = SparseOperator(ops.dim, {p: {p: 1}})
-    seen = []
+    other_view = RowView(ops, ops.certificate)
+    operands = {
+        "right": lambda o: o.identity() @ spike,
+        "left": lambda o: spike @ o.identity(),
+        "a zero to add to": lambda o: SparseOperator.zero(o.dim) + o.estar_level(0),
+        "another view's expression": lambda o: o.identity() - other_view.identity(),
+    }
+    for where, build in operands.items():
+        seen = []
 
-    def evaluate(o):
-        seen.append(_seen(o))
-        return None if (o.identity() @ spike).is_zero() else "nonzero"
+        def evaluate(o):
+            seen.append(_seen(o))
+            return None if build(o).is_zero() else "nonzero"
 
-    monkeypatch.setitem(EVALUATORS, "a.sum", evaluate)
-    assert run_relation(ops, "a.sum") == Outcome("a.sum", "fail", "nonzero")
-    assert seen == ["reduced", "full"]
+        monkeypatch.setitem(EVALUATORS, "a.sum", evaluate)
+        with pytest.raises(TypeError):
+            run_relation(ops, "a.sum")
+        assert seen == ["reduced"], where
 
 
 def test_recompleted_set_does_not_trust_its_derived_operators(ops_cache, spy):
     ops = ops_cache(2, 2, 1)
-    tampered = _rebuilt(ops, "F0", ops["F0"].with_entry_added(1, 2, 1))
-    # one input fails check (c), so there is no certificate at all: even a
-    # relation that reads no operator derived from F0 runs in full
+    inputs = _replaced(ops.geometry, "F0", ops["F0"].with_entry_added(1, 2, 1))
+    # the invariance oracle refuses the tampered F0, and a set built by hand
+    # has no certificate at all: even a relation that reads no operator
+    # derived from F0 runs in full
+    with pytest.raises(AssertionError, match="F0 is not invariant"):
+        hand_certified(ops.geometry, inputs)
+    tampered = hand_made(ops.geometry, inputs)
     assert tampered.certificate is None
     calls = spy("gen.k1l1")
     assert run_relation(tampered, "gen.k1l1").passed
@@ -356,7 +388,7 @@ def test_recompleted_set_does_not_trust_its_derived_operators(ops_cache, spy):
     assert ops.certificate is not None
 
 
-def test_unsupported_query_falls_back_to_the_full_path(ops_cache, monkeypatch):
+def test_unsupported_query_raises_attribute_error(ops_cache, monkeypatch):
     ops = ops_cache(2, 2, 1)
     seen = []
 
@@ -365,8 +397,9 @@ def test_unsupported_query_falls_back_to_the_full_path(ops_cache, monkeypatch):
         return None if o["A"].nnz() else "A is empty"
 
     monkeypatch.setitem(EVALUATORS, "a.sum", evaluate)
-    assert run_relation(ops, "a.sum").passed
-    assert seen == ["reduced", "full"]
+    with pytest.raises(AttributeError, match="nnz"):
+        run_relation(ops, "a.sum")
+    assert seen == ["reduced"]
 
 
 def _bad_generator(h, k):
@@ -474,7 +507,7 @@ def test_permutes_is_false_at_any_mismatch():
     }
     for name, (entries, want) in cases.items():
         op = SparseOperator(3, entries)
-        assert symmetry._permutes(op, perm) is want, name
+        assert permutes(op, perm) is want, name
         assert _permutes_by_entries(op, perm) is want, name
     assert SparseOperator(3, cases["sqrt(q) part alone"][0]).m0 == \
         SparseOperator(3, rows).m0
@@ -494,26 +527,26 @@ def test_permutes_agrees_with_the_entrywise_statement():
                     entries.setdefault(perm[r], {})[perm[c]] = \
                         v if rng.randrange(4) else rng.choice((0, 1, 3))
         op = SparseOperator(dim, entries)
-        assert symmetry._permutes(op, perm) == _permutes_by_entries(op, perm)
+        assert permutes(op, perm) == _permutes_by_entries(op, perm)
 
 
 # -- the certificate from the lattice -------------------------------------------
 
 def _list_check(geom, perms) -> bool:
-    return all(symmetry._lattice_invariant(geom, perm) for perm in perms)
+    return all(symmetry._preserves_lattice(geom, perm) for perm in perms)
 
 
-def _matrix_check(ops, perms) -> bool:
-    return all(symmetry._invariant(op, perms) for op in ops.inputs.values())
+def _matrix_check(inputs, perms) -> bool:
+    return all(permutes(op, perm) for op in inputs.values() for perm in perms)
 
 
 @pytest.mark.parametrize("q,h,k,y_rows", TESTED_YS + ((5, 2, 1, ((1, 2, 3),)),))
 def test_join_permutations_equal_the_vector_mask_oracle(q, h, k, y_rows):
-    ops = _fresh(q, h, k, y_rows)
-    perms = generator_permutations(ops.geometry)
-    assert perms == vector_mask_permutations(ops.geometry)
+    geom = _geometry(q, h, k, y_rows)
+    perms = generator_permutations(geom)
+    assert perms == vector_mask_permutations(geom)
     # on the true set the list check and the matrix check both pass
-    assert _list_check(ops.geometry, perms) and _matrix_check(ops, perms)
+    assert _list_check(geom, perms) and _matrix_check(builder_inputs(geom), perms)
 
 
 def _tampered(geom, name, at, value):
@@ -525,15 +558,15 @@ def _tampered(geom, name, at, value):
     return out
 
 
-def _changes_an_input(true: OperatorSet, tampered) -> bool:
-    built = build_geometry_operators(tampered, true.ring).inputs
-    return any(built[name] != op for name, op in true.inputs.items())
+def _changes_an_input(true: dict, tampered) -> bool:
+    built = builder_inputs(tampered)
+    return any(built[name] != op for name, op in true.items())
 
 
 @pytest.mark.parametrize("name", COVER_LISTS)
 def test_dropped_cover_entry_fails_both_checks(name):
-    true = _fresh(2, 3, 2)
-    geom = true.geometry
+    geom = _geometry(2, 3, 2)
+    true = builder_inputs(geom)
     perms = vector_mask_permutations(geom)
     lists = getattr(geom, name)
     # the last entry of the first list, at a non-singleton orbit, whose loss
@@ -544,13 +577,13 @@ def test_dropped_cover_entry_fails_both_checks(name):
         for t in [_tampered(geom, name, u, mine[:-1])] if _changes_an_input(true, t))
     ops = build_geometry_operators(tampered, QuadRing(2))
     assert not _list_check(tampered, perms)
-    assert not _matrix_check(ops, perms)
+    assert not _matrix_check(ops.ops, perms)
     assert ops.certificate is None
 
 
 def test_swapped_meet_fails_both_checks():
-    true = _fresh(2, 3, 2)
-    geom = true.geometry
+    geom = _geometry(2, 3, 2)
+    true = builder_inputs(geom)
     perms = vector_mask_permutations(geom)
     meet_y = geom.meet_y
     # the first two elements of one stratum whose meets differ and whose
@@ -562,17 +595,17 @@ def test_swapped_meet_fails_both_checks():
         if _changes_an_input(true, t))
     ops = build_geometry_operators(tampered, QuadRing(2))
     assert not _list_check(tampered, perms)
-    assert not _matrix_check(ops, perms)
+    assert not _matrix_check(ops.ops, perms)
     assert ops.certificate is None
 
 
 def test_generator_that_moves_y_fails_both_checks(monkeypatch):
-    ops = _fresh(3, 2, 1)
+    geom = _geometry(3, 2, 1)
     monkeypatch.setattr(symmetry, "standard_generators", lambda h, k: [_bad_generator(h, k)])
-    perms = generator_permutations(ops.geometry)
-    assert perms == vector_mask_permutations(ops.geometry)
-    assert not _list_check(ops.geometry, perms)
-    assert not _matrix_check(ops, perms)
+    perms = generator_permutations(geom)
+    assert perms == vector_mask_permutations(geom)
+    assert not _list_check(geom, perms)
+    assert not _matrix_check(builder_inputs(geom), perms)
 
 
 @pytest.mark.parametrize("common", [0, 2])
@@ -608,7 +641,9 @@ def _parts(op):
 
 
 def _derived(ops):
-    return {name: ops[name] for name in DERIVED if name not in ops.inputs}
+    """Every DERIVED operator of a fresh set, which holds its inputs alone."""
+    inputs = set(ops.ops)
+    return {name: ops[name] for name in DERIVED if name not in inputs}
 
 
 @pytest.fixture
