@@ -212,7 +212,8 @@ def parse_args(argv: Sequence[str]) -> RunConfig:
 def _report_payload(report: VerificationReport, config: RunConfig,
                     extra: Optional[dict] = None, built: Optional[dict] = None) -> dict:
     """The report as a dict; with --timings, the timings and, when given,
-    the nnz of every operator the run built, by name."""
+    the nnz of every operator the run built and the number of rows it
+    produced, by name."""
     payload: dict = {"context": report.context, "relations": []}
     for o in report.outcomes:
         entry = {"id": o.id, "status": o.status}
@@ -229,8 +230,14 @@ def _report_payload(report: VerificationReport, config: RunConfig,
     if config.include_timings:
         payload["timings"] = {k: round(v, 6) for k, v in report.timings.items()}
         if built is not None:
-            payload["operators"] = {name: built[name].nnz() for name in sorted(built)}
+            payload["operators"] = {name: _operator_size(built[name]) for name in sorted(built)}
     return payload
+
+
+def _operator_size(op) -> dict:
+    """The rows op produced in the run, counted before nnz reads any more."""
+    rows = len(op.rows_produced())
+    return {"nnz": op.nnz(), "rows": rows}
 
 
 def _render_text(payload: dict) -> str:

@@ -14,10 +14,22 @@ own numerators over d = 1.  ``entry`` and the witnesses render the
 canonical scalar (int, Fraction, QuadScalar or RatFunc).
 
 The 0/1 operators -- the geometry incidence families, the identity and
-the projections E* -- are built as int rows and stored as M0 over d = 1
-with no per-entry conversion.  A product with a diagonal operand (the K
-diagonals and their products, the identity, E*) is a row or column
-scaling of the other operand, chosen by the row kernel from its input.
+the projections E* -- are int rows stored as M0 over d = 1 with no
+per-entry conversion.  A product with a diagonal operand (the K diagonals
+and their products, the identity, E*) is a row or column scaling of the
+other operand, chosen by the row kernel from its input.
+
+A LazyOperator produces each row when it is first read, and keeps it.
+Every operator of a set ``build_geometry_operators`` made is one: the
+inputs produce their rows from the row's weight (the K's) or from the
+cover lists and meet_y (the 0/1 families), the identity and E* from the
+row's weight, and a certified set's derived operators from their
+representative rows (``pgaw.symmetry``).  Any other set stores its
+operators in full.  The representative-row
+evaluation reads an operand only at the rows it multiplies (``rows_for``);
+any other read of M0 or M1 produces every row once, after which the
+operator is a plain one.  d and q are known without a row, and on a
+certified set ``nnz`` and ``is_zero`` read only the representative rows.
 
 An OperatorSet holds the named operators over one basis: either the
 subspace lattice (geometry mode, entries in Q(sqrt q)) or the standard
@@ -34,6 +46,8 @@ verifier compares them.
 
 from __future__ import annotations
 
+import itertools
+import weakref
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -393,6 +407,15 @@ class SparseOperator:
         """Copy with delta added at (r, c); used by the negative controls."""
         return self + SparseOperator(self.dim, {r: {c: delta}})
 
+    def rows_for(self, x: "SparseOperator") -> "SparseOperator":
+        """An operator holding every row of self that x @ self reads: self,
+        whose rows are all at hand."""
+        return self
+
+    def rows_produced(self):
+        """The positions whose rows this operator has produced: all of them."""
+        return range(self.dim)
+
     def __eq__(self, other):
         if not isinstance(other, SparseOperator):
             return NotImplemented
@@ -406,8 +429,8 @@ def _integer_operator(dim: int, rows: dict) -> SparseOperator:
     """The operator whose M0 is ``rows`` over d = 1, stored as given.
 
     Precondition: every value is a nonzero int and no row is empty, as
-    for the 0/1 incidence and projection rows built here; nothing is
-    split, checked or copied."""
+    for the identity and the representative rows of ``pgaw.symmetry``;
+    nothing is split, checked or copied."""
     return _stored_operator(dim, 1, rows, {}, None)
 
 
@@ -419,6 +442,119 @@ def _stored_operator(dim: int, d: int, m0: dict, m1: dict, q) -> SparseOperator:
     op = SparseOperator(dim)
     op.d, op.m0, op.m1, op.q = d, m0, m1, q
     return op
+
+
+class LazyOperator(SparseOperator):
+    """An operator whose rows are produced when first read, and kept.
+
+    ``rule(u)`` gives row u as (M0 row, M1 row), each a dict of nonzero
+    numerators over the denominator d or None when empty; d and q are
+    known up front.  ``rows_for`` produces only the rows a product reads.
+    Any read of M0 or M1 produces every row once and stores them as a
+    plain operator does (the slots are filled by ``__getattr__``), so the
+    full-path kernels read plain dicts.
+
+    The owner is the OperatorSet the operator belongs to.  While the owner
+    has a symmetry certificate, the operator is invariant and every row is
+    a permuted representative row, so ``nnz`` and ``is_zero`` read the
+    representative rows alone."""
+
+    __slots__ = ("_rule", "_memo", "_owner")
+
+    def __init__(self, dim: int, d: int, q, rule: Callable, memo: Optional[dict] = None,
+                 owner: Optional["OperatorSet"] = None):
+        self.dim, self.d, self.q = dim, d, q
+        self._rule = rule
+        self._memo = {} if memo is None else memo  # None once every row is stored
+        self._owner = None if owner is None else weakref.ref(owner)
+
+    def __getattr__(self, name):
+        if name not in ("m0", "m1"):
+            raise AttributeError(name)
+        m0: dict = {}
+        m1: dict = {}
+        for u in range(self.dim):
+            r0, r1 = self._row(u)
+            if r0:
+                m0[u] = r0
+            if r1:
+                m1[u] = r1
+        self.m0, self.m1 = m0, m1
+        self._rule = self._memo = None
+        return m0 if name == "m0" else m1
+
+    def _row(self, u: int) -> tuple:
+        row = self._memo.get(u)
+        if row is None:
+            row = self._memo[u] = self._rule(u)
+        return row
+
+    def rows_for(self, x: SparseOperator) -> SparseOperator:
+        """The rows of self at the column support of x, as an operator."""
+        if self._memo is None:
+            return self
+        columns: set = set()
+        for part in (x.m0, x.m1):
+            for xrow in part.values():
+                columns.update(xrow)
+        memo, rule = self._memo, self._rule
+        m0: dict = {}
+        m1: dict = {}
+        for c in columns:
+            row = memo.get(c)
+            if row is None:
+                row = memo[c] = rule(c)
+            r0, r1 = row
+            if r0:
+                m0[c] = r0
+            if r1:
+                m1[c] = r1
+        return _stored_operator(self.dim, self.d, m0, m1, self.q if m1 else None)
+
+    def rows_produced(self):
+        return range(self.dim) if self._memo is None else self._memo.keys()
+
+    def nnz(self) -> int:
+        """On a certified owner, the sum over the strata of |S| times the
+        number of positions in the representative's row; else in full."""
+        owner = self._owner() if self._owner is not None else None
+        if self._memo is None or owner is None or owner.certificate is None:
+            return super().nnz()
+        total = 0
+        for members in owner.geometry.strata.values():
+            r0, r1 = self._row(members[0])
+            width = len(r0.keys() | r1.keys()) if r0 and r1 else len(r0 or r1 or ())
+            total += len(members) * width
+        return total
+
+    def is_zero(self) -> bool:
+        return not self.nnz()
+
+
+def _one(weight) -> tuple:
+    return 1, 0
+
+
+def _weight_diagonal(dim: int, d: int, q, ij, value: Callable,
+                     owner: Optional["OperatorSet"] = None) -> SparseOperator:
+    """The diagonal operator whose row u holds the numerators
+    value(ij[u]) = (n0, n1) over d: produced from ij[u] when first read if
+    owner is a set ``build_geometry_operators`` made, else stored in full."""
+    if owner is None or not owner.from_lattice:
+        m0: dict = {}
+        m1: dict = {}
+        for u, w in enumerate(ij):
+            n0, n1 = value(w)
+            if n0:
+                m0[u] = {u: n0}
+            if n1:
+                m1[u] = {u: n1}
+        return _stored_operator(dim, d, m0, m1, q)
+
+    def rule(u):
+        n0, n1 = value(ij[u])
+        return ({u: n0} if n0 else None), ({u: n1} if n1 else None)
+    return LazyOperator(dim, d, q, rule, owner=owner)
 
 
 def commutator(x: SparseOperator, y: SparseOperator) -> SparseOperator:
@@ -467,21 +603,25 @@ class OperatorSet:
 
     def identity(self) -> SparseOperator:
         if self._identity is None:
-            self._identity = SparseOperator.identity(self.dim)
+            self._identity = _weight_diagonal(self.dim, 1, None, self.ij, _one, self)
         return self._identity
 
     def estar_level(self, level: int) -> SparseOperator:
+        """E*_level, whose row u is e_u when u is on that level."""
         key = ("level", level)
         if key not in self._estar:
-            self._estar[key] = _integer_operator(
-                self.dim, {p: {p: 1} for p, (i, j) in enumerate(self.ij) if i + j == level})
+            self._estar[key] = _weight_diagonal(
+                self.dim, 1, None, self.ij,
+                lambda ij: (1, 0) if ij[0] + ij[1] == level else (0, 0), self)
         return self._estar[key]
 
     def estar_stratum(self, i: int, j: int) -> SparseOperator:
+        """E*_(i,j), whose row u is e_u when u is in the stratum (i, j)."""
         key = ("stratum", i, j)
         if key not in self._estar:
-            self._estar[key] = _integer_operator(
-                self.dim, {p: {p: 1} for p, ij in enumerate(self.ij) if ij == (i, j)})
+            self._estar[key] = _weight_diagonal(
+                self.dim, 1, None, self.ij, lambda ij: (1, 0) if ij == (i, j) else (0, 0),
+                self)
         return self._estar[key]
 
     @cached_property
@@ -533,12 +673,17 @@ K_EXPONENTS: dict[str, Callable[[int, int, int, int], int]] = {
 }
 
 
-def k_diagonals(ring, h: int, k: int, ij) -> dict[str, SparseOperator]:
+def k_diagonals(ring, h: int, k: int, ij, owner: Optional[OperatorSet] = None
+                ) -> dict[str, SparseOperator]:
     """The diagonal operators K1, K1i, K2 and K2i over a basis of weights ij.
 
-    Each operator computes and splits q^(e/2) once per distinct weight,
-    then stores every row's numerators over the lcm of those denominators,
-    as ``SparseOperator.diagonal`` of the same values would."""
+    Each operator computes and splits q^(e/2) once per distinct weight and
+    puts the numerators over the lcm of those denominators; on a builder's
+    set (owner) row u is produced from ij[u] when first read, else every
+    row is stored.  That is in lowest terms, as
+    ``SparseOperator.diagonal`` of the same values would be: a prime power
+    of the lcm is that of some split value's denominator, whose numerator
+    is prime to it."""
     weights = set(ij)
     out = {}
     for name, e in K_EXPONENTS.items():
@@ -546,16 +691,9 @@ def k_diagonals(ring, h: int, k: int, ij) -> dict[str, SparseOperator]:
         d = lcm(*(den for _, _, den, _ in split.values()))
         scaled = {w: (n0 * (d // den) if den != d else n0, n1 * (d // den))
                   for w, (n0, n1, den, _) in split.items()}
-        m0: dict = {}
-        m1: dict = {}
-        for r, w in enumerate(ij):
-            n0, n1 = scaled[w]
-            if n0:
-                m0[r] = {r: n0}
-            if n1:
-                m1[r] = {r: n1}
-        out[name] = SparseOperator(len(ij))._set(
-            d, m0, m1, _common_q(*(qs for _, _, _, qs in split.values())))
+        irrational = any(n1 for _, n1 in scaled.values())
+        q = _common_q(*(qs for _, _, _, qs in split.values())) if irrational else None
+        out[name] = _weight_diagonal(len(ij), d, q, ij, scaled.__getitem__, owner)
     return out
 
 
@@ -563,81 +701,65 @@ def k_diagonals(ring, h: int, k: int, ij) -> dict[str, SparseOperator]:
 # geometry-mode construction
 # ---------------------------------------------------------------------------
 
-def _link(rows: dict, group) -> None:
-    """rows[u][v] = 1 for every two distinct u, v of group (no empty row)."""
-    if len(group) < 2:
-        return
-    ones = dict.fromkeys(group, 1)
-    for u in group:
-        row = rows.get(u)
-        if row is None:
-            rows[u] = row = dict(ones)
-        else:
-            row.update(ones)
-        del row[u]  # no family joins u to itself
+def _incidence_rows(geom: GeometryIndex) -> dict[str, Callable]:
+    """For each 0/1 family, the positions of its ones in row u, read from
+    the cover lists and meet_y alone.
+
+    L1 and L2 join u to its slash and backslash upper covers, and R1, R2
+    to its lower covers.  The other families join two distinct covers of
+    a common w: F- two slash upper covers, F+ two backslash lower covers,
+    F0 two slash lower covers u, v with dim(u ∩ v ∩ y) = i_u, F two upper
+    covers of the same kind, R a backslash to a slash upper cover, L a
+    slash to a backslash upper cover, and A any two upper covers.  No
+    intersection is computed for F0: u ∩ y and v ∩ y are hyperplanes of
+    w ∩ y, so that meet has dimension i_u exactly when u ∩ y = v ∩ y,
+    i.e. ``meet_y[u] == meet_y[v]``."""
+    sc_of, bc_of = geom.slash_covers_of, geom.backslash_covers_of
+    sc_by, bc_by = geom.slash_covered_by, geom.backslash_covered_by
+    meet_y = geom.meet_y
+    chain = itertools.chain.from_iterable
+    return {
+        "L1": sc_by.__getitem__,
+        "L2": bc_by.__getitem__,
+        "R1": sc_of.__getitem__,
+        "R2": bc_of.__getitem__,
+        "F0": lambda u: (v for w in sc_by[u] for v in sc_of[w] if meet_y[v] == meet_y[u]),
+        "Fplus": lambda u: chain(bc_of[w] for w in bc_by[u]),
+        "Fminus": lambda u: chain(sc_by[w] for w in sc_of[u]),
+        "F": lambda u: itertools.chain(chain(sc_by[w] for w in sc_of[u]),
+                                       chain(bc_by[w] for w in bc_of[u])),
+        "R": lambda u: chain(sc_by[w] for w in bc_of[u]),
+        "L": lambda u: chain(bc_by[w] for w in sc_of[u]),
+        "A": lambda u: chain(sc_by[w] + bc_by[w] for w in sc_of[u] + bc_of[u]),
+    }
+
+
+def _ones_rule(positions: Callable) -> Callable:
+    """Row u with a 1 at each of positions(u) other than u itself."""
+    def rule(u):
+        row = dict.fromkeys(positions(u), 1)
+        row.pop(u, None)  # no family joins u to itself
+        return (row or None), None
+    return rule
 
 
 def build_geometry_operators(geom: GeometryIndex, ring: QuadRing) -> OperatorSet:
-    """Every operator over the lattice; incidence families built combinatorially.
+    """The set of operators over the lattice, with the K diagonals and the
+    0/1 families of ``_incidence_rows`` as inputs.
 
-    The 0/1 families L1, L2, F0, F+, F-, F, R, L and A are built row by
-    row as integer numerators over d = 1 and stored as they are (their
-    rows hold no zero and none is empty).  Two distinct upper covers of w
-    are joined by F iff both are slash covers or both backslash covers
-    (same i), by R/L iff one of each, and by A in either case.
-
-    F0 joins u != v that are both slash-covered by a common w and meet
-    in dimension dim(u ∩ v ∩ y) = i_u.  No intersection is computed for
-    it: u ∩ y and v ∩ y are hyperplanes of w ∩ y, so that meet has
-    dimension i_u exactly when u ∩ y = v ∩ y, i.e. ``meet_y[u] == meet_y[v]``.
-    """
+    No row is built here: each input produces a row when it is first read
+    (``LazyOperator``), the K's from the row's weight and the 0/1 families
+    as int numerators over d = 1.  The inputs belong to the set, so on a
+    certified set they count their entries from the representative rows."""
     if getattr(ring, "kind", None) != "numeric" or ring.q != geom.q:
         raise RingMismatchError(
             "geometry operators need a numeric ring with matching q")
-    size = geom.size
-    ops = k_diagonals(ring, geom.h, geom.k, geom.ij)
-    for name, covered_by in (("L1", geom.slash_covered_by),
-                             ("L2", geom.backslash_covered_by)):
-        ops[name] = _integer_operator(size, {u: dict.fromkeys(above, 1)
-                                             for u, above in enumerate(covered_by)
-                                             if above})
-    ops["R1"] = ops["L1"].transpose()
-    ops["R2"] = ops["L2"].transpose()
-
-    f0: dict = {}
-    fplus: dict = {}
-    fminus: dict = {}
-    f_all: dict = {}
-    r_comb: dict = {}
-    l_comb: dict = {}
-    a_comb: dict = {}
-    meet_y = geom.meet_y
-    for w in range(size):
-        up_slash = geom.slash_covered_by[w]
-        up_back = geom.backslash_covered_by[w]
-        _link(fminus, up_slash)
-        # pairs below a common join w
-        _link(fplus, geom.backslash_covers_of[w])
-        by_meet: dict = {}
-        for u in geom.slash_covers_of[w]:
-            by_meet.setdefault(meet_y[u], []).append(u)
-        for group in by_meet.values():
-            _link(f0, group)
-        _link(f_all, up_slash)
-        _link(f_all, up_back)
-        if up_slash and up_back:
-            slash_ones = dict.fromkeys(up_slash, 1)
-            back_ones = dict.fromkeys(up_back, 1)
-            for u in up_back:
-                r_comb.setdefault(u, {}).update(slash_ones)
-            for v in up_slash:
-                l_comb.setdefault(v, {}).update(back_ones)
-        _link(a_comb, up_slash + up_back)
-    for name, rows in (("F0", f0), ("Fplus", fplus), ("Fminus", fminus), ("F", f_all),
-                       ("R", r_comb), ("L", l_comb), ("A", a_comb)):
-        ops[name] = _integer_operator(size, rows)
-    return OperatorSet(GEOMETRY, ring, geom.h, geom.k, geom.ij, geom.labels(), ops,
-                       geometry=geom, from_lattice=True)
+    ops = OperatorSet(GEOMETRY, ring, geom.h, geom.k, geom.ij, geom.labels(), {},
+                      geometry=geom, from_lattice=True)
+    ops.ops.update(k_diagonals(ring, geom.h, geom.k, geom.ij, owner=ops))
+    for name, positions in _incidence_rows(geom).items():
+        ops.ops[name] = LazyOperator(geom.size, 1, None, _ones_rule(positions), owner=ops)
+    return ops
 
 
 # ---------------------------------------------------------------------------

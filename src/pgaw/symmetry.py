@@ -39,53 +39,61 @@ geometry, which exists iff
 
 (a)-(c) read the lattice alone and need no operator.  They make the
 builder's inputs invariant: the K diagonals are functions of the stratum,
-which (b) makes π preserve, and the 0/1 families L1, L2, their transposes
-R1, R2, F0, F+, F-, F, R, L and A are functions of the cover lists and
-meet_y, which (c) makes π preserve, and the builder makes them so.  Any
-other set -- a module, a ``perturbed`` clone, a set built by hand -- has
-no certificate and runs in full.
+which (b) makes π preserve, and the 0/1 families L1, L2, R1, R2, F0, F+,
+F-, F, R, L and A are functions of the cover lists and meet_y, which (c)
+makes π preserve.  The builder writes each input as a rule for one row,
+which reads the row's stratum, cover lists and meet_y, and nothing else
+(``operators._incidence_rows``).  Any other set -- a module, a
+``perturbed`` clone, a set built by hand -- has no certificate and runs in
+full.
 
 A certified set derives each operator of ``operators.DERIVED`` (``derive``)
 by evaluating its definition on the RowView below, which gives the
-operator's representative rows, and then fills the other rows along the
-forest: row πp is row p with each column c moved to πc.  That is the
-operator's own row at πp, since the operator is invariant.  Every row is
-thus a permuted representative row, so the result is in lowest terms as
-the representative rows are.  Any other set derives in full.
+operator's representative rows.  Every other row is produced along the
+forest when it is first read (``Certificate.transport``): row πp is row p
+with each column c moved to πc.  That is the operator's own row at πp,
+since the operator is invariant.  Every row is thus a permuted
+representative row, so the operator is in lowest terms as the
+representative rows are, and its nnz is the sum over the strata of |S|
+times the size of the representative's row.  Any other set derives in
+full.
 
 A set is fixed once built: it holds its inputs and what it derives from
 them by ``operators.DERIVED``, and takes no assignment.  So the certificate
 vouches for every operator the set holds, also one derived after it was
 computed.  An evaluator on the row view combines only the set's own
 operators: any other operand raises TypeError.  What is trusted rather
-than checked: that ``build_geometry_operators`` reads nothing of the
-lattice but the strata, the cover lists and meet_y, and that it alone sets
+than checked: that the row rules of ``build_geometry_operators`` read
+only the strata, the cover lists and meet_y, and that it alone sets
 ``from_lattice``; that the derived operators are invariant (they are
 products, sums and scalar multiples of the inputs and of the identity);
-that the identity and the projections E* are (they are functions of the
-stratum); that operators are not changed in place and ``OperatorSet.ops``
-is not written to from outside; that a ``support_violation`` predicate
-depends on the strata alone; that the row view below multiplies out
-exactly the representative rows of the full expressions; and that each
-forest entry (u, π, p) has u = π p, which holds by construction.
+that the identity and the projections E* are (their row rules read only
+the row's stratum); that operators are not changed in place, a row once
+produced included, and ``OperatorSet.ops`` is not written to from
+outside; that a ``support_violation`` predicate depends on the strata
+alone; that the row view below multiplies out exactly the representative
+rows of the full expressions; and that each forest entry (u, π, p) has
+u = π p, which holds by construction.
 
 ``evaluate`` reads the certificate once, before the evaluator runs.  With
 one, it runs the relation's evaluator on a RowView of the set, in which
 operators, products, sums, scalars and transposes of operators are lazy
-expressions multiplied out from the representative rows, left to right;
-its result there -- None or the witness -- is the outcome.  Without one,
-it runs the evaluator on the set itself.  Either way the relation is
-evaluated once.  A query of a residual other than ``is_zero``,
-``first_nonzero`` and ``support_violation`` raises AttributeError.
+expressions multiplied out from the representative rows, left to right,
+each operator read only at the rows the product reaches; its result
+there -- None or the witness -- is the outcome.  Without one, it runs the
+evaluator on the set itself.  Either way the relation is evaluated once.
+A query of a residual other than ``is_zero``, ``first_nonzero`` and
+``support_violation`` raises AttributeError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 from .geometry import GeometryIndex, Subspace, _rref
-from .operators import OperatorSet, SparseOperator, _integer_operator, _stored_operator
+from .operators import LazyOperator, OperatorSet, SparseOperator, _integer_operator
 
 Matrix = list[list[int]]
 
@@ -261,25 +269,40 @@ class Certificate:
     reps: tuple[int, ...]
     forest: tuple[tuple[int, int, int], ...]
 
-    def transport(self, rows: SparseOperator) -> SparseOperator:
-        """The invariant operator whose representative rows are those of
-        rows (its other rows empty): each forest entry (u, g, p) sets row u
-        to row p with its columns moved by perms[g].
+    @cached_property
+    def _steps(self) -> tuple[bytearray, list]:
+        """(generator index, predecessor) of each position, by position: g
+        and p of its forest entry (u, g, p), zero at a representative."""
+        gens, preds = bytearray(len(self.perms[0])), [0] * len(self.perms[0])
+        for u, g, p in self.forest:
+            gens[u], preds[u] = g, p
+        return gens, preds
+
+    def transport(self, rows: SparseOperator, owner: OperatorSet) -> LazyOperator:
+        """The invariant operator, belonging to owner, whose representative
+        rows are those of rows (its other rows empty).  Row u of a forest
+        entry (u, g, p) is row p with its columns moved by perms[g]; it is
+        produced when first read, with every row on the way from the
+        representative, and kept.
 
         Every row is a permuted representative row, so the numerators'
         gcd is that of rows, which is in lowest terms already."""
-        perms = self.perms
-        parts = []
-        for part in (rows.m0, rows.m1):
-            out = dict(part)
-            get = out.get
-            for u, g, p in self.forest:
-                row = get(p)
-                if row is not None:
-                    perm = perms[g]
-                    out[u] = {perm[c]: v for c, v in row.items()}
-            parts.append(out)
-        return _stored_operator(rows.dim, rows.d, *parts, rows.q)
+        perms, (gens, preds) = self.perms, self._steps
+        memo = {p: (rows.m0.get(p), rows.m1.get(p)) for p in self.reps}
+
+        def rule(u):
+            chain = []
+            while u not in memo:
+                chain.append((u, perms[gens[u]]))
+                u = preds[u]
+            r0, r1 = memo[u]
+            for u, perm in reversed(chain):
+                r0 = {perm[c]: v for c, v in r0.items()} if r0 else None
+                r1 = {perm[c]: v for c, v in r1.items()} if r1 else None
+                memo[u] = r0, r1
+            return r0, r1
+
+        return LazyOperator(rows.dim, rows.d, rows.q, rule, memo, owner)
 
 
 def lattice_certificate(geom: GeometryIndex) -> Optional[Certificate]:
@@ -346,6 +369,9 @@ class _Expr:
 
 
 class _Leaf(_Expr):
+    """A named operator, the identity or a projection E*: read at the
+    column support of the rows it is applied to."""
+
     __slots__ = ("op",)
 
     def __init__(self, view, op: SparseOperator):
@@ -353,7 +379,7 @@ class _Leaf(_Expr):
         self.op = op
 
     def apply(self, rows):
-        return rows @ self.op
+        return rows @ self.op.rows_for(rows)
 
     def transpose(self):
         """Invariant as the operator is; a composite expression has no
@@ -437,13 +463,13 @@ class RowView:
 def derive(ops: OperatorSet, definition: Callable[[OperatorSet], SparseOperator]
            ) -> SparseOperator:
     """definition(ops) for a ``DERIVED`` definition.  On a certified set it
-    is multiplied out on the representative rows of a RowView and moved
-    along the certificate's forest to every other row; any other set
-    derives it in full."""
+    is multiplied out on the representative rows of a RowView, and every
+    other row is moved along the certificate's forest when first read;
+    any other set derives it in full."""
     cert = ops.certificate
     if cert is None:
         return definition(ops)
-    return cert.transport(definition(RowView(ops, cert)).rows())
+    return cert.transport(definition(RowView(ops, cert)).rows(), ops)
 
 
 def evaluate(ops: OperatorSet, evaluator: Callable[[OperatorSet], Optional[str]]

@@ -3,17 +3,27 @@
 The tests check the program against these.  None of them is called by
 ``src/``: subspaces are compared by their RREF, covers are generated rather
 than tested, the symmetry certificate maps subspaces by cover joins and
-checks no operator, and a certified set derives its operators from its
+checks no operator, a builder's set produces each operator's rows when
+they are first read, and a certified set derives its operators from its
 representative rows.
 """
 
 import itertools
 
 from pgaw.geometry import Subspace, _rref
-from pgaw.operators import GEOMETRY, OperatorSet, SparseOperator, build_geometry_operators
+from pgaw.operators import (
+    DERIVED,
+    GEOMETRY,
+    K_EXPONENTS,
+    OperatorSet,
+    SparseOperator,
+    _integer_operator,
+    _stored_operator,
+    build_geometry_operators,
+)
 from pgaw.rings import QuadRing
 from pgaw import symmetry
-from pgaw.symmetry import _adapted_basis, _matmul
+from pgaw.symmetry import RowView, _adapted_basis, _matmul
 
 SLASH = "slash"
 BACKSLASH = "backslash"
@@ -112,6 +122,95 @@ def permutes(op: SparseOperator, perm) -> bool:
     return True
 
 
+def _link(rows: dict, group) -> None:
+    """rows[u][v] = 1 for every two distinct u, v of group (no empty row)."""
+    if len(group) < 2:
+        return
+    ones = dict.fromkeys(group, 1)
+    for u in group:
+        row = rows.get(u)
+        if row is None:
+            rows[u] = row = dict(ones)
+        else:
+            row.update(ones)
+        del row[u]  # no family joins u to itself
+
+
+def batch_inputs(geom) -> dict:
+    """The builder's inputs for geom, every row built in one pass.
+
+    The K diagonals go through the general constructor.  L1 and L2 come
+    from the upper cover lists and R1, R2 are their transposes.  One pass
+    over every w joins the pairs of covers of w: F- two slash upper covers,
+    F+ two backslash lower covers, F0 two slash lower covers with equal
+    meet_y, F two upper covers of the same kind, R/L a backslash and a
+    slash upper cover, and A any two upper covers."""
+    ring = QuadRing(geom.q)
+    size = geom.size
+    ops = {name: SparseOperator.diagonal([ring.q_half(e(geom.h, geom.k, i, j))
+                                          for i, j in geom.ij])
+           for name, e in K_EXPONENTS.items()}
+    for name, covered_by in (("L1", geom.slash_covered_by),
+                             ("L2", geom.backslash_covered_by)):
+        ops[name] = _integer_operator(size, {u: dict.fromkeys(above, 1)
+                                             for u, above in enumerate(covered_by)
+                                             if above})
+    ops["R1"] = ops["L1"].transpose()
+    ops["R2"] = ops["L2"].transpose()
+    fams = {name: {} for name in ("F0", "Fplus", "Fminus", "F", "R", "L", "A")}
+    for w in range(size):
+        up_slash = geom.slash_covered_by[w]
+        up_back = geom.backslash_covered_by[w]
+        _link(fams["Fminus"], up_slash)
+        _link(fams["Fplus"], geom.backslash_covers_of[w])
+        by_meet: dict = {}
+        for u in geom.slash_covers_of[w]:
+            by_meet.setdefault(geom.meet_y[u], []).append(u)
+        for group in by_meet.values():
+            _link(fams["F0"], group)
+        _link(fams["F"], up_slash)
+        _link(fams["F"], up_back)
+        if up_slash and up_back:
+            for u in up_back:
+                fams["R"].setdefault(u, {}).update(dict.fromkeys(up_slash, 1))
+            for v in up_slash:
+                fams["L"].setdefault(v, {}).update(dict.fromkeys(up_back, 1))
+        _link(fams["A"], up_slash + up_back)
+    for name, rows in fams.items():
+        ops[name] = _integer_operator(size, rows)
+    return ops
+
+
+def transport(cert, rows: SparseOperator) -> SparseOperator:
+    """The invariant operator whose representative rows are those of rows,
+    every row stored: each forest entry (u, g, p), in order, sets row u to
+    row p with its columns moved by perms[g]."""
+    perms = cert.perms
+    parts = []
+    for part in (rows.m0, rows.m1):
+        out = dict(part)
+        for u, g, p in cert.forest:
+            row = out.get(p)
+            if row is not None:
+                out[u] = {perms[g][c]: v for c, v in row.items()}
+        parts.append(out)
+    return _stored_operator(rows.dim, rows.d, *parts, rows.q)
+
+
+def oracle_operators(geom) -> dict:
+    """Every named operator over geom, each stored in full: the batch
+    inputs, and each DERIVED definition multiplied out on the
+    representative rows of a set holding those inputs, then moved to every
+    row by ``transport``, in the order of DERIVED (each definition reads
+    only names before it)."""
+    ops = hand_certified(geom, batch_inputs(geom))
+    cert = ops.certificate
+    for name, definition in DERIVED.items():
+        if name not in ops.ops:
+            ops.ops[name] = transport(cert, definition(RowView(ops, cert)).rows())
+    return dict(ops.ops)
+
+
 def builder_inputs(geom) -> dict:
     """The inputs ``build_geometry_operators`` makes for geom, read from a
     fresh set, which holds nothing else yet."""
@@ -139,13 +238,14 @@ def hand_certified(geom, inputs: dict) -> OperatorSet:
 
 
 def uncertified_twin(ops: OperatorSet) -> OperatorSet:
-    """A set built by hand from the builder's inputs for the geometry of
-    ops, so its certificate is None.
+    """A set built by hand from the batch inputs for the geometry of ops,
+    so its certificate is None.
 
     It derives every operator in full and evaluates every relation in full,
     so the full side of a reduced-vs-full comparison shares nothing with
-    the representative-row derivation of a certified ops."""
-    return hand_made(ops.geometry, builder_inputs(ops.geometry))
+    the rows on demand and the representative-row derivation of a
+    certified ops."""
+    return hand_made(ops.geometry, batch_inputs(ops.geometry))
 
 
 def vector_mask_permutations(geom):

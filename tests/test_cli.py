@@ -6,6 +6,7 @@ import pytest
 
 from pgaw import cli
 from pgaw.cli import parse_args, run
+from pgaw.decompose import compute_multiplicities
 from pgaw.geometry import build_geometry
 from pgaw.operators import build_geometry_operators
 from pgaw.rings import QuadRing
@@ -130,8 +131,13 @@ def test_run_verify_with_timings_flag():
     assert list(timings)[:3] == ["phase.geometry_build", "phase.operators_build",
                                  "phase.symmetry"]
     assert "counts.slash_down" in timings and "aw.askey1" in timings
-    # the aw suite reads every operator
-    assert len(payload.pop("operators")) == 24
+    # the aw suite holds every operator, and reads each at some of the 16
+    # positions or none
+    operators = payload.pop("operators")
+    assert len(operators) == 24
+    assert all(set(size) == {"nnz", "rows"} and 0 <= size["rows"] <= 16
+               for size in operators.values())
+    assert operators["A"] == {"nnz": 84, "rows": 16} and operators["L1"]["rows"] == 0
     assert json.dumps(payload, indent=2) + "\n" == plain
 
 
@@ -181,7 +187,11 @@ def test_run_decompose_timings_phases():
 def test_decompose_timings_list_the_operators_it_built():
     argv = ["decompose", "--q", "2", "--h", "3", "--k", "2", "--timings"]
     ops = build_geometry_operators(build_geometry(2, 3, 2), QuadRing(2))
-    want = {name: ops[name].nnz() for name in sorted(
+    compute_multiplicities(ops.geometry, ops)
+    # the rows each operator produced for the multiplicities, then its nnz
+    rows = {name: len(op.rows_produced()) for name, op in ops.ops.items()}
+    assert all(n < ops.dim for n in rows.values()) and rows["A"] == 0
+    want = {name: {"nnz": ops[name].nnz(), "rows": rows[name]} for name in sorted(
         ["K1", "K1i", "K2", "K2i", "L1", "L2", "R1", "R2", "F0", "Fplus", "Fminus",
          "F", "R", "L", "A", "Omega0", "Omega1", "Omega2"])}
     _, out = run(parse_args(argv + ["--format", "json"]))

@@ -4,10 +4,14 @@ On a certified set every relation is evaluated once, on the representative
 rows, and that result -- pass or witness -- is the outcome; a set without a
 certificate (a perturbed clone, a module, a set built by hand) evaluates
 once, in full.  A certified set also derives its operators from their
-representative rows and moves them along the certificate's forest.  These
-tests pin that both give the outcomes and operators of an uncertified twin
-(``uncertified_twin``), which derives and evaluates everything in full,
-byte for byte; that only a set ``build_geometry_operators`` made is
+representative rows and moves them along the certificate's forest, and
+every operator of a builder's set produces its rows when they are first
+read.  These tests pin that both give the outcomes and operators of an
+uncertified twin (``uncertified_twin``), which holds the batch-built
+inputs and derives and evaluates everything in full, byte for byte; that
+every row of every operator equals the batch build's
+(``oracle_operators``) and the reduced path builds no full operator; that
+only a set ``build_geometry_operators`` made is
 certified, from the lattice alone; that an evaluator on the row view can
 use only the set's own operands and queries; and that a broken certificate
 changes no verdict.  Tests that tamper with invariant inputs certify them
@@ -24,6 +28,7 @@ from oracles import (
     builder_inputs,
     hand_certified,
     hand_made,
+    oracle_operators,
     permutes,
     uncertified_twin,
     vector_mask_permutations,
@@ -33,7 +38,9 @@ from pgaw.decompose import compute_multiplicities
 from pgaw.geometry import Subspace, build_geometry
 from pgaw.operators import (
     DERIVED,
+    LazyOperator,
     SparseOperator,
+    _integer_operator,
     build_geometry_operators,
     expr_askey1,
 )
@@ -698,3 +705,92 @@ def test_set_that_fails_check_b_derives_in_full(monkeypatch, derivations, genera
     del derivations[:]
     assert {name: _parts(op) for name, op in _derived(ops).items()} == want
     assert derivations and {seen for _, seen in derivations} == {"full"}
+
+
+# -- rows on demand ------------------------------------------------------------------
+
+NAMES = ("K1", "K1i", "K2", "K2i", "L1", "L2", "R1", "R2", "F0", "Fplus", "Fminus", "F",
+         "R", "L", "A", *(name for name in DERIVED if name not in
+                          ("F0", "Fplus", "Fminus", "F", "R", "L", "A")))
+
+
+def _row(op, u):
+    """Row u of op, read through ``rows_for`` as the row view reads it."""
+    rows = op.rows_for(_integer_operator(op.dim, {u: {u: 1}}))
+    return rows.m0.get(u), rows.m1.get(u)
+
+
+@pytest.mark.parametrize("q,h,k,y_rows", TESTED_YS + ((5, 2, 1, None),))
+def test_rows_on_demand_equal_the_batch_oracle(q, h, k, y_rows):
+    ops = _fresh(q, h, k, y_rows)
+    want = oracle_operators(ops.geometry)
+    assert len(NAMES) == len(set(NAMES)) == len(want) == 24 and set(NAMES) == set(want)
+    for name in NAMES:
+        op, ref = ops[name], want[name]
+        assert isinstance(op, LazyOperator), name
+        assert (op.d, op.q) == (ref.d, ref.q), name  # known before any row is read
+        # row by row, last position first, so a derived row walks the forest
+        for u in reversed(range(ops.dim)):
+            assert _row(op, u) == (ref.m0.get(u), ref.m1.get(u)), (name, u)
+        assert _parts(op) == _parts(ref), name  # then in full
+        assert _row(op, 0) == (ref.m0.get(0), ref.m1.get(0)), name
+
+
+@pytest.mark.parametrize("q,h,k,y_rows", TESTED_YS[:5] + ((5, 2, 1, None),))
+def test_lazy_nnz_equals_the_materialised_nnz(q, h, k, y_rows):
+    ops = _fresh(q, h, k, y_rows)
+    reps = set(ops.certificate.reps)
+    for name in NAMES:
+        op = ops[name]
+        lazy = op.nnz()
+        # only the representative rows were read, and not every row if
+        # some orbit has two positions
+        assert set(op.rows_produced()) == reps, name
+        assert len(op.rows_produced()) < ops.dim
+        assert op.is_zero() == (lazy == 0)
+        op.m0  # produces every row
+        assert len(op.rows_produced()) == ops.dim
+        assert op.nnz() == SparseOperator.nnz(op) == lazy, name
+    for estar in (ops.identity(), ops.estar_level(1), ops.estar_stratum(1, 1)):
+        lazy = estar.nnz()
+        assert lazy == SparseOperator.nnz(SparseOperator(ops.dim, estar.m0))
+
+
+def test_lazy_nnz_counts_the_positions_of_both_parts():
+    # an invariant operator whose sqrt(q) part sits off the rational part's
+    # positions: L1's ones, plus sqrt(q) on the diagonal
+    ops = _fresh(3, 2, 1)
+    l1 = ops["L1"]
+    both = LazyOperator(ops.dim, 1, 3, lambda u: (_row(l1, u)[0], {u: 1}), owner=ops)
+    assert both.nnz() == l1.nnz() + ops.dim
+    assert both.nnz() == SparseOperator.nnz(SparseOperator(ops.dim, {
+        u: {**dict.fromkeys(row, 1), u: ops.ring.sqrt_q} for u, row in enumerate(
+            ops.geometry.slash_covered_by)}))
+
+
+def test_reduced_path_builds_no_full_operator():
+    ops = _fresh(2, 3, 2)
+    report = run_geometry_suite(ops, ["counts", "structure", "generators"])
+    assert report.passed
+    held = [*ops.ops.values(), ops.identity(), *ops._estar.values()]
+    assert set(ops.ops) >= {"Omega0", "Omega1", "Omega2"} and len(held) > 24
+    for op in held:
+        assert isinstance(op, LazyOperator)
+        assert len(op.rows_produced()) < ops.dim, op
+    assert set(ops["A"].rows_produced()) == set(ops.certificate.reps)
+
+
+def test_perturbed_clone_and_decompose_on_a_lazy_set():
+    ops = _fresh(2, 3, 2)
+    twin = uncertified_twin(ops)
+    for name, r, c in PERTURBATIONS:
+        clone, twin_clone = ops.perturbed(name, r, c, 1), twin.perturbed(name, r, c, 1)
+        got = run_geometry_suite(clone).outcomes
+        assert got == [_full(twin_clone, rel.id) for rel in relations_for("geometry")]
+        assert any(not o.passed for o in got)
+    fresh = _fresh(2, 3, 2)
+    mults = compute_multiplicities(fresh.geometry, fresh)
+    assert mults == compute_multiplicities(twin.geometry, twin)
+    # the corners' rows of the Omegas, and no full operator
+    for name, op in fresh.ops.items():
+        assert len(op.rows_produced()) < fresh.dim, name
