@@ -65,11 +65,14 @@ class RunConfig:
 
 def _parse_y(text: str, q: int, h: int, k: int,
              parser: argparse.ArgumentParser) -> tuple[tuple[int, ...], ...]:
-    """Rows of --y, checked to span a k-dimensional subspace of F_q^(h+k)."""
+    """Rows of --y: entries 0..q-1 spanning a k-dimensional subspace of F_q^(h+k)."""
     try:
         rows = tuple(tuple(int(x) for x in row.split(",")) for row in text.split(";"))
     except ValueError:
         parser.error(f"cannot parse --y value {text!r}; expected e.g. '0,0,1;1,0,0'")
+    bad = [x for row in rows for x in row if not 0 <= x < q]
+    if bad:
+        parser.error(f"--y entry {bad[0]} is outside 0..{q - 1} for q={q}, in {text!r}")
     n = h + k
     if any(len(row) != n for row in rows):
         parser.error(f"--y rows must have length h+k={n}, got {text!r}")
@@ -87,13 +90,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "and its generalized Askey-Wilson relations.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_suite=False):
+    def add_common(p, cap=False, timings=False, with_suite=False):
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--output", default=None, help="write the report to this path")
-        p.add_argument("--max-elements", type=int, default=DEFAULT_MAX_ELEMENTS,
-                       help="reject lattices larger than this (default 10000)")
-        p.add_argument("--timings", action="store_true",
-                       help="attach timing data (excluded from determinism)")
+        if cap:
+            p.add_argument("--max-elements", type=int, default=DEFAULT_MAX_ELEMENTS,
+                           help="reject lattices larger than this (default 10000)")
+        if timings:
+            p.add_argument("--timings", action="store_true",
+                           help="attach timing data (excluded from determinism)")
         if with_suite:
             p.add_argument("--suite", action="append", default=None,
                            choices=("all",) + SUITES,
@@ -108,14 +113,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--y", default=None, help="override y; rows as '0,0,1;...'")
-    add_common(p)
+    add_common(p, cap=True)
 
     p = sub.add_parser("verify", help="run the geometry relation suites")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--h", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--y", default=None, help="override y; rows as '0,0,1;...'")
-    add_common(p, with_suite=True)
+    add_common(p, cap=True, timings=True, with_suite=True)
 
     p = sub.add_parser("module", help="run the abstract-module relation suites")
     p.add_argument("--h", type=int, required=True)
@@ -128,13 +133,13 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--symbolic", action="store_true")
     p.add_argument("--tables", action="store_true",
                    help="include the eigenvalue tables in the report")
-    add_common(p, with_suite=True)
+    add_common(p, timings=True, with_suite=True)
 
     p = sub.add_parser("decompose", help="multiplicities of the module types")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--h", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    add_common(p)
+    add_common(p, cap=True, timings=True)
 
     p = sub.add_parser("convert", help="type (alpha,beta,rho) -> (nu,mu,d,e)")
     p.add_argument("--h", type=int, required=True)
@@ -171,8 +176,9 @@ def parse_args(argv: Sequence[str]) -> RunConfig:
             parser.error(f"invalid module type: {exc}")
         mtype = (ns.alpha, ns.beta, ns.rho)
 
-    if ns.max_elements < 1:
-        parser.error(f"--max-elements must be at least 1, got {ns.max_elements}")
+    max_elements = getattr(ns, "max_elements", DEFAULT_MAX_ELEMENTS)
+    if max_elements < 1:
+        parser.error(f"--max-elements must be at least 1, got {max_elements}")
 
     y_rows = None
     if getattr(ns, "y", None):
@@ -199,8 +205,8 @@ def parse_args(argv: Sequence[str]) -> RunConfig:
         relation_ids=relation_ids,
         fmt=ns.format,
         output=ns.output,
-        max_elements=ns.max_elements,
-        include_timings=ns.timings,
+        max_elements=max_elements,
+        include_timings=bool(getattr(ns, "timings", False)),
         include_tables=bool(getattr(ns, "tables", False)),
     )
 

@@ -63,11 +63,6 @@ class Subspace:
         return cls._trusted((), n, q)
 
     @classmethod
-    def full(cls, n: int, q: int) -> "Subspace":
-        rows = tuple(tuple(1 if c == r else 0 for c in range(n)) for r in range(n))
-        return cls._trusted(rows, n, q)
-
-    @classmethod
     def span_of_basis_vectors(cls, indices: Iterable[int], n: int, q: int) -> "Subspace":
         """Span of the standard basis vectors e_i (1-based indices)."""
         rows = [[1 if c == i - 1 else 0 for c in range(n)] for i in sorted(indices)]
@@ -247,6 +242,9 @@ class GeometryIndex:
 
     def stratum(self, i: int, j: int) -> tuple[int, ...]:
         return self.strata.get((i, j), ())
+
+    def label(self, p: int) -> str:
+        return self.elements[p].label()
 
     def labels(self) -> tuple[str, ...]:
         return tuple(u.label() for u in self.elements)

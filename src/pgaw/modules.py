@@ -14,13 +14,16 @@ conversion to the endpoint / dual-endpoint / diameter parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from .operators import K_EXPONENTS, MODULE, OperatorSet, SparseOperator, k_diagonals
+from typing import Optional
+
+from .operators import K_EXPONENTS, OperatorSet, SparseOperator, k_diagonals
 from .rings import Ring, Scalar
 
 
 @dataclass(frozen=True)
 class ModuleType:
-    """Classifying triple (alpha, beta, rho) at fixed h > k >= 1."""
+    """Classifying triple (alpha, beta, rho) at fixed h > k >= 1, and its module's
+    basis ``ij`` (i outer), ``position`` and ``label``, none stored."""
 
     alpha: int
     beta: int
@@ -50,6 +53,21 @@ class ModuleType:
     def dim(self) -> int:
         return len(self.i_range) * len(self.j_range)
 
+    # Computed at each read: a type outlives the modules built from it, and
+    # a stored basis would stay alive with every type a caller keeps.
+    @property
+    def ij(self) -> tuple[tuple[int, int], ...]:
+        return tuple((i, j) for i in self.i_range for j in self.j_range)
+
+    def position(self, i: int, j: int) -> Optional[int]:
+        """The position of w[i,j] in ``ij``, None off the rectangle."""
+        if not self.supports(i, j):
+            return None
+        return (i - self.alpha) * len(self.j_range) + j - self.j_range.start
+
+    def label(self, p: int) -> str:
+        return "w[{},{}]".format(*self.ij[p])
+
     def supports(self, i: int, j: int) -> bool:
         return i in self.i_range and j in self.j_range
 
@@ -77,20 +95,13 @@ def enumerate_types(h: int, k: int) -> list[ModuleType]:
 # ---------------------------------------------------------------------------
 
 class AbstractModule:
-    """The module of a given type with its operators on the standard basis."""
+    """The module of a given type: ``ops`` holds the K diagonals and L1, L2,
+    R1, R2 on the type's basis ``ModuleType.ij``."""
 
     def __init__(self, mtype: ModuleType, ring: Ring):
-        self.type = mtype
-        self.ring = ring
-        self.basis = [(i, j) for i in mtype.i_range for j in mtype.j_range]
-        self.index = {bj: p for p, bj in enumerate(self.basis)}
-        labels = [f"w[{i},{j}]" for i, j in self.basis]
-        self.ops = OperatorSet(MODULE, ring, mtype.h, mtype.k, self.basis, labels,
-                               self._generators(), module_type=mtype)
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
+        self.type, self.ring, self.dim = mtype, ring, mtype.dim
+        self.ops = OperatorSet(ring, self._generators(), mtype)
+        self.basis = self.ops.ij
 
     def _generators(self) -> dict[str, SparseOperator]:
         """The K diagonals, and L1, L2, R1, R2 by their closed-form coefficients."""
@@ -105,11 +116,12 @@ class AbstractModule:
             ("R1", 1, 0, lambda i, j: qh(a - r - b - i + j) * br(i - a + 1)),
             ("R2", 0, 1, lambda i, j: qh(r + a + b - i - j) * br(j - r - b + 1)),
         )
-        ops = k_diagonals(ring, h, k, self.basis)
+        ops = k_diagonals(ring, t)
+        basis = t.ij
         for name, di, dj, coeff in steps:
             rows: dict = {}
-            for col, (i, j) in enumerate(self.basis):
-                target = self.index.get((i + di, j + dj))
+            for col, (i, j) in enumerate(basis):
+                target = t.position(i + di, j + dj)
                 if target is not None and (c := coeff(i, j)):
                     rows.setdefault(target, {})[col] = c
             ops[name] = SparseOperator(self.dim, rows)

@@ -31,17 +31,17 @@ any other read of M0 or M1 produces every row once, after which the
 operator is a plain one.  d and q are known without a row, and on a
 certified set ``nnz`` and ``is_zero`` read only the representative rows.
 
-An OperatorSet holds the named operators over one basis: either the
-subspace lattice (geometry mode, entries in Q(sqrt q)) or the standard
-basis of an abstract irreducible module (module mode, numeric or symbolic
-entries).  It is fixed once built: its builder passes in the inputs, any
-other name is derived from its one definition in ``DERIVED`` at its first
-read, and nothing is assigned later.  Only a set that
-``build_geometry_operators`` made has a ``pgaw.symmetry`` certificate, and
-it vouches for every operator the set holds.  A ``perturbed`` clone holds
-only its perturbed operator and reads every other name from its parent.
-Operators with two independent definitions are built both ways; the
-verifier compares them.
+An OperatorSet holds the named operators over one basis: the subspace
+lattice (a GeometryIndex: geometry mode, entries in Q(sqrt q)) or an
+abstract module's (a ModuleType: module mode, numeric or symbolic
+entries).  It is fixed once built: its builder passes in the ring, the
+inputs and the basis, any other name is derived from its one definition
+in ``DERIVED`` at its first read, and nothing is assigned later.  Only a
+set that ``build_geometry_operators`` made has a ``pgaw.symmetry``
+certificate, and it vouches for every operator the set holds.  A
+``perturbed`` clone holds only its perturbed operator and reads every
+other name from its parent.  Operators with two independent definitions
+are built both ways; the verifier compares them.
 """
 
 from __future__ import annotations
@@ -531,11 +531,7 @@ class LazyOperator(SparseOperator):
         return not self.nnz()
 
 
-def _one(weight) -> tuple:
-    return 1, 0
-
-
-def _weight_diagonal(dim: int, d: int, q, ij, value: Callable,
+def _weight_diagonal(ij, d: int, q, value: Callable,
                      owner: Optional["OperatorSet"] = None) -> SparseOperator:
     """The diagonal operator whose row u holds the numerators
     value(ij[u]) = (n0, n1) over d: produced from ij[u] when first read if
@@ -549,44 +545,53 @@ def _weight_diagonal(dim: int, d: int, q, ij, value: Callable,
                 m0[u] = {u: n0}
             if n1:
                 m1[u] = {u: n1}
-        return _stored_operator(dim, d, m0, m1, q)
+        return _stored_operator(len(ij), d, m0, m1, q)
 
     def rule(u):
         n0, n1 = value(ij[u])
         return ({u: n0} if n0 else None), ({u: n1} if n1 else None)
-    return LazyOperator(dim, d, q, rule, owner=owner)
+    return LazyOperator(len(ij), d, q, rule, owner=owner)
 
 
 def commutator(x: SparseOperator, y: SparseOperator) -> SparseOperator:
     return (x @ y) - (y @ x)
 
 
+class _Labels(dict):
+    """Position p -> ``basis.label(p)``, each made at its first read and kept."""
+
+    def __init__(self, basis):
+        self._label = basis.label
+
+    def __missing__(self, p: int) -> str:
+        label = self[p] = self._label(p)
+        return label
+
+
 class OperatorSet:
-    """The named operators over one basis, plus the shared stratification;
-    fixed once built (see the module docstring).  ``from_lattice`` is set
-    by ``build_geometry_operators`` alone, and only such a set has a
+    """The named operators over one basis (see the module docstring), which
+    alone gives ``mode``, ``h``, ``k``, the weights ``ij`` and ``dim``;
+    ``labels[p]`` is made from it when a failure witness first names p, and
+    a perturbed clone shares its parent's.  ``from_lattice`` is set by
+    ``build_geometry_operators`` alone, and only such a set has a
     certificate: a module, a clone or a set built by hand runs in full."""
 
-    def __init__(self, mode: str, ring, h: int, k: int, ij, labels, inputs: dict,
-                 geometry: Optional[GeometryIndex] = None, module_type=None,
+    def __init__(self, ring, inputs: dict, basis,
                  parent: Optional["OperatorSet"] = None, from_lattice: bool = False):
-        self.mode = mode
         self.ring = ring
-        self.h = h
-        self.k = k
-        self.ij = tuple(ij)
-        self.labels = tuple(labels)
+        self.basis = basis
+        self.mode = GEOMETRY if isinstance(basis, GeometryIndex) else MODULE
+        self.h, self.k, self.ij = basis.h, basis.k, basis.ij
         self.dim = len(self.ij)
-        self.geometry = geometry
-        self.module_type = module_type
+        self.geometry = basis if self.mode == GEOMETRY else None
         self.parent = parent
+        self.labels = parent.labels if parent is not None else _Labels(basis)
         self.ops: dict[str, SparseOperator] = dict(inputs)  # inputs, then derived
         # True only when ``build_geometry_operators`` made the inputs from the
         # geometry's strata, cover lists and meet_y, which ``pgaw.symmetry``
         # checks on the lattice
         self.from_lattice = from_lattice
-        self._identity: Optional[SparseOperator] = None
-        self._estar: dict = {}
+        self._projections: dict = {}
         self._products: dict = {}
 
     def __getitem__(self, name: str) -> SparseOperator:
@@ -601,28 +606,24 @@ class OperatorSet:
             op = self.ops[name] = derive(self, DERIVED[name])
         return op
 
+    def _projection(self, key, keeps: Callable) -> SparseOperator:
+        """The 0/1 diagonal whose row u is e_u when keeps(ij[u]), memoized by key."""
+        op = self._projections.get(key)
+        if op is None:
+            op = self._projections[key] = _weight_diagonal(
+                self.ij, 1, None, lambda w: (1, 0) if keeps(w) else (0, 0), self)
+        return op
+
     def identity(self) -> SparseOperator:
-        if self._identity is None:
-            self._identity = _weight_diagonal(self.dim, 1, None, self.ij, _one, self)
-        return self._identity
+        return self._projection("identity", lambda w: True)
 
     def estar_level(self, level: int) -> SparseOperator:
         """E*_level, whose row u is e_u when u is on that level."""
-        key = ("level", level)
-        if key not in self._estar:
-            self._estar[key] = _weight_diagonal(
-                self.dim, 1, None, self.ij,
-                lambda ij: (1, 0) if ij[0] + ij[1] == level else (0, 0), self)
-        return self._estar[key]
+        return self._projection(level, lambda w: w[0] + w[1] == level)
 
     def estar_stratum(self, i: int, j: int) -> SparseOperator:
         """E*_(i,j), whose row u is e_u when u is in the stratum (i, j)."""
-        key = ("stratum", i, j)
-        if key not in self._estar:
-            self._estar[key] = _weight_diagonal(
-                self.dim, 1, None, self.ij, lambda ij: (1, 0) if ij == (i, j) else (0, 0),
-                self)
-        return self._estar[key]
+        return self._projection((i, j), lambda w: w == (i, j))
 
     @cached_property
     def certificate(self):
@@ -642,7 +643,7 @@ class OperatorSet:
         if self.parent is not None:
             return self.parent.eigen
         from .modules import EigenTable
-        return EigenTable(self.module_type, self.ring, self.ij)
+        return EigenTable(self.basis, self.ring, self.ij)
 
     def prod(self, a: str, b: str) -> SparseOperator:
         """Memoized product of two named operators."""
@@ -655,9 +656,8 @@ class OperatorSet:
         """Copy with one entry perturbed (negative control): it holds only the
         perturbed operator, reads every other name from this set, and is not
         the builder's, so it has no certificate."""
-        return OperatorSet(self.mode, self.ring, self.h, self.k, self.ij, self.labels,
-                           {name: self[name].with_entry_added(r, c, delta)},
-                           self.geometry, self.module_type, parent=self)
+        return OperatorSet(self.ring, {name: self[name].with_entry_added(r, c, delta)},
+                           self.basis, parent=self)
 
     def __repr__(self):
         return (f"OperatorSet(mode={self.mode}, dim={self.dim}, "
@@ -673,9 +673,9 @@ K_EXPONENTS: dict[str, Callable[[int, int, int, int], int]] = {
 }
 
 
-def k_diagonals(ring, h: int, k: int, ij, owner: Optional[OperatorSet] = None
+def k_diagonals(ring, basis, owner: Optional[OperatorSet] = None
                 ) -> dict[str, SparseOperator]:
-    """The diagonal operators K1, K1i, K2 and K2i over a basis of weights ij.
+    """The diagonal operators K1, K1i, K2 and K2i over the weights of a basis.
 
     Each operator computes and splits q^(e/2) once per distinct weight and
     puts the numerators over the lcm of those denominators; on a builder's
@@ -684,6 +684,7 @@ def k_diagonals(ring, h: int, k: int, ij, owner: Optional[OperatorSet] = None
     ``SparseOperator.diagonal`` of the same values would be: a prime power
     of the lcm is that of some split value's denominator, whose numerator
     is prime to it."""
+    h, k, ij = basis.h, basis.k, basis.ij
     weights = set(ij)
     out = {}
     for name, e in K_EXPONENTS.items():
@@ -693,7 +694,7 @@ def k_diagonals(ring, h: int, k: int, ij, owner: Optional[OperatorSet] = None
                   for w, (n0, n1, den, _) in split.items()}
         irrational = any(n1 for _, n1 in scaled.values())
         q = _common_q(*(qs for _, _, _, qs in split.values())) if irrational else None
-        out[name] = _weight_diagonal(len(ij), d, q, ij, scaled.__getitem__, owner)
+        out[name] = _weight_diagonal(ij, d, q, scaled.__getitem__, owner)
     return out
 
 
@@ -754,9 +755,8 @@ def build_geometry_operators(geom: GeometryIndex, ring: QuadRing) -> OperatorSet
     if getattr(ring, "kind", None) != "numeric" or ring.q != geom.q:
         raise RingMismatchError(
             "geometry operators need a numeric ring with matching q")
-    ops = OperatorSet(GEOMETRY, ring, geom.h, geom.k, geom.ij, geom.labels(), {},
-                      geometry=geom, from_lattice=True)
-    ops.ops.update(k_diagonals(ring, geom.h, geom.k, geom.ij, owner=ops))
+    ops = OperatorSet(ring, {}, geom, from_lattice=True)
+    ops.ops.update(k_diagonals(ring, geom, owner=ops))
     for name, positions in _incidence_rows(geom).items():
         ops.ops[name] = LazyOperator(geom.size, 1, None, _ones_rule(positions), owner=ops)
     return ops

@@ -480,10 +480,9 @@ def _eigen(name: str):
 def _shift_action(ops: OperatorSet, name: str, di: int) -> SparseOperator:
     """The operator sending w[i+di, j-di] to eigen_scalar(name, i, j) w[i,j]."""
     values = ops.eigen[name]
-    index = {bj: p for p, bj in enumerate(ops.ij)}
     expected: dict = {}
     for row, (i, j) in enumerate(ops.ij):
-        src = index.get((i + di, j - di))
+        src = ops.basis.position(i + di, j - di)
         if src is not None and values[row]:
             expected[row] = {src: values[row]}
     return SparseOperator(ops.dim, expected)
@@ -633,21 +632,15 @@ def run_suites(ops: OperatorSet, suites: Optional[Sequence[str]] = None,
 
 
 def _context_of(ops: OperatorSet) -> dict:
-    if ops.mode == GEOMETRY and ops.geometry is not None:
-        geom = ops.geometry
-        return {"mode": GEOMETRY, "q": geom.q, "h": geom.h, "k": geom.k,
-                "y": geom.y.label(), "size": geom.size}
-    t = ops.module_type
+    if ops.mode == GEOMETRY:
+        return {"mode": GEOMETRY, "q": ops.basis.q, "h": ops.h, "k": ops.k,
+                "y": ops.basis.y.label(), "size": ops.dim}
     q = getattr(ops.ring, "q", None)
     return {"mode": MODULE, "q": q if q is not None else "symbolic",
-            "h": ops.h, "k": ops.k,
-            "type": t.triple() if t is not None else None, "dim": ops.dim}
+            "h": ops.h, "k": ops.k, "type": ops.basis.triple(), "dim": ops.dim}
 
 
-def run_geometry_suite(ops: OperatorSet, suites: Optional[Sequence[str]] = None,
-                       relation_ids: Optional[Sequence[str]] = None
-                       ) -> VerificationReport:
-    return run_suites(ops, suites, relation_ids)
+run_geometry_suite = run_suites
 
 
 def run_module_suite(module: AbstractModule, suites: Optional[Sequence[str]] = None,
@@ -661,9 +654,7 @@ def verify_counts(geom: GeometryIndex,
     """The covering-degree and level-size checks alone, or the named ones
     among them: no operators needed, as every counts relation reads only
     the lattice."""
-    ops = OperatorSet(GEOMETRY, QuadRing(geom.q), geom.h, geom.k, geom.ij,
-                      geom.labels(), {}, geometry=geom)
-    return run_suites(ops, ["counts"], relation_ids)
+    return run_suites(OperatorSet(QuadRing(geom.q), {}, geom), ["counts"], relation_ids)
 
 
 def verify_y_invariance(q: int, h: int, k: int, y_list,

@@ -13,7 +13,6 @@ import itertools
 from pgaw.geometry import Subspace, _rref
 from pgaw.operators import (
     DERIVED,
-    GEOMETRY,
     K_EXPONENTS,
     OperatorSet,
     SparseOperator,
@@ -220,8 +219,7 @@ def builder_inputs(geom) -> dict:
 def hand_made(geom, inputs: dict) -> OperatorSet:
     """A geometry set built by hand from inputs: it derives every other
     operator and evaluates every relation in full, as it has no certificate."""
-    return OperatorSet(GEOMETRY, QuadRing(geom.q), geom.h, geom.k, geom.ij, geom.labels(),
-                       inputs, geometry=geom)
+    return OperatorSet(QuadRing(geom.q), inputs, geom)
 
 
 def hand_certified(geom, inputs: dict) -> OperatorSet:

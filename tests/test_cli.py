@@ -61,12 +61,34 @@ def test_parse_rejects_unknown_flag():
      "--max-elements must be at least 1, got -5"),
     (["convert", "--h", "3", "--k", "2", "--alpha", "0", "--beta", "0", "--rho", "9"],
      "invalid module type: rho=9 outside [0, k]"),
+    (["enumerate", "--q", "2", "--h", "2", "--k", "1", "--y", "0,0,3"],
+     "--y entry 3 is outside 0..1 for q=2"),
+    (["verify", "--q", "3", "--h", "2", "--k", "1", "--y", "0,5,7"],
+     "--y entry 5 is outside 0..2 for q=3"),
+    (["verify", "--q", "2", "--h", "2", "--k", "1", "--y", "0,-1,1"],
+     "--y entry -1 is outside 0..1 for q=2"),
 ])
 def test_parse_usage_errors_exit_2(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         parse_args(argv)
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["convert", "--h", "2", "--k", "1", "--alpha", "0", "--beta", "0", "--rho", "0",
+     "--max-elements", "100"],
+    ["convert", "--h", "2", "--k", "1", "--alpha", "0", "--beta", "0", "--rho", "0",
+     "--timings"],
+    ["enumerate", "--q", "2", "--h", "2", "--k", "1", "--timings"],
+    ["module", "--h", "2", "--k", "1", "--alpha", "0", "--beta", "0", "--rho", "0",
+     "--symbolic", "--max-elements", "100"],
+])
+def test_options_a_command_does_not_read_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        parse_args(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_parse_rejects_bad_geometry():

@@ -207,8 +207,7 @@ def _conjugated(ops, u0, u1, x):
     shear = SparseOperator(ops.dim, {u0: {u1: x}})
     t, t_inv = ops.identity() + shear, ops.identity() - shear
     omegas = {f"Omega{c}": t_inv @ ops[f"Omega{c}"] @ t for c in range(3)}
-    return OperatorSet(ops.mode, ops.ring, ops.h, ops.k, ops.ij, ops.labels, omegas,
-                       ops.geometry, parent=ops)
+    return OperatorSet(ops.ring, omegas, ops.basis, parent=ops)
 
 
 def test_idempotent_rows_outside_the_corner_are_an_error(geometry_cache, ops_cache):

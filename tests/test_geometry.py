@@ -142,7 +142,7 @@ def test_classify_ij_examples():
     y = span([3], 3)
     assert classify_ij(span([1], 3), y) == (0, 1)
     assert classify_ij(y, y) == (1, 0)
-    assert classify_ij(Subspace.full(3, 2), y) == (1, 2)
+    assert classify_ij(span([1, 2, 3], 3), y) == (1, 2)
 
 
 def test_cover_classify_examples():
@@ -151,7 +151,7 @@ def test_cover_classify_examples():
     assert cover_classify(span([1], 3), span([1, 2], 3), y) == BACKSLASH
     assert cover_classify(span([1], 3), span([2, 3], 3), y) == NONE
     # not a cover: dimension jumps by two
-    assert cover_classify(span([1], 3), Subspace.full(3, 2), y) == NONE
+    assert cover_classify(span([1], 3), span([1, 2, 3], 3), y) == NONE
 
 
 def test_build_geometry_strata_221():

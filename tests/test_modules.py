@@ -75,12 +75,12 @@ def test_generator_action_coefficients():
     ring = R2
     for (i, j) in m.basis:
         # R1 w[i,j] = q^((alpha-rho-beta-i+j)/2) [i-alpha+1] w[i+1,j]
-        if (i + 1, j) in m.index:
-            got = m.ops["R1"].entry(m.index[(i + 1, j)], m.index[(i, j)])
+        if m.type.position(i + 1, j) is not None:
+            got = m.ops["R1"].entry(m.type.position(i + 1, j), m.type.position(i, j))
             assert got == ring.q_half(j - i) * ring.bracket(i + 1)
         # L1 w[i,j] = q^((rho+alpha+beta+i+j-1)/2) [k-rho-alpha-i+1] w[i-1,j]
-        if (i - 1, j) in m.index:
-            got = m.ops["L1"].entry(m.index[(i - 1, j)], m.index[(i, j)])
+        if m.type.position(i - 1, j) is not None:
+            got = m.ops["L1"].entry(m.type.position(i - 1, j), m.type.position(i, j))
             assert got == ring.q_half(i + j - 1) * ring.bracket(2 - i + 1)
 
 
@@ -88,7 +88,7 @@ def test_l1_annihilates_left_edge():
     t = ModuleType(1, 0, 0, h=4, k=3)
     m = build_abstract_module(t, R2)
     for j in t.j_range:
-        col = m.index[(t.alpha, j)]
+        col = m.type.position(t.alpha, j)
         assert all(m.ops["L1"].entry(r, col) == 0 for r in range(m.dim))
 
 
@@ -98,7 +98,7 @@ def test_l1r1_action_scalar():
     m = build_abstract_module(t, R2)
     prod = m.ops["L1"] @ m.ops["R1"]
     for (i, j) in m.basis:
-        p = m.index[(i, j)]
+        p = m.type.position(i, j)
         assert prod.entry(p, p) == 2 ** j * R2.bracket(i + 1) * R2.bracket(2 - i)
 
 
@@ -108,7 +108,7 @@ def test_bc_coefficients_examples():
     assert c == 3  # [1][2] at q=2
     # cross-check against the action matrices: R w[1,0] = c_(0,1) w[0,1]
     m = build_abstract_module(t, R2)
-    assert m.ops["R"].entry(m.index[(0, 1)], m.index[(1, 0)]) == c
+    assert m.ops["R"].entry(m.type.position(0, 1), m.type.position(1, 0)) == c
     assert b == 2 ** (2 - 0 + 1 + 1) * 0 * R2.bracket(2)  # [i-alpha] = 0
     assert b == 0
     # b vanishes on the left edge, c vanishes on the bottom edge
@@ -156,6 +156,19 @@ def test_eigen_table_is_one_per_module_set():
     for name, column in table._columns.items():
         assert column == tuple(eigen_scalar(name, m.type, i, j, SYM) for i, j in m.basis)
     assert {"a0", "aplus", "aminus", "a", "Y", "P", "c", "b"} <= set(table._columns)
+
+
+def test_module_basis_is_the_types_weight_order():
+    """Basis order i outer, j inner over the rectangle, its position map and
+    the w[i,j] labels, for every type at (h, k) = (4, 2)."""
+    for t in enumerate_types(4, 2):
+        m = build_abstract_module(t, SYM)
+        basis = [(i, j) for i in t.i_range for j in t.j_range]
+        assert list(m.basis) == list(m.ops.ij) == basis and m.dim == len(basis)
+        assert [t.position(i, j) for i, j in basis] == list(range(len(basis)))
+        assert all(t.position(i, j) is None for i in range(-1, 4) for j in range(-1, 6)
+                   if (i, j) not in basis)
+        assert [m.ops.labels[p] for p in range(m.dim)] == [f"w[{i},{j}]" for i, j in basis]
 
 
 def test_module_suites_pass_both_rings_at_21():

@@ -772,7 +772,8 @@ def test_reduced_path_builds_no_full_operator():
     ops = _fresh(2, 3, 2)
     report = run_geometry_suite(ops, ["counts", "structure", "generators"])
     assert report.passed
-    held = [*ops.ops.values(), ops.identity(), *ops._estar.values()]
+    ops.identity()
+    held = [*ops.ops.values(), *ops._projections.values()]
     assert set(ops.ops) >= {"Omega0", "Omega1", "Omega2"} and len(held) > 24
     for op in held:
         assert isinstance(op, LazyOperator)

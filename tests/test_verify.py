@@ -1,8 +1,9 @@
 import pytest
 
-from pgaw.geometry import Subspace, build_geometry
+from pgaw.cli import parse_args, run
+from pgaw.geometry import GeometryIndex, Subspace, build_geometry
 from pgaw.modules import ModuleType, build_abstract_module, enumerate_types
-from pgaw.operators import GEOMETRY, MODULE
+from pgaw.operators import GEOMETRY, MODULE, build_geometry_operators
 from pgaw.rings import QuadRing, SymbolicRing
 from pgaw.verify import (
     EVALUATORS,
@@ -273,3 +274,41 @@ def test_module_suite_numeric_all_supported_q():
                 for t in enumerate_types(h, k):
                     rep = run_module_suite(build_abstract_module(t, ring))
                     assert rep.passed, (q, h, k, t.triple(), rep.failures())
+
+
+def test_passing_runs_build_no_labels(monkeypatch):
+    """Only a failure witness reads a label: a passing all-suites verify, a
+    decompose and a passing module run build none."""
+    def no_labels(*args):
+        raise AssertionError("a passing run built a label")
+
+    monkeypatch.setattr(GeometryIndex, "labels", no_labels)
+    for basis in (GeometryIndex, ModuleType):
+        monkeypatch.setattr(basis, "label", no_labels)
+    for argv in (["verify", "--q", "2", "--h", "3", "--k", "2"],
+                 ["decompose", "--q", "2", "--h", "3", "--k", "2"],
+                 ["module", "--h", "4", "--k", "2", "--alpha", "0", "--beta", "1",
+                  "--rho", "1", "--symbolic", "--tables"]):
+        status, out = run(parse_args(argv))
+        assert status == 0, out
+
+
+def test_perturbed_clone_reads_its_parents_labels(monkeypatch):
+    """A clone's witnesses name positions by its parent's labels, each made
+    once, and only for the positions a witness names."""
+    made = []
+    label = GeometryIndex.label
+    monkeypatch.setattr(GeometryIndex, "label",
+                        lambda self, p: made.append(p) or label(self, p))
+    ops = build_geometry_operators(build_geometry(2, 3, 2), QuadRing(2))
+    clone = ops.perturbed("A", 60, 253, 1)
+    failures = [(o.id, o.witness) for o in run_geometry_suite(clone).failures()]
+    at = "row=01011/00111, col=10001/01010/00100, residual="
+    assert failures[:3] == [
+        ("struct.a_support", "A[01011/00111, 10001/01010/00100] = 1 maps stratum "
+                             "(0, 3) outside its allowed image"),
+        ("a.sum", at + "1"), ("a.via_lr", at + "1")]
+    assert run_relation(clone, "aw.askey2").witness == at + "-1/2"
+    assert clone.labels is ops.labels
+    # the positions the failing witnesses name, of the 374, each labelled once
+    assert sorted(made) == sorted(set(made)) == sorted(ops.labels) == [35, 42, 60, 253]
