@@ -332,8 +332,13 @@ def _timed(phases: dict, name: str, fn, *args):
 
 
 def _build_geometry(config: RunConfig, phases: dict):
-    return _timed(phases, "geometry_build", build_geometry,
+    """The lattice; phase.geometry_build is its total time, followed by
+    the time of each part of the build (enumerate, covers, meets)."""
+    geom = _timed(phases, "geometry_build", build_geometry,
                   config.q, config.h, config.k, _build_y(config))
+    for part, seconds in geom.phases.items():
+        phases[f"phase.geometry_build.{part}"] = seconds
+    return geom
 
 
 def _build_operators(config: RunConfig, phases: dict, geom):

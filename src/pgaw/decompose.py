@@ -47,9 +47,12 @@ def _central_triple(t: ModuleType, ring):
 def compute_multiplicities(geom: GeometryIndex, ops: OperatorSet) -> MultiplicityMap:
     """The trace of each type's spectral idempotent on its corner.
 
-    Raises ValueError when a central operator is irrational or a check
-    fails: a nonzero residual row, a row of E_t outside the corner, or a
-    trace that is not a nonnegative integer."""
+    Raises ValueError when geom is not the lattice of ops, when a central
+    operator is irrational or when a check fails: a nonzero residual row, a
+    row of E_t outside the corner, or a trace that is not a nonnegative
+    integer."""
+    if geom is not ops.geometry:
+        raise ValueError(f"{geom!r} is not the lattice of the operator set")
     types = enumerate_types(geom.h, geom.k)
 
     triples = [_central_triple(t, ops.ring) for t in types]

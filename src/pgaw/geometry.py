@@ -5,11 +5,16 @@ representative: two subspaces are equal iff their RREF matrices coincide.
 A GeometryIndex fixes a k-dimensional reference subspace y, splits the
 lattice into strata P_{i,j} (i = dim of the intersection with y, i+j = dim),
 and classifies every covering pair as slash (i rises) or backslash (j rises).
+It is built from its covers: each cover is made on the RREF row tuples of
+the one below it, and each meet with y is read from the lower covers, so
+no intersection is ever computed.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
+import time
 from typing import Iterable, Optional, Sequence
 
 from .rings import SUPPORTED_Q, gaussian_binomial
@@ -72,23 +77,6 @@ class Subspace:
     def dim(self) -> int:
         return len(self.rows)
 
-    def _check_ambient(self, other: "Subspace"):
-        if self.n != other.n or self.q != other.q:
-            raise ValueError("subspaces live in different ambient spaces")
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        """Intersection via the Zassenhaus block construction."""
-        self._check_ambient(other)
-        n, q = self.n, self.q
-        block = [list(r) + list(r) for r in self.rows]
-        block += [list(r) + [0] * n for r in other.rows]
-        reduced = _rref(block, 2 * n, q)
-        inter = [r[n:] for r in reduced if not any(r[:n])]
-        return Subspace._trusted(_rref(inter, n, q), n, q)
-
-    def sort_key(self):
-        return (self.dim, self.rows)
-
     def label(self) -> str:
         if not self.rows:
             return "0"
@@ -106,63 +94,86 @@ class Subspace:
         return f"Subspace({self.label()}, n={self.n}, q={self.q})"
 
 
-def _upper_covers(u: Subspace):
-    """Every subspace covering u, as u + <v> with v over the points of F_q^n / u.
-
-    v runs over the vectors that vanish on u's pivot columns and have a
-    leading 1: one representative per projective point of the quotient.
-    Clearing v's leading column out of u's rows and inserting v by its
-    pivot gives the RREF of u + <v> directly.
-    """
-    n, q = u.n, u.q
-    pivots = [next(c for c, x in enumerate(row) if x) for row in u.rows]
-    free = [c for c in range(n) if c not in pivots]
-    for pos, lead in enumerate(free):
-        rest = free[pos + 1:]
-        at = sum(1 for p in pivots if p < lead)
-        for values in itertools.product(range(q), repeat=len(rest)):
-            v = [0] * n
-            v[lead] = 1
-            for c, x in zip(rest, values):
-                v[c] = x
-            v = tuple(v)
-            rows = [row if not row[lead] else
-                    tuple((a - row[lead] * b) % q for a, b in zip(row, v))
-                    for row in u.rows]
-            rows.insert(at, v)
-            yield Subspace._trusted(tuple(rows), n, q)
+def _echelon_rows(lead: int, free: Sequence[int], n: int, q: int) -> list[tuple[int, ...]]:
+    """Every RREF row with its leading 1 at lead and any values on the free
+    columns, in lexicographic order."""
+    out = []
+    for values in itertools.product(range(q), repeat=len(free)):
+        row = [0] * n
+        row[lead] = 1
+        for c, x in zip(free, values):
+            row[c] = x
+        out.append(tuple(row))
+    return out
 
 
 def enumerate_subspaces(q: int, n: int) -> list[Subspace]:
     """All subspaces of F_q^n, ordered by dimension then lexicographic RREF.
 
-    Enumeration walks the pivot profiles, so each subspace appears exactly
-    once.  The count grows like q^(n^2/4): n = 6 at q = 2 (2825 subspaces)
-    enumerates in well under a second, and larger n only gets slower, not
-    wrong.
+    Enumeration walks the pivot profiles: a profile's subspaces are the
+    products of its rows' choices (a leading 1 on the pivot, anything on a
+    later non-pivot column), so each subspace appears exactly once and no
+    elimination runs.  The choices are made once per pivot and set of free
+    columns, and every subspace shares their row tuples.  The count grows
+    like q^(n^2/4): n = 6 at q = 2 (2825 subspaces) enumerates in
+    milliseconds, and larger n only gets slower, not wrong.
     """
     if q not in SUPPORTED_Q:
         raise ValueError(f"unsupported field size q={q}; expected one of {SUPPORTED_Q}")
     if n < 1:
         raise ValueError("ambient dimension must be >= 1")
+    choices: dict = {}
     out: list[Subspace] = []
     for d in range(n + 1):
         level = []
         for pivots in itertools.combinations(range(n), d):
-            pivot_set = set(pivots)
-            free = [[c for c in range(n) if c > p and c not in pivot_set]
-                    for p in pivots]
-            slots = [(r, c) for r, cols in enumerate(free) for c in cols]
-            for values in itertools.product(range(q), repeat=len(slots)):
-                rows = [[0] * n for _ in range(d)]
-                for r, p in enumerate(pivots):
-                    rows[r][p] = 1
-                for (r, c), val in zip(slots, values):
-                    rows[r][c] = val
-                level.append(Subspace._trusted(tuple(tuple(r) for r in rows), n, q))
-        level.sort(key=Subspace.sort_key)
-        out.extend(level)
+            per_row = []
+            for p in pivots:
+                key = (p, tuple(c for c in range(p + 1, n) if c not in pivots))
+                if key not in choices:
+                    choices[key] = _echelon_rows(*key, n, q)
+                per_row.append(choices[key])
+            level.extend(itertools.product(*per_row))
+        level.sort()
+        out.extend(Subspace._trusted(rows, n, q) for rows in level)
     return out
+
+
+class _Clearing(dict):
+    """Row r -> r - r[lead] v, the row of u + <v> that replaces r, made on
+    first use and kept: one per step vector v (whose leading 1 is at lead),
+    shared by every subspace that steps by v.  A row with r[lead] = 0
+    maps to itself."""
+
+    __slots__ = ("v", "lead", "q")
+
+    def __init__(self, v: tuple[int, ...], q: int):
+        super().__init__()
+        self.v, self.lead, self.q = v, v.index(1), q
+
+    def __missing__(self, r):
+        c = r[self.lead]
+        out = self[r] = tuple((a - c * b) % self.q for a, b in zip(r, self.v)) if c else r
+        return out
+
+
+def _cover_steps(pivots: tuple[int, ...], n: int, q: int, clearings: dict) -> list[tuple]:
+    """The steps from a subspace u with these pivot columns to its upper
+    covers: one (v, at, clear) per projective point of F_q^n / u.
+
+    v vanishes on u's pivots and has a leading 1; the RREF of u + <v> is
+    u's rows before slot at, each cleared on v's leading column by
+    clear (the ``_Clearing`` of v, from clearings), then v, then u's
+    remaining rows, which are 0 on that column already."""
+    free = [c for c in range(n) if c not in pivots]
+    steps = []
+    for pos, lead in enumerate(free):
+        at = sum(1 for p in pivots if p < lead)
+        for v in _echelon_rows(lead, free[pos + 1:], n, q):
+            if v not in clearings:
+                clearings[v] = _Clearing(v, q)
+            steps.append((v, at, clearings[v].__getitem__))
+    return steps
 
 
 class GeometryIndex:
@@ -174,13 +185,28 @@ class GeometryIndex:
       slash_covered_by[x]     -- v such that v slash-covers x (v one level above)
       backslash_covered_by[x] -- v such that v backslash-covers x
 
-    ``meet_y[x]`` is the position of x ∩ y.
+    ``meet_y[x]`` is the position of x ∩ y, ``ij[x]`` its stratum and
+    ``index`` maps an element's RREF rows to its position.
 
-    Covers are generated, not searched for: the upper covers of u are the
-    u + <v> for v over the projective points of F_q^n / u (see
-    ``_upper_covers``), each located by its RREF in ``index``.  One pass over
-    the elements fills all four lists, in time proportional to the number
-    of covering pairs rather than to the product of adjacent level sizes.
+    The build runs level by level and computes no intersection and no
+    ``Subspace`` beyond the elements.  The levels are cut by the dimensions
+    of the enumerated elements, so ``by_level`` counts what was enumerated:
+      covers -- the upper covers of u are the u + <v> for v over the
+        projective points of F_q^n / u; the steps v depend only on u's
+        pivot columns and are made once per pivot set (``_cover_steps``).
+        Each cover's RREF is u's row tuple with v inserted and its column
+        cleared, looked up in ``index``.  So the lower covers of each
+        element of the next level arrive in ascending order, in time
+        proportional to the number of covering pairs;
+      meets -- a point lies in y or meets it in 0.  A subspace x of
+        dimension >= 2 lies in y iff two of its lower covers do (their
+        join is x); otherwise x ∩ y lies in a hyperplane of x, so it is
+        the largest meet among the lower covers;
+      classes -- once a level's meets are known each pair is slash (i
+        rises) or backslash, and it is appended at its upper end, so all
+        four lists come out ascending with no sort.
+    ``phases`` holds the wall time of each part: ``enumerate``, ``covers``
+    (with the classes) and ``meets`` (with ``ij`` and the strata).
     """
 
     def __init__(self, q: int, h: int, k: int, y: Optional[Subspace] = None):
@@ -198,43 +224,85 @@ class GeometryIndex:
             raise ValueError(f"reference subspace must have dimension k={k}, got {y.dim}")
         self.y = y
 
-        self.elements = tuple(enumerate_subspaces(q, n))
-        self.index = {u: p for p, u in enumerate(self.elements)}
-        meets = [u.intersect(y) for u in self.elements]
-        self.meet_y = tuple(self.index[m] for m in meets)
-        self.ij = tuple((m.dim, u.dim - m.dim) for u, m in zip(self.elements, meets))
+        clock = time.perf_counter
+        start = clock()
+        self.elements = elements = tuple(enumerate_subspaces(q, n))
+        self.index = index = {u.rows: p for p, u in enumerate(elements)}
+        size = len(elements)
+        level_sizes = [0] * (n + 1)
+        for u in elements:
+            level_sizes[len(u.rows)] += 1
+        bounds = list(itertools.accumulate(level_sizes, initial=0))
+        self.by_level = tuple(tuple(range(bounds[d], bounds[d + 1])) for d in range(n + 1))
+        phases = self.phases = {"enumerate": clock() - start, "covers": 0.0, "meets": 0.0}
 
-        self.strata: dict[tuple[int, int], tuple[int, ...]] = {}
+        meet_y = [0] * size
+        idim = [0] * size  # dim(x ∩ y); x lies in y iff it equals dim x
+        sc_of, bc_of, sc_by, bc_by = ([()] * size for _ in range(4))
+        steps: dict = {}
+        clearings: dict = {}
+        lead_of = operator.methodcaller("index", 1)
+        for d in range(1, n + 1):
+            start = clock()
+            base, prev = bounds[d], bounds[d - 1]
+            below = [[] for _ in range(bounds[d + 1] - base)]
+            for pu in range(prev, base):
+                rows = elements[pu].rows
+                pivots = tuple(map(lead_of, rows))
+                if pivots not in steps:
+                    steps[pivots] = _cover_steps(pivots, n, q, clearings)
+                for v, at, clear in steps[pivots]:
+                    below[index[(*map(clear, rows[:at]), v, *rows[at:])] - base].append(pu)
+            mid = clock()
+            if d == 1:
+                for w in range(base, bounds[2]):
+                    if len(_rref((*y.rows, *elements[w].rows), n, q)) == k:
+                        meet_y[w], idim[w] = w, 1
+            else:
+                key = idim.__getitem__
+                for w, lows in enumerate(below, base):
+                    if idim[lows[0]] == idim[lows[1]] == d - 1:
+                        meet_y[w], idim[w] = w, d
+                    else:
+                        u = max(lows, key=key)
+                        meet_y[w], idim[w] = meet_y[u], idim[u]
+            end = clock()
+            up_slash = [[] for _ in range(base - prev)]
+            up_back = [[] for _ in range(base - prev)]
+            for w, lows in enumerate(below, base):
+                iw = idim[w]
+                slash = tuple(u for u in lows if idim[u] != iw)
+                back = tuple(u for u in lows if idim[u] == iw)
+                sc_of[w], bc_of[w] = slash, back
+                for u in slash:
+                    up_slash[u - prev].append(w)
+                for u in back:
+                    up_back[u - prev].append(w)
+            del below
+            for u in range(prev, base):
+                sc_by[u] = tuple(up_slash[u - prev])
+                bc_by[u] = tuple(up_back[u - prev])
+            del up_slash, up_back
+            phases["covers"] += clock() - end + mid - start
+            phases["meets"] += end - mid
+        del steps, clearings
+
+        start = clock()
+        pairs = [[(i, d - i) for i in range(d + 1)] for d in range(n + 1)]
+        self.meet_y = tuple(meet_y)
+        self.ij = tuple(pairs[d][idim[p]] for d in range(n + 1)
+                        for p in range(bounds[d], bounds[d + 1]))
+        del meet_y, idim
         strata: dict[tuple[int, int], list[int]] = {}
         for p, ij in enumerate(self.ij):
             strata.setdefault(ij, []).append(p)
-        for key in sorted(strata):
-            self.strata[key] = tuple(strata[key])
-
-        self.by_level = tuple(
-            tuple(p for p, u in enumerate(self.elements) if u.dim == d)
-            for d in range(n + 1))
-
-        size = len(self.elements)
-        sc_of = [[] for _ in range(size)]
-        bc_of = [[] for _ in range(size)]
-        sc_by = [[] for _ in range(size)]
-        bc_by = [[] for _ in range(size)]
-        # Positions ascend in the outer loop and in each sorted cover list,
-        # so all four lists come out in ascending order.
-        for pu, u in enumerate(self.elements):
-            iu = self.ij[pu][0]
-            for pv in sorted(self.index[w] for w in _upper_covers(u)):
-                if self.ij[pv][0] == iu + 1:
-                    sc_of[pv].append(pu)
-                    sc_by[pu].append(pv)
-                else:
-                    bc_of[pv].append(pu)
-                    bc_by[pu].append(pv)
-        self.slash_covers_of = tuple(tuple(x) for x in sc_of)
-        self.backslash_covers_of = tuple(tuple(x) for x in bc_of)
-        self.slash_covered_by = tuple(tuple(x) for x in sc_by)
-        self.backslash_covered_by = tuple(tuple(x) for x in bc_by)
+        self.strata: dict[tuple[int, int], tuple[int, ...]] = {
+            key: tuple(strata[key]) for key in sorted(strata)}
+        self.slash_covers_of = tuple(sc_of)
+        self.backslash_covers_of = tuple(bc_of)
+        self.slash_covered_by = tuple(sc_by)
+        self.backslash_covered_by = tuple(bc_by)
+        phases["meets"] += clock() - start
 
     @property
     def size(self) -> int:

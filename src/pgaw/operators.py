@@ -342,15 +342,6 @@ class SparseOperator:
                 return r, c, self.entry(r, c)
         return None
 
-    def coordinate_lines(self, labels=None):
-        """Deterministic 'row col value' lines for external inspection."""
-        for r, c in self._positions():
-            v = self.entry(r, c)
-            if labels is None:
-                yield f"{r} {c} {v}"
-            else:
-                yield f"{labels[r]} {labels[c]} {v}"
-
     # -- arithmetic -----------------------------------------------------------
 
     def _combine(self, other: "SparseOperator", sign: int) -> "SparseOperator":

@@ -204,10 +204,6 @@ class QuadRing:
 
     zero = 0
 
-    def quad(self, a, b):
-        """Build a + b*sqrt(q), collapsed to a rational when b == 0."""
-        return QuadScalar._make(_as_fraction(a), _as_fraction(b), self.q)
-
     def q_power(self, m: int):
         """q**m as an exact rational."""
         if m >= 0:
@@ -608,9 +604,3 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
         raise ArithmeticError("gaussian binomial did not reduce to an integer")
     return value.numerator
 
-
-def evaluate_at_q(x: Scalar, ring: QuadRing) -> Scalar:
-    """Evaluation homomorphism s -> sqrt(q): symbolic scalar to numeric scalar."""
-    if type(x) is RatFunc:
-        return x.evaluate(ring.sqrt_q, ring.q_half(-1))
-    return x

@@ -92,7 +92,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
 
-from .geometry import GeometryIndex, Subspace, _rref
+from .geometry import GeometryIndex, _rref
 from .operators import LazyOperator, OperatorSet, SparseOperator, _integer_operator
 
 Matrix = list[list[int]]
@@ -162,7 +162,7 @@ def _join_permutation(geom: GeometryIndex, m: Matrix) -> Optional[list[int]]:
     dimension d >= 2 is the join of any two distinct lower covers u1, u2,
     so its image is the one common upper cover of the images of u1 and u2,
     read from the cover lists level by level."""
-    n, q = geom.n, geom.q
+    q = geom.q
     perm: list = [None] * geom.size
     for p in geom.by_level[0]:
         perm[p] = p
@@ -172,7 +172,7 @@ def _join_permutation(geom: GeometryIndex, m: Matrix) -> Optional[list[int]]:
         if not lead:
             return None
         inv = pow(lead, -1, q)
-        perm[p] = geom.index[Subspace._trusted((tuple(x * inv % q for x in image),), n, q)]
+        perm[p] = geom.index[(tuple(x * inv % q for x in image),)]
     slash_by, back_by = geom.slash_covered_by, geom.backslash_covered_by
     for level in geom.by_level[2:]:
         for v in level:

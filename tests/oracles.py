@@ -1,14 +1,17 @@
 """Direct, slow statements of what the program computes another way.
 
 The tests check the program against these.  None of them is called by
-``src/``: subspaces are compared by their RREF, covers are generated rather
-than tested, the symmetry certificate maps subspaces by cover joins and
-checks no operator, a builder's set produces each operator's rows when
-they are first read, and a certified set derives its operators from its
-representative rows.
+``src/``: subspaces are compared by their RREF, the lattice is built from
+its cover row tuples with each meet read from the lower covers (no
+intersection, no ``Subspace`` per cover), the symmetry certificate maps
+subspaces by cover joins and checks no operator, a builder's set produces
+each operator's rows when they are first read, and a certified set
+derives its operators from its representative rows.  It also lists the
+configurations and reference subspaces the tests run at.
 """
 
 import itertools
+from types import SimpleNamespace
 
 from pgaw.geometry import Subspace, _rref
 from pgaw.operators import (
@@ -20,9 +23,24 @@ from pgaw.operators import (
     _stored_operator,
     build_geometry_operators,
 )
-from pgaw.rings import QuadRing
+from pgaw.rings import QuadRing, QuadScalar, RatFunc, _as_fraction
 from pgaw import symmetry
 from pgaw.symmetry import RowView, _adapted_basis, _matmul
+
+# (q, h, k, rows of a non-coordinate y or None for the default y)
+CONFIGS = (
+    (2, 2, 1, None), (3, 2, 1, None), (2, 3, 1, None), (2, 3, 2, None), (3, 3, 1, None),
+    (2, 2, 1, ((1, 1, 0),)),
+    (3, 2, 1, ((1, 2, 1),)),
+    (3, 3, 1, ((1, 2, 0, 1),)),
+    (2, 3, 2, ((1, 0, 1, 0, 0), (0, 1, 0, 1, 1))),
+)
+
+# every configuration and y at which the tests build geometry operators:
+# CONFIGS, and the span of e_1, ..., e_k that tests/test_operators.py uses
+TESTED_YS = CONFIGS + tuple(
+    (q, h, k, tuple(tuple(int(c == r) for c in range(h + k)) for r in range(k)))
+    for q, h, k in ((2, 2, 1), (3, 2, 1), (2, 3, 1), (2, 3, 2)))
 
 SLASH = "slash"
 BACKSLASH = "backslash"
@@ -60,25 +78,43 @@ def contains_vector(u: Subspace, vec) -> bool:
     return not any(reduce_vector(u, vec))
 
 
+def check_ambient(u: Subspace, other: Subspace) -> None:
+    if u.n != other.n or u.q != other.q:
+        raise ValueError("subspaces live in different ambient spaces")
+
+
 def contains(u: Subspace, other: Subspace) -> bool:
-    u._check_ambient(other)
+    check_ambient(u, other)
     return all(contains_vector(u, r) for r in other.rows)
 
 
 def sum_with(u: Subspace, other: Subspace) -> Subspace:
-    u._check_ambient(other)
+    check_ambient(u, other)
     return Subspace._trusted(_rref(list(u.rows) + list(other.rows), u.n, u.q), u.n, u.q)
+
+
+def intersect(u: Subspace, other: Subspace) -> Subspace:
+    """u ∩ other via the Zassenhaus block construction: the RREF of
+    [[u, u], [other, 0]] on 2n columns, whose rows with a zero left half
+    carry the intersection on their right half."""
+    check_ambient(u, other)
+    n, q = u.n, u.q
+    block = [list(r) + list(r) for r in u.rows]
+    block += [list(r) + [0] * n for r in other.rows]
+    reduced = _rref(block, 2 * n, q)
+    inter = [r[n:] for r in reduced if not any(r[:n])]
+    return Subspace._trusted(_rref(inter, n, q), n, q)
 
 
 def classify_ij(u: Subspace, y: Subspace) -> tuple[int, int]:
     """Stratum coordinates: i = dim(u ∩ y), j = dim(u) - i."""
-    i = u.intersect(y).dim
+    i = intersect(u, y).dim
     return i, u.dim - i
 
 
 def cover_classify(u: Subspace, v: Subspace, y: Subspace) -> str:
     """slash / backslash / none for the candidate covering pair u ⊂ v."""
-    u._check_ambient(v)
+    check_ambient(u, v)
     if v.dim != u.dim + 1 or not contains(v, u):
         return NONE
     iu, _ = classify_ij(u, y)
@@ -88,6 +124,122 @@ def cover_classify(u: Subspace, v: Subspace, y: Subspace) -> str:
     if iv == iu:
         return BACKSLASH
     raise AssertionError("covering pair with dim(v ∩ y) - dim(u ∩ y) not in {0, 1}")
+
+
+# ---------------------------------------------------------------------------
+# the lattice by intersections
+# ---------------------------------------------------------------------------
+
+def upper_covers(u: Subspace):
+    """Every subspace covering u, as u + <v> with v over the points of F_q^n / u.
+
+    v runs over the vectors that vanish on u's pivot columns and have a
+    leading 1: one representative per projective point of the quotient.
+    Clearing v's leading column out of u's rows and inserting v by its
+    pivot gives the RREF of u + <v> directly.
+    """
+    n, q = u.n, u.q
+    pivots = [next(c for c, x in enumerate(row) if x) for row in u.rows]
+    free = [c for c in range(n) if c not in pivots]
+    for pos, lead in enumerate(free):
+        rest = free[pos + 1:]
+        at = sum(1 for p in pivots if p < lead)
+        for values in itertools.product(range(q), repeat=len(rest)):
+            v = [0] * n
+            v[lead] = 1
+            for c, x in zip(rest, values):
+                v[c] = x
+            v = tuple(v)
+            rows = [row if not row[lead] else
+                    tuple((a - row[lead] * b) % q for a, b in zip(row, v))
+                    for row in u.rows]
+            rows.insert(at, v)
+            yield Subspace._trusted(tuple(rows), n, q)
+
+
+def oracle_lattice(q: int, h: int, k: int, y: Subspace) -> SimpleNamespace:
+    """The fields of ``GeometryIndex(q, h, k, y)``, built another way.
+
+    Each level is the set of upper covers of the one below, from the zero
+    subspace up, in lexicographic RREF order.  Each meet with y is an
+    ``intersect``, each cover a ``Subspace`` located by ``index``, and
+    each cover list is sorted."""
+    n = h + k
+    levels = [[Subspace.zero(n, q)]]
+    for _ in range(n):
+        levels.append(sorted({w for u in levels[-1] for w in upper_covers(u)},
+                             key=lambda w: w.rows))
+    elements = [u for level in levels for u in level]
+    index = {u: p for p, u in enumerate(elements)}
+    meets = [intersect(u, y) for u in elements]
+    ij = tuple((m.dim, u.dim - m.dim) for u, m in zip(elements, meets))
+    strata: dict = {}
+    for p, key in enumerate(ij):
+        strata.setdefault(key, []).append(p)
+    lists = tuple([[] for _ in elements] for _ in range(4))
+    sc_of, bc_of, sc_by, bc_by = lists
+    for pu, u in enumerate(elements):
+        for pv in sorted(index[w] for w in upper_covers(u)):
+            slash = ij[pv][0] == ij[pu][0] + 1
+            (sc_of if slash else bc_of)[pv].append(pu)
+            (sc_by if slash else bc_by)[pu].append(pv)
+    starts = list(itertools.accumulate((len(level) for level in levels), initial=0))
+    return SimpleNamespace(
+        elements=tuple(u.rows for u in elements),
+        index={u.rows: p for u, p in index.items()},
+        meet_y=tuple(index[m] for m in meets),
+        ij=ij,
+        strata={key: tuple(strata[key]) for key in sorted(strata)},
+        by_level=tuple(tuple(range(starts[d], starts[d + 1])) for d in range(n + 1)),
+        slash_covers_of=tuple(map(tuple, sc_of)),
+        backslash_covers_of=tuple(map(tuple, bc_of)),
+        slash_covered_by=tuple(map(tuple, sc_by)),
+        backslash_covered_by=tuple(map(tuple, bc_by)))
+
+
+LATTICE_FIELDS = ("elements", "index", "meet_y", "ij", "strata", "by_level",
+                  "slash_covers_of", "backslash_covers_of", "slash_covered_by",
+                  "backslash_covered_by")
+
+
+def lattice_mismatches(geom) -> list[str]:
+    """The fields of geom that differ from ``oracle_lattice`` at its q, h,
+    k and y (the elements compared by their rows), and "strata order" when
+    the strata are listed in another order."""
+    want = oracle_lattice(geom.q, geom.h, geom.k, geom.y)
+    got = {name: getattr(geom, name) for name in LATTICE_FIELDS}
+    got["elements"] = tuple(u.rows for u in geom.elements)
+    out = [name for name in LATTICE_FIELDS if got[name] != getattr(want, name)]
+    if list(geom.strata) != list(want.strata):
+        out.append("strata order")
+    return out
+
+
+# ---------------------------------------------------------------------------
+# scalars and operators as text
+# ---------------------------------------------------------------------------
+
+def quad(ring: QuadRing, a, b):
+    """a + b sqrt(q) in ring, collapsed to a rational when b == 0."""
+    return QuadScalar._make(_as_fraction(a), _as_fraction(b), ring.q)
+
+
+def evaluate_at_q(x, ring: QuadRing):
+    """The evaluation homomorphism s -> sqrt(q): a symbolic scalar (a
+    ``RatFunc`` in s) to the numeric scalar of ring; others pass through."""
+    if type(x) is RatFunc:
+        return x.evaluate(ring.sqrt_q, ring.q_half(-1))
+    return x
+
+
+def coordinate_lines(op: SparseOperator, labels=None):
+    """'row col value' lines of op in row-major order, positions or labels."""
+    for r, c in op._positions():
+        v = op.entry(r, c)
+        if labels is None:
+            yield f"{r} {c} {v}"
+        else:
+            yield f"{labels[r]} {labels[c]} {v}"
 
 
 # ---------------------------------------------------------------------------

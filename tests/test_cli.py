@@ -12,6 +12,9 @@ from pgaw.operators import build_geometry_operators
 from pgaw.rings import QuadRing
 from pgaw.verify import relations_for, run_geometry_suite
 
+# --timings: the lattice build's total, then its parts
+GEOMETRY_PHASES = ["phase.geometry_build", "phase.geometry_build.enumerate",
+                   "phase.geometry_build.covers", "phase.geometry_build.meets"]
 
 # ---------------------------------------------------------------------------
 # argument parsing
@@ -150,8 +153,10 @@ def test_run_verify_with_timings_flag():
     _, out = run(parse_args(argv + ["--timings"]))
     payload = json.loads(out)
     timings = payload.pop("timings")
-    assert list(timings)[:3] == ["phase.geometry_build", "phase.operators_build",
-                                 "phase.symmetry"]
+    assert list(timings)[:6] == GEOMETRY_PHASES + ["phase.operators_build", "phase.symmetry"]
+    parts = sum(timings[key] for key in GEOMETRY_PHASES[1:])
+    # the parts are timed inside the total; each value is rounded to 1e-6 s
+    assert 0 < parts < timings["phase.geometry_build"] + 1e-5
     assert "counts.slash_down" in timings and "aw.askey1" in timings
     # the aw suite holds every operator, and reads each at some of the 16
     # positions or none
@@ -188,8 +193,8 @@ def test_verify_counts_suite_builds_no_operators(monkeypatch):
     assert run(parse_args(argv + ["--suite", "counts", "--suite", "counts"]))[0] == 0
     _, out = run(parse_args(argv + ["--suite", "counts", "--timings", "--format", "json"]))
     timings = json.loads(out)["timings"]
-    assert [key for key in timings if key.startswith("phase.")] == ["phase.geometry_build"]
-    assert list(timings)[1:] == ids
+    assert [key for key in timings if key.startswith("phase.")] == GEOMETRY_PHASES
+    assert list(timings)[4:] == ids
     assert json.loads(out)["operators"] == {}
 
 
@@ -199,9 +204,9 @@ def test_run_decompose_timings_phases():
     assert "timings" not in json.loads(plain)
     _, out = run(parse_args(argv + ["--timings"]))
     payload = json.loads(out)
-    assert list(payload.pop("timings")) == [
-        "phase.geometry_build", "phase.operators_build", "phase.symmetry",
-        "phase.multiplicities", "phase.bookkeeping"]
+    assert list(payload.pop("timings")) == GEOMETRY_PHASES + [
+        "phase.operators_build", "phase.symmetry", "phase.multiplicities",
+        "phase.bookkeeping"]
     payload.pop("operators")
     assert json.dumps(payload, indent=2) + "\n" == plain
 

@@ -14,7 +14,7 @@ from pgaw.decompose import (
     compute_multiplicities,
     multiplicity_table,
 )
-from pgaw.geometry import build_geometry
+from pgaw.geometry import Subspace, build_geometry
 from pgaw.modules import ModuleType, enumerate_types
 from pgaw.operators import OperatorSet, SparseOperator
 from pgaw.rings import QuadRing
@@ -244,6 +244,20 @@ def test_pinned_tables_keep_the_books(config):
     # in the CLI's format and order, and every per-stratum equation holds
     assert multiplicity_table(mults) == rows
     assert bookkeeping_check(build_geometry(q, h, k), mults).passed
+
+
+def test_multiplicities_need_the_lattice_of_the_set(geometry_cache, ops_cache):
+    # a (2,3,1) lattice with y = <e1> in place of the default <e4>: the
+    # shape of the set's lattice, with other strata
+    y = Subspace.span_of_basis_vectors([1], 4, 2)
+    other = build_geometry(2, 3, 1, y)
+    with pytest.raises(ValueError, match="not the lattice of the operator set"):
+        compute_multiplicities(other, ops_cache(2, 3, 1))
+    with pytest.raises(ValueError, match="not the lattice of the operator set"):
+        compute_multiplicities(geometry_cache(2, 3, 2), ops_cache(2, 3, 1))
+    # an equal lattice built again is not the set's either
+    with pytest.raises(ValueError, match="not the lattice of the operator set"):
+        compute_multiplicities(build_geometry(2, 3, 1), ops_cache(2, 3, 1))
 
 
 def test_multiplicities_need_rational_centrals(geometry_cache, ops_cache):

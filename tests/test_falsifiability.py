@@ -4,9 +4,9 @@ For each row of the relation tables, some single-entry perturbation (+1) of
 an operand the row names must make that row fail.  Entries are searched in
 row-major order, operand by operand, in geometry mode at (2,2,1) and on a
 numeric module.  A count row names a cover list instead; dropping one entry
-of it must make the row fail, and dropping one element of a level must make
-``counts.level_sizes`` fail.  The hand-written relations
-``gen.mixed_balance`` and ``module.k_eigen`` must fail under a perturbation
+of it must make the row fail, and dropping one element of a level, or
+repeating one in the enumeration, must make ``counts.level_sizes`` fail.
+The hand-written relations ``gen.mixed_balance`` and ``module.k_eigen`` must fail under a perturbation
 of each operator they name, and the ``struct.estar_*`` relations under a
 tampered projection E*.
 """
@@ -16,6 +16,7 @@ import dataclasses
 
 import pytest
 
+from pgaw import geometry
 from pgaw.modules import ModuleType, build_abstract_module
 from pgaw.operators import GEOMETRY, MODULE
 from pgaw.rings import QuadRing
@@ -125,6 +126,19 @@ def test_level_sizes_is_falsifiable(geometry_cache):
         clone = copy.copy(geom)
         clone.by_level = tuple(by_level)
         assert not verify_counts(clone).outcome("counts.level_sizes").passed, d
+
+
+def test_a_wrong_enumeration_fails_level_sizes_or_the_build(monkeypatch):
+    # the levels are cut by the dimensions of the enumerated elements: a
+    # repeated point makes level 1 one too long, and a dropped subspace
+    # leaves a cover with no position
+    real = geometry.enumerate_subspaces
+    monkeypatch.setattr(geometry, "enumerate_subspaces", lambda q, n: real(q, n)[:2] + real(q, n)[1:])
+    outcome = verify_counts(geometry.build_geometry(2, 2, 1)).outcome("counts.level_sizes")
+    assert not outcome.passed and outcome.witness == "level 1: 8 elements, expected 7"
+    monkeypatch.setattr(geometry, "enumerate_subspaces", lambda q, n: real(q, n)[:-1])
+    with pytest.raises(KeyError):
+        geometry.build_geometry(2, 2, 1)
 
 
 # (relation, the projection tampered: "level" or "stratum")

@@ -7,9 +7,12 @@ from oracles import (
     BACKSLASH,
     NONE,
     SLASH,
+    TESTED_YS,
     classify_ij,
     contains,
     cover_classify,
+    intersect,
+    lattice_mismatches,
     sum_with,
     vectors,
 )
@@ -68,7 +71,7 @@ def test_enumeration_per_level_sizes():
 
 def test_enumeration_order_deterministic():
     subs = enumerate_subspaces(2, 3)
-    keys = [s.sort_key() for s in subs]
+    keys = [(s.dim, s.rows) for s in subs]
     assert keys == sorted(keys)
     assert subs == enumerate_subspaces(2, 3)
     assert subs[0].dim == 0 and subs[-1].dim == 3
@@ -98,10 +101,10 @@ def test_rref_canonical_form():
 
 def test_intersect_examples():
     u = span([1, 3], 3)
-    assert u.intersect(u) == u
+    assert intersect(u, u) == u
     zero = Subspace.zero(3, 2)
-    assert u.intersect(zero) == zero
-    assert span([1, 3], 3).intersect(span([3], 3)) == span([3], 3)
+    assert intersect(u, zero) == zero
+    assert intersect(span([1, 3], 3), span([3], 3)) == span([3], 3)
 
 
 def test_sum_examples():
@@ -113,7 +116,7 @@ def test_sum_examples():
 
 def test_ambient_mismatch_raises():
     with pytest.raises(ValueError):
-        span([1], 3).intersect(span([1], 4))
+        intersect(span([1], 3), span([1], 4))
     with pytest.raises(ValueError):
         sum_with(span([1], 3, q=2), span([1], 3, q=3))
 
@@ -125,7 +128,7 @@ def test_intersect_sum_against_vector_set_oracle(q, n):
     sets = {s: vector_set(s) for s in subs}
     for _ in range(80):
         u, v = rng.choice(subs), rng.choice(subs)
-        meet = u.intersect(v)
+        meet = intersect(u, v)
         join = sum_with(u, v)
         assert vector_set(meet) == sets[u] & sets[v]
         assert all(w in sets[join] for w in sets[u] | sets[v])
@@ -205,7 +208,7 @@ def _cover_lists_by_containment_scan(g):
                 v = g.elements[pv]
                 if not contains(v, u):
                     continue
-                slash = v.intersect(g.y).dim == u.intersect(g.y).dim + 1
+                slash = intersect(v, g.y).dim == intersect(u, g.y).dim + 1
                 (sc_of if slash else bc_of)[pv].append(pu)
                 (sc_by if slash else bc_by)[pu].append(pv)
     return tuple(tuple(tuple(x) for x in lst) for lst in lists)
@@ -220,7 +223,26 @@ def test_cover_lists_match_containment_scan(q, h, k, custom_y):
             g.slash_covered_by, g.backslash_covered_by) == \
         _cover_lists_by_containment_scan(g)
     for p, u in enumerate(g.elements):
-        assert g.elements[g.meet_y[p]] == u.intersect(g.y)
+        assert g.elements[g.meet_y[p]] == intersect(u, g.y)
+
+
+# every tested configuration, and (3,3,2) and (2,4,2) with default and
+# non-coordinate y's
+ORACLE_YS = TESTED_YS + (
+    (3, 3, 2, None),
+    (3, 3, 2, ((1, 2, 0, 1, 0), (0, 0, 1, 1, 2))),
+    (2, 4, 2, ((1, 1, 0, 0, 0, 0), (0, 0, 1, 0, 1, 1))),
+)
+
+
+@pytest.mark.parametrize("q,h,k,y_rows", ORACLE_YS)
+def test_every_field_matches_the_oracle_lattice(q, h, k, y_rows):
+    y = Subspace(y_rows, h + k, q) if y_rows else None
+    g = build_geometry(q, h, k, y)
+    assert all(type(u) is Subspace and (u.n, u.q) == (h + k, q) for u in g.elements)
+    assert all(g.index[u.rows] == p for p, u in enumerate(g.elements))
+    assert lattice_mismatches(g) == []
+    assert set(g.phases) == {"enumerate", "covers", "meets"}
 
 
 @pytest.mark.parametrize("q,h,k", [(2, 2, 1), (3, 2, 1), (2, 3, 2), (2, 4, 2)])

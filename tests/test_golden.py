@@ -23,6 +23,7 @@ import hashlib
 import json
 import os
 
+from oracles import coordinate_lines
 from pgaw.geometry import Subspace, build_geometry
 from pgaw.modules import ModuleType, build_abstract_module
 from pgaw.operators import DERIVED, build_geometry_operators
@@ -100,7 +101,7 @@ def test_golden_reports_unchanged():
 def _operator_digests(ops) -> dict:
     digests = {}
     for name in sorted({*ops.ops, *DERIVED}):
-        text = "\n".join(ops[name].coordinate_lines(ops.labels))
+        text = "\n".join(coordinate_lines(ops[name], ops.labels))
         digests[name] = hashlib.sha256(text.encode("utf-8")).hexdigest()
     return digests
 

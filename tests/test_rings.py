@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import evaluate_at_q, quad
 from pgaw.modules import build_abstract_module, enumerate_types
 from pgaw.operators import DERIVED
 from pgaw.rings import (
@@ -12,7 +13,6 @@ from pgaw.rings import (
     RatFunc,
     RingMismatchError,
     SymbolicRing,
-    evaluate_at_q,
     gaussian_binomial,
     _terms_str,
     ratfunc_reduce,
@@ -30,12 +30,12 @@ def test_quad_mul_examples():
     s = R2.sqrt_q
     assert (1 + s) * (1 - s) == -1
     assert s * s == 2
-    assert (2 + 3 * s) * (1 + s) == R2.quad(8, 5)
+    assert (2 + 3 * s) * (1 + s) == quad(R2, 8, 5)
 
 
 def test_quad_inv_examples():
     s = R2.sqrt_q
-    assert s.inverse() == R2.quad(0, Fraction(1, 2))
+    assert s.inverse() == quad(R2, 0, Fraction(1, 2))
     assert s * s.inverse() == 1
     assert (1 + s).inverse() == s - 1
     with pytest.raises(ZeroDivisionError):
@@ -63,12 +63,12 @@ def test_quad_demotes_to_rational():
     assert type(v) is int and v == 2
     v = (1 + s) - s
     assert type(v) is int and v == 1
-    assert type(s * R2.quad(0, Fraction(1, 2))) is int
+    assert type(s * quad(R2, 0, Fraction(1, 2))) is int
 
 
 def _random_quad(rng, ring):
-    return ring.quad(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
-                     Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+    return quad(ring, Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
 
 
 def test_quad_field_axioms_random():
@@ -91,7 +91,7 @@ def test_quad_half_powers():
     assert R2.q_half(-2) == Fraction(1, 2)
     assert R2.q_half(1) == R2.sqrt_q
     assert R2.q_half(-1) * R2.q_half(1) == 1
-    assert R2.q_half(3) == R2.quad(0, 2)
+    assert R2.q_half(3) == quad(R2, 0, 2)
     for m in range(-6, 7):
         assert R2.q_half(m) * R2.q_half(-m) == 1
 

@@ -25,6 +25,8 @@ import random
 import pytest
 
 from oracles import (
+    CONFIGS,
+    TESTED_YS,
     builder_inputs,
     hand_certified,
     hand_made,
@@ -62,16 +64,6 @@ from pgaw.verify import (
     run_relation,
     verify_counts,
 )
-
-# (q, h, k, rows of a non-coordinate y or None for the default y)
-CONFIGS = (
-    (2, 2, 1, None), (3, 2, 1, None), (2, 3, 1, None), (2, 3, 2, None), (3, 3, 1, None),
-    (2, 2, 1, ((1, 1, 0),)),
-    (3, 2, 1, ((1, 2, 1),)),
-    (3, 3, 1, ((1, 2, 0, 1),)),
-    (2, 3, 2, ((1, 0, 1, 0, 0), (0, 1, 0, 1, 1))),
-)
-
 
 # (operator, row, col) entries that get +1: each fails some relations
 PERTURBATIONS = (("L1", 0, 0), ("F0", 1, 2), ("Omega1", 2, 5), ("Y", 3, 3))
@@ -317,7 +309,7 @@ def test_invariant_perturbation_is_caught_on_a_representative_row(
         ops_cache, spy, rel_id, where):
     ops = ops_cache(2, 3, 2)
     geom = ops.geometry
-    at = {"zero": 0, "y": geom.index[geom.y], "full": geom.size - 1}
+    at = {"zero": 0, "y": geom.index[geom.y.rows], "full": geom.size - 1}
     r, c = (at[name] for name in where.split(","))
     # the zero subspace, y and the whole space are singleton orbits, so the
     # perturbation is invariant
@@ -454,13 +446,6 @@ def test_generator_counts():
     # and, as the matrices do not depend on q, every q
     for h, k in ((4, 2), (2, 1), (3, 2), (5, 1), (3, 1), (4, 3)):
         assert len(standard_generators(h, k)) == 3
-
-
-# every configuration and y at which the tests build geometry operators:
-# CONFIGS, and the span of e_1, ..., e_k that tests/test_operators.py uses
-TESTED_YS = CONFIGS + tuple(
-    (q, h, k, tuple(tuple(int(c == r) for c in range(h + k)) for r in range(k)))
-    for q, h, k in ((2, 2, 1), (3, 2, 1), (2, 3, 1), (2, 3, 2)))
 
 
 @pytest.mark.parametrize("q,h,k,y_rows", TESTED_YS)
