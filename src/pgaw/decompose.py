@@ -34,7 +34,7 @@ from fractions import Fraction
 
 from .geometry import GeometryIndex
 from .modules import ModuleType, eigen_scalar, enumerate_types
-from .operators import OperatorSet, _integer_operator
+from .operators import OperatorSet, _stored_operator
 from .verify import Outcome, VerificationReport
 
 MultiplicityMap = dict[ModuleType, int]
@@ -76,7 +76,7 @@ def compute_multiplicities(geom: GeometryIndex, ops: OperatorSet) -> Multiplicit
         corner = geom.stratum(*ij)
         start = corner[:1] if certified else corner
         # rows holds the start rows of denominator * E_t
-        rows = _integer_operator(ops.dim, {u: {u: 1} for u in start})
+        rows = _stored_operator(ops.dim, 1, {u: {u: 1} for u in start}, {}, None)
         denominator = 1
         for s, mu in zip(types, triples):
             if s is not t and s.supports(*ij):

@@ -51,6 +51,9 @@ class Subspace:
     __slots__ = ("n", "q", "rows")
 
     def __init__(self, rows: Iterable[Sequence[int]], n: int, q: int):
+        rows = [tuple(row) for row in rows]
+        if any(len(row) != n for row in rows):
+            raise ValueError(f"every row of a subspace of F_q^{n} must have {n} entries")
         self.n = n
         self.q = q
         self.rows = _rref(rows, n, q)
@@ -62,10 +65,6 @@ class Subspace:
         s.q = q
         s.rows = rows
         return s
-
-    @classmethod
-    def zero(cls, n: int, q: int) -> "Subspace":
-        return cls._trusted((), n, q)
 
     @classmethod
     def span_of_basis_vectors(cls, indices: Iterable[int], n: int, q: int) -> "Subspace":
@@ -174,6 +173,12 @@ def _cover_steps(pivots: tuple[int, ...], n: int, q: int, clearings: dict) -> li
                 clearings[v] = _Clearing(v, q)
             steps.append((v, at, clearings[v].__getitem__))
     return steps
+
+
+# The four cover lists of a GeometryIndex, each a step from x to a neighbour:
+# down a slash or a backslash cover, then up one.
+COVER_LISTS = ("slash_covers_of", "backslash_covers_of",
+               "slash_covered_by", "backslash_covered_by")
 
 
 class GeometryIndex:
@@ -313,9 +318,6 @@ class GeometryIndex:
 
     def label(self, p: int) -> str:
         return self.elements[p].label()
-
-    def labels(self) -> tuple[str, ...]:
-        return tuple(u.label() for u in self.elements)
 
     def summary(self) -> dict:
         """Strata sizes, level sizes and cover-degree table (CLI export)."""

@@ -19,11 +19,15 @@ per-entry conversion.  A product with a diagonal operand (the K diagonals
 and their products, the identity, E*) is a row or column scaling of the
 other operand, chosen by the row kernel from its input.
 
+The geometry's 0/1 families are data (``FAMILIES``): words of cover
+steps whose walks from u end at the ones of row u.  Reversing each word
+and inverting each step gives the family of the transpose (``TRANSPOSES``).
+
 A LazyOperator produces each row when it is first read, and keeps it.
 Every operator of a set ``build_geometry_operators`` made is one: the
-inputs produce their rows from the row's weight (the K's) or from the
-cover lists and meet_y (the 0/1 families), the identity and E* from the
-row's weight, and a certified set's derived operators from their
+inputs produce their rows from the row's weight (the K's) or by walking
+their words (the 0/1 families), the identity and E* from the row's
+weight, and a certified set's derived operators from their
 representative rows (``pgaw.symmetry``).  Any other set stores its
 operators in full.  The representative-row
 evaluation reads an operand only at the rows it multiplies (``rows_for``);
@@ -46,14 +50,14 @@ are built both ways; the verifier compares them.
 
 from __future__ import annotations
 
-import itertools
 import weakref
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import gcd, lcm
 from typing import Callable, Optional
 
-from .geometry import GeometryIndex
+from .geometry import COVER_LISTS, GeometryIndex
 from .rings import QuadRing, QuadScalar, RingMismatchError
 
 GEOMETRY = "geometry"
@@ -297,14 +301,6 @@ class SparseOperator:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def zero(cls, dim: int) -> "SparseOperator":
-        return cls(dim)
-
-    @classmethod
-    def identity(cls, dim: int) -> "SparseOperator":
-        return _integer_operator(dim, {r: {r: 1} for r in range(dim)})
-
-    @classmethod
     def diagonal(cls, values) -> "SparseOperator":
         return cls(len(values), {r: {r: v} for r, v in enumerate(values)})
 
@@ -414,15 +410,6 @@ class SparseOperator:
 
     def __repr__(self):
         return f"SparseOperator(dim={self.dim}, nnz={self.nnz()})"
-
-
-def _integer_operator(dim: int, rows: dict) -> SparseOperator:
-    """The operator whose M0 is ``rows`` over d = 1, stored as given.
-
-    Precondition: every value is a nonzero int and no row is empty, as
-    for the identity and the representative rows of ``pgaw.symmetry``;
-    nothing is split, checked or copied."""
-    return _stored_operator(dim, 1, rows, {}, None)
 
 
 def _stored_operator(dim: int, d: int, m0: dict, m1: dict, q) -> SparseOperator:
@@ -542,10 +529,6 @@ def _weight_diagonal(ij, d: int, q, value: Callable,
         n0, n1 = value(ij[u])
         return ({u: n0} if n0 else None), ({u: n1} if n1 else None)
     return LazyOperator(len(ij), d, q, rule, owner=owner)
-
-
-def commutator(x: SparseOperator, y: SparseOperator) -> SparseOperator:
-    return (x @ y) - (y @ x)
 
 
 class _Labels(dict):
@@ -693,51 +676,72 @@ def k_diagonals(ring, basis, owner: Optional[OperatorSet] = None
 # geometry-mode construction
 # ---------------------------------------------------------------------------
 
-def _incidence_rows(geom: GeometryIndex) -> dict[str, Callable]:
-    """For each 0/1 family, the positions of its ones in row u, read from
-    the cover lists and meet_y alone.
+DOWN_SLASH, DOWN_BACK, UP_SLASH, UP_BACK = COVER_LISTS
+_INVERSE = dict(zip(COVER_LISTS, (UP_SLASH, UP_BACK, DOWN_SLASH, DOWN_BACK)))
 
-    L1 and L2 join u to its slash and backslash upper covers, and R1, R2
-    to its lower covers.  The other families join two distinct covers of
-    a common w: F- two slash upper covers, F+ two backslash lower covers,
-    F0 two slash lower covers u, v with dim(u ∩ v ∩ y) = i_u, F two upper
-    covers of the same kind, R a backslash to a slash upper cover, L a
-    slash to a backslash upper cover, and A any two upper covers.  No
-    intersection is computed for F0: u ∩ y and v ∩ y are hyperplanes of
-    w ∩ y, so that meet has dimension i_u exactly when u ∩ y = v ∩ y,
-    i.e. ``meet_y[u] == meet_y[v]``."""
-    sc_of, bc_of = geom.slash_covers_of, geom.backslash_covers_of
-    sc_by, bc_by = geom.slash_covered_by, geom.backslash_covered_by
-    meet_y = geom.meet_y
-    chain = itertools.chain.from_iterable
-    return {
-        "L1": sc_by.__getitem__,
-        "L2": bc_by.__getitem__,
-        "R1": sc_of.__getitem__,
-        "R2": bc_of.__getitem__,
-        "F0": lambda u: (v for w in sc_by[u] for v in sc_of[w] if meet_y[v] == meet_y[u]),
-        "Fplus": lambda u: chain(bc_of[w] for w in bc_by[u]),
-        "Fminus": lambda u: chain(sc_by[w] for w in sc_of[u]),
-        "F": lambda u: itertools.chain(chain(sc_by[w] for w in sc_of[u]),
-                                       chain(bc_by[w] for w in bc_of[u])),
-        "R": lambda u: chain(sc_by[w] for w in bc_of[u]),
-        "L": lambda u: chain(bc_by[w] for w in sc_of[u]),
-        "A": lambda u: chain(sc_by[w] + bc_by[w] for w in sc_of[u] + bc_of[u]),
-    }
+# Each 0/1 family as the words of cover steps whose walks from u end at the
+# ones of row u.  L1, L2 go up a slash or backslash cover and R1, R2 down
+# one; the others join two distinct covers of a common w: F- two slash
+# upper covers, F+ two backslash lower covers, F0 two slash lower covers,
+# F two upper covers of the same kind, R a backslash to a slash upper
+# cover, L a slash to a backslash upper cover, and A any two upper covers.
+FAMILIES: dict[str, tuple[tuple[str, ...], ...]] = {
+    "L1": ((UP_SLASH,),),
+    "L2": ((UP_BACK,),),
+    "R1": ((DOWN_SLASH,),),
+    "R2": ((DOWN_BACK,),),
+    "F0": ((UP_SLASH, DOWN_SLASH),),
+    "Fplus": ((UP_BACK, DOWN_BACK),),
+    "Fminus": ((DOWN_SLASH, UP_SLASH),),
+    "F": ((DOWN_SLASH, UP_SLASH), (DOWN_BACK, UP_BACK)),
+    "R": ((DOWN_BACK, UP_SLASH),),
+    "L": ((DOWN_SLASH, UP_BACK),),
+    "A": tuple((down, up) for down in (DOWN_SLASH, DOWN_BACK) for up in (UP_SLASH, UP_BACK)),
+}
+
+# The families whose row u keeps a one at v only when meet_y[v] == meet_y[u]:
+# F0 joins u, v with dim(u ∩ v ∩ y) = i_u, and no intersection is computed,
+# since u ∩ y and v ∩ y are hyperplanes of w ∩ y, so that meet has
+# dimension i_u exactly when u ∩ y = v ∩ y.  The condition is symmetric in
+# u and v, so it carries over to the transpose.
+SAME_MEET_Y = frozenset({"F0"})
+
+# The family whose operator is the transpose of each family's, when each
+# ``*_covered_by`` list is the inverse of its ``*_covers_of`` list: its
+# words are the family's, each reversed with each step inverted.
+_BY_WORDS = {(frozenset(words), name in SAME_MEET_Y): name for name, words in FAMILIES.items()}
+TRANSPOSES = {name: _BY_WORDS[frozenset(tuple(_INVERSE[step] for step in reversed(word))
+                                        for word in words), name in SAME_MEET_Y]
+              for name, words in FAMILIES.items()}
 
 
-def _ones_rule(positions: Callable) -> Callable:
-    """Row u with a 1 at each of positions(u) other than u itself."""
+def _walk(lists: list) -> Callable:
+    """u -> the ends of the walks from u through these cover lists in turn."""
+    *before, last = lists
+    if not before:
+        return last.__getitem__
+    inner, step = _walk(before), last.__getitem__
+    return lambda u: chain.from_iterable(map(step, inner(u)))
+
+
+def _family_rule(geom: GeometryIndex, name: str) -> Callable:
+    """Row u of a family: a 1 at the end of each walk along its words, u itself dropped."""
+    walks = [_walk([getattr(geom, step) for step in word]) for word in FAMILIES[name]]
+    ends = walks[0] if len(walks) == 1 else lambda u: chain.from_iterable(w(u) for w in walks)
+    meet_y = geom.meet_y if name in SAME_MEET_Y else None
+
     def rule(u):
-        row = dict.fromkeys(positions(u), 1)
-        row.pop(u, None)  # no family joins u to itself
+        row = dict.fromkeys(ends(u), 1)
+        row.pop(u, None)
+        if meet_y is not None:
+            row = {v: 1 for v in row if meet_y[v] == meet_y[u]}
         return (row or None), None
     return rule
 
 
 def build_geometry_operators(geom: GeometryIndex, ring: QuadRing) -> OperatorSet:
     """The set of operators over the lattice, with the K diagonals and the
-    0/1 families of ``_incidence_rows`` as inputs.
+    0/1 families of ``FAMILIES`` as inputs.
 
     No row is built here: each input produces a row when it is first read
     (``LazyOperator``), the K's from the row's weight and the 0/1 families
@@ -748,8 +752,8 @@ def build_geometry_operators(geom: GeometryIndex, ring: QuadRing) -> OperatorSet
             "geometry operators need a numeric ring with matching q")
     ops = OperatorSet(ring, {}, geom, from_lattice=True)
     ops.ops.update(k_diagonals(ring, geom, owner=ops))
-    for name, positions in _incidence_rows(geom).items():
-        ops.ops[name] = LazyOperator(geom.size, 1, None, _ones_rule(positions), owner=ops)
+    for name in FAMILIES:
+        ops.ops[name] = LazyOperator(geom.size, 1, None, _family_rule(geom, name), owner=ops)
     return ops
 
 

@@ -34,8 +34,9 @@ geometry, which exists iff
     preserves (i, j).  The BFS records its forest: in BFS order, each
     position u other than a representative with a generator π and a
     position p reached before it such that u = π p;
-(c) for each π and each position u, the four cover lists of πu are the
-    images under π of u's, and meet_y[πu] = π meet_y[u].
+(c) each ``*_covered_by`` list is the inverse of its ``*_covers_of`` list,
+    and for each π and position u, meet_y[πu] = π meet_y[u] and the
+    ``*_covers_of`` lists of πu are the images of u's (so all four are).
 
 (a)-(c) read the lattice alone and need no operator.  They make the
 builder's inputs invariant: the K diagonals are functions of the stratum,
@@ -43,9 +44,10 @@ which (b) makes π preserve, and the 0/1 families L1, L2, R1, R2, F0, F+,
 F-, F, R, L and A are functions of the cover lists and meet_y, which (c)
 makes π preserve.  The builder writes each input as a rule for one row,
 which reads the row's stratum, cover lists and meet_y, and nothing else
-(``operators._incidence_rows``).  Any other set -- a module, a
-``perturbed`` clone, a set built by hand -- has no certificate and runs in
-full.
+(the words of ``operators.FAMILIES``), whose transposes (c)'s inversion
+makes the families ``operators.TRANSPOSES`` names.  Any other set -- a
+module, a ``perturbed`` clone, a set built by hand -- has no certificate
+and runs in full.
 
 A certified set derives each operator of ``operators.DERIVED`` (``derive``)
 by evaluating its definition on the RowView below, which gives the
@@ -77,8 +79,8 @@ u = π p, which holds by construction.
 
 ``evaluate`` reads the certificate once, before the evaluator runs.  With
 one, it runs the relation's evaluator on a RowView of the set, in which
-operators, products, sums, scalars and transposes of operators are lazy
-expressions multiplied out from the representative rows, left to right,
+operators, products, sums, scalars and transposes of 0/1 families are
+lazy expressions multiplied out from the representative rows, left to right,
 each operator read only at the rows the product reaches; its result
 there -- None or the witness -- is the outcome.  Without one, it runs the
 evaluator on the set itself.  Either way the relation is evaluated once.
@@ -93,7 +95,7 @@ from functools import cached_property
 from typing import Callable, Optional
 
 from .geometry import GeometryIndex, _rref
-from .operators import LazyOperator, OperatorSet, SparseOperator, _integer_operator
+from .operators import TRANSPOSES, LazyOperator, OperatorSet, SparseOperator, _stored_operator
 
 Matrix = list[list[int]]
 
@@ -239,23 +241,30 @@ def _orbit_forest(perms, geom: GeometryIndex) -> Optional[tuple]:
     return tuple(forest) if all(reached) else None
 
 
-COVER_LISTS = ("slash_covers_of", "backslash_covers_of",
-               "slash_covered_by", "backslash_covered_by")
-
-
 def _preserves_lattice(geom: GeometryIndex, perm) -> bool:
-    """For every position u: each cover list of perm[u] is the image under
-    perm of u's list, sorted (every cover list ascends), and
-    meet_y[perm[u]] == perm[meet_y[u]]."""
+    """For every position u: each ``*_covers_of`` list of perm[u] is perm of
+    u's list, sorted, and meet_y[perm[u]] == perm[meet_y[u]]."""
     meet_y = geom.meet_y
     if any(meet_y[pu] != perm[mu] for pu, mu in zip(perm, meet_y)):
         return False
     image = perm.__getitem__
-    for name in COVER_LISTS:
-        lists = getattr(geom, name)
+    for lists in (geom.slash_covers_of, geom.backslash_covers_of):
         for mine, pu in zip(lists, perm):
             if tuple(sorted(map(image, mine))) != lists[pu]:
                 return False
+    return True
+
+
+def _covers_invert(geom: GeometryIndex) -> bool:
+    """Each ``*_covered_by`` list is the ascending inverse of its ``*_covers_of`` list."""
+    for down, up in ((geom.slash_covers_of, geom.slash_covered_by),
+                     (geom.backslash_covers_of, geom.backslash_covered_by)):
+        inverse: list = [[] for _ in up]
+        for v, below in enumerate(down):
+            for u in below:
+                inverse[u].append(v)
+        if any(tuple(mine) != theirs for mine, theirs in zip(inverse, up)):
+            return False
     return True
 
 
@@ -307,7 +316,7 @@ class Certificate:
 
 def lattice_certificate(geom: GeometryIndex) -> Optional[Certificate]:
     """Checks (a), (b) and (c) on the lattice alone, or None when one fails."""
-    perms = generator_permutations(geom)
+    perms = generator_permutations(geom) if _covers_invert(geom) else None
     if perms is None:
         return None
     forest = _orbit_forest(perms, geom)
@@ -369,22 +378,23 @@ class _Expr:
 
 
 class _Leaf(_Expr):
-    """A named operator, the identity or a projection E*: read at the
-    column support of the rows it is applied to."""
+    """A named operator, or the identity or a projection E* (name None):
+    read at the column support of the rows it is applied to."""
 
-    __slots__ = ("op",)
+    __slots__ = ("op", "name")
 
-    def __init__(self, view, op: SparseOperator):
+    def __init__(self, view, op: SparseOperator, name: Optional[str] = None):
         super().__init__(view)
-        self.op = op
+        self.op, self.name = op, name
 
     def apply(self, rows):
         return rows @ self.op.rows_for(rows)
 
     def transpose(self):
-        """Invariant as the operator is; a composite expression has no
-        transpose here."""
-        return _Leaf(self.view, self.op.transpose())
+        """The leaf of the family ``TRANSPOSES`` names; no other has one here."""
+        if self.name not in TRANSPOSES:
+            raise AttributeError(f"{self.name or 'a diagonal'} has no transpose on the row view")
+        return self.view[TRANSPOSES[self.name]]
 
 
 class _Product(_Expr):
@@ -430,7 +440,7 @@ class RowView:
     def __init__(self, ops: OperatorSet, cert: Certificate):
         self._ops = ops
         # the identity restricted to the representative rows
-        self.start = _integer_operator(ops.dim, {r: {r: 1} for r in cert.reps})
+        self.start = _stored_operator(ops.dim, 1, {r: {r: 1} for r in cert.reps}, {}, None)
 
     def __getattr__(self, name):
         return getattr(self._ops, name)
@@ -443,7 +453,7 @@ class RowView:
         return op
 
     def __getitem__(self, name: str) -> _Expr:
-        return _Leaf(self, self._ops[name])
+        return _Leaf(self, self._ops[name], name)
 
     def prod(self, a: str, b: str) -> _Expr:
         return self[a] @ self[b]

@@ -26,7 +26,7 @@ representative row per G_y-orbit; the first nonzero row of a residual is
 always one of them, so witnesses are the full evaluation's.  An evaluator
 combines only the set's own operators: the identity, the projections E*,
 the named operators and their products, sums, scalar multiples and (for a
-named operator) transposes.  Any other set -- a perturbed clone, a module,
+0/1 family) transposes.  Any other set -- a perturbed clone, a module,
 a set built by hand -- is evaluated in full.
 """
 
@@ -46,7 +46,6 @@ from .operators import (
     OperatorSet,
     SparseOperator,
     build_geometry_operators,
-    commutator,
     expr_a_via_lr,
     expr_a_via_rl,
     expr_askey1,
@@ -367,7 +366,7 @@ class _Commutator:
     y: str
 
     def __call__(self, ops: OperatorSet) -> SparseOperator:
-        return commutator(ops[self.x], ops[self.y])
+        return (ops[self.x] @ ops[self.y]) - (ops[self.y] @ ops[self.x])
 
 
 def _operand(ops: OperatorSet, spec) -> SparseOperator:

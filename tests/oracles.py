@@ -19,7 +19,6 @@ from pgaw.operators import (
     K_EXPONENTS,
     OperatorSet,
     SparseOperator,
-    _integer_operator,
     _stored_operator,
     build_geometry_operators,
 )
@@ -165,7 +164,7 @@ def oracle_lattice(q: int, h: int, k: int, y: Subspace) -> SimpleNamespace:
     ``intersect``, each cover a ``Subspace`` located by ``index``, and
     each cover list is sorted."""
     n = h + k
-    levels = [[Subspace.zero(n, q)]]
+    levels = [[Subspace((), n, q)]]
     for _ in range(n):
         levels.append(sorted({w for u in levels[-1] for w in upper_covers(u)},
                              key=lambda w: w.rows))
@@ -303,9 +302,9 @@ def batch_inputs(geom) -> dict:
            for name, e in K_EXPONENTS.items()}
     for name, covered_by in (("L1", geom.slash_covered_by),
                              ("L2", geom.backslash_covered_by)):
-        ops[name] = _integer_operator(size, {u: dict.fromkeys(above, 1)
-                                             for u, above in enumerate(covered_by)
-                                             if above})
+        ops[name] = _stored_operator(size, 1, {u: dict.fromkeys(above, 1)
+                                               for u, above in enumerate(covered_by)
+                                               if above}, {}, None)
     ops["R1"] = ops["L1"].transpose()
     ops["R2"] = ops["L2"].transpose()
     fams = {name: {} for name in ("F0", "Fplus", "Fminus", "F", "R", "L", "A")}
@@ -328,7 +327,7 @@ def batch_inputs(geom) -> dict:
                 fams["L"].setdefault(v, {}).update(dict.fromkeys(up_back, 1))
         _link(fams["A"], up_slash + up_back)
     for name, rows in fams.items():
-        ops[name] = _integer_operator(size, rows)
+        ops[name] = _stored_operator(size, 1, rows, {}, None)
     return ops
 
 

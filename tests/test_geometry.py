@@ -102,7 +102,7 @@ def test_rref_canonical_form():
 def test_intersect_examples():
     u = span([1, 3], 3)
     assert intersect(u, u) == u
-    zero = Subspace.zero(3, 2)
+    zero = Subspace((), 3, 2)
     assert intersect(u, zero) == zero
     assert intersect(span([1, 3], 3), span([3], 3)) == span([3], 3)
 
@@ -110,8 +110,19 @@ def test_intersect_examples():
 def test_sum_examples():
     u = span([1], 3)
     assert sum_with(u, u) == u
-    assert sum_with(u, Subspace.zero(3, 2)) == u
+    assert sum_with(u, Subspace((), 3, 2)) == u
     assert sum_with(span([1], 3), span([3], 3)) == span([1, 3], 3)
+
+
+def test_rows_of_the_wrong_length_are_rejected():
+    # a 7-entry y for (3,4,2), where n = 6
+    rows = ((1, 0, 0, 0, 0, 1, 2), (0, 1, 0, 0, 2, 0, 1))
+    with pytest.raises(ValueError, match="6 entries"):
+        Subspace(rows, 6, 3)
+    with pytest.raises(ValueError, match="6 entries"):
+        build_geometry(3, 4, 2, Subspace(rows, 6, 3))
+    with pytest.raises(ValueError, match="3 entries"):
+        Subspace(((1, 0),), 3, 2)
 
 
 def test_ambient_mismatch_raises():

@@ -37,18 +37,19 @@ from oracles import (
 )
 from pgaw import symmetry, verify
 from pgaw.decompose import compute_multiplicities
-from pgaw.geometry import Subspace, build_geometry
+from pgaw.geometry import COVER_LISTS, Subspace, build_geometry
 from pgaw.operators import (
     DERIVED,
+    FAMILIES,
+    TRANSPOSES,
     LazyOperator,
     SparseOperator,
-    _integer_operator,
+    _stored_operator,
     build_geometry_operators,
     expr_askey1,
 )
 from pgaw.rings import QuadRing
 from pgaw.symmetry import (
-    COVER_LISTS,
     RowView,
     generator_permutations,
     lattice_certificate,
@@ -355,7 +356,7 @@ def test_operand_on_either_side_of_a_view_expression_raises_type_error(ops_cache
     operands = {
         "right": lambda o: o.identity() @ spike,
         "left": lambda o: spike @ o.identity(),
-        "a zero to add to": lambda o: SparseOperator.zero(o.dim) + o.estar_level(0),
+        "a zero to add to": lambda o: SparseOperator(o.dim) + o.estar_level(0),
         "another view's expression": lambda o: o.identity() - other_view.identity(),
     }
     for where, build in operands.items():
@@ -399,6 +400,20 @@ def test_unsupported_query_raises_attribute_error(ops_cache, monkeypatch):
     with pytest.raises(AttributeError, match="nnz"):
         run_relation(ops, "a.sum")
     assert seen == ["reduced"]
+
+
+def test_only_a_family_has_a_transpose_on_the_row_view(ops_cache):
+    assert TRANSPOSES == {"L1": "R1", "R1": "L1", "L2": "R2", "R2": "L2", "L": "R", "R": "L",
+                          **{name: name for name in ("F0", "Fplus", "Fminus", "F", "A")}}
+    assert set(TRANSPOSES) == set(FAMILIES)
+    ops = ops_cache(2, 3, 2)
+    view = RowView(ops, ops.certificate)
+    for name, transposed in TRANSPOSES.items():
+        assert view[name].transpose().op is ops[transposed]
+    for leaf in (view["Omega0"], view["Astar"], view.identity(), view.estar_level(1),
+                 view.estar_stratum(1, 1), view["L1"] @ view["R1"]):
+        with pytest.raises(AttributeError):
+            leaf.transpose()
 
 
 def _bad_generator(h, k):
@@ -525,6 +540,10 @@ def test_permutes_agrees_with_the_entrywise_statement():
 # -- the certificate from the lattice -------------------------------------------
 
 def _list_check(geom, perms) -> bool:
+    return symmetry._covers_invert(geom) and _invariant_lists(geom, perms)
+
+
+def _invariant_lists(geom, perms) -> bool:
     return all(symmetry._preserves_lattice(geom, perm) for perm in perms)
 
 
@@ -618,6 +637,38 @@ def test_join_without_one_common_cover_gives_none(common):
     assert symmetry._join_permutation(_tampered(geom, name, u1, value), identity) is None
 
 
+def _rl_transpose_in_full(geom):
+    ops = build_geometry_operators(geom, QuadRing(geom.q))
+    assert ops.certificate is None
+    return run_relation(ops, "a.rl_transpose")
+
+
+def test_cover_lists_that_do_not_invert_get_no_certificate(monkeypatch):
+    geom = _geometry(2, 3, 2)
+    assert symmetry._covers_invert(geom)
+    # one slash upper cover dropped
+    u = next(u for u, above in enumerate(geom.slash_covered_by) if above)
+    shortened = _tampered(geom, "slash_covered_by", u, geom.slash_covered_by[u][:-1])
+    assert not symmetry._covers_invert(shortened)
+    assert lattice_certificate(shortened) is None
+    assert not _rl_transpose_in_full(shortened).passed
+    # the slash and backslash upper cover lists swapped: checks (a), (b) and
+    # the invariance of (c) still hold, and only the inversion fails
+    swapped = copy.copy(geom)
+    swapped.slash_covered_by = geom.backslash_covered_by
+    swapped.backslash_covered_by = geom.slash_covered_by
+    perms = generator_permutations(swapped)
+    assert perms is not None and symmetry._orbit_forest(perms, swapped) is not None
+    assert _invariant_lists(swapped, perms)
+    assert not symmetry._covers_invert(swapped)
+    assert lattice_certificate(swapped) is None
+    assert not _rl_transpose_in_full(swapped).passed
+    # without the inversion, the row view would read R for L's transpose and pass
+    monkeypatch.setattr(symmetry, "_covers_invert", lambda geom: True)
+    ops = build_geometry_operators(swapped, QuadRing(2))
+    assert ops.certificate is not None and run_relation(ops, "a.rl_transpose").passed
+
+
 def test_lattice_certificate_needs_no_operator(geometry_cache, ops_cache):
     geom = geometry_cache(2, 4, 2)
     cert = lattice_certificate(geom)
@@ -701,7 +752,7 @@ NAMES = ("K1", "K1i", "K2", "K2i", "L1", "L2", "R1", "R2", "F0", "Fplus", "Fminu
 
 def _row(op, u):
     """Row u of op, read through ``rows_for`` as the row view reads it."""
-    rows = op.rows_for(_integer_operator(op.dim, {u: {u: 1}}))
+    rows = op.rows_for(_stored_operator(op.dim, 1, {u: {u: 1}}, {}, None))
     return rows.m0.get(u), rows.m1.get(u)
 
 
@@ -710,6 +761,12 @@ def test_rows_on_demand_equal_the_batch_oracle(q, h, k, y_rows):
     ops = _fresh(q, h, k, y_rows)
     want = oracle_operators(ops.geometry)
     assert len(NAMES) == len(set(NAMES)) == len(want) == 24 and set(NAMES) == set(want)
+    # the transposed family of each family, row by row, is the transpose of
+    # the family's batch build
+    for name, transposed in TRANSPOSES.items():
+        ref = want[name].transpose()
+        for u in range(ops.dim):
+            assert _row(ops[transposed], u) == (ref.m0.get(u), None), (name, u)
     for name in NAMES:
         op, ref = ops[name], want[name]
         assert isinstance(op, LazyOperator), name
@@ -764,6 +821,16 @@ def test_reduced_path_builds_no_full_operator():
         assert isinstance(op, LazyOperator)
         assert len(op.rows_produced()) < ops.dim, op
     assert set(ops["A"].rows_produced()) == set(ops.certificate.reps)
+    # every suite, a.rl_transpose included.  At (2,3,2) A^2 reaches every
+    # position from the representatives, so A* is read at every row there;
+    # (2,4,2) is the smallest default lattice where no product reaches all.
+    ops = _fresh(2, 4, 2)
+    assert run_geometry_suite(ops).passed
+    ops.identity()
+    for op in [*ops.ops.values(), *ops._projections.values()]:
+        assert isinstance(op, LazyOperator) and len(op.rows_produced()) < ops.dim, op
+    # L's transpose is read from R's representative rows
+    assert set(ops["L"].rows_produced()) == set(ops.certificate.reps)
 
 
 def test_perturbed_clone_and_decompose_on_a_lazy_set():

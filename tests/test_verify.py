@@ -282,7 +282,6 @@ def test_passing_runs_build_no_labels(monkeypatch):
     def no_labels(*args):
         raise AssertionError("a passing run built a label")
 
-    monkeypatch.setattr(GeometryIndex, "labels", no_labels)
     for basis in (GeometryIndex, ModuleType):
         monkeypatch.setattr(basis, "label", no_labels)
     for argv in (["verify", "--q", "2", "--h", "3", "--k", "2"],
