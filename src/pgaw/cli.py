@@ -5,7 +5,10 @@ Subcommands: enumerate (lattice summary), verify (geometry suite), module
 (parameter conversion).  Reports are deterministic: fixed ordering, no
 timestamps; timing data is only attached with --timings and is excluded
 from the determinism guarantee.  Exit status 0 iff nothing failed; usage
-errors, an unwritable --output among them, exit 2 with a message.
+errors, an unwritable --output among them, exit 2 with a message.  An
+error after parsing (a lattice above --max-elements, a selection with no
+relation in the mode, a failed decompose check) is a report of one failure,
+rendered per --format and written to --output like any other.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .decompose import bookkeeping_check, compute_multiplicities, multiplicity_table
@@ -30,6 +32,7 @@ from .modules import (
 from .operators import GEOMETRY, build_geometry_operators
 from .rings import SUPPORTED_Q, QuadRing, SymbolicRing, gaussian_binomial
 from .verify import (
+    REGISTRY,
     SUITES,
     VerificationReport,
     run_geometry_suite,
@@ -41,46 +44,24 @@ from .verify import (
 DEFAULT_MAX_ELEMENTS = 10_000
 
 
-class CapacityError(RuntimeError):
-    """Raised when the lattice exceeds the configured element cap."""
-
-
-@dataclass
-class RunConfig:
-    command: str
-    q: Optional[int] = None
-    symbolic: bool = False
-    h: int = 0
-    k: int = 0
-    mtype: Optional[tuple[int, int, int]] = None
-    y_rows: Optional[tuple[tuple[int, ...], ...]] = None
-    suites: tuple[str, ...] = ("all",)
-    relation_ids: Optional[tuple[str, ...]] = None
-    fmt: str = "text"
-    output: Optional[str] = None
-    max_elements: int = DEFAULT_MAX_ELEMENTS
-    include_timings: bool = False
-    include_tables: bool = False
-
-
-def _parse_y(text: str, q: int, h: int, k: int,
-             parser: argparse.ArgumentParser) -> tuple[tuple[int, ...], ...]:
-    """Rows of --y: entries 0..q-1 spanning a k-dimensional subspace of F_q^(h+k)."""
+def _parse_y(ns: argparse.Namespace, parser: argparse.ArgumentParser) -> Subspace:
+    """--y as a subspace: rows of entries 0..q-1 spanning a k-dimensional
+    subspace of F_q^(h+k)."""
     try:
-        rows = tuple(tuple(int(x) for x in row.split(",")) for row in text.split(";"))
+        rows = tuple(tuple(int(x) for x in row.split(",")) for row in ns.y.split(";"))
     except ValueError:
-        parser.error(f"cannot parse --y value {text!r}; expected e.g. '0,0,1;1,0,0'")
-    bad = [x for row in rows for x in row if not 0 <= x < q]
+        parser.error(f"cannot parse --y value {ns.y!r}; expected e.g. '0,0,1;1,0,0'")
+    bad = [x for row in rows for x in row if not 0 <= x < ns.q]
     if bad:
-        parser.error(f"--y entry {bad[0]} is outside 0..{q - 1} for q={q}, in {text!r}")
-    n = h + k
+        parser.error(f"--y entry {bad[0]} is outside 0..{ns.q - 1} for q={ns.q}, in {ns.y!r}")
+    n = ns.h + ns.k
     if any(len(row) != n for row in rows):
-        parser.error(f"--y rows must have length h+k={n}, got {text!r}")
-    dim = Subspace(rows, n, q).dim
-    if dim != k:
-        parser.error(f"--y must span a subspace of dimension k={k}, "
-                     f"got dimension {dim} from {text!r}")
-    return rows
+        parser.error(f"--y rows must have length h+k={n}, got {ns.y!r}")
+    y = Subspace(rows, n, ns.q)
+    if y.dim != ns.k:
+        parser.error(f"--y must span a subspace of dimension k={ns.k}, "
+                     f"got dimension {y.dim} from {ns.y!r}")
+    return y
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -88,134 +69,88 @@ def build_parser() -> argparse.ArgumentParser:
         prog="pgaw",
         description="Exact verification of the subspace-lattice operator algebra "
                     "and its generalized Askey-Wilson relations.")
+    # every command's namespace has every attribute; a command that does not
+    # take an option gets its default
+    parser.set_defaults(q=None, symbolic=False, y=None, mtype=None, suite=None,
+                        relation=None, max_elements=DEFAULT_MAX_ELEMENTS,
+                        timings=False, tables=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, cap=False, timings=False, with_suite=False):
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--output", default=None, help="write the report to this path")
-        if cap:
-            p.add_argument("--max-elements", type=int, default=DEFAULT_MAX_ELEMENTS,
-                           help="reject lattices larger than this (default 10000)")
-        if timings:
-            p.add_argument("--timings", action="store_true",
-                           help="attach timing data (excluded from determinism)")
-        if with_suite:
-            p.add_argument("--suite", action="append", default=None,
-                           choices=("all",) + SUITES,
-                           help="restrict to a suite (repeatable; default all)")
-            p.add_argument("--relation", action="append", default=None,
-                           metavar="ID",
-                           help="run exactly this relation id (repeatable; "
-                                "overrides --suite)")
+    def group() -> argparse.ArgumentParser:
+        return argparse.ArgumentParser(add_help=False)
 
-    p = sub.add_parser("enumerate", help="build the lattice and export its summary")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--h", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--y", default=None, help="override y; rows as '0,0,1;...'")
-    add_common(p, cap=True)
+    lattice = group()
+    for name in ("q", "h", "k"):
+        lattice.add_argument(f"--{name}", type=int, required=True)
+    lattice.add_argument("--max-elements", type=int, default=DEFAULT_MAX_ELEMENTS,
+                         help="reject lattices larger than this (default 10000)")
+    y = group()
+    y.add_argument("--y", default=None, help="override y; rows as '0,0,1;...'")
+    mtype = group()
+    for name in ("h", "k", "alpha", "beta", "rho"):
+        mtype.add_argument(f"--{name}", type=int, required=True)
+    timings = group()
+    timings.add_argument("--timings", action="store_true",
+                         help="attach timing data (excluded from determinism)")
+    select = group()
+    choice = select.add_mutually_exclusive_group()
+    choice.add_argument("--suite", action="append", choices=("all",) + SUITES,
+                        help="restrict to a suite (repeatable; default all)")
+    choice.add_argument("--relation", action="append", metavar="ID",
+                        help="run exactly this relation id (repeatable)")
+    report = group()
+    report.add_argument("--format", choices=("text", "json"), default="text")
+    report.add_argument("--output", default=None, help="write the report to this path")
 
-    p = sub.add_parser("verify", help="run the geometry relation suites")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--h", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--y", default=None, help="override y; rows as '0,0,1;...'")
-    add_common(p, cap=True, timings=True, with_suite=True)
+    def command(name: str, summary: str, *groups) -> argparse.ArgumentParser:
+        return sub.add_parser(name, help=summary, parents=[*groups, report])
 
-    p = sub.add_parser("module", help="run the abstract-module relation suites")
-    p.add_argument("--h", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--alpha", type=int, required=True)
-    p.add_argument("--beta", type=int, required=True)
-    p.add_argument("--rho", type=int, required=True)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--q", type=int, default=None)
-    group.add_argument("--symbolic", action="store_true")
+    command("enumerate", "build the lattice and export its summary", lattice, y)
+    command("verify", "run the geometry relation suites", lattice, y, select, timings)
+    p = command("module", "run the abstract-module relation suites", mtype,
+                select, timings)
+    ring = p.add_mutually_exclusive_group(required=True)
+    ring.add_argument("--q", type=int, default=None)
+    ring.add_argument("--symbolic", action="store_true")
     p.add_argument("--tables", action="store_true",
                    help="include the eigenvalue tables in the report")
-    add_common(p, timings=True, with_suite=True)
-
-    p = sub.add_parser("decompose", help="multiplicities of the module types")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--h", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    add_common(p, cap=True, timings=True)
-
-    p = sub.add_parser("convert", help="type (alpha,beta,rho) -> (nu,mu,d,e)")
-    p.add_argument("--h", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--alpha", type=int, required=True)
-    p.add_argument("--beta", type=int, required=True)
-    p.add_argument("--rho", type=int, required=True)
-    add_common(p)
-
+    command("decompose", "multiplicities of the module types", lattice, timings)
+    command("convert", "type (alpha,beta,rho) -> (nu,mu,d,e)", mtype)
     return parser
 
 
-def parse_args(argv: Sequence[str]) -> RunConfig:
+def parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """The validated namespace, with ``y`` a Subspace (or None), ``mtype`` a
+    ModuleType (module, convert) and ``suite`` a list (["all"] by default).
+    A usage error exits 2."""
     parser = build_parser()
     ns = parser.parse_args(argv)
-
-    q = getattr(ns, "q", None)
-    symbolic = bool(getattr(ns, "symbolic", False))
-    if q is not None and q not in SUPPORTED_Q:
-        parser.error(f"unsupported q={q}; supported: {', '.join(map(str, SUPPORTED_Q))}"
+    if ns.q is not None and ns.q not in SUPPORTED_Q:
+        parser.error(f"unsupported q={ns.q}; supported: {', '.join(map(str, SUPPORTED_Q))}"
                      + (" or --symbolic" if ns.command == "module" else ""))
-    if ns.command in ("enumerate", "verify", "decompose") and q is None:
-        parser.error(f"{ns.command} requires a numeric --q")
-
-    h, k = ns.h, ns.k
-    if not (k >= 1 and h > k):
-        parser.error(f"invalid geometry parameters: need h > k >= 1, got h={h}, k={k}")
-
-    mtype = None
+    if not (ns.k >= 1 and ns.h > ns.k):
+        parser.error(f"invalid geometry parameters: need h > k >= 1, got h={ns.h}, k={ns.k}")
     if ns.command in ("module", "convert"):
         try:
-            ModuleType(ns.alpha, ns.beta, ns.rho, h, k)
+            ns.mtype = ModuleType(ns.alpha, ns.beta, ns.rho, ns.h, ns.k)
         except ValueError as exc:
             parser.error(f"invalid module type: {exc}")
-        mtype = (ns.alpha, ns.beta, ns.rho)
-
-    max_elements = getattr(ns, "max_elements", DEFAULT_MAX_ELEMENTS)
-    if max_elements < 1:
-        parser.error(f"--max-elements must be at least 1, got {max_elements}")
-
-    y_rows = None
-    if getattr(ns, "y", None):
-        y_rows = _parse_y(ns.y, q, h, k, parser)
-
-    suites = tuple(getattr(ns, "suite", None) or ["all"])
-    relation_ids = getattr(ns, "relation", None)
-    if relation_ids:
-        from .verify import REGISTRY
-        known = {r.id for r in REGISTRY}
-        for rid in relation_ids:
-            if rid not in known:
-                parser.error(f"unknown relation id {rid!r}")
-        relation_ids = tuple(relation_ids)
-    return RunConfig(
-        command=ns.command,
-        q=q,
-        symbolic=symbolic,
-        h=h,
-        k=k,
-        mtype=mtype,
-        y_rows=y_rows,
-        suites=suites,
-        relation_ids=relation_ids,
-        fmt=ns.format,
-        output=ns.output,
-        max_elements=max_elements,
-        include_timings=bool(getattr(ns, "timings", False)),
-        include_tables=bool(getattr(ns, "tables", False)),
-    )
+    if ns.max_elements < 1:
+        parser.error(f"--max-elements must be at least 1, got {ns.max_elements}")
+    ns.y = _parse_y(ns, parser) if ns.y else None
+    ns.suite = ns.suite or ["all"]
+    known = {r.id for r in REGISTRY}
+    for rid in ns.relation or ():
+        if rid not in known:
+            parser.error(f"unknown relation id {rid!r}")
+    return ns
 
 
 # ---------------------------------------------------------------------------
 # rendering
 # ---------------------------------------------------------------------------
 
-def _report_payload(report: VerificationReport, config: RunConfig,
+def _report_payload(report: VerificationReport, ns: argparse.Namespace,
                     extra: Optional[dict] = None, built: Optional[dict] = None) -> dict:
     """The report as a dict; with --timings, the timings and, when given,
     the nnz of every operator the run built and the number of rows it
@@ -233,7 +168,7 @@ def _report_payload(report: VerificationReport, config: RunConfig,
         "passed": sum(o.passed for o in report.outcomes),
         "failed": sum(not o.passed for o in report.outcomes),
     }
-    if config.include_timings:
+    if ns.timings:
         payload["timings"] = {k: round(v, 6) for k, v in report.timings.items()}
         if built is not None:
             payload["operators"] = {name: _operator_size(built[name]) for name in sorted(built)}
@@ -270,8 +205,8 @@ def _render_text(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render(payload: dict, config: RunConfig) -> str:
-    if config.fmt == "json":
+def _render(payload: dict, fmt: str) -> str:
+    if fmt == "json":
         return json.dumps(payload, indent=2, default=str) + "\n"
     return _render_text(payload)
 
@@ -285,20 +220,13 @@ def _stringify_tables(tables: dict) -> dict:
 # command implementations
 # ---------------------------------------------------------------------------
 
-def _capacity_guard(config: RunConfig):
-    n = config.h + config.k
-    size = sum(gaussian_binomial(n, d, config.q) for d in range(n + 1))
-    if size > config.max_elements:
-        raise CapacityError(
-            f"lattice has {size} elements, above the cap of {config.max_elements}; "
-            f"raise --max-elements to proceed")
-    return size
-
-
-def _build_y(config: RunConfig) -> Optional[Subspace]:
-    if config.y_rows is None:
-        return None
-    return Subspace(config.y_rows, config.h + config.k, config.q)
+def _capacity_guard(ns: argparse.Namespace) -> None:
+    n = ns.h + ns.k
+    size = sum(gaussian_binomial(n, d, ns.q) for d in range(n + 1))
+    if size > ns.max_elements:
+        raise ValueError(
+            f"capacity error: lattice has {size} elements, above the cap of "
+            f"{ns.max_elements}; raise --max-elements to proceed")
 
 
 def _error_payload(command: str, exc: Exception) -> dict:
@@ -307,13 +235,13 @@ def _error_payload(command: str, exc: Exception) -> dict:
             "summary": {"total": 0, "passed": 0, "failed": 1}}
 
 
-def _cmd_enumerate(config: RunConfig) -> tuple[int, dict]:
-    _capacity_guard(config)
-    geom = build_geometry(config.q, config.h, config.k, _build_y(config))
+def _cmd_enumerate(ns: argparse.Namespace) -> tuple[int, dict]:
+    _capacity_guard(ns)
+    geom = build_geometry(ns.q, ns.h, ns.k, ns.y)
     summary = geom.summary()
     payload = {
-        "context": {"command": "enumerate", "q": config.q, "h": config.h,
-                    "k": config.k, "y": summary["y"], "size": summary["size"]},
+        "context": {"command": "enumerate", "q": ns.q, "h": ns.h,
+                    "k": ns.k, "y": summary["y"], "size": summary["size"]},
         "levels": {"sizes": summary["level_sizes"],
                    "expected": summary["level_sizes_expected"]},
         "strata": summary["strata"],
@@ -331,70 +259,59 @@ def _timed(phases: dict, name: str, fn, *args):
     return out
 
 
-def _build_geometry(config: RunConfig, phases: dict):
+def _build_geometry(ns: argparse.Namespace, phases: dict):
     """The lattice; phase.geometry_build is its total time, followed by
     the time of each part of the build (enumerate, covers, meets)."""
-    geom = _timed(phases, "geometry_build", build_geometry,
-                  config.q, config.h, config.k, _build_y(config))
+    geom = _timed(phases, "geometry_build", build_geometry, ns.q, ns.h, ns.k, ns.y)
     for part, seconds in geom.phases.items():
         phases[f"phase.geometry_build.{part}"] = seconds
     return geom
 
 
-def _build_operators(config: RunConfig, phases: dict, geom):
+def _build_operators(ns: argparse.Namespace, phases: dict, geom):
     return _timed(phases, "operators_build", build_geometry_operators,
-                  geom, QuadRing(config.q))
+                  geom, QuadRing(ns.q))
 
 
-def _cmd_verify(config: RunConfig) -> tuple[int, dict]:
-    _capacity_guard(config)
-    try:
-        selected = select_relations(GEOMETRY, config.suites, config.relation_ids)
-    except ValueError as exc:
-        return 1, _error_payload("verify", exc)
+def _cmd_verify(ns: argparse.Namespace) -> tuple[int, dict]:
+    _capacity_guard(ns)
+    selected = select_relations(GEOMETRY, ns.suite, ns.relation)
     phases: dict = {}
-    geom = _build_geometry(config, phases)
+    geom = _build_geometry(ns, phases)
     if all(rel.suite == "counts" for rel in selected):
         # no counts relation reads an operator
-        report = verify_counts(geom, config.relation_ids)
+        report = verify_counts(geom, ns.relation)
         built = {}
     else:
-        ops = _build_operators(config, phases, geom)
+        ops = _build_operators(ns, phases, geom)
         _timed(phases, "symmetry", lambda: ops.certificate)
-        report = run_geometry_suite(ops, config.suites, config.relation_ids)
+        report = run_geometry_suite(ops, ns.suite, ns.relation)
         built = ops.ops
-    report.context = {"command": "verify", **report.context, "suites": list(config.suites)}
+    report.context = {"command": "verify", **report.context, "suites": ns.suite}
     report.timings = {**phases, **report.timings}
-    payload = _report_payload(report, config, built=built)
+    payload = _report_payload(report, ns, built=built)
     return (0 if report.passed else 1), payload
 
 
-def _cmd_module(config: RunConfig) -> tuple[int, dict]:
-    mtype = ModuleType(*config.mtype, h=config.h, k=config.k)
-    ring = SymbolicRing() if config.symbolic else QuadRing(config.q)
-    module = build_abstract_module(mtype, ring)
-    try:
-        report = run_module_suite(module, config.suites, config.relation_ids)
-    except ValueError as exc:
-        return 1, _error_payload("module", exc)
-    report.context = {"command": "module", **report.context, "suites": list(config.suites)}
+def _cmd_module(ns: argparse.Namespace) -> tuple[int, dict]:
+    ring = SymbolicRing() if ns.symbolic else QuadRing(ns.q)
+    module = build_abstract_module(ns.mtype, ring)
+    report = run_module_suite(module, ns.suite, ns.relation)
+    report.context = {"command": "module", **report.context, "suites": ns.suite}
     extra = None
-    if config.include_tables:
+    if ns.tables:
         extra = {"tables": _stringify_tables(eigen_tables(module))}
-    payload = _report_payload(report, config, extra)
+    payload = _report_payload(report, ns, extra)
     return (0 if report.passed else 1), payload
 
 
-def _cmd_decompose(config: RunConfig) -> tuple[int, dict]:
-    _capacity_guard(config)
+def _cmd_decompose(ns: argparse.Namespace) -> tuple[int, dict]:
+    _capacity_guard(ns)
     phases: dict = {}
-    geom = _build_geometry(config, phases)
-    ops = _build_operators(config, phases, geom)
+    geom = _build_geometry(ns, phases)
+    ops = _build_operators(ns, phases, geom)
     _timed(phases, "symmetry", lambda: ops.certificate)
-    try:
-        mults = _timed(phases, "multiplicities", compute_multiplicities, geom, ops)
-    except ValueError as exc:
-        return 1, _error_payload("decompose", exc)
+    mults = _timed(phases, "multiplicities", compute_multiplicities, geom, ops)
     report = _timed(phases, "bookkeeping", bookkeeping_check, geom, mults)
     report.context = {"command": "decompose", **report.context}
     report.timings = phases
@@ -403,19 +320,17 @@ def _cmd_decompose(config: RunConfig) -> tuple[int, dict]:
         "multiplicities": multiplicity_table(mults),
         "dimension_identity": f"{total} = {geom.size}",
     }
-    payload = _report_payload(report, config, extra, built=ops.ops)
+    payload = _report_payload(report, ns, extra, built=ops.ops)
     return (0 if report.passed else 1), payload
 
 
-def _cmd_convert(config: RunConfig) -> tuple[int, dict]:
-    mtype = ModuleType(*config.mtype, h=config.h, k=config.k)
-    nmde = type_to_nmde(mtype)
-    case = conversion_case(mtype)
-    back = nmde_to_type(nmde, case, config.h, config.k)
-    round_trip = back == mtype
+def _cmd_convert(ns: argparse.Namespace) -> tuple[int, dict]:
+    nmde = type_to_nmde(ns.mtype)
+    case = conversion_case(ns.mtype)
+    round_trip = nmde_to_type(nmde, case, ns.h, ns.k) == ns.mtype
     payload = {
-        "context": {"command": "convert", "h": config.h, "k": config.k,
-                    "type": list(config.mtype)},
+        "context": {"command": "convert", "h": ns.h, "k": ns.k,
+                    "type": list(ns.mtype.triple())},
         "conversion": {"nu": nmde.nu, "mu": nmde.mu, "d": nmde.d,
                        "case": case, "e": nmde.e,
                        "round_trip": "ok" if round_trip else "MISMATCH"},
@@ -434,27 +349,30 @@ _COMMANDS = {
 }
 
 
-def run(config: RunConfig) -> tuple[int, str]:
-    """Execute a parsed configuration; returns (exit status, rendered report)."""
+def run(ns: argparse.Namespace) -> tuple[int, str]:
+    """Execute a parsed namespace; returns (exit status, rendered report).
+
+    A ValueError the command raises (a lattice above --max-elements, a
+    selection with no relation in the mode, a failed decompose check) is
+    the run's report: its error and one failure, exit status 1."""
     try:
-        status, payload = _COMMANDS[config.command](config)
-    except CapacityError as exc:
-        return 1, f"capacity error: {exc}\n"
-    rendered = _render(payload, config)
-    if config.output:
+        status, payload = _COMMANDS[ns.command](ns)
+    except ValueError as exc:
+        status, payload = 1, _error_payload(ns.command, exc)
+    rendered = _render(payload, ns.format)
+    if ns.output:
         try:
-            with open(config.output, "w", encoding="utf-8") as fh:
+            with open(ns.output, "w", encoding="utf-8") as fh:
                 fh.write(rendered)
         except OSError as exc:
-            sys.stderr.write(f"error: cannot write report to {config.output}: "
+            sys.stderr.write(f"error: cannot write report to {ns.output}: "
                              f"{exc.strerror or exc}\n")
             return 2, ""
     return status, rendered
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    config = parse_args(sys.argv[1:] if argv is None else list(argv))
-    status, rendered = run(config)
+    status, rendered = run(parse_args(sys.argv[1:] if argv is None else list(argv)))
     sys.stdout.write(rendered)
     return status
 

@@ -582,13 +582,13 @@ def relations_for(mode: str, suites: Optional[Sequence[str]] = None) -> list[Rel
 
 def select_relations(mode: str, suites, relation_ids) -> list[Relation]:
     """The relations a run of mode evaluates: the named ids when given (they
-    override suites), else relations_for(mode, suites).  ValueError names
-    an unknown id or one outside mode."""
+    override suites; a repeated id runs once), else relations_for(mode,
+    suites).  ValueError names an unknown id or one outside mode."""
     if not relation_ids:
         return relations_for(mode, suites)
     known = {r.id: r for r in REGISTRY}
     out = []
-    for rid in relation_ids:
+    for rid in dict.fromkeys(relation_ids):
         rel = known.get(rid)
         if rel is None:
             raise ValueError(f"unknown relation id {rid!r}")

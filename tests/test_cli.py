@@ -25,8 +25,8 @@ def test_parse_verify():
                       "--suite", "all", "--format", "json"])
     assert cfg.command == "verify"
     assert (cfg.q, cfg.h, cfg.k) == (2, 2, 1)
-    assert cfg.suites == ("all",)
-    assert cfg.fmt == "json"
+    assert cfg.suite == ["all"]
+    assert cfg.format == "json"
 
 
 def test_parse_module_symbolic():
@@ -34,7 +34,7 @@ def test_parse_module_symbolic():
                       "--beta", "1", "--rho", "0", "--symbolic"])
     assert cfg.command == "module"
     assert cfg.symbolic and cfg.q is None
-    assert cfg.mtype == (0, 1, 0)
+    assert cfg.mtype.triple() == (0, 1, 0)
 
 
 def test_parse_rejects_unsupported_q():
@@ -70,6 +70,11 @@ def test_parse_rejects_unknown_flag():
      "--y entry 5 is outside 0..2 for q=3"),
     (["verify", "--q", "2", "--h", "2", "--k", "1", "--y", "0,-1,1"],
      "--y entry -1 is outside 0..1 for q=2"),
+    (["verify", "--q", "2", "--h", "2", "--k", "1", "--suite", "aw", "--relation", "gen.k1l1"],
+     "argument --relation: not allowed with argument --suite"),
+    (["module", "--h", "2", "--k", "1", "--alpha", "0", "--beta", "0", "--rho", "0",
+      "--q", "2", "--relation", "module.k_eigen", "--suite", "module"],
+     "argument --suite: not allowed with argument --relation"),
 ])
 def test_parse_usage_errors_exit_2(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
@@ -284,29 +289,6 @@ def test_run_decompose_matches_oracle():
     ]
 
 
-@pytest.mark.parametrize("fmt", ["text", "json"])
-def test_failed_decompose_check_is_reported(fmt, monkeypatch):
-    import pgaw.decompose
-    real = pgaw.decompose._central_triple
-
-    def triple(t, ring):  # distinct from every other triple, but not (0,1,0)'s eigenvalues
-        lam = real(t, ring)
-        return (*lam[:2], lam[2] + 1000) if t.triple() == (0, 1, 0) else lam
-
-    monkeypatch.setattr(pgaw.decompose, "_central_triple", triple)
-    status, out = run(parse_args(["decompose", "--q", "2", "--h", "2", "--k", "1",
-                                  "--format", fmt]))
-    assert status == 1
-    error = "type (0,1,0): (Omega2 - 1003) E_t is nonzero at row 010"
-    if fmt == "json":
-        payload = json.loads(out)
-        assert payload["error"] == error
-        assert payload["summary"] == {"total": 0, "passed": 0, "failed": 1}
-    else:
-        assert out.splitlines() == ["context: command=decompose", f"error: {error}",
-                                    "summary: 0/0 pass, 1 fail"]
-
-
 def test_run_convert_spec_example():
     cfg = parse_args(["convert", "--h", "2", "--k", "1", "--alpha", "0",
                       "--beta", "1", "--rho", "0", "--format", "json"])
@@ -323,6 +305,45 @@ def test_capacity_cap():
     status, text = run(cfg)
     assert status == 1
     assert "capacity error" in text and "374" in text
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv,error", [
+    (["verify", "--q", "2", "--h", "5", "--k", "2"],
+     "capacity error: lattice has 29212 elements, above the cap of 10000; "
+     "raise --max-elements to proceed"),
+    (["verify", "--q", "2", "--h", "2", "--k", "1", "--relation", "module.k_eigen"],
+     "relation module.k_eigen does not apply to geometry mode"),
+    (["module", "--h", "2", "--k", "1", "--alpha", "0", "--beta", "1", "--rho", "0",
+      "--symbolic", "--suite", "counts"],
+     "suite counts has no relations in module mode"),
+    (["decompose", "--q", "2", "--h", "2", "--k", "1"],
+     "type (0,1,0): (Omega2 - 1003) E_t is nonzero at row 010"),
+], ids=["capacity", "wrong_mode_relation", "empty_suite", "failed_decompose"])
+def test_errors_after_parsing_are_reports(tmp_path, capsys, monkeypatch, argv, error, fmt):
+    """Every error a command raises is one report: rendered per --format,
+    printed, written to --output, exit status 1."""
+    if argv[0] == "decompose":
+        import pgaw.decompose
+        real = pgaw.decompose._central_triple
+
+        def triple(t, ring):  # distinct from every other triple, but not (0,1,0)'s eigenvalues
+            lam = real(t, ring)
+            return (*lam[:2], lam[2] + 1000) if t.triple() == (0, 1, 0) else lam
+
+        monkeypatch.setattr(pgaw.decompose, "_central_triple", triple)
+    target = tmp_path / "report"
+    status = cli.main(argv + ["--format", fmt, "--output", str(target)])
+    out = capsys.readouterr().out
+    assert status == 1
+    assert target.read_bytes() == out.encode("utf-8")
+    if fmt == "json":
+        payload = json.loads(out)
+        assert payload["error"] == error
+        assert payload["summary"] == {"total": 0, "passed": 0, "failed": 1}
+    else:
+        assert out.splitlines() == [f"context: command={argv[0]}", f"error: {error}",
+                                    "summary: 0/0 pass, 1 fail"]
 
 
 def test_output_file(tmp_path):
@@ -355,24 +376,15 @@ def test_exit_zero_iff_no_fail():
 
 
 def test_relation_id_filter():
-    cfg = parse_args(["verify", "--q", "2", "--h", "2", "--k", "1",
-                      "--relation", "aw.askey1", "--relation", "gen.k1l1"])
-    status, text = run(cfg)
-    assert status == 0
-    lines = [ln for ln in text.splitlines() if ": pass" in ln or ": fail" in ln]
-    assert [ln.split(":")[0] for ln in lines] == ["aw.askey1", "gen.k1l1"]
-
-
-def test_text_report_renders_error():
-    cfg = parse_args(["verify", "--q", "2", "--h", "2", "--k", "1",
-                      "--relation", "module.k_eigen"])
-    status, text = run(cfg)
-    assert status == 1
-    assert text.splitlines() == [
-        "context: command=verify",
-        "error: relation module.k_eigen does not apply to geometry mode",
-        "summary: 0/0 pass, 1 fail",
-    ]
+    argv = ["verify", "--q", "2", "--h", "2", "--k", "1",
+            "--relation", "aw.askey1", "--relation", "gen.k1l1"]
+    # a repeated id runs once
+    for repeat in ([], ["--relation", "aw.askey1"]):
+        status, text = run(parse_args(argv + repeat))
+        assert status == 0
+        lines = [ln for ln in text.splitlines() if ": pass" in ln or ": fail" in ln]
+        assert [ln.split(":")[0] for ln in lines] == ["aw.askey1", "gen.k1l1"]
+        assert text.splitlines()[-1] == "summary: 2/2 pass, 0 fail"
 
 
 @pytest.mark.parametrize("argv,mode", [

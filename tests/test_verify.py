@@ -259,6 +259,9 @@ def test_relation_id_selection(ops_cache):
     ops = ops_cache(2, 2, 1)
     rep = run_geometry_suite(ops, relation_ids=["aw.askey2", "gen.k1l1"])
     assert [o.id for o in rep.outcomes] == ["aw.askey2", "gen.k1l1"]
+    # a repeated id runs once, where it first appears
+    rep = run_geometry_suite(ops, relation_ids=["gen.k1l1", "aw.askey2", "gen.k1l1"])
+    assert [o.id for o in rep.outcomes] == list(rep.timings) == ["gen.k1l1", "aw.askey2"]
     with pytest.raises(ValueError):
         run_geometry_suite(ops, relation_ids=["no.such.relation"])
     with pytest.raises(ValueError):
