@@ -137,8 +137,10 @@ def parse_args(argv: Sequence[str]) -> argparse.Namespace:
             parser.error(f"invalid module type: {exc}")
     if ns.max_elements < 1:
         parser.error(f"--max-elements must be at least 1, got {ns.max_elements}")
-    ns.y = _parse_y(ns, parser) if ns.y else None
+    ns.y = _parse_y(ns, parser) if ns.y is not None else None
     ns.suite = ns.suite or ["all"]
+    if "all" in ns.suite and set(ns.suite) != {"all"}:
+        parser.error("--suite all cannot be combined with another suite")
     known = {r.id for r in REGISTRY}
     for rid in ns.relation or ():
         if rid not in known:

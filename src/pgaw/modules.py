@@ -7,14 +7,16 @@ A module is classified by an integer triple (alpha, beta, rho) subject to
 Its standard basis w[i,j] runs over the rectangle
 alpha <= i <= k-rho-alpha, rho+beta <= j <= h-beta, each weight space
 one-dimensional; the generators act by closed-form coefficients.  This
-module also houses every closed-form eigenvalue/coefficient formula and the
-conversion to the endpoint / dual-endpoint / diameter parameters.
+module also houses every closed-form eigenvalue/coefficient formula, in
+``eigen_scalar``, and the conversion to the endpoint / dual-endpoint /
+diameter parameters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
 from .operators import K_EXPONENTS, OperatorSet, SparseOperator, k_diagonals
 from .rings import Ring, Scalar
@@ -94,38 +96,32 @@ def enumerate_types(h: int, k: int) -> list[ModuleType]:
 # standard-basis operator actions
 # ---------------------------------------------------------------------------
 
+def weighted_shift(t: ModuleType, di: int, dj: int, coeff: Callable) -> SparseOperator:
+    """The operator sending w[i,j] to coeff(i, j) w[i+di, j+dj], and to zero
+    when that weight is off the rectangle."""
+    rows: dict = {}
+    for col, (i, j) in enumerate(t.ij):
+        target = t.position(i + di, j + dj)
+        if target is not None and (c := coeff(i, j)):
+            rows.setdefault(target, {})[col] = c
+    return SparseOperator(t.dim, rows)
+
+
+# each generator's name and the step (di, dj) it takes w[i,j] to
+SHIFTS = (("L1", -1, 0), ("L2", 0, -1), ("R1", 1, 0), ("R2", 0, 1))
+
+
 class AbstractModule:
     """The module of a given type: ``ops`` holds the K diagonals and L1, L2,
     R1, R2 on the type's basis ``ModuleType.ij``."""
 
     def __init__(self, mtype: ModuleType, ring: Ring):
         self.type, self.ring, self.dim = mtype, ring, mtype.dim
-        self.ops = OperatorSet(ring, self._generators(), mtype)
+        ops = k_diagonals(ring, mtype)
+        for name, di, dj in SHIFTS:
+            ops[name] = weighted_shift(mtype, di, dj, partial(eigen_scalar, name, mtype, ring=ring))
+        self.ops = OperatorSet(ring, ops, mtype)
         self.basis = self.ops.ij
-
-    def _generators(self) -> dict[str, SparseOperator]:
-        """The K diagonals, and L1, L2, R1, R2 by their closed-form coefficients."""
-        t, ring = self.type, self.ring
-        a, b, r = t.alpha, t.beta, t.rho
-        h, k = t.h, t.k
-        qh, br = ring.q_half, ring.bracket
-        # (name, the step (di, dj) it takes w[i,j] to, its coefficient there)
-        steps = (
-            ("L1", -1, 0, lambda i, j: qh(r + a + b + i + j - 1) * br(k - r - a - i + 1)),
-            ("L2", 0, -1, lambda i, j: qh(2 * k - r - a + b - i + j - 1) * br(h - b - j + 1)),
-            ("R1", 1, 0, lambda i, j: qh(a - r - b - i + j) * br(i - a + 1)),
-            ("R2", 0, 1, lambda i, j: qh(r + a + b - i - j) * br(j - r - b + 1)),
-        )
-        ops = k_diagonals(ring, t)
-        basis = t.ij
-        for name, di, dj, coeff in steps:
-            rows: dict = {}
-            for col, (i, j) in enumerate(basis):
-                target = t.position(i + di, j + dj)
-                if target is not None and (c := coeff(i, j)):
-                    rows.setdefault(target, {})[col] = c
-            ops[name] = SparseOperator(self.dim, rows)
-        return ops
 
     def __repr__(self):
         return f"AbstractModule(type={self.type}, dim={self.dim}, ring={self.ring!r})"
@@ -139,18 +135,6 @@ def build_abstract_module(mtype: ModuleType, ring: Ring) -> AbstractModule:
 # closed-form scalars
 # ---------------------------------------------------------------------------
 
-def bc_coefficients(t: ModuleType, i: int, j: int, ring: Ring) -> tuple[Scalar, Scalar]:
-    """(c_{i,j}, b_{i,j}): the off-diagonal A-coefficients; zero off the rectangle."""
-    if not t.supports(i, j):
-        return ring.zero, ring.zero
-    a, b, r = t.alpha, t.beta, t.rho
-    c_val = ring.q_power(r + a + b) * ring.bracket(j - r - b) \
-        * ring.bracket(t.k - r - a - i)
-    b_val = ring.q_power(t.k - r - i + j + 1) * ring.bracket(i - a) \
-        * ring.bracket(t.h - b - j)
-    return c_val, b_val
-
-
 EIGEN_NAMES = (
     "K1", "K1i", "K2", "K2i",
     "L1R1", "R1L1", "L2R2", "R2L2",
@@ -162,20 +146,25 @@ EIGEN_NAMES = (
 
 
 def eigen_scalar(name: str, t: ModuleType, i: int, j: int, ring: Ring) -> Scalar:
-    """Closed-form value of the named operator on the (i, j) weight space."""
-    return EigenTable(t, ring, ((i, j),))[name][0]
-
-
-def _closed_form(name: str, t: ModuleType, i: int, j: int, ring: Ring) -> Scalar:
-    """The value of a name that is not a sum or function of other names."""
+    """The closed-form value of ``name`` at w[i,j]: the eigenvalue of a
+    diagonal there, the coefficient of the image of w[i,j] for a generator
+    of ``SHIFTS``, and for ``c`` and ``b`` the coefficient with which R and
+    L reach w[i,j], zero off the rectangle.  ``a`` is a0 + a+ + a-, and
+    ``P`` is q (q-1)^-2 (Y^2 - q^(h+k-2) (q+1)^2)."""
     a, b, r = t.alpha, t.beta, t.rho
     h, k = t.h, t.k
     ell = i + j
-    q = ring.q_power(1)
-    br = ring.bracket
-    qp = ring.q_power
+    br, qp, qh = ring.bracket, ring.q_power, ring.q_half
     if name in K_EXPONENTS:
-        return ring.q_half(K_EXPONENTS[name](h, k, i, j))
+        return qh(K_EXPONENTS[name](h, k, i, j))
+    if name == "L1":
+        return qh(r + a + b + i + j - 1) * br(k - r - a - i + 1)
+    if name == "L2":
+        return qh(2 * k - r - a + b - i + j - 1) * br(h - b - j + 1)
+    if name == "R1":
+        return qh(a - r - b - i + j) * br(i - a + 1)
+    if name == "R2":
+        return qh(r + a + b - i - j) * br(j - r - b + 1)
     if name == "L1R1":
         return qp(a + j) * br(i - a + 1) * br(k - r - a - i)
     if name == "R1L1":
@@ -190,71 +179,47 @@ def _closed_form(name: str, t: ModuleType, i: int, j: int, ring: Ring) -> Scalar
         return qp(k - i) * (qp(b + 1) * br(j - r - b) * br(h - b - j) - br(b))
     if name == "aminus":
         return qp(j) * (qp(a + 1) * br(i - a) * br(k - r - a - i) - br(a))
+    if name == "a":
+        return eigen_scalar("a0", t, i, j, ring) + eigen_scalar("aplus", t, i, j, ring) \
+            + eigen_scalar("aminus", t, i, j, ring)
     if name == "Omega0":
         return qp(-r)
     if name == "Omega1":
-        return q * br(k - r - a) + br(a)
+        return qp(1) * br(k - r - a) + br(a)
     if name == "Omega2":
-        return q * br(h - r - b) + br(b)
+        return qp(1) * br(h - r - b) + br(b)
     if name == "Y":
         return qp(h + k - ell) + qp(ell) - 1 + qp(-1)
+    if name == "P":
+        q, y = qp(1), eigen_scalar("Y", t, i, j, ring)
+        c2 = ring.inv(q - 1)
+        return q * c2 * c2 * (y * y - qp(h + k - 2) * (q + 1) * (q + 1))
     if name == "Omega":
         return -(qp(h + k - r - b) + qp(k + b - 1) + qp(k + ell - r - a)
                  + qp(ell + a - 1))
     if name == "G":
-        c1 = ring.inv(q - 1)
+        c1 = ring.inv(qp(1) - 1)
         left = (qp(k - r - a + 1) + qp(a)) \
             * (qp(ell - 1) * br(h + k - ell) - qp(ell) * br(ell))
         right = (qp(h - r - b + 1) + qp(b)) \
             * (qp(k) * br(h + k - ell) - qp(k - 1) * br(ell))
         return c1 * (left - right)
     if name == "Gstar":
-        return qp(k + ell - r - 1) * (q + 1)
+        return qp(k + ell - r - 1) * (qp(1) + 1)
+    if not t.supports(i, j):  # c and b are zero off the rectangle
+        return ring.zero
+    if name == "c":
+        return qp(r + a + b) * br(j - r - b) * br(k - r - a - i)
+    if name == "b":
+        return qp(k - r - i + j + 1) * br(i - a) * br(h - b - j)
     raise KeyError(f"unknown eigen scalar {name!r}")
-
-
-class EigenTable:
-    """The closed-form value of each name at each weight of a basis, one
-    column per name, computed at its first read.
-
-    ``a`` is the sum of the a0, a+ and a- columns, ``P`` is
-    q (q-1)^-2 (Y^2 - q^(h+k-2) (q+1)^2) on the ``Y`` column, and ``c`` and
-    ``b`` come from one ``bc_coefficients`` call per weight; every other
-    name is its closed form."""
-
-    def __init__(self, t: ModuleType, ring: Ring, weights):
-        self.type, self.ring, self.weights = t, ring, tuple(weights)
-        self._columns: dict[str, tuple] = {}
-
-    def __getitem__(self, name: str) -> tuple:
-        column = self._columns.get(name)
-        if column is None:
-            column = self._columns[name] = self._column(name)
-        return column
-
-    def _column(self, name: str) -> tuple:
-        t, ring = self.type, self.ring
-        if name == "a":
-            return tuple(x + y + z for x, y, z in
-                         zip(self["a0"], self["aplus"], self["aminus"]))
-        if name == "P":
-            q = ring.q_power(1)
-            c2 = ring.inv(q - 1)
-            shift = ring.q_power(t.h + t.k - 2) * (q + 1) * (q + 1)
-            return tuple(q * c2 * c2 * (y * y - shift) for y in self["Y"])
-        if name in ("c", "b"):
-            pairs = [bc_coefficients(t, i, j, ring) for i, j in self.weights]
-            self._columns["c"] = tuple(c for c, _ in pairs)
-            self._columns["b"] = tuple(b for _, b in pairs)
-            return self._columns[name]
-        return tuple(_closed_form(name, t, i, j, ring) for i, j in self.weights)
 
 
 def eigen_tables(module: AbstractModule) -> dict[tuple[int, int], dict[str, Scalar]]:
     """Closed-form table for every weight space of the module."""
-    table = module.ops.eigen
-    return {(i, j): {name: table[name][p] for name in EIGEN_NAMES}
-            for p, (i, j) in enumerate(module.basis)}
+    t, ring = module.type, module.ring
+    return {(i, j): {name: eigen_scalar(name, t, i, j, ring) for name in EIGEN_NAMES}
+            for i, j in module.basis}
 
 
 # ---------------------------------------------------------------------------

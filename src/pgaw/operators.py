@@ -24,12 +24,12 @@ steps whose walks from u end at the ones of row u.  Reversing each word
 and inverting each step gives the family of the transpose (``TRANSPOSES``).
 
 A LazyOperator produces each row when it is first read, and keeps it.
-Every operator of a set ``build_geometry_operators`` made is one: the
-inputs produce their rows from the row's weight (the K's) or by walking
-their words (the 0/1 families), the identity and E* from the row's
-weight, and a certified set's derived operators from their
-representative rows (``pgaw.symmetry``).  Any other set stores its
-operators in full.  The representative-row
+Every diagonal that is a function of the weight is one, made by
+``weight_diagonal``: the K's, the identity, E* and a module's closed
+forms.  So is every other operator of a set ``build_geometry_operators``
+made: the 0/1 families walk their words, and a certified set's derived
+operators come from their representative rows (``pgaw.symmetry``).  Any
+other operator is stored in full.  The representative-row
 evaluation reads an operand only at the rows it multiplies (``rows_for``);
 any other read of M0 or M1 produces every row once, after which the
 operator is a plain one.  d and q are known without a row, and on a
@@ -452,7 +452,7 @@ class LazyOperator(SparseOperator):
         m0: dict = {}
         m1: dict = {}
         for u in range(self.dim):
-            r0, r1 = self._row(u)
+            r0, r1 = self._memo.get(u) or self._rule(u)
             if r0:
                 m0[u] = r0
             if r1:
@@ -509,24 +509,21 @@ class LazyOperator(SparseOperator):
         return not self.nnz()
 
 
-def _weight_diagonal(ij, d: int, q, value: Callable,
-                     owner: Optional["OperatorSet"] = None) -> SparseOperator:
-    """The diagonal operator whose row u holds the numerators
-    value(ij[u]) = (n0, n1) over d: produced from ij[u] when first read if
-    owner is a set ``build_geometry_operators`` made, else stored in full."""
-    if owner is None or not owner.from_lattice:
-        m0: dict = {}
-        m1: dict = {}
-        for u, w in enumerate(ij):
-            n0, n1 = value(w)
-            if n0:
-                m0[u] = {u: n0}
-            if n1:
-                m1[u] = {u: n1}
-        return _stored_operator(len(ij), d, m0, m1, q)
+def weight_diagonal(ij, value: Callable,
+                    owner: Optional["OperatorSet"] = None) -> LazyOperator:
+    """The diagonal operator whose entry at u is value(ij[u]), its row u
+    produced from ij[u] when first read.  value is called once per distinct
+    weight, and the numerators are put over the lcm of the denominators, in
+    lowest terms: a prime power of the lcm is that of some split value's
+    denominator, whose numerator is prime to it."""
+    split = {w: _split(v) for w in set(ij) if (v := value(w))}
+    d = lcm(*(den for _, _, den, _ in split.values()))
+    numerators = {w: (n0 * (d // den) if den != d else n0, n1 * (d // den))
+                  for w, (n0, n1, den, _) in split.items()}
+    q = _common_q(*(qs for _, n1, _, qs in split.values() if n1))
 
     def rule(u):
-        n0, n1 = value(ij[u])
+        n0, n1 = numerators.get(ij[u], (0, 0))
         return ({u: n0} if n0 else None), ({u: n1} if n1 else None)
     return LazyOperator(len(ij), d, q, rule, owner=owner)
 
@@ -565,7 +562,7 @@ class OperatorSet:
         # geometry's strata, cover lists and meet_y, which ``pgaw.symmetry``
         # checks on the lattice
         self.from_lattice = from_lattice
-        self._projections: dict = {}
+        self._diagonals: dict = {}
         self._products: dict = {}
 
     def __getitem__(self, name: str) -> SparseOperator:
@@ -580,24 +577,27 @@ class OperatorSet:
             op = self.ops[name] = derive(self, DERIVED[name])
         return op
 
-    def _projection(self, key, keeps: Callable) -> SparseOperator:
-        """The 0/1 diagonal whose row u is e_u when keeps(ij[u]), memoized by key."""
-        op = self._projections.get(key)
+    def diagonal(self, key, value: Callable) -> SparseOperator:
+        """``weight_diagonal`` of value over this basis, memoized by key: the
+        identity, E*_l, E*_(i,j) and a module's closed forms.  A perturbed
+        clone reads its parent's."""
+        if self.parent is not None:
+            return self.parent.diagonal(key, value)
+        op = self._diagonals.get(key)
         if op is None:
-            op = self._projections[key] = _weight_diagonal(
-                self.ij, 1, None, lambda w: (1, 0) if keeps(w) else (0, 0), self)
+            op = self._diagonals[key] = weight_diagonal(self.ij, value, self)
         return op
 
     def identity(self) -> SparseOperator:
-        return self._projection("identity", lambda w: True)
+        return self.diagonal("identity", lambda w: 1)
 
     def estar_level(self, level: int) -> SparseOperator:
         """E*_level, whose row u is e_u when u is on that level."""
-        return self._projection(level, lambda w: w[0] + w[1] == level)
+        return self.diagonal(level, lambda w: int(w[0] + w[1] == level))
 
     def estar_stratum(self, i: int, j: int) -> SparseOperator:
         """E*_(i,j), whose row u is e_u when u is in the stratum (i, j)."""
-        return self._projection((i, j), lambda w: w == (i, j))
+        return self.diagonal((i, j), lambda w: int(w == (i, j)))
 
     @cached_property
     def certificate(self):
@@ -608,16 +608,6 @@ class OperatorSet:
             return None
         from .symmetry import lattice_certificate
         return lattice_certificate(self.geometry)
-
-    @cached_property
-    def eigen(self):
-        """The closed-form eigen scalars over a module set's basis
-        (``modules.EigenTable``), built at first read and dropped with the
-        set; a perturbed clone reads its parent's."""
-        if self.parent is not None:
-            return self.parent.eigen
-        from .modules import EigenTable
-        return EigenTable(self.basis, self.ring, self.ij)
 
     def prod(self, a: str, b: str) -> SparseOperator:
         """Memoized product of two named operators."""
@@ -649,27 +639,12 @@ K_EXPONENTS: dict[str, Callable[[int, int, int, int], int]] = {
 
 def k_diagonals(ring, basis, owner: Optional[OperatorSet] = None
                 ) -> dict[str, SparseOperator]:
-    """The diagonal operators K1, K1i, K2 and K2i over the weights of a basis.
-
-    Each operator computes and splits q^(e/2) once per distinct weight and
-    puts the numerators over the lcm of those denominators; on a builder's
-    set (owner) row u is produced from ij[u] when first read, else every
-    row is stored.  That is in lowest terms, as
-    ``SparseOperator.diagonal`` of the same values would be: a prime power
-    of the lcm is that of some split value's denominator, whose numerator
-    is prime to it."""
+    """The diagonal operators K1, K1i, K2 and K2i over the weights of a
+    basis, q^(e/2) with e from ``K_EXPONENTS``; owner is the set they
+    belong to."""
     h, k, ij = basis.h, basis.k, basis.ij
-    weights = set(ij)
-    out = {}
-    for name, e in K_EXPONENTS.items():
-        split = {w: _split(ring.q_half(e(h, k, *w))) for w in weights}
-        d = lcm(*(den for _, _, den, _ in split.values()))
-        scaled = {w: (n0 * (d // den) if den != d else n0, n1 * (d // den))
-                  for w, (n0, n1, den, _) in split.items()}
-        irrational = any(n1 for _, n1 in scaled.values())
-        q = _common_q(*(qs for _, _, _, qs in split.values())) if irrational else None
-        out[name] = _weight_diagonal(ij, d, q, scaled.__getitem__, owner)
-    return out
+    return {name: weight_diagonal(ij, lambda w, e=e: ring.q_half(e(h, k, *w)), owner)
+            for name, e in K_EXPONENTS.items()}
 
 
 # ---------------------------------------------------------------------------

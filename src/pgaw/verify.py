@@ -38,7 +38,7 @@ from functools import partial
 from typing import Callable, Optional, Sequence
 
 from .geometry import GeometryIndex, build_geometry
-from .modules import AbstractModule
+from .modules import AbstractModule, eigen_scalar, weighted_shift
 from .operators import (
     DERIVED,
     GEOMETRY,
@@ -467,24 +467,21 @@ for _id, _desc, _suite, _modes, _lhs, _rhs in IDENTITY_ROWS:
 
 # -- module-only eigen tables -------------------------------------------------------
 
-def _module_diag(ops: OperatorSet, name: str) -> SparseOperator:
-    return SparseOperator.diagonal(ops.eigen[name])
-
-
-def _eigen(name: str):
-    """Operand: the diagonal operator of the eigenvalue table ``name``."""
-    return partial(_module_diag, name=name)
+def _eigen(*names: str):
+    """Operand: the sum of the diagonals of the closed forms ``names``, each
+    memoized on the set."""
+    def operand(ops: OperatorSet) -> SparseOperator:
+        t, ring = ops.basis, ops.ring
+        diags = [ops.diagonal(name, lambda w, name=name: eigen_scalar(name, t, *w, ring))
+                 for name in names]
+        return sum(diags[1:], diags[0])
+    return operand
 
 
 def _shift_action(ops: OperatorSet, name: str, di: int) -> SparseOperator:
     """The operator sending w[i+di, j-di] to eigen_scalar(name, i, j) w[i,j]."""
-    values = ops.eigen[name]
-    expected: dict = {}
-    for row, (i, j) in enumerate(ops.ij):
-        src = ops.basis.position(i + di, j - di)
-        if src is not None and values[row]:
-            expected[row] = {src: values[row]}
-    return SparseOperator(ops.dim, expected)
+    t, ring = ops.basis, ops.ring
+    return weighted_shift(t, -di, di, lambda i, j: eigen_scalar(name, t, i - di, j + di, ring))
 
 
 @_relation("module.k_eigen",
@@ -493,7 +490,7 @@ def _shift_action(ops: OperatorSet, name: str, di: int) -> SparseOperator:
            "module", _MOD)
 def _(ops):
     for name in ("K1", "K1i", "K2", "K2i"):
-        w = _residual_witness(ops[name] - _module_diag(ops, name), ops)
+        w = _residual_witness(ops[name] - _eigen(name)(ops), ops)
         if w:
             return f"{name}: {w}"
     return None
@@ -522,7 +519,7 @@ MODULE_ROWS = (
      "F- acts on w[i,j] by q^j(q^(alpha+1)[i-alpha][k-rho-alpha-i] - [alpha])",
      "Fminus", _eigen("aminus")),
     ("module.f_eigen_sum", "F acts on w[i,j] by the sum of the three displayed parts",
-     "F", _eigen("a")),
+     "F", _eigen("a0", "aplus", "aminus")),
     ("module.omega0_scalar", "Omega0 acts on the whole module by q^-rho",
      "Omega0", _eigen("Omega0")),
     ("module.omega1_scalar", "Omega1 acts on the whole module by q[k-rho-alpha] + [alpha]",
@@ -549,7 +546,7 @@ MODULE_ROWS = (
     ("module.a_action",
      "A w[i,j] = b_(i+1,j-1) w[i+1,j-1] + a_(i,j) w[i,j] + c_(i-1,j+1) w[i-1,j+1]",
      "A", lambda ops: (_shift_action(ops, "c", 1) + _shift_action(ops, "b", -1)
-                       + _module_diag(ops, "a"))),
+                       + _eigen("a0", "aplus", "aminus")(ops))),
 )
 for _id, _desc, _lhs, _rhs in MODULE_ROWS:
     _register(_id, _desc, "module", _MOD, partial(_identity_check, lhs=_lhs, rhs=_rhs))

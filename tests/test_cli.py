@@ -75,12 +75,27 @@ def test_parse_rejects_unknown_flag():
     (["module", "--h", "2", "--k", "1", "--alpha", "0", "--beta", "0", "--rho", "0",
       "--q", "2", "--relation", "module.k_eigen", "--suite", "module"],
      "argument --suite: not allowed with argument --relation"),
+    # an empty --y is no subspace, not the default y
+    (["verify", "--q", "2", "--h", "2", "--k", "1", "--y", ""],
+     "cannot parse --y value ''"),
+    # "all" would absorb the other suite, while the context names both
+    (["verify", "--q", "2", "--h", "2", "--k", "1", "--suite", "all", "--suite", "counts"],
+     "--suite all cannot be combined with another suite"),
+    (["module", "--h", "2", "--k", "1", "--alpha", "0", "--beta", "0", "--rho", "0",
+      "--symbolic", "--suite", "module", "--suite", "all"],
+     "--suite all cannot be combined with another suite"),
 ])
 def test_parse_usage_errors_exit_2(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         parse_args(argv)
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
+
+
+def test_repeated_suite_all_is_all():
+    ns = parse_args(["verify", "--q", "2", "--h", "2", "--k", "1",
+                     "--suite", "all", "--suite", "all"])
+    assert relations_for("geometry", ns.suite) == relations_for("geometry")
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,4 +1,5 @@
-"""Golden reports and operators: the registry, perturbed runs and every entry.
+"""Golden reports, operators and module tables: the registry, perturbed runs,
+every entry and every closed form.
 
 The report fixture pins every relation's id, description, suite and modes in
 registry order, and the full (id, status, witness) list of runs whose
@@ -12,7 +13,11 @@ module, the sha256 of its labelled coordinate lines: every entry's
 position, canonical value and rendering.  A change of the operator
 representation must leave it unchanged.
 
-Regenerate both (only when a relation or an operator is deliberately
+The table fixture pins ``eigen_tables`` of the type (0,1,0) at
+(h, k) = (3, 2) over q = 3 and over the symbolic ring: every closed-form
+value at every weight, as its string.
+
+Regenerate all three (only when a relation or an operator is deliberately
 changed) with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -25,13 +30,14 @@ import os
 
 from oracles import coordinate_lines
 from pgaw.geometry import Subspace, build_geometry
-from pgaw.modules import ModuleType, build_abstract_module
+from pgaw.modules import ModuleType, build_abstract_module, eigen_tables
 from pgaw.operators import DERIVED, build_geometry_operators
 from pgaw.rings import QuadRing, SymbolicRing
 from pgaw.verify import REGISTRY, run_geometry_suite, run_module_suite, verify_counts
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "golden_reports.json")
 OPERATOR_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "golden_operators.json")
+TABLE_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "eigen_tables.json")
 GEOMETRY_CONFIGS = ((2, 2, 1), (3, 2, 1), (2, 3, 1), (3, 3, 1), (2, 3, 2))
 # (2,3,2) once more with a y other than the span of the last k basis vectors
 CUSTOM_Y = ((1, 0, 1, 0, 0), (0, 1, 0, 1, 1))
@@ -126,9 +132,26 @@ def test_golden_operators_unchanged():
     assert operator_snapshot() == want
 
 
+def table_snapshot() -> dict:
+    snap = {}
+    for key, ring in (("q=3", QuadRing(3)), ("symbolic", SymbolicRing())):
+        module = build_abstract_module(ModuleType(0, 1, 0, h=3, k=2), ring)
+        snap[f"module {key} (0,1,0) h=3 k=2"] = {
+            f"w[{i},{j}]": {name: str(value) for name, value in row.items()}
+            for (i, j), row in eigen_tables(module).items()}
+    return snap
+
+
+def test_golden_eigen_tables_unchanged():
+    with open(TABLE_FIXTURE, encoding="utf-8") as fh:
+        want = json.load(fh)
+    assert table_snapshot() == want
+
+
 if __name__ == "__main__":
     os.makedirs(os.path.dirname(FIXTURE), exist_ok=True)
-    for path, build in ((FIXTURE, snapshot), (OPERATOR_FIXTURE, operator_snapshot)):
+    for path, build in ((FIXTURE, snapshot), (OPERATOR_FIXTURE, operator_snapshot),
+                        (TABLE_FIXTURE, table_snapshot)):
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(build(), fh, indent=1, sort_keys=True)
             fh.write("\n")

@@ -5,7 +5,6 @@ import pytest
 from pgaw.modules import (
     NMDE,
     ModuleType,
-    bc_coefficients,
     build_abstract_module,
     conversion_case,
     eigen_scalar,
@@ -14,8 +13,9 @@ from pgaw.modules import (
     nmde_to_type,
     type_to_nmde,
 )
+from pgaw.operators import SparseOperator
 from pgaw.rings import QuadRing, SymbolicRing
-from pgaw.verify import run_module_suite
+from pgaw.verify import run_module_suite, run_suites
 
 R2 = QuadRing(2)
 SYM = SymbolicRing()
@@ -104,7 +104,7 @@ def test_l1r1_action_scalar():
 
 def test_bc_coefficients_examples():
     t = ModuleType(0, 0, 0, h=3, k=2)
-    c, b = bc_coefficients(t, 0, 1, R2)
+    c, b = eigen_scalar("c", t, 0, 1, R2), eigen_scalar("b", t, 0, 1, R2)
     assert c == 3  # [1][2] at q=2
     # cross-check against the action matrices: R w[1,0] = c_(0,1) w[0,1]
     m = build_abstract_module(t, R2)
@@ -113,10 +113,10 @@ def test_bc_coefficients_examples():
     assert b == 0
     # b vanishes on the left edge, c vanishes on the bottom edge
     for j in t.j_range:
-        assert bc_coefficients(t, t.alpha, j, R2)[1] == 0
+        assert eigen_scalar("b", t, t.alpha, j, R2) == 0
     for i in t.i_range:
-        assert bc_coefficients(t, i, t.rho + t.beta, R2)[0] == 0
-    assert bc_coefficients(t, -5, 99, R2) == (0, 0)
+        assert eigen_scalar("c", t, i, t.rho + t.beta, R2) == 0
+    assert eigen_scalar("c", t, -5, 99, R2) == eigen_scalar("b", t, -5, 99, R2) == 0
 
 
 def test_omega0_scalar_example():
@@ -146,16 +146,27 @@ def test_eigen_tables_export():
     assert "G" in tables[(0, 0)] and "c" in tables[(0, 0)]
 
 
-def test_eigen_table_is_one_per_module_set():
+def test_closed_form_diagonals_are_one_per_module_set():
     m = build_abstract_module(ModuleType(0, 1, 1, h=4, k=2), SYM)
-    table = m.ops.eigen
+    assert not m.ops._diagonals
     assert run_module_suite(m).passed
-    # read by every module relation, shared with a perturbed clone
-    assert m.ops.eigen is table and m.ops.perturbed("A", 0, 0, 1).eigen is table
-    # the columns are in basis order: each entry is the one-weight value
-    for name, column in table._columns.items():
-        assert column == tuple(eigen_scalar(name, m.type, i, j, SYM) for i, j in m.basis)
-    assert {"a0", "aplus", "aminus", "a", "Y", "P", "c", "b"} <= set(table._columns)
+    # made at the first read by a module relation, one per closed-form name
+    memo = dict(m.ops._diagonals)
+    names = {"K1", "K1i", "K2", "K2i", "L1R1", "R1L1", "L2R2", "R2L2",
+             "a0", "aplus", "aminus", "Omega0", "Omega1", "Omega2",
+             "Y", "P", "Omega", "G", "Gstar"}
+    assert names <= set(memo) and "a" not in memo
+    assert run_module_suite(m).passed and m.ops._diagonals.keys() == memo.keys()
+    assert all(m.ops._diagonals[name] is op for name, op in memo.items())
+    # each is the closed form at every weight, in basis order
+    for name in names:
+        want = [eigen_scalar(name, m.type, i, j, SYM) for i, j in m.basis]
+        assert memo[name] == SparseOperator.diagonal(want), name
+    # a perturbed clone reads its parent's diagonals
+    clone = m.ops.perturbed("A", 0, 0, 1)
+    assert not run_suites(clone).passed
+    assert all(clone.diagonal(name, None) is memo[name] for name in names)
+    assert m.ops._diagonals.keys() == memo.keys() and not clone._diagonals
 
 
 def test_module_basis_is_the_types_weight_order():

@@ -11,6 +11,7 @@ from pgaw.operators import (
     _rows_lincomb,
     _rows_scale,
     build_geometry_operators,
+    weight_diagonal,
 )
 from pgaw.rings import QuadRing, QuadScalar, RatFunc, RingMismatchError, SymbolicRing
 
@@ -359,6 +360,19 @@ def test_a_entry_matches_cover_condition(ops_cache, geometry_cache):
             meet = intersect(u, v)
             adjacent = (pu != pv and u.dim == meet.dim + 1 and v.dim == meet.dim + 1)
             assert ops["A"].entry(pu, pv) == (1 if adjacent else 0)
+
+
+def test_weight_diagonal_is_the_diagonal_in_lowest_terms():
+    # one value per weight: rational, zero and irrational, over 4, 1, 6 and 9
+    values = {(0, 0): Fraction(3, 4), (0, 1): 0,
+              (1, 0): QuadScalar(Fraction(1, 6), Fraction(5, 2), 3), (1, 1): Fraction(-2, 9)}
+    ij = ((0, 0), (1, 1), (0, 1), (1, 0), (0, 0), (1, 0), (1, 1))
+    calls = []
+    op = weight_diagonal(ij, lambda w: calls.append(w) or values[w])
+    assert sorted(calls) == sorted(values) and not op.rows_produced()
+    want = SparseOperator.diagonal([values[w] for w in ij])
+    assert (op.d, op.q, op.m0, op.m1) == (want.d, want.q, want.m0, want.m1)
+    assert op.d == 36 and 2 not in op.m0
 
 
 def test_estar_projections(ops_cache):

@@ -815,7 +815,7 @@ def test_reduced_path_builds_no_full_operator():
     report = run_geometry_suite(ops, ["counts", "structure", "generators"])
     assert report.passed
     ops.identity()
-    held = [*ops.ops.values(), *ops._projections.values()]
+    held = [*ops.ops.values(), *ops._diagonals.values()]
     assert set(ops.ops) >= {"Omega0", "Omega1", "Omega2"} and len(held) > 24
     for op in held:
         assert isinstance(op, LazyOperator)
@@ -827,7 +827,7 @@ def test_reduced_path_builds_no_full_operator():
     ops = _fresh(2, 4, 2)
     assert run_geometry_suite(ops).passed
     ops.identity()
-    for op in [*ops.ops.values(), *ops._projections.values()]:
+    for op in [*ops.ops.values(), *ops._diagonals.values()]:
         assert isinstance(op, LazyOperator) and len(op.rows_produced()) < ops.dim, op
     # L's transpose is read from R's representative rows
     assert set(ops["L"].rows_produced()) == set(ops.certificate.reps)
