@@ -15,7 +15,7 @@ diameter parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Optional
 
 from .operators import K_EXPONENTS, OperatorSet, SparseOperator, k_diagonals
@@ -145,6 +145,15 @@ EIGEN_NAMES = (
 )
 
 
+@lru_cache(maxsize=64)
+def _weightless(ring: Ring, h: int, k: int) -> tuple[Scalar, Scalar, Scalar]:
+    """The factors of P and G that do not depend on the weight:
+    (q-1)^-1, q (q-1)^-2 and q^(h+k-2) (q+1)^2."""
+    q = ring.q_power(1)
+    c1 = ring.inv(q - 1)
+    return c1, q * c1 * c1, ring.q_power(h + k - 2) * (q + 1) * (q + 1)
+
+
 def eigen_scalar(name: str, t: ModuleType, i: int, j: int, ring: Ring) -> Scalar:
     """The closed-form value of ``name`` at w[i,j]: the eigenvalue of a
     diagonal there, the coefficient of the image of w[i,j] for a generator
@@ -191,14 +200,14 @@ def eigen_scalar(name: str, t: ModuleType, i: int, j: int, ring: Ring) -> Scalar
     if name == "Y":
         return qp(h + k - ell) + qp(ell) - 1 + qp(-1)
     if name == "P":
-        q, y = qp(1), eigen_scalar("Y", t, i, j, ring)
-        c2 = ring.inv(q - 1)
-        return q * c2 * c2 * (y * y - qp(h + k - 2) * (q + 1) * (q + 1))
+        _, scale, shift = _weightless(ring, h, k)
+        y = eigen_scalar("Y", t, i, j, ring)
+        return scale * (y * y - shift)
     if name == "Omega":
         return -(qp(h + k - r - b) + qp(k + b - 1) + qp(k + ell - r - a)
                  + qp(ell + a - 1))
     if name == "G":
-        c1 = ring.inv(qp(1) - 1)
+        c1 = _weightless(ring, h, k)[0]
         left = (qp(k - r - a + 1) + qp(a)) \
             * (qp(ell - 1) * br(h + k - ell) - qp(ell) * br(ell))
         right = (qp(h - r - b + 1) + qp(b)) \

@@ -609,12 +609,15 @@ class OperatorSet:
         from .symmetry import lattice_certificate
         return lattice_certificate(self.geometry)
 
-    def prod(self, a: str, b: str) -> SparseOperator:
-        """Memoized product of two named operators."""
-        key = (a, b)
-        if key not in self._products:
-            self._products[key] = self[a] @ self[b]
-        return self._products[key]
+    def prod(self, a: str, b: str, keep: bool = True) -> SparseOperator:
+        """The product of two named operators, read from the memo when it
+        is there; a new one is kept there unless keep is False."""
+        out = self._products.get((a, b))
+        if out is None:
+            out = self[a] @ self[b]
+            if keep:
+                self._products[a, b] = out
+        return out
 
     def perturbed(self, name: str, r: int, c: int, delta=1) -> "OperatorSet":
         """Copy with one entry perturbed (negative control): it holds only the

@@ -159,8 +159,8 @@ def _join_permutation(geom: GeometryIndex, m: Matrix) -> Optional[list[int]]:
     """The permutation of positions induced by x -> x m, or None when m is
     singular or the joins below do not give a bijection.
 
-    A point goes to the span of its row's image, located by its RREF in
-    ``geom.index``; a point sent to 0 means m is singular.  A subspace v of
+    A point goes to the span of its row's image, located by its RREF with
+    ``geom.position``; a point sent to 0 means m is singular.  A subspace v of
     dimension d >= 2 is the join of any two distinct lower covers u1, u2,
     so its image is the one common upper cover of the images of u1 and u2,
     read from the cover lists level by level."""
@@ -169,12 +169,12 @@ def _join_permutation(geom: GeometryIndex, m: Matrix) -> Optional[list[int]]:
     for p in geom.by_level[0]:
         perm[p] = p
     for p in geom.by_level[1]:
-        (image,) = _matmul(geom.elements[p].rows, m, q)
+        (image,) = _matmul(geom.rows(p), m, q)
         lead = next((x for x in image if x), 0)
         if not lead:
             return None
         inv = pow(lead, -1, q)
-        perm[p] = geom.index[(tuple(x * inv % q for x in image),)]
+        perm[p] = geom.position([[x * inv % q for x in image]])
     slash_by, back_by = geom.slash_covered_by, geom.backslash_covered_by
     for level in geom.by_level[2:]:
         for v in level:
@@ -455,7 +455,7 @@ class RowView:
     def __getitem__(self, name: str) -> _Expr:
         return _Leaf(self, self._ops[name], name)
 
-    def prod(self, a: str, b: str) -> _Expr:
+    def prod(self, a: str, b: str, keep: bool = True) -> _Expr:
         return self[a] @ self[b]
 
     # diagonal functions of (i, j): invariant, as the orbits are the strata

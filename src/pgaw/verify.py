@@ -360,13 +360,16 @@ def _(ops):
 
 @dataclass(frozen=True)
 class _Commutator:
-    """The operand [X, Y] of two named operators."""
+    """The operand [X, Y] of two named operators.  Its products are read
+    from the set's memo (``aw.askey1`` leaves Omega A there for
+    ``aw.comm_omega_a``) but not kept: each commutator is read once, and
+    keeping its products would hold them for the life of every set."""
 
     x: str
     y: str
 
     def __call__(self, ops: OperatorSet) -> SparseOperator:
-        return (ops[self.x] @ ops[self.y]) - (ops[self.y] @ ops[self.x])
+        return ops.prod(self.x, self.y, keep=False) - ops.prod(self.y, self.x, keep=False)
 
 
 def _operand(ops: OperatorSet, spec) -> SparseOperator:

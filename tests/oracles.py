@@ -2,7 +2,7 @@
 
 The tests check the program against these.  None of them is called by
 ``src/``: subspaces are compared by their RREF, the lattice is built from
-its cover row tuples with each meet read from the lower covers (no
+its cover row codes with each meet read from the lower covers (no
 intersection, no ``Subspace`` per cover), the symmetry certificate maps
 subspaces by cover joins and checks no operator, a builder's set produces
 each operator's rows when they are first read, and a certified set
@@ -161,8 +161,9 @@ def oracle_lattice(q: int, h: int, k: int, y: Subspace) -> SimpleNamespace:
 
     Each level is the set of upper covers of the one below, from the zero
     subspace up, in lexicographic RREF order.  Each meet with y is an
-    ``intersect``, each cover a ``Subspace`` located by ``index``, and
-    each cover list is sorted."""
+    ``intersect``, each cover a ``Subspace`` located by its rows, and
+    each cover list is sorted.  A row code is the row's entries read as a
+    base-q numeral."""
     n = h + k
     levels = [[Subspace((), n, q)]]
     for _ in range(n):
@@ -183,9 +184,11 @@ def oracle_lattice(q: int, h: int, k: int, y: Subspace) -> SimpleNamespace:
             (sc_of if slash else bc_of)[pv].append(pu)
             (sc_by if slash else bc_by)[pu].append(pv)
     starts = list(itertools.accumulate((len(level) for level in levels), initial=0))
+    codes = tuple(tuple(int("".join(map(str, row)), q) for row in u.rows) for u in elements)
     return SimpleNamespace(
         elements=tuple(u.rows for u in elements),
-        index={u.rows: p for u, p in index.items()},
+        codes=codes,
+        index={u: p for p, u in enumerate(codes)},
         meet_y=tuple(index[m] for m in meets),
         ij=ij,
         strata={key: tuple(strata[key]) for key in sorted(strata)},
@@ -196,7 +199,7 @@ def oracle_lattice(q: int, h: int, k: int, y: Subspace) -> SimpleNamespace:
         backslash_covered_by=tuple(map(tuple, bc_by)))
 
 
-LATTICE_FIELDS = ("elements", "index", "meet_y", "ij", "strata", "by_level",
+LATTICE_FIELDS = ("elements", "codes", "index", "meet_y", "ij", "strata", "by_level",
                   "slash_covers_of", "backslash_covers_of", "slash_covered_by",
                   "backslash_covered_by")
 

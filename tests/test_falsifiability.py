@@ -132,11 +132,11 @@ def test_a_wrong_enumeration_fails_level_sizes_or_the_build(monkeypatch):
     # the levels are cut by the dimensions of the enumerated elements: a
     # repeated point makes level 1 one too long, and a dropped subspace
     # leaves a cover with no position
-    real = geometry.enumerate_subspaces
-    monkeypatch.setattr(geometry, "enumerate_subspaces", lambda q, n: real(q, n)[:2] + real(q, n)[1:])
+    real = geometry._enumerate_codes
+    monkeypatch.setattr(geometry, "_enumerate_codes", lambda q, n: real(q, n)[:2] + real(q, n)[1:])
     outcome = verify_counts(geometry.build_geometry(2, 2, 1)).outcome("counts.level_sizes")
     assert not outcome.passed and outcome.witness == "level 1: 8 elements, expected 7"
-    monkeypatch.setattr(geometry, "enumerate_subspaces", lambda q, n: real(q, n)[:-1])
+    monkeypatch.setattr(geometry, "_enumerate_codes", lambda q, n: real(q, n)[:-1])
     with pytest.raises(KeyError):
         geometry.build_geometry(2, 2, 1)
 

@@ -17,7 +17,9 @@ from oracles import (
     vectors,
 )
 from pgaw.geometry import Subspace, build_geometry, enumerate_subspaces
-from pgaw.rings import gaussian_binomial
+from pgaw.operators import build_geometry_operators
+from pgaw.rings import QuadRing, gaussian_binomial
+from pgaw.verify import run_geometry_suite
 
 
 def span(indices, n, q=2):
@@ -237,12 +239,17 @@ def test_cover_lists_match_containment_scan(q, h, k, custom_y):
         assert g.elements[g.meet_y[p]] == intersect(u, g.y)
 
 
-# every tested configuration, and (3,3,2) and (2,4,2) with default and
-# non-coordinate y's
+# every tested configuration, (3,3,2) and (2,4,2) with default and
+# non-coordinate y's, and (5,2,1) and (7,2,1), whose row codes have digits
+# above 2
 ORACLE_YS = TESTED_YS + (
     (3, 3, 2, None),
     (3, 3, 2, ((1, 2, 0, 1, 0), (0, 0, 1, 1, 2))),
     (2, 4, 2, ((1, 1, 0, 0, 0, 0), (0, 0, 1, 0, 1, 1))),
+    (5, 2, 1, None),
+    (5, 2, 1, ((1, 3, 4),)),
+    (7, 2, 1, None),
+    (7, 2, 1, ((1, 6, 2),)),
 )
 
 
@@ -251,9 +258,23 @@ def test_every_field_matches_the_oracle_lattice(q, h, k, y_rows):
     y = Subspace(y_rows, h + k, q) if y_rows else None
     g = build_geometry(q, h, k, y)
     assert all(type(u) is Subspace and (u.n, u.q) == (h + k, q) for u in g.elements)
-    assert all(g.index[u.rows] == p for p, u in enumerate(g.elements))
+    assert all(g.position(u.rows) == p for p, u in enumerate(g.elements))
     assert lattice_mismatches(g) == []
     assert set(g.phases) == {"enumerate", "covers", "meets"}
+
+
+@pytest.mark.parametrize("q,h,k", [(2, 3, 2), (3, 3, 1), (5, 2, 1)])
+def test_labels_and_rows_from_the_codes_are_the_subspaces(q, h, k):
+    g = build_geometry(q, h, k)
+    assert [g.label(p) for p in range(g.size)] == [u.label() for u in g.elements]
+    assert [g.rows(p) for p in range(g.size)] == [u.rows for u in g.elements]
+
+
+def test_a_passing_verify_makes_no_subspace_per_element():
+    g = build_geometry(2, 3, 2)
+    report = run_geometry_suite(build_geometry_operators(g, QuadRing(2)))
+    assert report.failures() == [] and len(report.outcomes) == 88
+    assert "elements" not in vars(g)
 
 
 @pytest.mark.parametrize("q,h,k", [(2, 2, 1), (3, 2, 1), (2, 3, 2), (2, 4, 2)])

@@ -235,8 +235,8 @@ def test_k_diagonals_221(ops_cache, geometry_cache):
 def test_l1_entry_example(ops_cache, geometry_cache):
     g = geometry_cache(2, 2, 1)
     ops = ops_cache(2, 2, 1)
-    u = g.index[span([1]).rows]
-    v = g.index[span([1, 3]).rows]
+    u = g.position(span([1]).rows)
+    v = g.position(span([1, 3]).rows)
     assert ops["L1"].entry(u, v) == 1
     assert ops["R1"] == ops["L1"].transpose()
     assert ops["R2"] == ops["L2"].transpose()
@@ -262,8 +262,8 @@ def test_fplus_pair_example(ops_cache, geometry_cache):
     # the full space, which backslash-covers both, so this is an F+ pair
     g = geometry_cache(2, 2, 1)
     ops = ops_cache(2, 2, 1)
-    u = g.index[span([1, 3]).rows]
-    v = g.index[span([2, 3]).rows]
+    u = g.position(span([1, 3]).rows)
+    v = g.position(span([2, 3]).rows)
     assert ops["Fplus"].entry(u, v) == 1
     assert ops["Fminus"].entry(u, v) == 0
     assert ops["F0"].entry(u, v) == 0

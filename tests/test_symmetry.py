@@ -310,7 +310,7 @@ def test_invariant_perturbation_is_caught_on_a_representative_row(
         ops_cache, spy, rel_id, where):
     ops = ops_cache(2, 3, 2)
     geom = ops.geometry
-    at = {"zero": 0, "y": geom.index[geom.y.rows], "full": geom.size - 1}
+    at = {"zero": 0, "y": geom.position(geom.y.rows), "full": geom.size - 1}
     r, c = (at[name] for name in where.split(","))
     # the zero subspace, y and the whole space are singleton orbits, so the
     # perturbation is invariant
