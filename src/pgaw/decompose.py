@@ -12,8 +12,8 @@ the trace of a spectral idempotent, with no rank:
 
 c the first index at which the two triples differ (Lagrange interpolation
 of the spectral projector).  E_t is multiplied out from start rows in S as
-row vectors, ``row @ Omega_c - row.scale(lambda)``, reading Omega_c only at
-the rows those vectors reach (``rows_for``), and checked: each row
+row vectors, ``row @ Omega_c - row.scale(lambda)``, a product that reads
+Omega_c only at the rows those vectors reach, and checked: each row
 of (Omega_c - lambda_(t,c)) E_t is zero for c = 0, 1, 2, and each row of
 E_t lies in S.  Every such row is then a joint eigenvector supported on S,
 and E_t fixes each of those, since each factor acts on it as 1.  So
@@ -81,10 +81,10 @@ def compute_multiplicities(geom: GeometryIndex, ops: OperatorSet) -> Multiplicit
         for s, mu in zip(types, triples):
             if s is not t and s.supports(*ij):
                 c = next(c for c in range(3) if lam[c] != mu[c])
-                rows = rows @ centrals[c].rows_for(rows) - rows.scale(mu[c])
+                rows = rows @ centrals[c] - rows.scale(mu[c])
                 denominator *= lam[c] - mu[c]
         for c in range(3):
-            bad = (rows @ centrals[c].rows_for(rows) - rows.scale(lam[c])).first_nonzero()
+            bad = (rows @ centrals[c] - rows.scale(lam[c])).first_nonzero()
             if bad:
                 raise ValueError(f"type {t}: (Omega{c} - {lam[c]}) E_t is nonzero "
                                  f"at row {ops.labels[bad[0]]}")

@@ -29,11 +29,12 @@ Every diagonal that is a function of the weight is one, made by
 forms.  So is every other operator of a set ``build_geometry_operators``
 made: the 0/1 families walk their words, and a certified set's derived
 operators come from their representative rows (``pgaw.symmetry``).  Any
-other operator is stored in full.  The representative-row
-evaluation reads an operand only at the rows it multiplies (``rows_for``);
-any other read of M0 or M1 produces every row once, after which the
-operator is a plain one.  d and q are known without a row, and on a
-certified set ``nnz`` and ``is_zero`` read only the representative rows.
+other operator is stored in full.  A product ``x @ y`` reads a lazy y
+only at the rows x reaches (``rows_for``), so a product of representative
+rows produces no other row of y; any other read of M0 or M1 (that of x
+in ``x @ y`` included) produces every row once, after which the operator
+is a plain one.  d and q are known without a row, and on a certified
+set ``nnz`` and ``is_zero`` read only the representative rows.
 
 An OperatorSet holds the named operators over one basis: the subspace
 lattice (a GeometryIndex: geometry mode, entries in Q(sqrt q)) or an
@@ -363,9 +364,11 @@ class SparseOperator:
                          self.q)
 
     def __matmul__(self, other: "SparseOperator") -> "SparseOperator":
-        """(X0 + r X1)/d @ (Y0 + r Y1)/e = (X0Y0 + q X1Y1 + r (X0Y1 + X1Y0))/(de)."""
+        """(X0 + r X1)/d @ (Y0 + r Y1)/e = (X0Y0 + q X1Y1 + r (X0Y1 + X1Y0))/(de),
+        reading other only at the rows self reaches (``rows_for``)."""
         if not isinstance(other, SparseOperator):
             return NotImplemented
+        other = other.rows_for(self)
         q = _common_q(self.q, other.q)
         x0, x1, y0, y1 = self.m0, self.m1, other.m0, other.m1
         m0 = _rows_mul(x0, y0)
@@ -427,7 +430,7 @@ class LazyOperator(SparseOperator):
 
     ``rule(u)`` gives row u as (M0 row, M1 row), each a dict of nonzero
     numerators over the denominator d or None when empty; d and q are
-    known up front.  ``rows_for`` produces only the rows a product reads.
+    known up front.  ``rows_for`` produces only the rows ``x @ self`` reads.
     Any read of M0 or M1 produces every row once and stores them as a
     plain operator does (the slots are filled by ``__getattr__``), so the
     full-path kernels read plain dicts.
@@ -469,10 +472,11 @@ class LazyOperator(SparseOperator):
 
     def rows_for(self, x: SparseOperator) -> SparseOperator:
         """The rows of self at the column support of x, as an operator."""
+        parts = x.m0, x.m1  # read first: when x is self, this stores every row
         if self._memo is None:
             return self
         columns: set = set()
-        for part in (x.m0, x.m1):
+        for part in parts:
             for xrow in part.values():
                 columns.update(xrow)
         memo, rule = self._memo, self._rule
@@ -563,7 +567,6 @@ class OperatorSet:
         # checks on the lattice
         self.from_lattice = from_lattice
         self._diagonals: dict = {}
-        self._products: dict = {}
 
     def __getitem__(self, name: str) -> SparseOperator:
         """The operator this set holds, else the parent's, else DERIVED[name],
@@ -608,16 +611,6 @@ class OperatorSet:
             return None
         from .symmetry import lattice_certificate
         return lattice_certificate(self.geometry)
-
-    def prod(self, a: str, b: str, keep: bool = True) -> SparseOperator:
-        """The product of two named operators, read from the memo when it
-        is there; a new one is kept there unless keep is False."""
-        out = self._products.get((a, b))
-        if out is None:
-            out = self[a] @ self[b]
-            if keep:
-                self._products[a, b] = out
-        return out
 
     def perturbed(self, name: str, r: int, c: int, delta=1) -> "OperatorSet":
         """Copy with one entry perturbed (negative control): it holds only the
@@ -755,41 +748,41 @@ def _f0_diag(ops: OperatorSet, head: SparseOperator) -> SparseOperator:
 def _fplus_diag(ops: OperatorSet) -> SparseOperator:
     """q^(k/2) (q-1)^-1 K1 (q^(h/2) K2^-1 - I), the diagonal part of L2R2 - F+."""
     ring = ops.ring
-    diag = ops.prod("K1", "K2i").scale(ring.q_half(ops.h)) - ops["K1"]
+    diag = (ops["K1"] @ ops["K2i"]).scale(ring.q_half(ops.h)) - ops["K1"]
     return diag.scale(ring.q_half(ops.k) * _qm1_inv(ops))
 
 
 def _fminus_diag(ops: OperatorSet) -> SparseOperator:
     """q^(h/2) (q-1)^-1 (q^(k/2) K1^-1 - I) K2, the diagonal part of R1L1 - F-."""
     ring = ops.ring
-    diag = ops.prod("K1i", "K2").scale(ring.q_half(ops.k)) - ops["K2"]
+    diag = (ops["K1i"] @ ops["K2"]).scale(ring.q_half(ops.k)) - ops["K2"]
     return diag.scale(ring.q_half(ops.h) * _qm1_inv(ops))
 
 
-def _balance_diag(ops: OperatorSet, k_pair: tuple[str, str]) -> SparseOperator:
+def _balance_diag(ops: OperatorSet, ka: str, kb: str) -> SparseOperator:
     """(q-1)^-1 (q^((h+k)/2) Ka Kb - I) for the diagonal pair (Ka, Kb)."""
-    diag = ops.prod(*k_pair).scale(ops.ring.q_half(ops.h + ops.k)) - ops.identity()
+    diag = (ops[ka] @ ops[kb]).scale(ops.ring.q_half(ops.h + ops.k)) - ops.identity()
     return diag.scale(_qm1_inv(ops))
 
 
 def expr_f0_slash(ops: OperatorSet) -> SparseOperator:
     """F0 = L1R1 - R1L1 + (q-1)^-1 (q^((h+k)/2) K1^-1 K2 - q^(k/2) K1 - q^(h/2) K2 + I)."""
-    return ops.prod("L1", "R1") - ops.prod("R1", "L1") + _f0_diag(ops, ops.prod("K1i", "K2"))
+    return ops["L1"] @ ops["R1"] - ops["R1"] @ ops["L1"] + _f0_diag(ops, ops["K1i"] @ ops["K2"])
 
 
 def expr_f0_backslash(ops: OperatorSet) -> SparseOperator:
     """F0 = R2L2 - L2R2 + (q-1)^-1 (q^((h+k)/2) K1 K2^-1 - q^(k/2) K1 - q^(h/2) K2 + I)."""
-    return ops.prod("R2", "L2") - ops.prod("L2", "R2") + _f0_diag(ops, ops.prod("K1", "K2i"))
+    return ops["R2"] @ ops["L2"] - ops["L2"] @ ops["R2"] + _f0_diag(ops, ops["K1"] @ ops["K2i"])
 
 
 def expr_fplus(ops: OperatorSet) -> SparseOperator:
     """F+ = L2R2 - q^(k/2) (q-1)^-1 K1 (q^(h/2) K2^-1 - I)."""
-    return ops.prod("L2", "R2") - _fplus_diag(ops)
+    return ops["L2"] @ ops["R2"] - _fplus_diag(ops)
 
 
 def expr_fminus(ops: OperatorSet) -> SparseOperator:
     """F- = R1L1 - q^(h/2) (q-1)^-1 (q^(k/2) K1^-1 - I) K2."""
-    return ops.prod("R1", "L1") - _fminus_diag(ops)
+    return ops["R1"] @ ops["L1"] - _fminus_diag(ops)
 
 
 def expr_back_l1r1(ops: OperatorSet) -> SparseOperator:
@@ -818,31 +811,31 @@ def expr_back_r2l2(ops: OperatorSet) -> SparseOperator:
 
 def expr_f_via_lr(ops: OperatorSet) -> SparseOperator:
     """F = L1R1 + L2R2 - (q-1)^-1 (q^((h+k)/2) K1 K2^-1 - I)."""
-    return ops.prod("L1", "R1") + ops.prod("L2", "R2") - _balance_diag(ops, ("K1", "K2i"))
+    return ops["L1"] @ ops["R1"] + ops["L2"] @ ops["R2"] - _balance_diag(ops, "K1", "K2i")
 
 
 def expr_f_via_rl(ops: OperatorSet) -> SparseOperator:
     """F = R1L1 + R2L2 - (q-1)^-1 (q^((h+k)/2) K1^-1 K2 - I)."""
-    return ops.prod("R1", "L1") + ops.prod("R2", "L2") - _balance_diag(ops, ("K1i", "K2"))
+    return ops["R1"] @ ops["L1"] + ops["R2"] @ ops["L2"] - _balance_diag(ops, "K1i", "K2")
 
 
 def expr_a_via_lr(ops: OperatorSet) -> SparseOperator:
     """A = (L1+L2)(R1+R2) - (q-1)^-1 (q^((h+k)/2) K1 K2^-1 - I)."""
     return (ops["L1"] + ops["L2"]) @ (ops["R1"] + ops["R2"]) \
-        - _balance_diag(ops, ("K1", "K2i"))
+        - _balance_diag(ops, "K1", "K2i")
 
 
 def expr_a_via_rl(ops: OperatorSet) -> SparseOperator:
     """A = (R1+R2)(L1+L2) - (q-1)^-1 (q^((h+k)/2) K1^-1 K2 - I)."""
     return (ops["R1"] + ops["R2"]) @ (ops["L1"] + ops["L2"]) \
-        - _balance_diag(ops, ("K1i", "K2"))
+        - _balance_diag(ops, "K1i", "K2")
 
 
 def expr_omega0(ops: OperatorSet) -> SparseOperator:
     """Omega0 = q^(-(h+k)/2) ((q-1) F0 K1^-1 K2^-1 + q^(h/2) K1^-1 + q^(k/2) K2^-1 - K1^-1 K2^-1)."""
     ring, h, k = ops.ring, ops.h, ops.k
     q = ring.q_power(1)
-    k1i_k2i = ops.prod("K1i", "K2i")
+    k1i_k2i = ops["K1i"] @ ops["K2i"]
     inner = (ops["F0"] @ k1i_k2i).scale(q - 1) \
         + ops["K1i"].scale(ring.q_half(h)) \
         + ops["K2i"].scale(ring.q_half(k)) \
@@ -856,7 +849,7 @@ def expr_omega1(ops: OperatorSet) -> SparseOperator:
     ring, h, k = ops.ring, ops.h, ops.k
     q = ring.q_power(1)
     c = _qm1_inv(ops)
-    frac = (ops.prod("K1", "K2i").scale(ring.q_half(k + 2))
+    frac = ((ops["K1"] @ ops["K2i"]).scale(ring.q_half(k + 2))
             + ops["K1i"].scale(ring.q_half(h + k + 2))
             - ops["K2i"].scale(q)).scale(c)
     inner = (ops["F0"] @ ops["K2i"]).scale(q) \
@@ -870,7 +863,7 @@ def expr_omega2(ops: OperatorSet) -> SparseOperator:
     ring, h, k = ops.ring, ops.h, ops.k
     q = ring.q_power(1)
     c = _qm1_inv(ops)
-    frac = (ops.prod("K1i", "K2").scale(ring.q_half(h + 2))
+    frac = ((ops["K1i"] @ ops["K2"]).scale(ring.q_half(h + 2))
             + ops["K2i"].scale(ring.q_half(h + k + 2))
             - ops["K1i"].scale(q)).scale(c)
     inner = (ops["F0"] @ ops["K1i"]).scale(q) \
@@ -880,7 +873,7 @@ def expr_omega2(ops: OperatorSet) -> SparseOperator:
 
 def expr_f0_central(ops: OperatorSet) -> SparseOperator:
     """F0 = (q-1)^-1 (q^((h+k)/2) Omega0 K1 K2 - q^(k/2) K1 - q^(h/2) K2 + I)."""
-    return _f0_diag(ops, ops["Omega0"] @ ops.prod("K1", "K2"))
+    return _f0_diag(ops, ops["Omega0"] @ (ops["K1"] @ ops["K2"]))
 
 
 def expr_fplus_central(ops: OperatorSet) -> SparseOperator:
@@ -907,7 +900,7 @@ def expr_y(ops: OperatorSet) -> SparseOperator:
     """Y = q^((h+k)/2) (K1 K2^-1 + K1^-1 K2) - q^-1 (q-1) I."""
     ring, h, k = ops.ring, ops.h, ops.k
     q = ring.q_power(1)
-    return (ops.prod("K1", "K2i") + ops.prod("K1i", "K2")).scale(ring.q_half(h + k)) \
+    return (ops["K1"] @ ops["K2i"] + ops["K1i"] @ ops["K2"]).scale(ring.q_half(h + k)) \
         - ops.identity().scale(ring.q_power(-1) * (q - 1))
 
 
@@ -927,7 +920,7 @@ def expr_omega_aw(ops: OperatorSet) -> SparseOperator:
     ring, h, k = ops.ring, ops.h, ops.k
     q = ring.q_power(1)
     ident = ops.identity()
-    t1 = (ops.prod("K1i", "K2") @ (ops["Omega1"].scale(q - 1) + ident.scale(q + 1))) \
+    t1 = (ops["K1i"] @ ops["K2"] @ (ops["Omega1"].scale(q - 1) + ident.scale(q + 1))) \
         .scale(ring.q_half(h + k - 2))
     t2 = (ops["Omega2"].scale(q - 1) + ident.scale(q + 1)).scale(ring.q_power(k - 1))
     return -(t1 + t2)
@@ -943,7 +936,7 @@ def expr_g(ops: OperatorSet) -> SparseOperator:
     c = _qm1_inv(ops)
     ident = ops.identity()
     y = ops["Y"]
-    k1i_k2 = ops.prod("K1i", "K2")
+    k1i_k2 = ops["K1i"] @ ops["K2"]
     qhk = ring.q_half(h + k)
     t1 = (((k1i_k2 @ y).scale(q) - ident.scale(qhk * (q + 1)))
           .scale(ring.q_half(h + k - 2))) @ ops["Omega1"]
@@ -959,7 +952,7 @@ def expr_gstar(ops: OperatorSet) -> SparseOperator:
     """G* = q^((h+3k)/2-1) (q+1) Omega0 K1^-1 K2."""
     ring, h, k = ops.ring, ops.h, ops.k
     q = ring.q_power(1)
-    return (ops["Omega0"] @ ops.prod("K1i", "K2")) \
+    return (ops["Omega0"] @ (ops["K1i"] @ ops["K2"])) \
         .scale(ring.q_half(h + 3 * k - 2) * (q + 1))
 
 
@@ -990,12 +983,12 @@ def expr_askey1(ops: OperatorSet, middle=None) -> SparseOperator:
     if middle is None:
         middle = ring.q_power(1) + ring.q_power(-1)
     a, astar = ops["A"], ops["Astar"]
-    a2 = ops.prod("A", "A")
-    a_astar = ops.prod("A", "Astar")
-    astar_a = ops.prod("Astar", "A")
+    a2 = a @ a
+    a_astar = a @ astar
+    astar_a = astar @ a
     lhs = (a2 @ astar) - (a_astar @ a).scale(middle) + (astar @ a2) \
         - (ops["Y"] @ (a_astar + astar_a)) - (ops["P"] @ astar)
-    rhs = ops.prod("Omega", "A") + ops["G"]
+    rhs = ops["Omega"] @ a + ops["G"]
     return lhs - rhs
 
 
@@ -1004,8 +997,8 @@ def expr_askey2(ops: OperatorSet) -> SparseOperator:
     ring = ops.ring
     middle = ring.q_power(1) + ring.q_power(-1)
     a, astar = ops["A"], ops["Astar"]
-    astar2 = ops.prod("Astar", "Astar")
-    astar_a = ops.prod("Astar", "A")
+    astar2 = astar @ astar
+    astar_a = astar @ a
     lhs = (astar2 @ a) - (astar_a @ astar).scale(middle) + (a @ astar2)
     rhs = (ops["Y"] @ astar2) + (ops["Omega"] @ astar) + ops["Gstar"]
     return lhs - rhs

@@ -31,9 +31,10 @@ geometry, which exists iff
 (b) a BFS from the first position of each stratum over the three
     permutations reaches every position of that stratum and none outside
     it, so the orbits are exactly ``geom.strata`` and each generator π
-    preserves (i, j).  The BFS records its forest: in BFS order, each
-    position u other than a representative with a generator π and a
-    position p reached before it such that u = π p;
+    preserves (i, j).  The BFS records its forest in two tables indexed
+    by position: for each position u other than a representative, the
+    index of a generator π and a predecessor p reached before it, such
+    that u = π p;
 (c) each ``*_covered_by`` list is the inverse of its ``*_covers_of`` list,
     and for each π and position u, meet_y[πu] = π meet_y[u] and the
     ``*_covers_of`` lists of πu are the images of u's (so all four are).
@@ -51,14 +52,14 @@ and runs in full.
 
 A certified set derives each operator of ``operators.DERIVED`` (``derive``)
 by evaluating its definition on the RowView below, which gives the
-operator's representative rows.  Every other row is produced along the
-forest when it is first read (``Certificate.transport``): row πp is row p
-with each column c moved to πc.  That is the operator's own row at πp,
-since the operator is invariant.  Every row is thus a permuted
-representative row, so the operator is in lowest terms as the
-representative rows are, and its nnz is the sum over the strata of |S|
-times the size of the representative's row.  Any other set derives in
-full.
+operator's representative rows.  Every other row is produced when it is
+first read, along the predecessors from a representative
+(``Certificate.transport``): row πp is row p with each column c moved to
+πc.  That is the operator's own row at πp, since the operator is
+invariant.  Every row is thus a permuted representative row, so the
+operator is in lowest terms as the representative rows are, and its nnz
+is the sum over the strata of |S| times the size of the
+representative's row.  Any other set derives in full.
 
 A set is fixed once built: it holds its inputs and what it derives from
 them by ``operators.DERIVED``, and takes no assignment.  So the certificate
@@ -74,24 +75,25 @@ the row's stratum); that operators are not changed in place, a row once
 produced included, and ``OperatorSet.ops`` is not written to from
 outside; that a ``support_violation`` predicate depends on the strata
 alone; that the row view below multiplies out exactly the representative
-rows of the full expressions; and that each forest entry (u, π, p) has
-u = π p, which holds by construction.
+rows of the full expressions; and that u = π p for each non-representative
+u, its generator π and its predecessor p, which holds by construction.
 
 ``evaluate`` reads the certificate once, before the evaluator runs.  With
 one, it runs the relation's evaluator on a RowView of the set, in which
 operators, products, sums, scalars and transposes of 0/1 families are
-lazy expressions multiplied out from the representative rows, left to right,
-each operator read only at the rows the product reaches; its result
-there -- None or the witness -- is the outcome.  Without one, it runs the
-evaluator on the set itself.  Either way the relation is evaluated once.
+lazy expressions multiplied out from the representative rows, left to
+right, as products ``rows @ op``, which read op only at the rows they
+reach; its result there -- None or the witness -- is the outcome.
+Without one, it runs the evaluator on the set itself.  Either way the
+relation is evaluated once.
 A query of a residual other than ``is_zero``, ``first_nonzero`` and
 ``support_violation`` raises AttributeError.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Optional
 
 from .geometry import GeometryIndex, _rref
@@ -214,16 +216,17 @@ def generator_permutations(geom: GeometryIndex) -> Optional[list[list[int]]]:
 # (b) orbits, (c) invariance
 # ---------------------------------------------------------------------------
 
-def _orbit_forest(perms, geom: GeometryIndex) -> Optional[tuple]:
+def _orbit_forest(perms, geom: GeometryIndex) -> Optional[tuple[bytearray, array]]:
     """Check (b): a BFS from each stratum's first position over the
     generator permutations.  A permutation's inverse is a power of it, so
     the forward images reach the whole orbit.  None unless every position is
-    reached from the representative of its own stratum; else the forest, in
-    BFS order: each non-representative u with the index g of a generator
-    and a predecessor p reached before it, such that u = perms[g][p]."""
+    reached from the representative of its own stratum; else the forest by
+    position, (gens, preds): each non-representative u has the index
+    gens[u] of a generator and a predecessor preds[u] reached before it,
+    such that u = perms[gens[u]][preds[u]] (both are 0 at a representative)."""
     ij = geom.ij
     reached = bytearray(geom.size)
-    forest = []
+    gens, preds = bytearray(geom.size), array("i", [0]) * geom.size
     for members in geom.strata.values():
         rep = members[0]
         stratum = ij[rep]
@@ -236,9 +239,9 @@ def _orbit_forest(perms, geom: GeometryIndex) -> Optional[tuple]:
                     return None
                 if not reached[u]:
                     reached[u] = 1
-                    forest.append((u, g, p))
+                    gens[u], preds[u] = g, p
                     queue.append(u)
-    return tuple(forest) if all(reached) else None
+    return (gens, preds) if all(reached) else None
 
 
 def _preserves_lattice(geom: GeometryIndex, perm) -> bool:
@@ -272,31 +275,24 @@ def _covers_invert(geom: GeometryIndex) -> bool:
 class Certificate:
     """Generator permutations whose orbits are the strata, the first
     position of each stratum, and the BFS forest that reaches every other
-    position from its representative (``_orbit_forest``)."""
+    position u from its representative, by position:
+    u = perms[gens[u]][preds[u]] (``_orbit_forest``)."""
 
     perms: list
     reps: tuple[int, ...]
-    forest: tuple[tuple[int, int, int], ...]
-
-    @cached_property
-    def _steps(self) -> tuple[bytearray, list]:
-        """(generator index, predecessor) of each position, by position: g
-        and p of its forest entry (u, g, p), zero at a representative."""
-        gens, preds = bytearray(len(self.perms[0])), [0] * len(self.perms[0])
-        for u, g, p in self.forest:
-            gens[u], preds[u] = g, p
-        return gens, preds
+    gens: bytearray
+    preds: array
 
     def transport(self, rows: SparseOperator, owner: OperatorSet) -> LazyOperator:
         """The invariant operator, belonging to owner, whose representative
-        rows are those of rows (its other rows empty).  Row u of a forest
-        entry (u, g, p) is row p with its columns moved by perms[g]; it is
-        produced when first read, with every row on the way from the
-        representative, and kept.
+        rows are those of rows (its other rows empty).  Row u of a
+        non-representative is row preds[u] with its columns moved by
+        perms[gens[u]]; it is produced when first read, with every row on
+        the way from the representative, and kept.
 
         Every row is a permuted representative row, so the numerators'
         gcd is that of rows, which is in lowest terms already."""
-        perms, (gens, preds) = self.perms, self._steps
+        perms, gens, preds = self.perms, self.gens, self.preds
         memo = {p: (rows.m0.get(p), rows.m1.get(p)) for p in self.reps}
 
         def rule(u):
@@ -322,7 +318,7 @@ def lattice_certificate(geom: GeometryIndex) -> Optional[Certificate]:
     forest = _orbit_forest(perms, geom)
     if forest is None or not all(_preserves_lattice(geom, perm) for perm in perms):
         return None
-    return Certificate(perms, tuple(members[0] for members in geom.strata.values()), forest)
+    return Certificate(perms, tuple(members[0] for members in geom.strata.values()), *forest)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +384,7 @@ class _Leaf(_Expr):
         self.op, self.name = op, name
 
     def apply(self, rows):
-        return rows @ self.op.rows_for(rows)
+        return rows @ self.op
 
     def transpose(self):
         """The leaf of the family ``TRANSPOSES`` names; no other has one here."""
@@ -454,9 +450,6 @@ class RowView:
 
     def __getitem__(self, name: str) -> _Expr:
         return _Leaf(self, self._ops[name], name)
-
-    def prod(self, a: str, b: str, keep: bool = True) -> _Expr:
-        return self[a] @ self[b]
 
     # diagonal functions of (i, j): invariant, as the orbits are the strata
 

@@ -277,7 +277,7 @@ for _id, _desc, _names, _shifts in SUPPORT_ROWS:
 
 def _q_commutation(ops: OperatorSet, x: str, y: str, left=1, right=1) -> SparseOperator:
     """Residual of left * X Y = right * Y X."""
-    return ops.prod(x, y).scale(left) - ops.prod(y, x).scale(right)
+    return (ops[x] @ ops[y]).scale(left) - (ops[y] @ ops[x]).scale(right)
 
 
 def _q_commutes(ops: OperatorSet, x: str, y: str, q_side) -> Optional[str]:
@@ -313,9 +313,11 @@ def _cubic(ops: OperatorSet, x: str, y: str, q_first: bool, k_pair, offset: int)
     ring = ops.ring
     q = ring.q_power(1)
     a, b = (q, 1) if q_first else (1, q)
-    lhs = (ops.prod(x, x) @ ops[y]).scale(a) - (ops[x] @ ops.prod(y, x)).scale(q + 1) \
-        + (ops[y] @ ops.prod(x, x)).scale(b)
-    rhs = (ops.prod(*k_pair) @ ops[x]).scale(ring.q_half(ops.h + ops.k + offset) * (q + 1))
+    ka, kb = k_pair
+    x, y = ops[x], ops[y]
+    xx = x @ x
+    lhs = (xx @ y).scale(a) - (x @ (y @ x)).scale(q + 1) + (y @ xx).scale(b)
+    rhs = (ops[ka] @ ops[kb] @ x).scale(ring.q_half(ops.h + ops.k + offset) * (q + 1))
     return _residual_witness(lhs + rhs, ops)
 
 
@@ -345,38 +347,37 @@ for _id, _desc, _x, _y, _q_first, _k_pair, _offset in CUBIC_ROWS:
            "generators", _BOTH)
 def _(ops):
     ring = ops.ring
-    lhs = ops.prod("L1", "R1") - ops.prod("R1", "L1") \
-        + ops.prod("L2", "R2") - ops.prod("R2", "L2")
-    rhs = (ops.prod("K1", "K2i") - ops.prod("K1i", "K2")) \
+    lhs = ops["L1"] @ ops["R1"] - ops["R1"] @ ops["L1"] \
+        + ops["L2"] @ ops["R2"] - ops["R2"] @ ops["L2"]
+    rhs = (ops["K1"] @ ops["K2i"] - ops["K1i"] @ ops["K2"]) \
         .scale(ring.q_half(ops.h + ops.k) * ring.inv(ring.q_power(1) - 1))
     return _residual_witness(lhs - rhs, ops)
 
 
 # -- identities between operators -------------------------------------------------
 #
-# An operand is the name of an operator, a pair of names for their memoized
+# An operand is the name of an operator, a pair of names for their
 # product, or a function of the OperatorSet.  A row with rhs None states
 # lhs = 0.
 
 @dataclass(frozen=True)
 class _Commutator:
-    """The operand [X, Y] of two named operators.  Its products are read
-    from the set's memo (``aw.askey1`` leaves Omega A there for
-    ``aw.comm_omega_a``) but not kept: each commutator is read once, and
-    keeping its products would hold them for the life of every set."""
+    """The operand [X, Y] of two named operators."""
 
     x: str
     y: str
 
     def __call__(self, ops: OperatorSet) -> SparseOperator:
-        return ops.prod(self.x, self.y, keep=False) - ops.prod(self.y, self.x, keep=False)
+        x, y = ops[self.x], ops[self.y]
+        return x @ y - y @ x
 
 
 def _operand(ops: OperatorSet, spec) -> SparseOperator:
     if isinstance(spec, str):
         return ops[spec]
     if isinstance(spec, tuple):
-        return ops.prod(*spec)
+        x, y = spec
+        return ops[x] @ ops[y]
     return spec(ops)
 
 

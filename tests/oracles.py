@@ -336,17 +336,22 @@ def batch_inputs(geom) -> dict:
 
 def transport(cert, rows: SparseOperator) -> SparseOperator:
     """The invariant operator whose representative rows are those of rows,
-    every row stored: each forest entry (u, g, p), in order, sets row u to
-    row p with its columns moved by perms[g]."""
-    perms = cert.perms
+    every row stored: row u of a non-representative is row preds[u] with
+    its columns moved by perms[gens[u]], found by walking the predecessors
+    back to a row already known, each row made once."""
+    perms, gens, preds = cert.perms, cert.gens, cert.preds
     parts = []
     for part in (rows.m0, rows.m1):
-        out = dict(part)
-        for u, g, p in cert.forest:
-            row = out.get(p)
-            if row is not None:
-                out[u] = {perms[g][c]: v for c, v in row.items()}
-        parts.append(out)
+        known = {p: part.get(p) for p in cert.reps}
+        for u in range(rows.dim):
+            path = []
+            while u not in known:
+                path.append(u)
+                u = preds[u]
+            row = known[u]
+            for v in reversed(path):
+                row = known[v] = row and {perms[gens[v]][c]: x for c, x in row.items()}
+        parts.append({u: known[u] for u in range(rows.dim) if known[u]})
     return _stored_operator(rows.dim, rows.d, *parts, rows.q)
 
 

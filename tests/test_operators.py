@@ -384,12 +384,6 @@ def test_estar_projections(ops_cache):
     assert (e01 @ e01) == e01
 
 
-def test_product_memoization(ops_cache):
-    ops = ops_cache(2, 2, 1)
-    assert ops.prod("L1", "R1") is ops.prod("L1", "R1")
-    assert ops.prod("L1", "R1") == ops["L1"] @ ops["R1"]
-
-
 def test_perturbed_copy_isolated(ops_cache):
     ops = ops_cache(2, 2, 1)
     tampered = ops.perturbed("A", 0, 1, 1)

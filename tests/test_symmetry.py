@@ -38,6 +38,7 @@ from oracles import (
 from pgaw import symmetry, verify
 from pgaw.decompose import compute_multiplicities
 from pgaw.geometry import COVER_LISTS, Subspace, build_geometry
+from pgaw.modules import ModuleType, build_abstract_module
 from pgaw.operators import (
     DERIVED,
     FAMILIES,
@@ -719,14 +720,15 @@ def test_derived_operators_equal_the_full_derivation(derivations, q, h, k, y_row
 def test_forest_moves_each_other_position_from_one_reached_before_it(q, h, k, y_rows):
     geom = _geometry(q, h, k, y_rows)
     cert = lattice_certificate(geom)
-    reached = set(cert.reps)
-    for u, g, p in cert.forest:
-        assert cert.perms[g][p] == u
-        assert p in reached
-        reached.add(u)
-    # every non-representative position appears exactly once, and no representative
-    moved = [u for u, _, _ in cert.forest]
-    assert sorted(moved) == sorted(set(range(geom.size)) - set(cert.reps))
+    reps = set(cert.reps)
+    rep_of = {geom.ij[p]: p for p in reps}
+    for u in set(range(geom.size)) - reps:
+        assert cert.perms[cert.gens[u]][cert.preds[u]] == u
+        # the predecessors lead back to the representative of u's stratum
+        p, steps = u, 0
+        while p not in reps and steps < geom.size:
+            p, steps = cert.preds[p], steps + 1
+        assert p == rep_of[geom.ij[u]], u
 
 
 @BROKEN_GENERATORS
@@ -751,9 +753,10 @@ NAMES = ("K1", "K1i", "K2", "K2i", "L1", "L2", "R1", "R2", "F0", "Fplus", "Fminu
 
 
 def _row(op, u):
-    """Row u of op, read through ``rows_for`` as the row view reads it."""
-    rows = op.rows_for(_stored_operator(op.dim, 1, {u: {u: 1}}, {}, None))
-    return rows.m0.get(u), rows.m1.get(u)
+    """Row u of op as the product e_u @ op reads it: its denominator and
+    its two parts' rows, in lowest terms."""
+    rows = _stored_operator(op.dim, 1, {u: {u: 1}}, {}, None) @ op
+    return rows.d, rows.m0.get(u), rows.m1.get(u)
 
 
 @pytest.mark.parametrize("q,h,k,y_rows", TESTED_YS + ((5, 2, 1, None),))
@@ -766,16 +769,16 @@ def test_rows_on_demand_equal_the_batch_oracle(q, h, k, y_rows):
     for name, transposed in TRANSPOSES.items():
         ref = want[name].transpose()
         for u in range(ops.dim):
-            assert _row(ops[transposed], u) == (ref.m0.get(u), None), (name, u)
+            assert _row(ops[transposed], u) == _row(ref, u), (name, u)
     for name in NAMES:
         op, ref = ops[name], want[name]
         assert isinstance(op, LazyOperator), name
         assert (op.d, op.q) == (ref.d, ref.q), name  # known before any row is read
         # row by row, last position first, so a derived row walks the forest
         for u in reversed(range(ops.dim)):
-            assert _row(op, u) == (ref.m0.get(u), ref.m1.get(u)), (name, u)
+            assert _row(op, u) == _row(ref, u), (name, u)
         assert _parts(op) == _parts(ref), name  # then in full
-        assert _row(op, 0) == (ref.m0.get(0), ref.m1.get(0)), name
+        assert _row(op, 0) == _row(ref, 0), name
 
 
 @pytest.mark.parametrize("q,h,k,y_rows", TESTED_YS[:5] + ((5, 2, 1, None),))
@@ -803,7 +806,7 @@ def test_lazy_nnz_counts_the_positions_of_both_parts():
     # positions: L1's ones, plus sqrt(q) on the diagonal
     ops = _fresh(3, 2, 1)
     l1 = ops["L1"]
-    both = LazyOperator(ops.dim, 1, 3, lambda u: (_row(l1, u)[0], {u: 1}), owner=ops)
+    both = LazyOperator(ops.dim, 1, 3, lambda u: (_row(l1, u)[1], {u: 1}), owner=ops)
     assert both.nnz() == l1.nnz() + ops.dim
     assert both.nnz() == SparseOperator.nnz(SparseOperator(ops.dim, {
         u: {**dict.fromkeys(row, 1), u: ops.ring.sqrt_q} for u, row in enumerate(
@@ -831,6 +834,25 @@ def test_reduced_path_builds_no_full_operator():
         assert isinstance(op, LazyOperator) and len(op.rows_produced()) < ops.dim, op
     # L's transpose is read from R's representative rows
     assert set(ops["L"].rows_produced()) == set(ops.certificate.reps)
+
+
+def test_a_product_reads_a_lazy_right_operand_only_at_the_rows_it_reaches():
+    ops = _fresh(2, 3, 2)
+    twin = uncertified_twin(ops)
+    rows = _stored_operator(ops.dim, 1, {5: {3: 1, 40: 2}}, {}, None)
+    assert rows @ ops["A"] == rows @ twin["A"]
+    assert set(ops["A"].rows_produced()) == {3, 40}
+    # a lazy operator times itself, before any of its rows is read: E*_l on
+    # a module, and a clone's A*, read from its certified parent
+    module = build_abstract_module(ModuleType(0, 0, 0, h=2, k=1), QuadRing(2)).ops
+    for level in range(4):
+        estar = module.estar_level(level)
+        plain = SparseOperator.diagonal([int(i + j == level) for i, j in module.ij])
+        assert not estar.rows_produced()
+        assert estar @ estar == plain @ plain
+    astar = ops.perturbed("A", 0, 1, 1)["Astar"]
+    assert len(astar.rows_produced()) < ops.dim
+    assert astar @ astar == twin["Astar"] @ twin["Astar"]
 
 
 def test_perturbed_clone_and_decompose_on_a_lazy_set():

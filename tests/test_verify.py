@@ -237,20 +237,6 @@ def test_module_failure_when_action_is_tampered():
     assert failed, "tampering with L1 must break at least one generator relation"
 
 
-def test_a_commutator_reads_memoized_products_and_keeps_none():
-    # aw.askey1 leaves Omega A in the memo of a full-path set; aw.comm_omega_a
-    # reads it there (a wrong memoized product makes it fail) and keeps
-    # neither of its own products
-    ops = build_abstract_module(ModuleType(0, 0, 0, h=2, k=1), QuadRing(2)).ops
-    assert run_relation(ops, "aw.askey1").passed
-    kept = set(ops._products)
-    assert ("Omega", "A") in kept
-    assert run_relation(ops, "aw.comm_omega_a").passed
-    assert set(ops._products) == kept
-    ops._products["Omega", "A"] = ops.prod("Omega", "A").with_entry_added(0, 0, 1)
-    assert not run_relation(ops, "aw.comm_omega_a").passed
-
-
 def test_suites_constant():
     assert SUITES == ("counts", "structure", "generators", "f", "rla",
                       "center", "aw", "module")
