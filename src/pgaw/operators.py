@@ -34,7 +34,7 @@ only at the rows x reaches (``rows_for``), so a product of representative
 rows produces no other row of y; any other read of M0 or M1 (that of x
 in ``x @ y`` included) produces every row once, after which the operator
 is a plain one.  d and q are known without a row, and on a certified
-set ``nnz`` and ``is_zero`` read only the representative rows.
+set ``nnz`` alone reads only the representative rows.
 
 An OperatorSet holds the named operators over one basis: the subspace
 lattice (a GeometryIndex: geometry mode, entries in Q(sqrt q)) or an
@@ -437,8 +437,8 @@ class LazyOperator(SparseOperator):
 
     The owner is the OperatorSet the operator belongs to.  While the owner
     has a symmetry certificate, the operator is invariant and every row is
-    a permuted representative row, so ``nnz`` and ``is_zero`` read the
-    representative rows alone."""
+    a permuted representative row, so ``nnz`` reads the representative
+    rows alone."""
 
     __slots__ = ("_rule", "_memo", "_owner")
 
@@ -509,9 +509,6 @@ class LazyOperator(SparseOperator):
             total += len(members) * width
         return total
 
-    def is_zero(self) -> bool:
-        return not self.nnz()
-
 
 def weight_diagonal(ij, value: Callable,
                     owner: Optional["OperatorSet"] = None) -> LazyOperator:
@@ -543,7 +540,23 @@ class _Labels(dict):
         return label
 
 
-class OperatorSet:
+class DiagonalReaders:
+    """The identity and the projections E* on ``diagonal(key, value)``, for an
+    OperatorSet and its row view (``pgaw.symmetry.RowView``)."""
+
+    def identity(self):
+        return self.diagonal("identity", lambda w: 1)
+
+    def estar_level(self, level: int):
+        """E*_level, whose row u is e_u when u is on that level."""
+        return self.diagonal(level, lambda w: int(w[0] + w[1] == level))
+
+    def estar_stratum(self, i: int, j: int):
+        """E*_(i,j), whose row u is e_u when u is in the stratum (i, j)."""
+        return self.diagonal((i, j), lambda w: int(w == (i, j)))
+
+
+class OperatorSet(DiagonalReaders):
     """The named operators over one basis (see the module docstring), which
     alone gives ``mode``, ``h``, ``k``, the weights ``ij`` and ``dim``;
     ``labels[p]`` is made from it when a failure witness first names p, and
@@ -590,17 +603,6 @@ class OperatorSet:
         if op is None:
             op = self._diagonals[key] = weight_diagonal(self.ij, value, self)
         return op
-
-    def identity(self) -> SparseOperator:
-        return self.diagonal("identity", lambda w: 1)
-
-    def estar_level(self, level: int) -> SparseOperator:
-        """E*_level, whose row u is e_u when u is on that level."""
-        return self.diagonal(level, lambda w: int(w[0] + w[1] == level))
-
-    def estar_stratum(self, i: int, j: int) -> SparseOperator:
-        """E*_(i,j), whose row u is e_u when u is in the stratum (i, j)."""
-        return self.diagonal((i, j), lambda w: int(w == (i, j)))
 
     @cached_property
     def certificate(self):

@@ -70,9 +70,9 @@ than checked: that the row rules of ``build_geometry_operators`` read
 only the strata, the cover lists and meet_y, and that it alone sets
 ``from_lattice``; that the derived operators are invariant (they are
 products, sums and scalar multiples of the inputs and of the identity);
-that the identity and the projections E* are (their row rules read only
-the row's stratum); that operators are not changed in place, a row once
-produced included, and ``OperatorSet.ops`` is not written to from
+that every diagonal ``OperatorSet.diagonal`` makes is (its row rule reads
+only the row's stratum); that operators are not changed in place, a row
+once produced included, and ``OperatorSet.ops`` is not written to from
 outside; that a ``support_violation`` predicate depends on the strata
 alone; that the row view below multiplies out exactly the representative
 rows of the full expressions; and that u = π p for each non-representative
@@ -80,14 +80,14 @@ u, its generator π and its predecessor p, which holds by construction.
 
 ``evaluate`` reads the certificate once, before the evaluator runs.  With
 one, it runs the relation's evaluator on a RowView of the set, in which
-operators, products, sums, scalars and transposes of 0/1 families are
-lazy expressions multiplied out from the representative rows, left to
-right, as products ``rows @ op``, which read op only at the rows they
-reach; its result there -- None or the witness -- is the outcome.
-Without one, it runs the evaluator on the set itself.  Either way the
-relation is evaluated once.
-A query of a residual other than ``is_zero``, ``first_nonzero`` and
-``support_violation`` raises AttributeError.
+operators, diagonals of the weight, products, sums, scalars and
+transposes of 0/1 families are lazy expressions (``_Expr``) multiplied
+out from the representative rows, left to right, as products
+``rows @ op``, which read op only at the rows they reach; its result
+there -- None or the witness -- is the outcome.  Without one, it runs
+the evaluator on the set itself.  Either way the relation is evaluated
+once.  A query of a residual other than ``is_zero``, ``first_nonzero``
+and ``support_violation`` raises AttributeError.
 """
 
 from __future__ import annotations
@@ -97,7 +97,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .geometry import GeometryIndex, _rref
-from .operators import TRANSPOSES, LazyOperator, OperatorSet, SparseOperator, _stored_operator
+from .operators import (TRANSPOSES, DiagonalReaders, LazyOperator, OperatorSet, SparseOperator,
+                        _stored_operator)
 
 Matrix = list[list[int]]
 
@@ -326,32 +327,33 @@ def lattice_certificate(geom: GeometryIndex) -> Optional[Certificate]:
 # ---------------------------------------------------------------------------
 
 class _Expr:
-    """A lazy operator expression, evaluated as (representative rows) @ self."""
+    """A lazy expression of a row view, ``apply(rows)`` being rows @ self;
+    ``@``, ``+`` and ``-`` raise TypeError on a foreign operand when built."""
 
-    __slots__ = ("view", "_rows")
+    __slots__ = ("view", "apply", "_rows")
 
-    def __init__(self, view: "RowView"):
-        self.view = view
+    def __init__(self, view: "RowView", apply: Callable[[SparseOperator], SparseOperator]):
+        self.view, self.apply = view, apply
         self._rows = None
 
-    def apply(self, rows: SparseOperator) -> SparseOperator:
-        """rows @ self, multiplied out left to right."""
-        raise NotImplementedError
-
     def __matmul__(self, other):
-        return _Product(self.view, self, self.view.lift(other))
+        f, g = self.apply, self.view.lift(other).apply
+        return _Expr(self.view, lambda rows: g(f(rows)))
 
     def __add__(self, other):
-        return _Sum(self.view, self, self.view.lift(other), 1)
+        f, g = self.apply, self.view.lift(other).apply
+        return _Expr(self.view, lambda rows: f(rows) + g(rows))
 
     def __sub__(self, other):
-        return _Sum(self.view, self, self.view.lift(other), -1)
+        f, g = self.apply, self.view.lift(other).apply
+        return _Expr(self.view, lambda rows: f(rows) - g(rows))
 
     def __neg__(self):
         return self.scale(-1)
 
     def scale(self, s) -> "_Expr":
-        return _Scaled(self.view, self, s)
+        f = self.apply
+        return _Expr(self.view, lambda rows: f(rows).scale(s))
 
     # -- the queries evaluators make of a residual -----------------------------
 
@@ -374,17 +376,14 @@ class _Expr:
 
 
 class _Leaf(_Expr):
-    """A named operator, or the identity or a projection E* (name None):
-    read at the column support of the rows it is applied to."""
+    """A named operator, or a diagonal of the weight (name None): read at
+    the column support of the rows it is applied to."""
 
     __slots__ = ("op", "name")
 
     def __init__(self, view, op: SparseOperator, name: Optional[str] = None):
-        super().__init__(view)
+        super().__init__(view, lambda rows: rows @ op)
         self.op, self.name = op, name
-
-    def apply(self, rows):
-        return rows @ self.op
 
     def transpose(self):
         """The leaf of the family ``TRANSPOSES`` names; no other has one here."""
@@ -393,50 +392,16 @@ class _Leaf(_Expr):
         return self.view[TRANSPOSES[self.name]]
 
 
-class _Product(_Expr):
-    __slots__ = ("left", "right")
+class RowView(DiagonalReaders):
+    """A certified OperatorSet seen through the representative rows of its
+    certificate: ``view[name]`` and ``diagonal`` are leaves of the set's own
+    operators, and every other attribute is the set's own."""
 
-    def __init__(self, view, left: _Expr, right: _Expr):
-        super().__init__(view)
-        self.left, self.right = left, right
-
-    def apply(self, rows):
-        return self.right.apply(self.left.apply(rows))
-
-
-class _Sum(_Expr):
-    __slots__ = ("left", "right", "sign")
-
-    def __init__(self, view, left: _Expr, right: _Expr, sign: int):
-        super().__init__(view)
-        self.left, self.right, self.sign = left, right, sign
-
-    def apply(self, rows):
-        a, b = self.left.apply(rows), self.right.apply(rows)
-        return a + b if self.sign > 0 else a - b
-
-
-class _Scaled(_Expr):
-    __slots__ = ("inner", "s")
-
-    def __init__(self, view, inner: _Expr, s):
-        super().__init__(view)
-        self.inner, self.s = inner, s
-
-    def apply(self, rows):
-        return self.inner.apply(rows).scale(self.s)
-
-
-class RowView:
-    """An OperatorSet seen through the representative rows of its certificate.
-
-    Operators, products, the identity and the projections E* are lazy
-    expressions; every other attribute is the set's own."""
-
-    def __init__(self, ops: OperatorSet, cert: Certificate):
+    def __init__(self, ops: OperatorSet):
         self._ops = ops
         # the identity restricted to the representative rows
-        self.start = _stored_operator(ops.dim, 1, {r: {r: 1} for r in cert.reps}, {}, None)
+        reps = ops.certificate.reps
+        self.start = _stored_operator(ops.dim, 1, {r: {r: 1} for r in reps}, {}, None)
 
     def __getattr__(self, name):
         return getattr(self._ops, name)
@@ -451,16 +416,9 @@ class RowView:
     def __getitem__(self, name: str) -> _Expr:
         return _Leaf(self, self._ops[name], name)
 
-    # diagonal functions of (i, j): invariant, as the orbits are the strata
-
-    def identity(self) -> _Expr:
-        return _Leaf(self, self._ops.identity())
-
-    def estar_level(self, level: int) -> _Expr:
-        return _Leaf(self, self._ops.estar_level(level))
-
-    def estar_stratum(self, i: int, j: int) -> _Expr:
-        return _Leaf(self, self._ops.estar_stratum(i, j))
+    def diagonal(self, key, value: Callable) -> _Expr:
+        """The set's memoized diagonal: invariant, as the orbits are the strata."""
+        return _Leaf(self, self._ops.diagonal(key, value))
 
 
 def derive(ops: OperatorSet, definition: Callable[[OperatorSet], SparseOperator]
@@ -472,7 +430,7 @@ def derive(ops: OperatorSet, definition: Callable[[OperatorSet], SparseOperator]
     cert = ops.certificate
     if cert is None:
         return definition(ops)
-    return cert.transport(definition(RowView(ops, cert)).rows(), ops)
+    return cert.transport(definition(RowView(ops)).rows(), ops)
 
 
 def evaluate(ops: OperatorSet, evaluator: Callable[[OperatorSet], Optional[str]]
@@ -480,5 +438,4 @@ def evaluate(ops: OperatorSet, evaluator: Callable[[OperatorSet], Optional[str]]
     """The evaluator's result for ops, from its one run: None when the
     relation holds, else the witness.  It runs on the representative rows
     when ops has a certificate, else on ops in full."""
-    cert = ops.certificate
-    return evaluator(ops if cert is None else RowView(ops, cert))
+    return evaluator(ops if ops.certificate is None else RowView(ops))

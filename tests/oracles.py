@@ -365,7 +365,7 @@ def oracle_operators(geom) -> dict:
     cert = ops.certificate
     for name, definition in DERIVED.items():
         if name not in ops.ops:
-            ops.ops[name] = transport(cert, definition(RowView(ops, cert)).rows())
+            ops.ops[name] = transport(cert, definition(RowView(ops)).rows())
     return dict(ops.ops)
 
 

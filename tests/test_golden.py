@@ -17,8 +17,13 @@ The table fixture pins ``eigen_tables`` of the type (0,1,0) at
 (h, k) = (3, 2) over q = 3 and over the symbolic ring: every closed-form
 value at every weight, as its string.
 
-Regenerate all three (only when a relation or an operator is deliberately
-changed) with
+The CLI fixture pins, for each command of ``CLI_COMMANDS``, its exit status
+and the sha256 of the report it writes to stdout, run in-process through
+``cli.run(cli.parse_args(argv))``: a rendering or a refactor must leave
+every report byte for byte as it was.
+
+Regenerate all four (only when a relation, an operator or a report is
+deliberately changed) with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -29,6 +34,7 @@ import json
 import os
 
 from oracles import coordinate_lines
+from pgaw import cli
 from pgaw.geometry import Subspace, build_geometry
 from pgaw.modules import ModuleType, build_abstract_module, eigen_tables
 from pgaw.operators import DERIVED, build_geometry_operators
@@ -38,6 +44,7 @@ from pgaw.verify import REGISTRY, run_geometry_suite, run_module_suite, verify_c
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "golden_reports.json")
 OPERATOR_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "golden_operators.json")
 TABLE_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "eigen_tables.json")
+CLI_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "golden_cli.json")
 GEOMETRY_CONFIGS = ((2, 2, 1), (3, 2, 1), (2, 3, 1), (3, 3, 1), (2, 3, 2))
 # (2,3,2) once more with a y other than the span of the last k basis vectors
 CUSTOM_Y = ((1, 0, 1, 0, 0), (0, 1, 0, 1, 1))
@@ -148,10 +155,43 @@ def test_golden_eigen_tables_unchanged():
     assert table_snapshot() == want
 
 
+JSON = ("--format", "json")
+VERIFY_232 = ("verify", "--q", "2", "--h", "3", "--k", "2")
+DECOMPOSE_331 = ("decompose", "--q", "3", "--h", "3", "--k", "1")
+CAPACITY = ("verify", "--q", "2", "--h", "5", "--k", "2")  # above the default --max-elements
+CLI_COMMANDS = (
+    VERIFY_232, VERIFY_232 + JSON,
+    VERIFY_232 + ("--suite", "counts"), VERIFY_232 + ("--suite", "counts") + JSON,
+    ("verify", "--q", "3", "--h", "2", "--k", "1", "--y", "1,2,1"),
+    DECOMPOSE_331, DECOMPOSE_331 + JSON,
+    ("module", "--h", "3", "--k", "2", "--alpha", "0", "--beta", "1", "--rho", "0",
+     "--symbolic", "--tables") + JSON,
+    ("module", "--h", "4", "--k", "2", "--alpha", "0", "--beta", "1", "--rho", "1", "--q", "3"),
+    ("enumerate", "--q", "2", "--h", "3", "--k", "1"),
+    ("convert", "--h", "4", "--k", "2", "--alpha", "0", "--beta", "1", "--rho", "1"),
+    CAPACITY, CAPACITY + JSON,
+)
+
+
+def cli_snapshot() -> dict:
+    snap = {}
+    for argv in CLI_COMMANDS:
+        status, rendered = cli.run(cli.parse_args(list(argv)))
+        snap[" ".join(argv)] = {"status": status,
+                                "stdout_sha256": hashlib.sha256(rendered.encode("utf-8")).hexdigest()}
+    return snap
+
+
+def test_golden_cli_reports_unchanged():
+    with open(CLI_FIXTURE, encoding="utf-8") as fh:
+        want = json.load(fh)
+    assert cli_snapshot() == want
+
+
 if __name__ == "__main__":
     os.makedirs(os.path.dirname(FIXTURE), exist_ok=True)
     for path, build in ((FIXTURE, snapshot), (OPERATOR_FIXTURE, operator_snapshot),
-                        (TABLE_FIXTURE, table_snapshot)):
+                        (TABLE_FIXTURE, table_snapshot), (CLI_FIXTURE, cli_snapshot)):
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(build(), fh, indent=1, sort_keys=True)
             fh.write("\n")

@@ -127,7 +127,7 @@ def test_reduced_and_full_outcomes_agree(q, h, k, y_rows):
     assert len(cert.reps) == len(ops.geometry.strata)
     twin = uncertified_twin(ops)
     for rel in relations_for("geometry"):
-        assert EVALUATORS[rel.id](RowView(ops, cert)) is None, rel.id
+        assert EVALUATORS[rel.id](RowView(ops)) is None, rel.id
         assert run_relation(ops, rel.id) == _full(twin, rel.id) == Outcome(rel.id, "pass")
 
 
@@ -341,7 +341,7 @@ def test_every_stratum_has_a_representative_row(ops_cache):
         inputs = _replaced(geom, "A", ops["A"] + ops.estar_stratum(i, j))  # invariant
         tampered = hand_certified(geom, inputs)
         assert tampered.certificate is not None
-        assert EVALUATORS["a.sum"](RowView(tampered, tampered.certificate)) is not None, (i, j)
+        assert EVALUATORS["a.sum"](RowView(tampered)) is not None, (i, j)
         twin = hand_made(geom, inputs)
         for rel_id in READS_A:
             assert run_relation(tampered, rel_id) == _full(twin, rel_id), (i, j, rel_id)
@@ -353,7 +353,7 @@ def test_operand_on_either_side_of_a_view_expression_raises_type_error(ops_cache
     reps = ops.certificate.reps
     p = next(p for p in range(ops.dim) if p not in reps)
     spike = SparseOperator(ops.dim, {p: {p: 1}})
-    other_view = RowView(ops, ops.certificate)
+    other_view = RowView(ops)
     operands = {
         "right": lambda o: o.identity() @ spike,
         "left": lambda o: spike @ o.identity(),
@@ -371,6 +371,29 @@ def test_operand_on_either_side_of_a_view_expression_raises_type_error(ops_cache
         with pytest.raises(TypeError):
             run_relation(ops, "a.sum")
         assert seen == ["reduced"], where
+
+
+def test_any_weight_diagonal_reads_the_same_on_both_paths():
+    ops = _fresh(2, 3, 2)
+    assert ops.certificate is not None
+
+    def probe(w):
+        return w[0] + 1
+
+    leaf = RowView(ops).diagonal(("probe",), probe)
+    assert isinstance(leaf, symmetry._Leaf) and leaf.name is None
+    assert leaf.op is ops.diagonal(("probe",), probe)
+    seen = []
+
+    def evaluate(o):
+        seen.append(_seen(o))
+        residual = o.diagonal(("probe",), probe) - o.identity()  # the diagonal of i
+        return verify._residual_witness(residual, o)
+
+    witness = symmetry.evaluate(ops, evaluate)
+    assert witness is not None
+    assert witness == evaluate(uncertified_twin(ops))
+    assert seen == ["reduced", "full"]
 
 
 def test_recompleted_set_does_not_trust_its_derived_operators(ops_cache, spy):
@@ -408,7 +431,7 @@ def test_only_a_family_has_a_transpose_on_the_row_view(ops_cache):
                           **{name: name for name in ("F0", "Fplus", "Fminus", "F", "A")}}
     assert set(TRANSPOSES) == set(FAMILIES)
     ops = ops_cache(2, 3, 2)
-    view = RowView(ops, ops.certificate)
+    view = RowView(ops)
     for name, transposed in TRANSPOSES.items():
         assert view[name].transpose().op is ops[transposed]
     for leaf in (view["Omega0"], view["Astar"], view.identity(), view.estar_level(1),
