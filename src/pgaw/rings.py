@@ -5,22 +5,33 @@ Two coefficient fields are supported:
 * numeric mode -- Q(sqrt(q)) for a fixed non-square prime q, elements
   ``a + b*sqrt(q)`` with arbitrary-precision rational a, b;
 * symbolic mode -- integer Laurent polynomials in an indeterminate ``s``
-  over ``(s-1)**b (s+1)**c``, with ``q = s**2`` (``RatFunc``, which holds
-  its numerator as an ``{exponent: coefficient}`` dict beside b and c):
-  half-integer powers of q are Laurent monomials in s, and the paper's
-  coefficients only ever divide by powers of ``q - 1 = (s-1)(s+1)``.
-  Reduction is synthetic division by ``s - 1`` and ``s + 1``; inverting
-  anything but a unit ``c s**m (s-1)**i (s+1)**j`` raises ValueError.
+  over ``(s-1)**b (s+1)**c``, with ``q = s**2`` (``RatFunc``): half-integer
+  powers of q are Laurent monomials in s, and the paper's coefficients only
+  ever divide by powers of ``q - 1 = (s-1)(s+1)``.  Inverting anything but
+  a unit ``c s**m (s-1)**i (s+1)**j`` raises ValueError.
 
-Every symbolic value is kept reduced, and two operations skip the
-reduction because it cannot change their result: scaling by a nonzero
-rational, and multiplying by a monomial ``c s**m`` (which is what
-``SymbolicRing.q_half`` returns).  Neither factor vanishes at s = 1 or
-s = -1, so a numerator without those roots keeps none; the product keeps
-b and c, and is constant only when two monomials' exponents cancel.  Sums
-and differences over a shared (b, c) combine the numerators in one pass
-and are reduced, since a sum can gain a root at s = 1 or -1.
-``SymbolicRing`` memoises s**m and [m] by m.
+A symbolic value ``s**m P(s) / (den (s-1)**b (s+1)**c)`` is packed: P has
+integer coefficients and P(0) != 0, and it is stored as the one int
+``v = P(N)`` for ``N = 2**64`` (Kronecker substitution), beside the ints
+m, b, c, den (1 unless a coefficient is a Fraction) and a bound h on P's
+coefficient norm, the sum of the |coefficients|.  Every value keeps
+``h < N/2 = 2**63``, and then v alone is exact: its balanced base-N digits
+are P's coefficients, v = 0 only for P = 0, and since P(N) = P(1) mod N-1
+and P(N) = P(-1) mod N+1 with |P(+-1)| <= h < N-1, s = 1 (s = -1) is a root
+iff N-1 (N+1) divides v, and ``v // (N -+ 1)`` is the packed quotient.  So
+a sum, a difference, a product, a lift to a larger (b, c), a reduction at
+s = +-1 and an equality test are each one or two integer operations.
+
+Each operation carries a proven bound: h1 + h2 for a sum, each side times
+2 per factor s -+ 1 it is lifted by and times what brings it to the common
+den; h1 h2 for a product; deg(P) h/2 for a quotient by s -+ 1.  A bound
+that reaches 2**63 is replaced by exact norms read from the digits; if
+those still reach it, the operation raises ArithmeticError.  So the
+coefficient limit is a norm of P below 2**63, and no value past it is ever
+returned.
+
+Every symbolic value is kept reduced: P(1) != 0 when b > 0 and P(-1) != 0
+when c > 0.  ``SymbolicRing`` memoises s**m and [m] by m.
 
 Plain Python ints and ``fractions.Fraction`` values embed canonically in
 both fields and are accepted by every operation; results collapse back to
@@ -30,6 +41,7 @@ int/Fraction whenever they are rational.  No floating point anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Union
 
 SUPPORTED_Q = (2, 3, 5, 7)
@@ -243,44 +255,46 @@ class QuadRing:
 # Laurent polynomials in s and their quotients by (s-1)^b (s+1)^c (q = s**2)
 # ---------------------------------------------------------------------------
 
-def _terms_add(x: dict, y: dict) -> dict:
-    """Sum of two {exponent: coefficient} dicts; zeros never stored."""
-    out = dict(x)
-    for e, v in y.items():
-        w = out.get(e, 0) + v
-        if w:
-            out[e] = w
-        else:
-            del out[e]  # w == 0 with v != 0 means e was present
+_N = 1 << 64      # the packing base: a numerator P is stored as the int P(N)
+_HALF = _N >> 1   # every stored P has a coefficient norm below N/2
+_MASK = _N - 1
+_N_MINUS_1, _N_PLUS_1 = _N - 1, _N + 1  # P(N) = P(1) mod N-1 and P(-1) mod N+1
+_TOO_LARGE = "symbolic numerator past the coefficient limit: its proven norm bound reaches 2**63"
+
+
+def _digits(v: int) -> list:
+    """The balanced base-N digits of v, lowest first: the coefficients of P
+    for v = P(N) while P's coefficient norm is below N/2."""
+    out = []
+    while v:
+        d = v & _MASK
+        if d >= _HALF:
+            d -= _N
+        out.append(d)
+        v = (v - d) >> 64
     return out
 
 
-def _terms_sub(x: dict, y: dict) -> dict:
-    """x - y in one pass, without negating y first."""
-    out = dict(x)
-    for e, v in y.items():
-        w = out.get(e, 0) - v
-        if w:
-            out[e] = w
-        else:
-            del out[e]
-    return out
+def _norm(v: int) -> int:
+    """The exact coefficient norm (sum of |coefficients|) of the P with v = P(N)."""
+    return sum(map(abs, _digits(v)))
 
 
-def _terms_mul(x: dict, y: dict) -> dict:
-    out: dict = {}
-    for e1, v1 in x.items():
-        for e2, v2 in y.items():
-            e = e1 + e2
-            out[e] = out.get(e, 0) + v1 * v2
-    return {e: v for e, v in out.items() if v}
+def _divide(v: int, r: int, h: int):
+    """(Q(N), a bound on Q's norm) for v = P(N) with P(r) = 0 and P = (s - r) Q.
 
-
-def _terms_scale(x: dict, shift: int, c) -> dict:
-    """x times c*s**shift for a nonzero rational c; integral coefficients stay ints."""
-    if type(c) is int:
-        return {e + shift: v * c for e, v in x.items()}
-    return {e + shift: _demote(v * c) for e, v in x.items()}
+    Each coefficient of Q is, up to sign, the sum of P's coefficients
+    below it and also of those above it (r = 1 or -1 and P(r) = 0), so it
+    is at most h/2, and Q has at most deg P <= bit_length(v) / 64 of them.
+    When that bound reaches N/2 Q's digits are still exact (each is below
+    N/4) and its norm is read from them."""
+    bound = (v.bit_length() >> 6) * (h >> 1)
+    v //= _N_MINUS_1 if r == 1 else _N_PLUS_1
+    if bound >= _HALF:
+        bound = _norm(v)
+        if bound >= _HALF:
+            raise ArithmeticError(_TOO_LARGE)
+    return v, bound
 
 
 def _root(x: dict, r: int) -> bool:
@@ -354,103 +368,159 @@ def _terms_str(x: dict) -> str:
 
 
 class RatFunc:
-    """num / ((s-1)^b (s+1)^c): a Laurent polynomial over powers of s-1 and s+1.
+    """s^m P(s) / (den (s-1)^b (s+1)^c), with P packed as the int v = P(2**64).
 
     These are the only denominators the paper's coefficients produce (powers
-    of q - 1 = (s-1)(s+1)).  The numerator num is ``terms``, an
-    {exponent: coefficient} dict with no zero coefficient.  The form is
-    reduced: num(1) != 0 when b > 0 and num(-1) != 0 when c > 0, which makes
-    it unique, so equality compares the parts.  Only units c s^m (s-1)^i
-    (s+1)^j can be inverted.  Construct through :func:`ratfunc_reduce` or a
+    of q - 1 = (s-1)(s+1)).  P has integer coefficients and P(0) != 0, den
+    is a positive int coprime to P's content (1 unless a coefficient is a
+    Fraction), and h bounds P's coefficient norm (the sum of |coefficients|)
+    with h < N/2 for N = 2**64.  The form is reduced: P(1) != 0 when b > 0
+    and P(-1) != 0 when c > 0, which makes (v, m, b, c, den) unique, so
+    equality compares them.  ``terms`` decodes the numerator s^m P / den as
+    an {exponent: coefficient} dict.  Only units c s^m (s-1)^i (s+1)^j can
+    be inverted.  Construct through :func:`ratfunc_reduce` or a
     :class:`SymbolicRing`; constant values collapse to int/Fraction there, so
     a RatFunc instance always carries a genuinely non-constant value.
     """
 
-    __slots__ = ("terms", "b", "c")
+    __slots__ = ("v", "m", "b", "c", "den", "h")
 
     @staticmethod
-    def _raw(terms: dict, b: int, c: int) -> "RatFunc":
+    def _make(v: int, m: int, b: int, c: int, den: int, h: int):
+        """The reduced scalar s^m P / (den (s-1)^b (s+1)^c) for v = P(N), h
+        a bound below N/2 on P's norm."""
+        if not v:
+            return 0
+        if not v & _MASK:  # P(0) = 0: move the factors of s into m
+            t = ((v & -v).bit_length() - 1) >> 6
+            v >>= t << 6
+            m += t
+        while b and not v % _N_MINUS_1:  # P(1) = 0
+            v, h = _divide(v, 1, h)
+            b -= 1
+        while c and not v % _N_PLUS_1:  # P(-1) = 0
+            v, h = _divide(v, -1, h)
+            c -= 1
+        if den != 1:
+            g = gcd(den, *_digits(v))
+            if g != 1:
+                v, den, h = v // g, den // g, h // g
+        if not b and not c and not m and -_HALF < v < _HALF:
+            return v if den == 1 else Fraction(v, den)
         r = RatFunc.__new__(RatFunc)
-        r.terms, r.b, r.c = terms, b, c
+        r.v, r.m, r.b, r.c, r.den, r.h = v, m, b, c, den, h
         return r
 
     @staticmethod
-    def _make(terms: dict, b: int, c: int):
-        """The reduced scalar terms / ((s-1)^b (s+1)^c)."""
+    def _from_terms(terms: dict, b: int, c: int):
+        """The reduced terms / ((s-1)^b (s+1)^c) for int or Fraction coefficients."""
+        terms = {e: x for e, x in terms.items() if x}
         if not terms:
             return 0
-        if b:
-            terms, n = _cancel(terms, 1, b)
-            b -= n
-        if c:
-            terms, n = _cancel(terms, -1, c)
-            c -= n
-        if not b and not c and len(terms) == 1 and 0 in terms:
-            return _demote(terms[0])
-        return RatFunc._raw(terms, b, c)
+        den = lcm(*(x.denominator for x in terms.values()))
+        m = min(terms)
+        v = h = 0
+        for e, x in terms.items():
+            p = x.numerator * (den // x.denominator)
+            v += p << ((e - m) << 6)
+            h += abs(p)
+        if h >= _HALF:
+            raise ArithmeticError(_TOO_LARGE)
+        return RatFunc._make(v, m, b, c, den, h)
 
-    def _plus(self, other, combine):
-        """self + other or self - other, as combine is _terms_add or _terms_sub.
+    def _tight(self) -> int:
+        """P's exact norm, which also replaces the carried bound h."""
+        self.h = h = _norm(self.v)
+        return h
 
-        Over a shared (b, c) the numerators combine in one pass, with nothing
-        lifted; the result is still reduced, as a sum can gain a root at
-        s = 1 or -1."""
+    def _plus(self, other, sign: int):
+        """self + sign * other.
+
+        Each side is lifted to the larger (b, c), multiplying its norm by
+        at most 2 per factor s -/+ 1, and to the common den; the lower m
+        shifts the other numerator, which leaves its norm.  The sum is
+        reduced, as it can gain a root at s = 0, 1 or -1."""
         t = type(other)
         if t is RatFunc:
-            n2, b2, c2 = other.terms, other.b, other.c
+            v2, m2, b2, c2, d2, h2 = other.v, other.m, other.b, other.c, other.den, other.h
         elif t is int or t is Fraction:
-            n2, b2, c2 = ({0: other} if other else {}), 0, 0
+            v2, m2, b2, c2, d2, h2 = other.numerator, 0, 0, 0, other.denominator, abs(other.numerator)
         else:
             return NotImplemented
-        b, c = self.b, self.c
-        if b == b2 and c == c2:
-            return RatFunc._make(combine(self.terms, n2), b, c)
-        b, c = max(b, b2), max(c, c2)
-        return RatFunc._make(combine(_lift(self.terms, b - self.b, c - self.c),
-                                     _lift(n2, b - b2, c - c2)), b, c)
+        if sign < 0:
+            v2 = -v2
+        v1, m1, b1, c1, d1, h1 = self.v, self.m, self.b, self.c, self.den, self.h
+        f1 = f2 = 1  # what each side's norm is multiplied by
+        b, c = b1, c1
+        if b1 != b2 or c1 != c2:
+            b, c = max(b1, b2), max(c1, c2)
+            if b != b1 or c != c1:
+                v1 *= _N_MINUS_1 ** (b - b1) * _N_PLUS_1 ** (c - c1)
+                f1 = 1 << (b - b1 + c - c1)
+            if b != b2 or c != c2:
+                v2 *= _N_MINUS_1 ** (b - b2) * _N_PLUS_1 ** (c - c2)
+                f2 = 1 << (b - b2 + c - c2)
+        den = d1
+        if d1 != d2:
+            den = lcm(d1, d2)
+            v1 *= den // d1
+            v2 *= den // d2
+            f1 *= den // d1
+            f2 *= den // d2
+        m = m1
+        if m1 > m2:
+            v1 <<= (m1 - m2) << 6
+            m = m2
+        elif m2 > m1:
+            v2 <<= (m2 - m1) << 6
+        h = h1 * f1 + h2 * f2
+        if h >= _HALF:
+            h = self._tight() * f1 + (other._tight() if t is RatFunc else h2) * f2
+            if h >= _HALF:
+                raise ArithmeticError(_TOO_LARGE)
+        return RatFunc._make(v1 + v2, m, b, c, den, h)
 
     def __add__(self, other):
-        return self._plus(other, _terms_add)
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc._raw({e: -v for e, v in self.terms.items()}, self.b, self.c)
+        r = RatFunc.__new__(RatFunc)
+        r.v, r.m, r.b, r.c, r.den, r.h = -self.v, self.m, self.b, self.c, self.den, self.h
+        return r
 
     def __sub__(self, other):
-        return self._plus(other, _terms_sub)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
-    def _times_monomial(self, monomial: dict):
-        """self times v s^m, given as {m: v}: a shift and a scaling, unreduced.
-
-        v s^m is nonzero at s = 1 and s = -1, so a reduced form stays
-        reduced and keeps its b and c.  The product is constant only when
-        self is a monomial too and the exponents cancel."""
-        (m, v), = monomial.items()
-        terms = _terms_scale(self.terms, m, v)
-        if not self.b and not self.c and len(terms) == 1 and 0 in terms:
-            return _demote(terms[0])
-        return RatFunc._raw(terms, self.b, self.c)
-
     def __mul__(self, other):
+        """The product's numerator is P1(N) P2(N), with norm at most h1 h2."""
         t = type(other)
-        if t is int or t is Fraction:
-            if not other:
-                return 0
-            return RatFunc._raw(_terms_scale(self.terms, 0, other), self.b, self.c)
-        if t is not RatFunc:
+        if t is RatFunc:
+            v2, m2, b2, c2, d2, h2 = other.v, other.m, other.b, other.c, other.den, other.h
+        elif t is int or t is Fraction:
+            v2, m2, b2, c2, d2, h2 = other.numerator, 0, 0, 0, other.denominator, abs(other.numerator)
+        else:
             return NotImplemented
-        if not other.b and not other.c and len(other.terms) == 1:
-            return self._times_monomial(other.terms)
-        if not self.b and not self.c and len(self.terms) == 1:
-            return other._times_monomial(self.terms)
-        return RatFunc._make(_terms_mul(self.terms, other.terms),
-                             self.b + other.b, self.c + other.c)
+        h = self.h * h2
+        if h >= _HALF:
+            h = self._tight() * (other._tight() if t is RatFunc else h2)
+            if h >= _HALF:
+                raise ArithmeticError(_TOO_LARGE)
+        return RatFunc._make(self.v * v2, self.m + m2, self.b + b2, self.c + c2, self.den * d2, h)
 
     __rmul__ = __mul__
+
+    @property
+    def terms(self) -> dict:
+        """The numerator s^m P / den as {exponent: coefficient}, decoded from v."""
+        m, den = self.m, self.den
+        if den == 1:
+            return {m + i: p for i, p in enumerate(_digits(self.v)) if p}
+        return {m + i: _demote(Fraction(p, den)) for i, p in enumerate(_digits(self.v)) if p}
 
     def denominator(self) -> dict:
         """(s-1)^b (s+1)^c, expanded."""
@@ -478,13 +548,14 @@ class RatFunc:
     def __eq__(self, other):
         t = type(other)
         if t is RatFunc:
-            return self.b == other.b and self.c == other.c and self.terms == other.terms
+            return (self.v == other.v and self.m == other.m and self.b == other.b
+                    and self.c == other.c and self.den == other.den)
         if t in (int, Fraction):
             return False  # constants never survive as RatFunc
         return NotImplemented
 
     def __hash__(self):
-        return hash((tuple(sorted(self.terms.items())), self.b, self.c))
+        return hash((self.v, self.m, self.b, self.c, self.den))
 
     def __bool__(self):
         return True  # zero collapses to int 0 at construction
@@ -513,9 +584,10 @@ def ratfunc_reduce(num: dict, den: dict):
 
     num and den are {exponent: coefficient} dicts; zero coefficients are
     dropped.  Any other denominator raises ValueError, a zero one
-    ZeroDivisionError.
+    ZeroDivisionError, and a numerator whose coefficients (over their
+    common denominator) sum to 2**63 or more in absolute value
+    ArithmeticError.
     """
-    num = {e: v for e, v in num.items() if v}
     den = {e: v for e, v in den.items() if v}
     if not den:
         raise ZeroDivisionError("rational function with zero denominator")
@@ -526,7 +598,7 @@ def ratfunc_reduce(num: dict, den: dict):
         raise ValueError(f"{_terms_str(den)} is not c*s^m*(s-1)^b*(s+1)^c, "
                          "the only denominators of symbolic scalars")
     (e, coeff), = rest.items()
-    return RatFunc._make(_terms_scale(num, -e, Fraction(1) / coeff), b, c)
+    return RatFunc._from_terms({k - e: Fraction(v) / coeff for k, v in num.items()}, b, c)
 
 
 class SymbolicRing:
@@ -549,7 +621,7 @@ class SymbolicRing:
     def q_half(self, m: int):
         """q**(m/2) = s**m."""
         if m not in self._powers:
-            self._powers[m] = RatFunc._make({m: 1}, 0, 0)
+            self._powers[m] = RatFunc._make(1, m, 0, 0, 1, 1)
         return self._powers[m]
 
     def q_power(self, m: int):
@@ -562,7 +634,7 @@ class SymbolicRing:
                 terms = {2 * t: 1 for t in range(m)}
             else:  # [-r] = -(q**-r + ... + q**-1)
                 terms = {2 * t: -1 for t in range(m, 0)}
-            self._brackets[m] = RatFunc._make(terms, 0, 0)
+            self._brackets[m] = RatFunc._from_terms(terms, 0, 0)
         return self._brackets[m]
 
     def inv(self, x):

@@ -245,6 +245,105 @@ def coordinate_lines(op: SparseOperator, labels=None):
 
 
 # ---------------------------------------------------------------------------
+# symbolic scalars as {exponent: coefficient} dicts
+# ---------------------------------------------------------------------------
+
+def terms_add(x: dict, y: dict) -> dict:
+    """x + y for Laurent polynomials in s; zero coefficients are dropped."""
+    out = dict(x)
+    for e, v in y.items():
+        out[e] = out.get(e, 0) + v
+    return {e: v for e, v in out.items() if v}
+
+
+def terms_neg(x: dict) -> dict:
+    return {e: -v for e, v in x.items()}
+
+
+def terms_mul(x: dict, y: dict) -> dict:
+    out: dict = {}
+    for e1, v1 in x.items():
+        for e2, v2 in y.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + v1 * v2
+    return {e: v for e, v in out.items() if v}
+
+
+def terms_lift(x: dict, b: int, c: int) -> dict:
+    """x (s-1)**b (s+1)**c."""
+    for r in (1,) * b + (-1,) * c:
+        x = terms_mul(x, {1: 1, 0: -r})
+    return x
+
+
+class DictRatFunc:
+    """terms / ((s-1)^b (s+1)^c) with terms an {exponent: coefficient} dict,
+    reduced by synthetic division by s - 1 and s + 1: the dict form of a
+    symbolic scalar, against which the packed ``RatFunc`` is checked."""
+
+    __slots__ = ("terms", "b", "c")
+
+    def __init__(self, terms: dict, b: int = 0, c: int = 0):
+        terms = {e: v for e, v in terms.items() if v}
+        for r, limit in ((1, b), (-1, c)):
+            n = 0
+            while terms and n < limit and not sum(v * r ** (e % 2) for e, v in terms.items()):
+                quotient, acc = {}, 0
+                for e in range(max(terms), min(terms), -1):
+                    acc = terms.get(e, 0) + r * acc
+                    if acc:
+                        quotient[e - 1] = acc
+                terms, n = quotient, n + 1
+            if r == 1:
+                b -= n
+            else:
+                c -= n
+        if not terms:
+            b = c = 0
+        self.terms, self.b, self.c = terms, b, c
+
+    @classmethod
+    def of(cls, x) -> "DictRatFunc":
+        """An int or a Fraction, or a DictRatFunc as it is."""
+        return x if isinstance(x, cls) else cls({0: x})
+
+    def scalar(self):
+        """The int or Fraction when the value is constant, else self."""
+        if self.b or self.c or set(self.terms) - {0}:
+            return self
+        value = self.terms.get(0, 0)
+        return value.numerator if value.denominator == 1 else value
+
+    def __add__(self, other):
+        other = DictRatFunc.of(other)
+        b, c = max(self.b, other.b), max(self.c, other.c)
+        return DictRatFunc(terms_add(terms_lift(self.terms, b - self.b, c - self.c),
+                                     terms_lift(other.terms, b - other.b, c - other.c)),
+                           b, c).scalar()
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return DictRatFunc(terms_neg(self.terms), self.b, self.c)
+
+    def __sub__(self, other):
+        return self + -DictRatFunc.of(other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        other = DictRatFunc.of(other)
+        return DictRatFunc(terms_mul(self.terms, other.terms),
+                           self.b + other.b, self.c + other.c).scalar()
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        return (isinstance(other, DictRatFunc) and self.terms == other.terms
+                and (self.b, self.c) == (other.b, other.c))
+
+
+# ---------------------------------------------------------------------------
 # operators and generator permutations
 # ---------------------------------------------------------------------------
 

@@ -1,10 +1,12 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from oracles import evaluate_at_q, quad
+from oracles import DictRatFunc, evaluate_at_q, quad, terms_add, terms_lift, terms_mul
+from pgaw import rings
 from pgaw.modules import build_abstract_module, enumerate_types
 from pgaw.operators import DERIVED
 from pgaw.rings import (
@@ -108,31 +110,13 @@ def poly(terms):
     return ratfunc_reduce(terms, ONE)
 
 
-def _pmul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-    return {e: c for e, c in out.items() if c}
-
-
-def _padd(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for e, c in b.items():
-        out[e] = out.get(e, 0) + c
-    return {e: c for e, c in out.items() if c}
-
-
 def _linear_power(r: int, n: int) -> dict:
     """(s - r)**n."""
-    out = {0: 1}
-    for _ in range(n):
-        out = _pmul(out, {1: 1, 0: -r})
-    return out
+    return terms_lift(ONE, n, 0) if r == 1 else terms_lift(ONE, 0, n)
 
 
 def _denominator(x: RatFunc) -> dict:
-    return _pmul(_linear_power(1, x.b), _linear_power(-1, x.c))
+    return terms_lift(ONE, x.b, x.c)
 
 
 # -- the former gcd normalisation over Q(s), kept as the oracle ----------------
@@ -194,12 +178,12 @@ def _ref_parts(x):
 def _ref_add(x, y, sign=1):
     (n1, d1), (n2, d2) = _ref_parts(x), _ref_parts(y)
     n2 = {e: sign * c for e, c in n2.items()}
-    return _ref_normalize(_padd(_pmul(n1, d2), _pmul(n2, d1)), _pmul(d1, d2))
+    return _ref_normalize(terms_add(terms_mul(n1, d2), terms_mul(n2, d1)), terms_mul(d1, d2))
 
 
 def _ref_mul(x, y):
     (n1, d1), (n2, d2) = _ref_parts(x), _ref_parts(y)
-    return _ref_normalize(_pmul(n1, n2), _pmul(d1, d2))
+    return _ref_normalize(terms_mul(n1, n2), terms_mul(d1, d2))
 
 
 def _ref_str(x) -> str:
@@ -222,11 +206,11 @@ def _random_ring_element(rng, units_only=False):
     else:
         num = {rng.randint(-3, 3): rng.randint(-4, 4) for _ in range(rng.randint(1, 4))}
         num = {e: c for e, c in num.items() if c}
-    num = _pmul(_pmul(num, _linear_power(1, rng.randint(0, 2))),
-                _linear_power(-1, rng.randint(0, 2)))
+    num = terms_mul(terms_mul(num, _linear_power(1, rng.randint(0, 2))),
+                    _linear_power(-1, rng.randint(0, 2)))
     den = {rng.randint(-2, 2): rng.choice((-1, 1))}
-    den = _pmul(_pmul(den, _linear_power(1, rng.randint(0, 2))),
-                _linear_power(-1, rng.randint(0, 2)))
+    den = terms_mul(terms_mul(den, _linear_power(1, rng.randint(0, 2))),
+                    _linear_power(-1, rng.randint(0, 2)))
     return num, den
 
 
@@ -258,7 +242,7 @@ def test_ratfunc_reduce_examples():
     out = ratfunc_reduce({4: 1, 0: -1}, {2: 1, 0: -1})
     assert out == poly({2: 1, 0: 1})
     # 3 s^-2 (s-1)^2 (s+1) is an accepted denominator
-    den = _pmul({-2: 3}, _pmul(_linear_power(1, 2), _linear_power(-1, 1)))
+    den = terms_mul({-2: 3}, terms_mul(_linear_power(1, 2), _linear_power(-1, 1)))
     out = ratfunc_reduce({1: 1, 0: 1}, den)
     assert (out.b, out.c) == (2, 0)
     assert out.terms == {2: Fraction(1, 3)}
@@ -268,7 +252,7 @@ def test_ratfunc_reduce_examples():
 
 def test_ratfunc_reduction_idempotent():
     # (s^4 - 1)/(2 s^3 (s-1)^2 (s+1)) = (s^2 + 1)/(2 s^3 (s-1))
-    den = _pmul({3: 2}, _pmul(_linear_power(1, 2), _linear_power(-1, 1)))
+    den = terms_mul({3: 2}, terms_mul(_linear_power(1, 2), _linear_power(-1, 1)))
     x = ratfunc_reduce({4: 1, 0: -1}, den)
     assert isinstance(x, RatFunc)
     assert (x.b, x.c) == (1, 0)
@@ -300,8 +284,8 @@ def test_ratfunc_matches_gcd_normalisation():
         assert str(x) == _ref_str(rx)
         assert (x == y) == (rx == ry)
         # the same value with common factors s, s-1, s+1 and 2 on both sides
-        extra = _pmul({1: 2}, _pmul(_linear_power(1, 1), _linear_power(-1, 2)))
-        twin = ratfunc_reduce(_pmul(n1, extra), _pmul(d1, extra))
+        extra = terms_mul({1: 2}, terms_mul(_linear_power(1, 1), _linear_power(-1, 2)))
+        twin = ratfunc_reduce(terms_mul(n1, extra), terms_mul(d1, extra))
         assert twin == x and hash(twin) == hash(x) and str(twin) == str(x)
         for got, want in ((x + y, _ref_add(rx, ry)), (x - y, _ref_add(rx, ry, -1)),
                           (x * y, _ref_mul(rx, ry))):
@@ -338,7 +322,7 @@ def test_non_units_and_foreign_denominators_rejected():
             SYM.inv(non_unit)
         with pytest.raises(ValueError):
             1 / non_unit
-    for den in ({2: 1, 0: 1}, {1: 1, 0: 2}, _pmul({1: 1, 0: 3}, {1: 1, 0: -1})):
+    for den in ({2: 1, 0: 1}, {1: 1, 0: 2}, terms_mul({1: 1, 0: 3}, {1: 1, 0: -1})):
         with pytest.raises(ValueError):
             ratfunc_reduce(ONE, den)
 
@@ -360,7 +344,7 @@ def _random_ratfunc_safe_den(rng):
     num = {rng.randint(-3, 4): rng.randint(-5, 5) for _ in range(rng.randint(0, 3))}
     den = {rng.randint(-2, 2): 1}
     for _ in range(rng.randint(0, 2)):
-        den = _pmul(den, {2: 1, 0: -1})
+        den = terms_mul(den, {2: 1, 0: -1})
     return ratfunc_reduce(num, den)
 
 
@@ -406,7 +390,7 @@ def test_symbolic_ring_memoises_by_m():
 
 def _unit(m, c, i, j):
     """c s^m / ((s-1)^i (s+1)^j)."""
-    return ratfunc_reduce({m: c}, _pmul(_linear_power(1, i), _linear_power(-1, j)))
+    return ratfunc_reduce({m: c}, terms_mul(_linear_power(1, i), _linear_power(-1, j)))
 
 
 # ints and Fractions; +-c s^m, with Fraction c too; units over (s-1)^i (s+1)^j;
@@ -450,11 +434,123 @@ def test_products_sums_and_differences_match_reduction_of_the_expanded_form():
         if not (isinstance(x, RatFunc) or isinstance(y, RatFunc)):
             continue
         (n1, d1), (n2, d2) = _expanded(x), _expanded(y)
-        den = _pmul(d1, d2)
-        _same_scalar(x * y, ratfunc_reduce(_pmul(n1, n2), den))
-        _same_scalar(x + y, ratfunc_reduce(_padd(_pmul(n1, d2), _pmul(n2, d1)), den))
+        den = terms_mul(d1, d2)
+        _same_scalar(x * y, ratfunc_reduce(terms_mul(n1, n2), den))
+        _same_scalar(x + y, ratfunc_reduce(terms_add(terms_mul(n1, d2), terms_mul(n2, d1)), den))
         minus_n2 = {e: -c for e, c in n2.items()}
-        _same_scalar(x - y, ratfunc_reduce(_padd(_pmul(n1, d2), _pmul(minus_n2, d1)), den))
+        _same_scalar(x - y, ratfunc_reduce(terms_add(terms_mul(n1, d2), terms_mul(minus_n2, d1)), den))
+
+
+def _dict_element(rng):
+    """(num, b, c) of a random element, not reduced: a Laurent numerator with
+    negative exponents and negative (sometimes Fraction) coefficients, times
+    (s-1)^i (s+1)^j, over (s-1)^b (s+1)^c."""
+    num = {rng.randint(-4, 4): rng.randint(-6, 6) for _ in range(rng.randint(1, 5))}
+    if rng.random() < 0.25:
+        num = {e: Fraction(v, rng.choice((2, 3, 4, 6))) for e, v in num.items()}
+    return terms_lift(num, rng.randint(0, 3), rng.randint(0, 3)), rng.randint(0, 3), rng.randint(0, 3)
+
+
+def _dict_unit(rng):
+    """(c, m, i, j, b, d) of a random unit c s^m (s-1)^i (s+1)^j / ((s-1)^b (s+1)^d)."""
+    return (rng.choice((1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3))), rng.randint(-3, 3),
+            *(rng.randint(0, 2) for _ in range(4)))
+
+
+def _agrees(got, want):
+    """A scalar of the packed arithmetic against its DictRatFunc oracle value."""
+    if isinstance(want, DictRatFunc):
+        assert type(got) is RatFunc, (got, want.terms)
+        assert (got.terms, got.b, got.c) == (want.terms, want.b, want.c)
+        assert all(type(v) in (int, Fraction) for v in got.terms.values())
+    else:
+        assert type(got) is type(want) and got == want, (got, want)
+
+
+def test_packed_arithmetic_matches_the_dict_oracle():
+    """Seeded random operands, packed RatFunc against DictRatFunc: +, -, *,
+    negation and division by units, with int and Fraction operands on either
+    side; constant results collapse to the same int or Fraction; == agrees,
+    equal values hash equal, and terms round-trip through ratfunc_reduce."""
+    rng = random.Random(20261020)
+    extra = terms_mul({1: 2}, terms_lift(ONE, 1, 2))  # a common factor 2 s (s-1) (s+1)^2
+    constants = (0, 1, -3, 7, Fraction(1, 2), Fraction(-5, 3))
+    for _ in range(300):
+        (n1, b1, c1), (n2, b2, c2) = _dict_element(rng), _dict_element(rng)
+        x, y = ratfunc_reduce(n1, terms_lift(ONE, b1, c1)), ratfunc_reduce(n2, terms_lift(ONE, b2, c2))
+        ox, oy = DictRatFunc(n1, b1, c1).scalar(), DictRatFunc(n2, b2, c2).scalar()
+        _agrees(x, ox)
+        _agrees(y, oy)
+        coeff, m, i, j, bu, cu = _dict_unit(rng)
+        u = ratfunc_reduce(terms_lift({m: coeff}, i, j), terms_lift(ONE, bu, cu))
+        ou_inv = DictRatFunc(terms_lift({-m: 1 / Fraction(coeff)}, bu, cu), i, j).scalar()
+        k = rng.choice(constants)
+        if isinstance(x, RatFunc) or isinstance(u, RatFunc):  # int / int is a float
+            _agrees(x / u, DictRatFunc.of(ox) * ou_inv)
+        if isinstance(u, RatFunc):
+            _agrees(k / u, DictRatFunc.of(k) * ou_inv)
+        if isinstance(x, RatFunc) or isinstance(y, RatFunc):
+            _agrees(x + y, ox + oy)
+            _agrees(x - y, ox - oy)
+            _agrees(x * y, ox * oy)
+        if isinstance(x, RatFunc):
+            _agrees(-x, -ox)
+            _agrees(x + k, ox + k)
+            _agrees(k - x, k - ox)
+            _agrees(x * k, ox * k)
+            _agrees(k * x, k * ox)
+            _agrees(x - x, 0)
+            _agrees(x + (k - x), DictRatFunc.of(k).scalar())
+        assert (x == y) == (ox == oy)
+        twin = ratfunc_reduce(terms_mul(n1, extra), terms_mul(terms_lift(ONE, b1, c1), extra))
+        assert twin == x and hash(twin) == hash(x)
+        if isinstance(x, RatFunc):
+            back = ratfunc_reduce(x.terms, x.denominator())
+            assert back == x and hash(back) == hash(x)
+
+
+def test_a_numerator_whose_coefficient_norm_reaches_2_63_raises():
+    """(1 + s)**62 has coefficient norm 2**62 and is exact; every operation
+    whose true result reaches norm 2**63 raises ArithmeticError."""
+    s = SYM.q_half(1)
+    x = 1 + s
+    for _ in range(61):
+        x = x * (1 + s)
+    assert x.terms == {e: math.comb(62, e) for e in range(63)} and x.h < 2 ** 63
+    for overflow in (lambda: x * (1 + s), lambda: x + x, lambda: x - (-x), lambda: 2 * x,
+                     lambda: x * Fraction(3, 2), lambda: s + 2 ** 63,
+                     lambda: ratfunc_reduce({0: 2 ** 62, 1: -2 ** 62}, ONE)):
+        with pytest.raises(ArithmeticError):
+            overflow()
+    assert (x + SYM.q_half(70)).terms[70] == 1  # norm 2**62 + 1 is within the limit
+
+
+def test_an_inflated_bound_is_tightened_and_stays_exact(monkeypatch):
+    """Repeated * (q - 1) and / (q - 1) multiplies the carried bound at every
+    step while the value comes back each round; the bound is replaced by the
+    exact norm from the digits, the value stays equal to the oracle's, and
+    no bound reaches 2**63.  So is the bound of a long quotient."""
+    tightened = []
+    norm = rings._norm
+    monkeypatch.setattr(rings, "_norm", lambda v: tightened.append(v) or norm(v))
+    q = SYM.q_power(1)
+    num = {5: 3, 2: -1, 0: 2, -3: Fraction(-7, 2)}
+    start = ratfunc_reduce(num, terms_lift(ONE, 1, 0))
+    want = DictRatFunc(num, 1, 0)
+    oracle_q1 = DictRatFunc({2: 1, 0: -1})
+    x = start
+    for _ in range(40):
+        x = x * (q - 1)
+        want = want * oracle_q1
+        _agrees(x, want)
+        x = x / (q - 1)
+        want = DictRatFunc(want.terms, want.b + 1, want.c + 1)
+        _agrees(x, want)
+        assert x.h < 2 ** 63
+    assert x == start and tightened
+    # a quotient by s - 1 whose bound deg(P) h/2 passes 2**63 while its norm is 2**57
+    wide = ratfunc_reduce(terms_mul({0: 2 ** 56, 99: 2 ** 56}, {1: 1, 0: -1}), terms_lift(ONE, 1, 0))
+    assert wide.terms == {0: 2 ** 56, 99: 2 ** 56} and wide.h == 2 ** 57
 
 
 # ---------------------------------------------------------------------------
