@@ -28,8 +28,9 @@ Every diagonal that is a function of the weight is one, made by
 ``weight_diagonal``: the K's, the identity, E* and a module's closed
 forms.  So is every other operator of a set ``build_geometry_operators``
 made: the 0/1 families walk their words, and a certified set's derived
-operators come from their representative rows (``pgaw.symmetry``).  Any
-other operator is stored in full.  A product ``x @ y`` reads a lazy y
+operators come from their representative rows (``pgaw.symmetry``).  So
+is a perturbed clone's operator (``plus_entries``).  Any other operator
+is stored in full.  A product ``x @ y`` reads a lazy y
 only at the rows x reaches (``rows_for``), so a product of representative
 rows produces no other row of y; any other read of M0 or M1 (that of x
 in ``x @ y`` included) produces every row once, after which the operator
@@ -44,9 +45,12 @@ inputs and the basis, any other name is derived from its one definition
 in ``DERIVED`` at its first read, and nothing is assigned later.  Only a
 set that ``build_geometry_operators`` made has a ``pgaw.symmetry``
 certificate, and it vouches for every operator the set holds.  A
-``perturbed`` clone holds only its perturbed operator and reads every
-other name from its parent.  Operators with two independent definitions
-are built both ways; the verifier compares them.
+``perturbed`` clone holds only its perturbed operator, the root's plus
+the perturbed entries, whose rows it makes from the root's when they are
+first read (``plus_entries``), and reads every other name from its
+parent; a clone of a certified set is evaluated on its root's row view
+(``pgaw.symmetry``).  Operators with two independent definitions are
+built both ways; the verifier compares them.
 """
 
 from __future__ import annotations
@@ -394,13 +398,17 @@ class SparseOperator:
                          self.q)
 
     def with_entry_added(self, r: int, c: int, delta) -> "SparseOperator":
-        """Copy with delta added at (r, c); used by the negative controls."""
+        """Copy with delta added at (r, c), every row stored."""
         return self + SparseOperator(self.dim, {r: {c: delta}})
 
     def rows_for(self, x: "SparseOperator") -> "SparseOperator":
         """An operator holding every row of self that x @ self reads: self,
         whose rows are all at hand."""
         return self
+
+    def _row(self, u: int) -> tuple:
+        """Row u as (M0 row, M1 row), each None when empty."""
+        return self.m0.get(u), self.m1.get(u)
 
     def rows_produced(self):
         """The positions whose rows this operator has produced: all of them."""
@@ -465,6 +473,8 @@ class LazyOperator(SparseOperator):
         return m0 if name == "m0" else m1
 
     def _row(self, u: int) -> tuple:
+        if self._memo is None:
+            return super()._row(u)
         row = self._memo.get(u)
         if row is None:
             row = self._memo[u] = self._rule(u)
@@ -508,6 +518,22 @@ class LazyOperator(SparseOperator):
             width = len(r0.keys() | r1.keys()) if r0 and r1 else len(r0 or r1 or ())
             total += len(members) * width
         return total
+
+
+def plus_entries(x: SparseOperator, added: SparseOperator) -> LazyOperator:
+    """x + added for an operator added of few rows, as a LazyOperator whose
+    row u is made from x's row u when first read (x's own row where added
+    has none, over the same denominator), so it reads x only at the rows
+    it is read at.  In lowest terms when added.d == 1: adding a multiple of
+    d to a numerator keeps its gcd with d."""
+    d = lcm(x.d, added.d)
+    a, b = d // x.d, d // added.d
+
+    def rule(u):
+        return tuple(_rows_lincomb({u: row} if row else {}, a,
+                                   {u: extra} if extra else {}, b).get(u)
+                     for row, extra in zip(x._row(u), (added.m0.get(u), added.m1.get(u))))
+    return LazyOperator(x.dim, d, _common_q(x.q, added.q), rule)
 
 
 def weight_diagonal(ij, value: Callable,
@@ -562,10 +588,12 @@ class OperatorSet(DiagonalReaders):
     ``labels[p]`` is made from it when a failure witness first names p, and
     a perturbed clone shares its parent's.  ``from_lattice`` is set by
     ``build_geometry_operators`` alone, and only such a set has a
-    certificate: a module, a clone or a set built by hand runs in full."""
+    certificate: a clone of such a set runs on the set's row view, and a
+    module, a set built by hand or a clone of either runs in full."""
 
     def __init__(self, ring, inputs: dict, basis,
-                 parent: Optional["OperatorSet"] = None, from_lattice: bool = False):
+                 parent: Optional["OperatorSet"] = None, from_lattice: bool = False,
+                 deltas: Optional[dict] = None):
         self.ring = ring
         self.basis = basis
         self.mode = GEOMETRY if isinstance(basis, GeometryIndex) else MODULE
@@ -579,6 +607,8 @@ class OperatorSet(DiagonalReaders):
         # geometry's strata, cover lists and meet_y, which ``pgaw.symmetry``
         # checks on the lattice
         self.from_lattice = from_lattice
+        # name -> what a perturbed clone adds to its root's operator name
+        self.deltas: dict[str, SparseOperator] = deltas or {}
         self._diagonals: dict = {}
 
     def __getitem__(self, name: str) -> SparseOperator:
@@ -614,12 +644,32 @@ class OperatorSet(DiagonalReaders):
         from .symmetry import lattice_certificate
         return lattice_certificate(self.geometry)
 
+    @property
+    def root(self) -> "OperatorSet":
+        """The set this one is a ``perturbed`` clone of, through every
+        level; a set that is no clone is its own root."""
+        return self if self.parent is None else self.parent.root
+
     def perturbed(self, name: str, r: int, c: int, delta=1) -> "OperatorSet":
-        """Copy with one entry perturbed (negative control): it holds only the
-        perturbed operator, reads every other name from this set, and is not
-        the builder's, so it has no certificate."""
-        return OperatorSet(self.ring, {name: self[name].with_entry_added(r, c, delta)},
-                           self.basis, parent=self)
+        """Copy with delta added at (r, c) of the operator name (a negative
+        control); ValueError when r or c is not a position.
+
+        The clone holds only that operator, and reads every other name from
+        this set.  Its operator is the root's plus ``deltas[name]``, every
+        entry the clones on the way added to name (``plus_entries``), so no
+        row of the root's is read before the clone's evaluation reads it.
+        It is not the builder's, so it has no certificate of its own; when
+        its root has one, ``pgaw.symmetry.evaluate`` runs it on the root's
+        row view."""
+        for axis, index in (("row", r), ("col", c)):
+            if not 0 <= index < self.dim:
+                raise ValueError(f"perturbed {name}: {axis} {index} is not a position "
+                                 f"(0 <= {axis} < {self.dim})")
+        added = SparseOperator(self.dim, {r: {c: delta}})
+        if name in self.deltas:
+            added = self.deltas[name] + added
+        return OperatorSet(self.ring, {name: plus_entries(self.root[name], added)},
+                           self.basis, parent=self, deltas={**self.deltas, name: added})
 
     def __repr__(self):
         return (f"OperatorSet(mode={self.mode}, dim={self.dim}, "

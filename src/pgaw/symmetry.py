@@ -47,8 +47,9 @@ makes π preserve.  The builder writes each input as a rule for one row,
 which reads the row's stratum, cover lists and meet_y, and nothing else
 (the words of ``operators.FAMILIES``), whose transposes (c)'s inversion
 makes the families ``operators.TRANSPOSES`` names.  Any other set -- a
-module, a ``perturbed`` clone, a set built by hand -- has no certificate
-and runs in full.
+module, a ``perturbed`` clone, a set built by hand -- has no certificate.
+A clone of a certified set runs on its root's row view (below); every
+other set runs in full.
 
 A certified set derives each operator of ``operators.DERIVED`` (``derive``)
 by evaluating its definition on the RowView below, which gives the
@@ -74,31 +75,58 @@ that every diagonal ``OperatorSet.diagonal`` makes is (its row rule reads
 only the row's stratum); that operators are not changed in place, a row
 once produced included, and ``OperatorSet.ops`` is not written to from
 outside; that a ``support_violation`` predicate depends on the strata
-alone; that the row view below multiplies out exactly the representative
-rows of the full expressions; and that u = π p for each non-representative
-u, its generator π and its predecessor p, which holds by construction.
+alone; that the row view below multiplies out exactly the rows it starts
+from of the full expressions; that u = π p for each non-representative
+u, its generator π and its predecessor p, which holds by construction;
+and that a clone's operators are its root's except at its perturbed
+entries (``OperatorSet.perturbed`` holds the sum of the root's operator
+and those entries, and reads every other name from its parent).
 
-``evaluate`` reads the certificate once, before the evaluator runs.  With
-one, it runs the relation's evaluator on a RowView of the set, in which
-operators, diagonals of the weight, products, sums, scalars and
-transposes of 0/1 families are lazy expressions (``_Expr``) multiplied
-out from the representative rows, left to right, as products
+``evaluate`` reads the certificate of the set's root once, before the
+evaluator runs.  With one, it runs the relation's evaluator on a RowView
+of the set, in which operators, diagonals of the weight, products, sums,
+scalars and transposes of 0/1 families are lazy expressions (``_Expr``)
+multiplied out from the rows a query reads, left to right, as products
 ``rows @ op``, which read op only at the rows they reach; its result
 there -- None or the witness -- is the outcome.  Without one, it runs
 the evaluator on the set itself.  Either way the relation is evaluated
 once.  A query of a residual other than ``is_zero``, ``first_nonzero``
 and ``support_violation`` raises AttributeError.
+
+A perturbed clone differs from its root only at its perturbed entries,
+so each expression carries a reach: the rows where its value on the
+clone may differ from its value on the root.  A perturbed leaf reaches
+its perturbed rows, and its transpose (the root's transposed family plus
+the perturbation transposed) its perturbed columns; X @ Y reaches X's
+reach and the rows u with X[u, t] != 0 on the root for some t in Y's;
+a sum reaches the union, and a scalar multiple keeps the reach.  That
+column preimage is read from the root: exactly from the transposed
+family's rows on a 0/1 family; on a derived operator, as that of its
+``DERIVED`` definition built on the view (a superset, as the operator's
+support lies in its terms'); as the same rows on a diagonal (each
+representative row holding its diagonal entry alone, as every row then
+does), which the K's are; and as every position on any other operator,
+which no builder's set holds.  A query multiplies
+out the reached rows and the first unreached position of each stratum.
+Outside the reach the clone's residual is the root's, which is
+invariant; so a nonzero unreached row u means a nonzero row at the first
+unreached position of u's stratum, which is at or before u.  Hence the
+clone's residual is zero iff those rows are, its first nonzero row (and
+first violating entry) is among them, and the witness is the full
+evaluation's.  A certified set itself is the case of an empty reach,
+whose rows are the representative rows.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from operator import add, sub
 from typing import Callable, Optional
 
 from .geometry import GeometryIndex, _rref
-from .operators import (TRANSPOSES, DiagonalReaders, LazyOperator, OperatorSet, SparseOperator,
-                        _stored_operator)
+from .operators import (DERIVED, TRANSPOSES, DiagonalReaders, LazyOperator, OperatorSet,
+                        SparseOperator, _stored_operator, plus_entries)
 
 Matrix = list[list[int]]
 
@@ -326,41 +354,75 @@ def lattice_certificate(geom: GeometryIndex) -> Optional[Certificate]:
 # reduced evaluation
 # ---------------------------------------------------------------------------
 
+_NOWHERE: frozenset = frozenset()
+
+
+def _same(cols: frozenset) -> frozenset:
+    return cols
+
+
+def _product_reach(x: "_Expr", y: "_Expr") -> frozenset:
+    """The rows where x @ y on a clone may differ from its root's: x's
+    reach, and the rows u with x[u, t] != 0 on the root for some t in y's.
+    Outside x's reach row u of x is the root's, so row u of x @ y differs
+    only through a row t of y that does."""
+    return x.reach | x.preimage(y.reach) if y.reach else x.reach
+
+
 class _Expr:
-    """A lazy expression of a row view, ``apply(rows)`` being rows @ self;
-    ``@``, ``+`` and ``-`` raise TypeError on a foreign operand when built."""
+    """A lazy expression of a row view.
 
-    __slots__ = ("view", "apply", "_rows")
+    ``apply(rows)`` is rows @ self; ``reach`` holds the rows where its value
+    on a perturbed clone may differ from its value on the clone's root
+    (none when the view's set is the root); ``preimage(cols)`` is a
+    superset of the rows u with self[u, t] != 0 on the root for some t in
+    cols.  ``@``, ``+`` and ``-`` raise TypeError on a foreign operand when
+    built."""
 
-    def __init__(self, view: "RowView", apply: Callable[[SparseOperator], SparseOperator]):
-        self.view, self.apply = view, apply
+    __slots__ = ("view", "apply", "reach", "preimage", "_rows")
+
+    def __init__(self, view: "RowView", apply: Callable[[SparseOperator], SparseOperator],
+                 reach: frozenset = _NOWHERE,
+                 preimage: Callable[[frozenset], frozenset] = _same):
+        self.view, self.apply, self.reach, self.preimage = view, apply, reach, preimage
         self._rows = None
 
     def __matmul__(self, other):
-        f, g = self.apply, self.view.lift(other).apply
-        return _Expr(self.view, lambda rows: g(f(rows)))
+        other = self.view.lift(other)
+        f, g = self.apply, other.apply
+        pf, pg = self.preimage, other.preimage
+        return _Expr(self.view, lambda rows: g(f(rows)), _product_reach(self, other),
+                     lambda cols: pf(pg(cols)))
+
+    def _join(self, other, combine) -> "_Expr":
+        """combine(self, other) for a sum or a difference."""
+        other = self.view.lift(other)
+        f, g = self.apply, other.apply
+        pf, pg = self.preimage, other.preimage
+        return _Expr(self.view, lambda rows: combine(f(rows), g(rows)), self.reach | other.reach,
+                     lambda cols: pf(cols) | pg(cols))
 
     def __add__(self, other):
-        f, g = self.apply, self.view.lift(other).apply
-        return _Expr(self.view, lambda rows: f(rows) + g(rows))
+        return self._join(other, add)
 
     def __sub__(self, other):
-        f, g = self.apply, self.view.lift(other).apply
-        return _Expr(self.view, lambda rows: f(rows) - g(rows))
+        return self._join(other, sub)
 
     def __neg__(self):
         return self.scale(-1)
 
     def scale(self, s) -> "_Expr":
         f = self.apply
-        return _Expr(self.view, lambda rows: f(rows).scale(s))
+        return _Expr(self.view, lambda rows: f(rows).scale(s), self.reach, self.preimage)
 
     # -- the queries evaluators make of a residual -----------------------------
 
     def rows(self) -> SparseOperator:
-        """The representative rows of the expression (other rows empty)."""
+        """The expression's rows at its reach and at the first position of
+        each stratum outside it (other rows empty): the representative
+        rows when the reach is empty."""
         if self._rows is None:
-            self._rows = self.apply(self.view.start)
+            self._rows = self.apply(self.view.start(self.reach))
         return self._rows
 
     def is_zero(self) -> bool:
@@ -377,34 +439,58 @@ class _Expr:
 
 class _Leaf(_Expr):
     """A named operator, or a diagonal of the weight (name None): read at
-    the column support of the rows it is applied to."""
+    the column support of the rows it is applied to.  On a perturbed clone
+    delta holds what the clone adds to the root's operator name: the
+    leaf's reach is delta's rows, and its transpose's delta's columns."""
 
-    __slots__ = ("op", "name")
+    __slots__ = ("op", "name", "delta")
 
-    def __init__(self, view, op: SparseOperator, name: Optional[str] = None):
-        super().__init__(view, lambda rows: rows @ op)
-        self.op, self.name = op, name
+    def __init__(self, view, op: SparseOperator, name: Optional[str] = None,
+                 delta: Optional[SparseOperator] = None):
+        reach = _NOWHERE if delta is None else frozenset(delta.m0.keys() | delta.m1.keys())
+        super().__init__(view, lambda rows: rows @ op, reach, view.preimage_of(name))
+        self.op, self.name, self.delta = op, name, delta
 
     def transpose(self):
-        """The leaf of the family ``TRANSPOSES`` names; no other has one here."""
+        """The leaf of the root's family ``TRANSPOSES`` names, plus delta
+        transposed; no other leaf has one here."""
         if self.name not in TRANSPOSES:
             raise AttributeError(f"{self.name or 'a diagonal'} has no transpose on the row view")
-        return self.view[TRANSPOSES[self.name]]
+        name, root = TRANSPOSES[self.name], self.view.root
+        if self.delta is None:
+            return _Leaf(self.view, root[name], name)
+        delta = self.delta.transpose()
+        return _Leaf(self.view, plus_entries(root[name], delta), name, delta)
 
 
 class RowView(DiagonalReaders):
-    """A certified OperatorSet seen through the representative rows of its
-    certificate: ``view[name]`` and ``diagonal`` are leaves of the set's own
+    """An OperatorSet whose root is certified, seen through the rows a query
+    reads: ``view[name]`` and ``diagonal`` are leaves of the set's own
     operators, and every other attribute is the set's own."""
 
     def __init__(self, ops: OperatorSet):
-        self._ops = ops
-        # the identity restricted to the representative rows
-        reps = ops.certificate.reps
-        self.start = _stored_operator(ops.dim, 1, {r: {r: 1} for r in reps}, {}, None)
+        self._ops, self.root = ops, ops.root
+        self._strata = ops.geometry.strata.values()
+        self._reps = self._identity(self.root.certificate.reps)
+        self._preimages: dict = {}
 
     def __getattr__(self, name):
         return getattr(self._ops, name)
+
+    def _identity(self, rows) -> SparseOperator:
+        return _stored_operator(self._ops.dim, 1, {r: {r: 1} for r in rows}, {}, None)
+
+    def start(self, reach: frozenset) -> SparseOperator:
+        """The identity restricted to reach and to the first position of
+        each stratum outside reach."""
+        if not reach:
+            return self._reps
+        rows = set(reach)
+        for members in self._strata:
+            first = next((p for p in members if p not in reach), None)
+            if first is not None:
+                rows.add(first)
+        return self._identity(rows)
 
     def lift(self, op) -> _Expr:
         """op, an expression of this view; any other operand (a
@@ -414,11 +500,54 @@ class RowView(DiagonalReaders):
         return op
 
     def __getitem__(self, name: str) -> _Expr:
-        return _Leaf(self, self._ops[name], name)
+        return _Leaf(self, self._ops[name], name, self._ops.deltas.get(name))
 
     def diagonal(self, key, value: Callable) -> _Expr:
         """The set's memoized diagonal: invariant, as the orbits are the strata."""
         return _Leaf(self, self._ops.diagonal(key, value))
+
+    # -- column preimages on the root ------------------------------------------
+
+    def preimage_of(self, name: Optional[str]) -> Callable[[frozenset], frozenset]:
+        """The ``preimage`` of the leaf of the root's operator name, or of
+        a diagonal of the weight (name None), worked out at its first call."""
+        if name is None:
+            return _same
+
+        def preimage(cols):
+            if not cols:
+                return _NOWHERE
+            rule = self._preimages.get(name)
+            if rule is None:
+                rule = self._preimages[name] = self._preimage_rule(name)
+            return rule(cols)
+        return preimage
+
+    def _preimage_rule(self, name: str) -> Callable[[frozenset], frozenset]:
+        """cols -> a superset of the rows u with X[u, t] != 0 for some t in
+        cols, X the root's invariant operator name: exact on a family (the
+        rows t of its transpose's family); on a derived operator, that of
+        its ``DERIVED`` definition, built on this view and not multiplied
+        out (X is a sum of its terms, so its support lies in theirs); cols
+        on a diagonal (the K's); else every position."""
+        root = self.root
+        if name in TRANSPOSES:
+            transposed = root[TRANSPOSES[name]]
+
+            def family(cols):
+                out: set = set()
+                for t in cols:
+                    for part in transposed._row(t):
+                        out.update(part or ())
+                return frozenset(out)
+            return family
+        if name in DERIVED:
+            return DERIVED[name](self).preimage
+        op = root[name]
+        if all(set(part or ()) <= {p} for p in root.certificate.reps for part in op._row(p)):
+            return _same
+        everywhere = frozenset(range(self._ops.dim))
+        return lambda cols: everywhere
 
 
 def derive(ops: OperatorSet, definition: Callable[[OperatorSet], SparseOperator]
@@ -436,6 +565,7 @@ def derive(ops: OperatorSet, definition: Callable[[OperatorSet], SparseOperator]
 def evaluate(ops: OperatorSet, evaluator: Callable[[OperatorSet], Optional[str]]
              ) -> Optional[str]:
     """The evaluator's result for ops, from its one run: None when the
-    relation holds, else the witness.  It runs on the representative rows
-    when ops has a certificate, else on ops in full."""
-    return evaluator(ops if ops.certificate is None else RowView(ops))
+    relation holds, else the witness.  It runs on a RowView when the root
+    of ops (ops itself unless it is a perturbed clone) has a certificate,
+    else on ops in full."""
+    return evaluator(ops if ops.root.certificate is None else RowView(ops))

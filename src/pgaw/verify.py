@@ -20,14 +20,17 @@ abstract module's standard basis); each relation declares the modes it
 applies to.  All passes are exact -- there are no tolerances anywhere.
 
 Each relation is evaluated once, by ``pgaw.symmetry.evaluate``, on the
-path the set's certificate chose before the evaluator ran.  On a set
-``build_geometry_operators`` made, that evaluation reads one
+path the certificate of the set's root chose before the evaluator ran.
+On a set ``build_geometry_operators`` made, that evaluation reads one
 representative row per G_y-orbit; the first nonzero row of a residual is
-always one of them, so witnesses are the full evaluation's.  An evaluator
-combines only the set's own operators: the identity, the projections E*,
-the named operators and their products, sums, scalar multiples and (for a
-0/1 family) transposes.  Any other set -- a perturbed clone, a module,
-a set built by hand -- is evaluated in full.
+always one of them, so witnesses are the full evaluation's.  On a
+perturbed clone of such a set it reads the rows the perturbation reaches
+and the first position of each stratum outside them, which again hold
+the full evaluation's witness.  An evaluator combines only the set's own
+operators: the identity, the projections E*, the named operators and
+their products, sums, scalar multiples and (for a 0/1 family)
+transposes.  Any other set -- a module, a set built by hand, a clone of
+one -- is evaluated in full.
 """
 
 from __future__ import annotations
@@ -613,10 +616,13 @@ def run_relation(ops: OperatorSet, rel_id: str) -> Outcome:
     so the first nonzero row of a residual is a representative row and the
     witness is the full evaluation's.  The certificate vouches for every
     operator the set holds, and the evaluator reads no other: an operand
-    it builds itself raises TypeError there.  What this trusts is listed
-    in ``pgaw.symmetry``.  A set without a certificate -- a perturbed clone
-    (it holds its perturbed operator and reads the rest from its parent),
-    a module, a set built by hand -- runs on the full set."""
+    it builds itself raises TypeError there.  A perturbed clone (it holds
+    its perturbed operators and reads the rest from its parent) of a
+    certified set runs on its root's row view, at the rows its perturbation
+    reaches and the first position of each stratum outside them, with the
+    same witness.  What this trusts is listed in ``pgaw.symmetry``.  Any
+    other set -- a module, a set built by hand, a clone of one -- runs on
+    the full set."""
     return _outcome(ops, rel_id, EVALUATORS[rel_id])
 
 

@@ -392,6 +392,30 @@ def test_perturbed_copy_isolated(ops_cache):
     assert ((ops["K1"] @ ops["K2"]) - (ops["K2"] @ ops["K1"])).is_zero()
 
 
+@pytest.mark.parametrize("r,c,index", [(-1, 0, "row -1"), (16, 0, "row 16"),
+                                       (0, -1, "col -1"), (0, 16, "col 16")])
+def test_perturbed_rejects_an_index_that_is_not_a_position(ops_cache, r, c, index):
+    ops = ops_cache(2, 2, 1)
+    assert ops.dim == 16
+    with pytest.raises(ValueError, match=rf"^perturbed A: {index} is not a position"):
+        ops.perturbed("A", r, c, 1)
+
+
+def test_a_clones_operator_equals_the_entry_added_in_full(geometry_cache):
+    ops = build_geometry_operators(geometry_cache(2, 2, 1), QuadRing(2))
+    base = ops["Omega1"]
+    assert base.d > 1
+    root = QuadRing(2).sqrt_q
+    for delta, integral in ((1, True), (-3, True), (root, True), (Fraction(1, 3), False),
+                            (root / 3, False)):
+        op = ops.perturbed("Omega1", 2, 5, delta)["Omega1"]
+        assert not op.rows_produced() and op.d % base.d == 0  # no row read yet
+        eager = base.with_entry_added(2, 5, delta)
+        assert op.entry(2, 5) == eager.entry(2, 5) and op == eager, delta
+        if integral:  # the sum stays in lowest terms
+            assert (op.d, op.m0, op.m1, op.q) == (eager.d, eager.m0, eager.m1, eager.q)
+
+
 def test_coordinate_export(ops_cache, geometry_cache):
     g = geometry_cache(2, 2, 1)
     ops = ops_cache(2, 2, 1)

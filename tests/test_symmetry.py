@@ -1,9 +1,11 @@
 """The certified symmetry reduction of geometry-mode relations.
 
 On a certified set every relation is evaluated once, on the representative
-rows, and that result -- pass or witness -- is the outcome; a set without a
-certificate (a perturbed clone, a module, a set built by hand) evaluates
-once, in full.  A certified set also derives its operators from their
+rows, and that result -- pass or witness -- is the outcome; a perturbed
+clone of a certified set is evaluated once on its root's row view, at the
+rows its perturbation reaches and the first position of each stratum
+outside them; a set without a certified root (a module, a set built by
+hand, a clone of one) evaluates once, in full.  A certified set also derives its operators from their
 representative rows and moves them along the certificate's forest, and
 every operator of a builder's set produces its rows when they are first
 read.  These tests pin that both give the outcomes and operators of an
@@ -131,13 +133,54 @@ def test_reduced_and_full_outcomes_agree(q, h, k, y_rows):
         assert run_relation(ops, rel.id) == _full(twin, rel.id) == Outcome(rel.id, "pass")
 
 
+# What the clone tests perturb: inputs (A, L1, F0, the last also a DERIVED
+# name) and derived operators whose column preimage is a union of strata
+# (Omega1) and a diagonal (Y).
+CLONE_TARGETS = ("A", "L1", "F0", "Omega1", "Y")
+
+
+def _seeded_perturbations(ops, seed=20261021):
+    """(name, r, c) for each of CLONE_TARGETS, r and c away from the
+    representatives, so the representative rows alone would miss them."""
+    reps = set(ops.certificate.reps)
+    others = [p for p in range(ops.dim) if p not in reps]
+    rng = random.Random(seed)
+    return [(name, rng.choice(others), rng.choice(others)) for name in CLONE_TARGETS]
+
+
+def _clone_mismatches(ops, perturbations):
+    """(perturbations, relation id) for every relation whose outcome on a
+    clone of ops differs from the full evaluation of the same clone of an
+    uncertified twin: each perturbation alone, then all of them chained
+    with PERTURBATIONS, whose entries lie on representative rows too."""
+    twin = uncertified_twin(ops)
+    geometry_ids = [rel.id for rel in relations_for("geometry")]
+    assert len(geometry_ids) == 88
+    bad = []
+    for chain in [[p] for p in perturbations] + [[*perturbations, *PERTURBATIONS]]:
+        clone, twin_clone = ops, twin
+        for name, r, c in chain:
+            clone, twin_clone = clone.perturbed(name, r, c, 1), twin_clone.perturbed(name, r, c, 1)
+        want = [_full(twin_clone, rel_id) for rel_id in geometry_ids]
+        assert any(not o.passed for o in want), chain
+        got = run_geometry_suite(clone).outcomes
+        bad += [(chain, w.id) for o, w in zip(got, want) if o != w]
+    return bad
+
+
 @pytest.mark.parametrize("q,h,k,y_rows", CONFIGS)
 def test_perturbed_outcomes_and_witnesses_agree(q, h, k, y_rows):
-    base = _fresh(q, h, k, y_rows)
-    ops, twin = _perturb(base), _perturb(uncertified_twin(base))
-    outcomes = run_geometry_suite(ops).outcomes
-    assert outcomes == [_full(twin, rel.id) for rel in relations_for("geometry")]
-    assert any(not o.passed for o in outcomes)
+    ops = _fresh(q, h, k, y_rows)
+    assert not _clone_mismatches(ops, _seeded_perturbations(ops))
+
+
+def test_a_reach_without_the_column_preimage_breaks_the_agreement(monkeypatch):
+    # the same clones agree at (2,3,1) in test_perturbed_outcomes_and_witnesses_agree;
+    # a product's reach taken as its left factor's alone misses the rows
+    # whose entries meet a perturbed row of the right factor
+    monkeypatch.setattr(symmetry, "_product_reach", lambda x, y: x.reach)
+    ops = _fresh(2, 3, 1)
+    assert _clone_mismatches(ops, _seeded_perturbations(ops))
 
 
 @pytest.mark.parametrize("q,h,k,y_rows", CONFIGS)
@@ -291,18 +334,90 @@ def test_counts_relations_compute_no_certificate(monkeypatch):
     assert ops.certificate is not None
 
 
-def test_perturbed_set_takes_the_full_path(ops_cache, spy):
+def test_perturbed_set_takes_its_roots_row_view(ops_cache, spy):
     ops = ops_cache(2, 3, 2)
     calls = spy("aw.askey2")
     assert run_relation(ops, "aw.askey2").passed
     assert calls == ["reduced"]
     tampered = ops.perturbed("A", 3, 40, 1)
     assert tampered.from_lattice is False and tampered.certificate is None
+    assert tampered.root is ops and set(tampered.deltas) == {"A"}
     del calls[:]
     out = run_relation(tampered, "aw.askey2")
-    assert calls == ["full"]
+    assert calls == ["reduced"]
     twin = uncertified_twin(ops).perturbed("A", 3, 40, 1)
     assert out == _full(twin, "aw.askey2") and not out.passed
+    assert out.witness.startswith(f"row={ops.labels[3]}, col={ops.labels[40]}, ")
+    # a clone of a set without a certificate runs in full
+    del calls[:]
+    assert run_relation(twin, "aw.askey2") == out
+    assert calls == ["full"]
+
+
+def _pair_off_the_reps(ops, same_i=False):
+    """The first (r, c), r != c, with neither a representative (and with
+    dim(r ∩ y) == dim(c ∩ y) when same_i)."""
+    reps, ij = set(ops.certificate.reps), ops.ij
+    return next((r, c) for r in range(ops.dim) for c in range(ops.dim)
+                if r != c and r not in reps and c not in reps
+                and (not same_i or ij[r][0] == ij[c][0]))
+
+
+def test_a_perturbed_leafs_transpose_is_read_from_the_perturbed_operator(ops_cache, spy):
+    ops = ops_cache(2, 3, 2)
+    r, c = _pair_off_the_reps(ops)
+    twin = uncertified_twin(ops)
+    calls = spy("a.rl_transpose")
+    # L's transpose on the clone is R plus the perturbation transposed, so
+    # R - L^T has its one nonzero entry at (c, r) ...
+    out = run_relation(ops.perturbed("L", r, c, 1), "a.rl_transpose")
+    assert out == _full(twin.perturbed("L", r, c, 1), "a.rl_transpose")
+    assert out.witness == f"row={ops.labels[c]}, col={ops.labels[r]}, residual=-1"
+    # ... and with R perturbed instead, L's transpose is the root's R, not
+    # the clone's
+    out = run_relation(ops.perturbed("R", r, c, 1), "a.rl_transpose")
+    assert out == _full(twin.perturbed("R", r, c, 1), "a.rl_transpose")
+    assert out.witness == f"row={ops.labels[r]}, col={ops.labels[c]}, residual=1"
+    assert calls == ["reduced", "full", "reduced", "full"]
+
+
+def test_a_control_leaves_every_root_operator_partial():
+    ops = _fresh(2, 4, 2)
+    r, c = _pair_off_the_reps(ops, same_i=True)  # fails both relations below
+    for name, rel_id in (("A", "aw.askey2"), ("L1", "gen.k1l1")):
+        out = run_relation(ops.perturbed(name, r, c, 1), rel_id)
+        assert out.witness.startswith(f"row={ops.labels[r]}, col={ops.labels[c]}, "), rel_id
+    held = [*ops.ops.values(), *ops._diagonals.values()]
+    assert {"A", "L1", "Astar", "Omega", "Gstar"} <= set(ops.ops)
+    for op in held:
+        assert len(op.rows_produced()) < ops.dim, op
+
+
+def test_a_clone_reaches_every_row_through_an_input_of_no_known_kind(ops_cache):
+    # K1 + A is invariant but neither a family, nor derived, nor diagonal:
+    # its column preimage is every position, and the outcomes still agree
+    geom = ops_cache(2, 3, 1).geometry
+    builder = ops_cache(2, 3, 1)
+    inputs = _replaced(geom, "K1", builder["K1"] + builder["A"])
+    root, twin = hand_certified(geom, inputs), hand_made(geom, inputs)
+    r, c = _pair_off_the_reps(root)
+    clone = root.perturbed("L1", r, c, 1)
+    view = RowView(clone)
+    reach = (view["K1"] @ view["L1"]).reach
+    assert reach == frozenset(range(root.dim)) and view["L1"].reach == {r}
+    want = [_full(twin.perturbed("L1", r, c, 1), rel.id)
+            for rel in relations_for("geometry", ["generators"])]
+    assert run_geometry_suite(clone, ["generators"]).outcomes == want
+    assert any(not o.passed for o in want)
+
+
+def test_a_perturbation_undone_by_a_second_clone_leaves_the_root():
+    ops = _fresh(2, 3, 1)
+    r, c = _pair_off_the_reps(ops)
+    undone = ops.perturbed("Omega1", r, c, 1).perturbed("Omega1", r, c, -1)
+    assert undone.root is ops and undone.deltas["Omega1"].is_zero()
+    assert undone["Omega1"] == ops["Omega1"]
+    assert run_geometry_suite(undone).passed
 
 
 @pytest.mark.parametrize("rel_id", ["aw.askey2", "a.sum"])
